@@ -320,15 +320,7 @@ class TrackerSession:
         return self.report_box()
 
     def report_box(self) -> BBox:
-        # Clip at the component level so the box stays constructible even if
-        # the filter drifted a dimension non-positive.
-        x = self.fs.x
-        return BBox(
-            cx=float(np.clip(x[0], 0.0, self.frame_width)),
-            cy=float(np.clip(x[1], 0.0, self.frame_height)),
-            w=float(np.clip(x[2], 1.0, self.frame_width)),
-            h=float(np.clip(x[3], 1.0, self.frame_height)),
-        )
+        return clip_box(state2box(self.fs.x), self.frame_width, self.frame_height)
 
 
 def step(session: TrackerSession, frame: FrameInput) -> BBox:

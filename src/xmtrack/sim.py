@@ -104,6 +104,8 @@ class Scenario:
             raise ValueError("Scenario: frames must be positive")
         if self.sigma < 0:
             raise ValueError("Scenario: sigma must be non-negative")
+        if self.switch_radius < 0:
+            raise ValueError("Scenario: switch_radius must be non-negative")
         if self.switch_noise_boost < 1.0:
             raise ValueError("Scenario: switch_noise_boost must be >= 1")
         self.modality_schedule = [
@@ -130,10 +132,21 @@ class Scenario:
         return any(start <= t < end for start, end in self.invalid_windows)
 
     def switch_frames(self) -> list[int]:
+        """Frames t in [1, frames) whose modality differs from frame t - 1.
+
+        The modality only changes at segment boundaries, so the schedule is
+        walked once as (boundary, modality from there on) pairs, gaps reading
+        as rgb: O(segments) per call, whatever the frame count.
+        """
+        runs = {0: "rgb"}  # segments never overlap, so keys stay ascending
+        for start, end, mod in sorted(self.modality_schedule):
+            runs[start] = mod
+            runs[end] = "rgb"
+        bounds = list(runs.items())
         return [
             t
-            for t in range(1, self.frames)
-            if self.scheduled_modality(t) != self.scheduled_modality(t - 1)
+            for (t, mod), (_, prev) in zip(bounds[1:], bounds)
+            if t < self.frames and mod != prev
         ]
 
     def near_switch(self, t: int) -> bool:
@@ -283,9 +296,10 @@ def generate(sc: Scenario) -> Sequence:
         image = render_frame(sc, t, gts[t], rng)
         valid = not sc.is_invalid(t)
         if valid:
-            sigma_eff = sc.sigma * (sc.switch_noise_boost if sc.near_switch(t) else 1.0)
+            near = sc.near_switch(t)
+            sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
             observed, s = stub_tracker(gts[t], None, sigma_eff, rng)
-            if sc.near_switch(t):
+            if near:
                 s *= 0.5  # switching uncertainty damps confidence
         else:
             observed, s = _invalid_observation(sc, rng), 0.0

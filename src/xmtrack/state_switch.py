@@ -225,6 +225,17 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1.  Forward only.
 
     x: (C_in, H, W); w: (C_out, C_in, 3, 3); b: (C_out,).
+
+    Each channel is zero-padded once into a flat row of (H + 3) * (W + 2)
+    values: one zero row above the plane, two below, one zero column on each
+    side.  With row stride W + 2, tap (di, dj) of every output pixel lies in
+    the window of length H * (W + 2) that starts at di * (W + 2) + dj.  Each
+    tap is then one (C_out, C_in) @ (C_in, H * (W + 2)) matmul on a view of
+    that window, accumulated into the output; each output row carries two pad
+    columns, which are dropped.  The taps are accumulated one at a time, not
+    stacked into a (C_in * 9, H * (W + 2)) column matrix for a single matmul:
+    that matrix is ~0.9 MB per 3x64x64 frame, and allocating it every frame
+    costs more in page faults than the whole convolution.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0] or w.shape[2:] != (3, 3):
@@ -232,23 +243,27 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[0],):
         raise ShapeError(f"conv3x3: bias {b.shape} vs kernel {w.shape}")
     c_in, h, wd = x.shape
-    padded = np.zeros((c_in, h + 2, wd + 2), dtype=np.float64)
-    padded[:, 1:-1, 1:-1] = x
-    out = np.empty((w.shape[0], h, wd), dtype=np.float64)
-    for o in range(w.shape[0]):
-        acc = np.full((h, wd), b[o], dtype=np.float64)
-        for ci in range(c_in):
-            for di in range(3):
-                for dj in range(3):
-                    acc += w[o, ci, di, dj] * padded[ci, di : di + h, dj : dj + wd]
-        out[o] = acc
-    return out
+    stride = wd + 2
+    padded = np.zeros((c_in, h + 3, stride), dtype=np.float64)
+    padded[:, 1 : h + 1, 1 : wd + 1] = x
+    flat = padded.reshape(c_in, -1)
+    n = h * stride
+    out = np.repeat(b[:, None], n, axis=1)
+    for di in range(3):
+        for dj in range(3):
+            start = di * stride + dj
+            out += w[:, :, di, dj] @ flat[:, start : start + n]
+    return out.reshape(-1, h, stride)[:, :, :wd]
 
 
 def spatial_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
-    """conv -> relu -> adaptive max pool to 4x4 -> flatten."""
-    pooled = adaptive_max_pool(relu(conv3x3(f_in, w.conv_w, w.conv_b)), POOL_HW)
-    return pooled.ravel()
+    """conv -> adaptive max pool to 4x4 -> relu -> flatten.
+
+    relu is monotone, so it commutes with the max pool; applying it to the
+    pooled 4x4 grid instead of the full plane gives the same values.
+    """
+    pooled = adaptive_max_pool(conv3x3(f_in, w.conv_w, w.conv_b), POOL_HW)
+    return relu(pooled).ravel()
 
 
 def spectral_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:

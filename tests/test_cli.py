@@ -7,7 +7,7 @@ import pytest
 from xmtrack.cli import main
 from xmtrack.io import load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
-from xmtrack.sim import Scenario
+from xmtrack.sim import Scenario, scenario_to_dict
 
 
 @pytest.fixture()
@@ -113,6 +113,14 @@ def test_missing_input_exits_2(tmp_path):
     assert main(["track", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o.json")]) == 2
     assert main(["simulate", str(tmp_path / "absent.json"), "--out", str(tmp_path / "s.jsonl")]) == 2
     assert main(["eval", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m")]) == 2
+
+
+def test_negative_switch_radius_exits_2(tmp_path):
+    d = scenario_to_dict(Scenario(name="radius", frames=10))
+    d["switch_radius"] = -1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "s.jsonl")]) == 2
 
 
 def test_corrupt_input_exits_2(tmp_path):

@@ -98,6 +98,34 @@ def test_softmax_survives_huge_logits():
     np.testing.assert_array_equal(softmax(np.array([1000.0, 0.0])), [1.0, 0.0])
 
 
+def naive_max_pool(x, out_hw):
+    """Per-cell window loop: cell (i, j) is the max over its row and column windows."""
+    c, n_h, n_w = x.shape
+    h, w = out_hw
+    out = np.empty((c, h, w))
+    for i in range(h):
+        r0, r1 = (i * n_h) // h, -((-(i + 1) * n_h) // h)
+        for j in range(w):
+            c0, c1 = (j * n_w) // w, -((-(j + 1) * n_w) // w)
+            out[:, i, j] = x[:, r0:r1, c0:c1].max(axis=(1, 2))
+    return out
+
+
+def test_max_pool_matches_window_loop_bit_exactly():
+    rng = np.random.default_rng(9)
+    # includes overlapping windows (5 -> 3, 7 -> 4), the identity and 1x1
+    for shape, out_hw in [
+        ((3, 64, 64), (4, 4)),
+        ((2, 5, 7), (3, 4)),
+        ((1, 7, 5), (4, 3)),
+        ((3, 9, 4), (4, 4)),
+        ((2, 5, 7), (5, 7)),
+        ((1, 6, 6), (1, 1)),
+    ]:
+        x = rng.normal(size=shape)
+        np.testing.assert_array_equal(adaptive_max_pool(x, out_hw), naive_max_pool(x, out_hw))
+
+
 def test_max_pool_on_ramp():
     x = np.arange(16.0).reshape(1, 4, 4)
     np.testing.assert_array_equal(

@@ -207,6 +207,83 @@ def test_track_run_tags_cover_window_and_modality():
     assert "nir" in tr.tags[5]
 
 
+def scan_switch_frames(sc):
+    """Full-frame scan: every t whose scheduled modality differs from t - 1."""
+    return [
+        t
+        for t in range(1, sc.frames)
+        if sc.scheduled_modality(t) != sc.scheduled_modality(t - 1)
+    ]
+
+
+def _random_schedule(rng, frames):
+    """Segments between random cut points; some spans are left as gaps."""
+    n_cuts = int(rng.integers(0, min(frames, 8) + 1))
+    cuts = sorted(rng.choice(frames + 1, size=n_cuts, replace=False).tolist())
+    schedule = [
+        (start, end, str(rng.choice(["rgb", "nir"])))
+        for start, end in zip(cuts, cuts[1:])
+        if rng.random() < 0.7
+    ]
+    rng.shuffle(schedule)  # schedule order must not matter
+    return schedule
+
+
+def test_switch_frames_match_full_scan():
+    fixed = [
+        (10, []),  # empty schedule
+        (1, [(0, 1, "nir")]),  # a single frame
+        (1, []),
+        (12, [(3, 6, "nir")]),  # gaps on both sides default to rgb
+        (12, [(0, 4, "nir"), (4, 9, "nir"), (9, 12, "rgb")]),  # adjacent, same band
+        (12, [(0, 12, "nir")]),  # touches 0 and frames
+        (12, [(2, 5, "rgb"), (7, 12, "nir")]),
+    ]
+    rng = np.random.default_rng(10)
+    random_cases = []
+    for _ in range(300):
+        frames = int(rng.integers(1, 40))
+        random_cases.append((frames, _random_schedule(rng, frames)))
+    for frames, schedule in fixed + random_cases:
+        radius = int(rng.integers(0, 4))
+        sc = Scenario(name="sched", frames=frames, modality_schedule=schedule,
+                      switch_radius=radius)
+        expected = scan_switch_frames(sc)
+        assert sc.switch_frames() == expected, (frames, schedule)
+        for t in range(frames):
+            want = any(abs(t - sw) <= radius for sw in expected)
+            assert sc.near_switch(t) == want, (frames, schedule, t)
+
+
+def test_generate_schedule_queries_grow_linearly(monkeypatch):
+    """Count-based complexity guard: doubling T must not quadruple the queries."""
+    calls = []
+    original = Scenario.scheduled_modality
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(Scenario, "scheduled_modality", counting)
+    counts = {}
+    for frames in (300, 600):
+        sc = Scenario(
+            name="guard",
+            frames=frames,
+            image_width=8,
+            image_height=8,
+            modality_schedule=[
+                (start, min(frames, start + 25), "rgb" if k % 2 == 0 else "nir")
+                for k, start in enumerate(range(0, frames, 25))
+            ],
+            invalid_windows=[(55, 73), (210, 228)],
+        )
+        calls.clear()
+        generate(sc)
+        counts[frames] = len(calls)
+    assert counts[600] / counts[300] <= 2.5, counts
+
+
 def test_scenario_dict_roundtrip():
     sc = _straight(frames=25, invalid_windows=[(5, 9)],
                    modality_schedule=[(0, 25, "nir")])

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from xmtrack.core import relu
+from test_core import naive_max_pool
+from xmtrack.core import relu, sigmoid
+from xmtrack.sim import Scenario, classify_sequence, generate
 from xmtrack.state_switch import (
+    POOL_HW,
     Image,
     SwitchWeights,
     TriState,
@@ -40,10 +43,29 @@ def naive_conv3x3(x, w, b):
 
 def test_conv3x3_matches_naive_loop():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 5, 6))
-    w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    np.testing.assert_allclose(conv3x3(x, w, b), naive_conv3x3(x, w, b), atol=1e-12)
+    # (C_in, C_out, H, W): single channel, C_out != C_in, non-square and
+    # degenerate planes
+    for c_in, c_out, h, wd in [
+        (2, 3, 5, 6),
+        (1, 1, 5, 7),
+        (2, 5, 5, 7),
+        (3, 3, 1, 1),
+        (3, 2, 9, 4),
+        (1, 4, 4, 9),
+    ]:
+        x = rng.normal(size=(c_in, h, wd))
+        w = rng.normal(size=(c_out, c_in, 3, 3))
+        b = rng.normal(size=c_out)
+        got = conv3x3(x, w, b)
+        assert got.shape == (c_out, h, wd)
+        np.testing.assert_allclose(got, naive_conv3x3(x, w, b), atol=1e-12)
+
+
+def test_separator_weights_give_exactly_zero_conv():
+    w = separator_switch_weights()
+    f_in = np.random.default_rng(8).random(size=(3, 64, 64))
+    assert not np.any(conv3x3(f_in, w.conv_w, w.conv_b))
+    assert not np.any(spatial_branch(f_in, w))
 
 
 def test_conv3x3_identity_kernel_passthrough():
@@ -171,6 +193,41 @@ def test_classify_respects_rho_override():
     f_in = img.features()
     assert classify(img, f_in, w, rho=0.40).state == TriState.INVALID
     assert classify(img, f_in, w, rho=0.50).state != TriState.INVALID
+
+
+def naive_classify(img, w, rho=0.40):
+    """Tri-state decision from the loop oracles: (state, m)."""
+    f_in = img.features()
+    white_ratio = np.count_nonzero(img.grayscale() >= 250) / (img.width * img.height)
+    conv = relu(naive_conv3x3(f_in, w.conv_w, w.conv_b))
+    f_spa = naive_max_pool(conv, POOL_HW).ravel()
+    f_spe = relu(w.spec_w @ f_in.mean(axis=(1, 2)) + w.spec_b)
+    hidden = relu(w.fuse1_w @ np.concatenate([f_spa, f_spe]) + w.fuse1_b)
+    m = float(sigmoid(w.fuse2_w @ hidden + w.fuse2_b)[0])
+    if white_ratio > rho:
+        return TriState.INVALID, m
+    return (TriState.NIR if m >= 0.5 else TriState.RGB), m
+
+
+def test_classify_sequence_matches_naive_classifier():
+    # Small non-square frames keep the per-pixel conv oracle fast.
+    sc = Scenario(
+        name="naive",
+        frames=24,
+        image_width=12,
+        image_height=10,
+        modality_schedule=[(0, 8, "rgb"), (8, 16, "nir"), (16, 24, "rgb")],
+        invalid_windows=[(10, 13)],
+        seed=11,
+    )
+    seq = generate(sc)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        w = random_switch_weights(rng)
+        for rec, dec in zip(seq.records, classify_sequence(seq, w)):
+            state, m = naive_classify(rec.image, w)
+            assert dec.state == state
+            assert abs(dec.m - m) <= 1e-12
 
 
 def test_switch_weights_tensor_map_roundtrip():
