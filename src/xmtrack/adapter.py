@@ -11,8 +11,9 @@ which is the residual form of the convex blend g*(m*f_ref + (1-m)*f_sr)
 + (1-g)*f_sr; it collapses to the exact identity whenever g*m = 0.  For RGB
 frames the adapter is bypassed entirely and the input is returned untouched.
 
-The backward pass is hand-derived (see ``adapter_backward``); there is no
-autodiff graph anywhere in the toolkit.
+The forward composes ``core``'s gradient pairs (linear/relu/softmax for the
+gate head, attention for f_ref), and ``adapter_backward`` chains their VJPs
+by hand; there is no autodiff graph anywhere in the toolkit.
 """
 
 from __future__ import annotations
@@ -21,15 +22,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ShapeError, Tensor, as_tensor, linear, relu, softmax
+from .core import (
+    GradPair,
+    ShapeError,
+    Tensor,
+    as_tensor,
+    attention_pair,
+    linear_pair,
+    relu_pair,
+    softmax_pair,
+)
 from .state_switch import TriState
 
-# Toy defaults used by the simulator pipeline: big enough to exercise every
-# shape, small enough that central-difference checks stay fast.
+# Toy sizes: big enough to exercise every shape, small enough that
+# central-difference checks stay fast.
 DEFAULT_LAYERS = 4
 DEFAULT_DIM = 16
 DEFAULT_SEARCH_TOKENS = 16
 DEFAULT_TEMPLATE_TOKENS = 4
+
+
+# Parameter names of one layer, in AdapterLayerWeights field order.
+WEIGHT_NAMES = ("q_w", "k_w", "v_w", "gate_w1", "gate_b1", "gate_w2", "gate_b2")
 
 
 def gate_hidden_dim(d: int) -> int:
@@ -49,7 +63,7 @@ class AdapterLayerWeights:
     gate_b2: Tensor
 
     def __post_init__(self):
-        for name in ("q_w", "k_w", "v_w", "gate_w1", "gate_b1", "gate_w2", "gate_b2"):
+        for name in WEIGHT_NAMES:
             setattr(self, name, as_tensor(getattr(self, name)))
         d = self.q_w.shape[0]
         hid = gate_hidden_dim(d)
@@ -88,7 +102,7 @@ class AdapterStack:
     def tensor_map(self) -> dict[str, Tensor]:
         out = {}
         for i, layer in enumerate(self.layers):
-            for name in ("q_w", "k_w", "v_w", "gate_w1", "gate_b1", "gate_w2", "gate_b2"):
+            for name in WEIGHT_NAMES:
                 out[f"adapter.{i}.{name}"] = getattr(layer, name)
         return out
 
@@ -99,18 +113,7 @@ class AdapterStack:
         while f"adapter.{i}.q_w" in tensors:
             layers.append(
                 AdapterLayerWeights(
-                    **{
-                        name: tensors[f"adapter.{i}.{name}"]
-                        for name in (
-                            "q_w",
-                            "k_w",
-                            "v_w",
-                            "gate_w1",
-                            "gate_b1",
-                            "gate_w2",
-                            "gate_b2",
-                        )
-                    }
+                    **{name: tensors[f"adapter.{i}.{name}"] for name in WEIGHT_NAMES}
                 )
             )
             i += 1
@@ -139,14 +142,20 @@ def random_adapter_stack(
     return AdapterStack([random_adapter_weights(rng, d) for _ in range(layers)])
 
 
+def _gate_head(f_sr: Tensor, w: AdapterLayerWeights) -> list[GradPair]:
+    """Token mean -> linear -> relu -> linear -> softmax, as a chain of pairs."""
+    hidden = linear_pair(f_sr.mean(axis=0), w.gate_w1, w.gate_b1)
+    active = relu_pair(hidden.value)
+    logits = linear_pair(active.value, w.gate_w2, w.gate_b2)
+    return [hidden, active, logits, softmax_pair(logits.value)]
+
+
 def layer_gate(f_sr: Tensor, w: AdapterLayerWeights) -> float:
     """Scalar gate in (0,1): mean over tokens -> MLP -> 2-logit softmax[0]."""
     f_sr = as_tensor(f_sr)
     if f_sr.ndim != 2 or f_sr.shape[0] < 1:
         raise ShapeError(f"layer_gate: expected (T, d) with T >= 1, got {f_sr.shape}")
-    mu = f_sr.mean(axis=0)
-    logits = linear(relu(linear(mu, w.gate_w1, w.gate_b1)), w.gate_w2, w.gate_b2)
-    return float(softmax(logits)[0])
+    return float(_gate_head(f_sr, w)[-1].value[0])
 
 
 @dataclass
@@ -157,17 +166,12 @@ class AdapterCache:
     f_dyn: Tensor
     m: float
     w: AdapterLayerWeights
-    mu: Tensor
-    h1: Tensor
-    a1: Tensor
-    p: Tensor
-    g: float
-    q: Tensor
-    k: Tensor
-    v: Tensor
-    att: Tensor  # softmax(q k^T / sqrt(d)) rows
-    f_ref: Tensor
     bypassed: bool
+    g: float = 0.0
+    v: Tensor | None = None
+    f_ref: Tensor | None = None
+    gate: list[GradPair] | None = None  # _gate_head chain, forward order
+    attention: GradPair | None = None  # f_ref = attention(q, k, v)
 
 
 @dataclass
@@ -209,36 +213,25 @@ def adapt_with_cache(
     returned as-is (bit-identical) and the cache records the bypass.
     """
     if state != TriState.NIR:
-        cache = AdapterCache(
-            f_sr=as_tensor(f_sr), f_dyn=as_tensor(f_dyn), m=m, w=w,
-            mu=None, h1=None, a1=None, p=None, g=0.0,
-            q=None, k=None, v=None, att=None, f_ref=None, bypassed=True,
-        )
+        cache = AdapterCache(as_tensor(f_sr), as_tensor(f_dyn), m, w, bypassed=True)
         return f_sr, cache
 
     f_sr = as_tensor(f_sr)
     f_dyn = as_tensor(f_dyn)
     _check_adapt_inputs(f_sr, f_dyn, m, w)
 
-    # gate head
-    mu = f_sr.mean(axis=0)
-    h1 = linear(mu, w.gate_w1, w.gate_b1)
-    a1 = relu(h1)
-    p = softmax(linear(a1, w.gate_w2, w.gate_b2))
-    g = float(p[0])
+    gate = _gate_head(f_sr, w)
+    g = float(gate[-1].value[0])
 
     # cross attention against the dynamic template
-    d = w.dim
-    q = f_sr @ w.q_w.T
-    k = f_dyn @ w.k_w.T
     v = f_dyn @ w.v_w.T
-    att = softmax(q @ k.T / np.sqrt(float(d)), axis=-1)
-    f_ref = att @ v
+    attention = attention_pair(f_sr @ w.q_w.T, f_dyn @ w.k_w.T, v)
+    f_ref = attention.value
 
     f_o = f_sr + (g * m) * (f_ref - f_sr)
     cache = AdapterCache(
-        f_sr=f_sr, f_dyn=f_dyn, m=m, w=w, mu=mu, h1=h1, a1=a1, p=p, g=g,
-        q=q, k=k, v=v, att=att, f_ref=f_ref, bypassed=False,
+        f_sr, f_dyn, m, w, bypassed=False, g=g, v=v, f_ref=f_ref,
+        gate=gate, attention=attention,
     )
     return f_o, cache
 
@@ -280,19 +273,12 @@ def adapter_backward(upstream: Tensor, cache: AdapterCache) -> AdapterGrads:
         raise ValueError("adapter_backward: missing forward cache")
     up = as_tensor(upstream)
     w = cache.w
-    zeros_like_w = lambda t: np.zeros_like(t)
 
     if cache.bypassed:
         return AdapterGrads(
             f_sr=up.copy(),
             f_dyn=np.zeros_like(cache.f_dyn),
-            q_w=zeros_like_w(w.q_w),
-            k_w=zeros_like_w(w.k_w),
-            v_w=zeros_like_w(w.v_w),
-            gate_w1=zeros_like_w(w.gate_w1),
-            gate_b1=zeros_like_w(w.gate_b1),
-            gate_w2=zeros_like_w(w.gate_w2),
-            gate_b2=zeros_like_w(w.gate_b2),
+            **{name: np.zeros_like(getattr(w, name)) for name in WEIGHT_NAMES},
         )
     if up.shape != cache.f_sr.shape:
         raise ShapeError(
@@ -302,38 +288,26 @@ def adapter_backward(upstream: Tensor, cache: AdapterCache) -> AdapterGrads:
     f_sr, f_dyn = cache.f_sr, cache.f_dyn
     c = cache.g * cache.m
     t_tokens = f_sr.shape[0]
-    scale = 1.0 / np.sqrt(float(w.dim))
 
     # blend
     d_f_ref = c * up
     d_g = cache.m * float(np.sum(up * (cache.f_ref - f_sr)))
     d_f_sr = (1.0 - c) * up
 
-    # attention
-    d_v = cache.att.T @ d_f_ref
-    d_att = d_f_ref @ cache.v.T
-    dot = np.sum(d_att * cache.att, axis=-1, keepdims=True)
-    d_scores = cache.att * (d_att - dot)
-    d_q = d_scores @ cache.k * scale
-    d_k = d_scores.T @ cache.q * scale
-
-    # projections (bias-free): q = f_sr q_w^T, k/v = f_dyn {k,v}_w^T
+    # attention, then the bias-free projections q = f_sr q_w^T, k/v = f_dyn {k,v}_w^T
+    d_q, d_k, d_v = cache.attention.grad_fn(d_f_ref)
     d_f_sr += d_q @ w.q_w
     d_q_w = d_q.T @ f_sr
     d_f_dyn = d_k @ w.k_w + d_v @ w.v_w
     d_k_w = d_k.T @ f_dyn
     d_v_w = d_v.T @ f_dyn
 
-    # gate head: g = softmax(logits)[0]
-    d_p = np.array([d_g, 0.0])
-    d_logits = cache.p * (d_p - float(d_p @ cache.p))
-    d_gate_w2 = np.outer(d_logits, cache.a1)
-    d_gate_b2 = d_logits
-    d_a1 = w.gate_w2.T @ d_logits
-    d_h1 = d_a1 * (cache.h1 > 0)
-    d_gate_w1 = np.outer(d_h1, cache.mu)
-    d_gate_b1 = d_h1
-    d_mu = w.gate_w1.T @ d_h1
+    # gate head, back from g = softmax(logits)[0] to the token mean
+    hidden, active, logits, probs = cache.gate
+    (d_logits,) = probs.grad_fn(np.array([d_g, 0.0]))
+    d_a1, d_gate_w2, d_gate_b2 = logits.grad_fn(d_logits)
+    (d_h1,) = active.grad_fn(d_a1)
+    d_mu, d_gate_w1, d_gate_b1 = hidden.grad_fn(d_h1)
     # mean over tokens spreads its gradient evenly across rows
     d_f_sr += np.tile(d_mu / t_tokens, (t_tokens, 1))
 

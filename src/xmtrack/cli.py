@@ -9,17 +9,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as xio
+from .ctp import DEFAULT_EPSILON, DEFAULT_THETA
 from .metrics import metrics_csv, metrics_summary
 from .sim import (
     HarnessConfig,
     MOTION_PRESETS,
     generate,
+    preset_config,
     run,
     run_ablation_suite,
 )
+from .state_switch import DEFAULT_RHO
 from .verify import GRAD_TOL, gradient_report
 
 EXIT_OK = 0
@@ -63,14 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_trk.add_argument(
         "--motion", choices=MOTION_PRESETS, default="ctp", help="motion configuration"
     )
-    p_trk.add_argument("--rho", type=float, default=0.40, help="over-exposure ratio threshold")
-    p_trk.add_argument("--epsilon", type=float, default=1e-3, help="reliability floor")
-    p_trk.add_argument("--theta", type=float, default=1.5, help="process-noise inflation factor")
-    p_trk.add_argument("--seed", type=int, default=0, help="seed for the toy feature stream")
+    # Unset flags stay None: the preset, then the --config file, supply them.
+    for flag, meaning, default in (
+        ("--rho", "over-exposure ratio threshold", DEFAULT_RHO),
+        ("--epsilon", "reliability floor", DEFAULT_EPSILON),
+        ("--theta", "process-noise inflation factor", DEFAULT_THETA),
+    ):
+        p_trk.add_argument(
+            flag, type=float, default=None, help=f"{meaning} (default {default:g})"
+        )
     p_trk.add_argument(
         "--config",
         default=None,
-        help="filter config JSON (searched in $XMTRACK_CONFIG_DIR if not found locally)",
+        help="filter config JSON overlaid on the preset, under the flags "
+        "(searched in $XMTRACK_CONFIG_DIR if not found locally)",
     )
 
     p_eval = sub.add_parser("eval", help="compute PR/SR metrics for a track run")
@@ -109,21 +119,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     seq = xio.load_sequence(args.sequence)
-    config = HarnessConfig(
-        motion=args.motion,
-        rho=args.rho,
-        epsilon=args.epsilon,
-        theta=args.theta,
-        seed=args.seed,
-    )
+    # One filter config: the preset, overlaid by the file, overlaid by the flags.
+    session = preset_config(args.motion, seq.scenario.turn_rate)
     if args.config is not None:
-        # Load to validate + honor the env-var search path; per-flag values
-        # above still drive the presets (flags win over file defaults).
-        session_cfg = xio.load_session_config(args.config)
-        config.rho = session_cfg.rho
-        config.epsilon = session_cfg.epsilon
-        config.theta = session_cfg.theta
-    tr = run(seq, config)
+        session = xio.load_session_config(args.config, session)
+    flags = {k: v for k in ("rho", "epsilon", "theta") if (v := getattr(args, k)) is not None}
+    try:
+        session = replace(session, **flags)
+    except ValueError as exc:
+        raise xio.DataError(f"invalid filter flag: {exc}") from exc
+    tr = run(seq, HarnessConfig(args.motion, session))
     xio.save_trackrun(args.out, seq.scenario.name, tr)
     print(f"wrote track run ({len(tr.pred)} frames, motion={args.motion}) to {args.out}")
     return EXIT_OK

@@ -15,8 +15,10 @@ rate 0 the two coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -72,10 +74,20 @@ class MotionKind(str, Enum):
     COORDINATED_TURN = "ct"
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class MotionModel:
     kind: MotionKind = MotionKind.CONSTANT_VELOCITY
     turn_rate: float = 0.0  # rad/frame, used by the coordinated-turn variant
+
+    def __post_init__(self):
+        if not isinstance(self.kind, MotionKind):
+            raise ValueError(f"MotionModel: kind {self.kind!r} is not a MotionKind")
+        if not _is_number(self.turn_rate):
+            raise ValueError(f"MotionModel: turn_rate {self.turn_rate!r} is not a finite number")
 
 
 @dataclass
@@ -254,6 +266,31 @@ class SessionConfig:
     motion: MotionModel = field(default_factory=MotionModel)
     use_reliability: bool = True  # False -> r pinned to 1 (plain filter)
     inflate_on_invalid: bool = True
+
+    def __post_init__(self):
+        # Checked on every construction, dataclasses.replace included, so a
+        # bad value fails here and not as a broadcast error mid-sequence.
+        for name, n in (("p0_diag", STATE_DIM), ("q_diag", STATE_DIM), ("r_diag", OBS_DIM)):
+            diag = tuple(getattr(self, name))
+            if len(diag) != n or not all(_is_number(v) and v > 0 for v in diag):
+                raise ValueError(f"SessionConfig: {name} needs {n} finite positive entries")
+            setattr(self, name, diag)
+        for name in ("theta", "cap_mult", "epsilon", "rho"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"SessionConfig: {name} must be a finite number")
+        for ok, rule in (
+            (self.theta >= 1.0, "theta >= 1"),
+            (self.cap_mult >= 1.0, "cap_mult >= 1"),
+            (0.0 < self.epsilon <= 1.0, "0 < epsilon <= 1"),
+            (0.0 <= self.rho <= 1.0, "0 <= rho <= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"SessionConfig: needs {rule}")
+        if not isinstance(self.motion, MotionModel):
+            raise ValueError(f"SessionConfig: motion {self.motion!r} is not a MotionModel")
+        for name in ("use_reliability", "inflate_on_invalid"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"SessionConfig: {name} must be true or false")
 
 
 @dataclass

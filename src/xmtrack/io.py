@@ -11,11 +11,12 @@ from __future__ import annotations
 import base64
 import json
 import os
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ctp import BBox, SessionConfig, MotionKind, MotionModel
+from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
 from .sim import FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
 from .state_switch import Image
@@ -315,22 +316,27 @@ def resolve_config_path(name: str | Path) -> Path:
     raise DataError(f"config file not found: {name}")
 
 
-def load_session_config(path: str | Path) -> SessionConfig:
+def load_session_config(path: str | Path, base: SessionConfig | None = None) -> SessionConfig:
+    """Overlay the keys a config file sets onto ``base`` (default: ``SessionConfig()``).
+
+    Keys are the ``SessionConfig`` fields, with ``motion`` the motion kind
+    (``"cv"``/``"ct"``), plus ``turn_rate``; the two overlay the base motion
+    model separately.  Unknown keys and out-of-range values are data errors.
+    """
     d = _load_json(resolve_config_path(path))
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: session config must be a JSON object")
+    unknown = sorted(set(d) - {f.name for f in fields(SessionConfig)} - {"turn_rate"})
+    if unknown:
+        raise DataError(f"{path}: unknown session config key(s) {unknown}")
+    base = base or SessionConfig()
+    motion = base.motion
+    overlay = {k: v for k, v in d.items() if k not in ("motion", "turn_rate")}
     try:
-        kind = MotionKind(d.get("motion", "cv"))
-        cfg = SessionConfig(
-            p0_diag=tuple(d.get("p0_diag", SessionConfig.p0_diag)),
-            q_diag=tuple(d.get("q_diag", SessionConfig.q_diag)),
-            r_diag=tuple(d.get("r_diag", SessionConfig.r_diag)),
-            theta=float(d.get("theta", 1.5)),
-            cap_mult=float(d.get("cap_mult", 10.0)),
-            epsilon=float(d.get("epsilon", 1e-3)),
-            rho=float(d.get("rho", 0.40)),
-            motion=MotionModel(kind, turn_rate=float(d.get("turn_rate", 0.0))),
-            use_reliability=bool(d.get("use_reliability", True)),
-            inflate_on_invalid=bool(d.get("inflate_on_invalid", True)),
-        )
+        if "motion" in d:
+            motion = replace(motion, kind=MotionKind(d["motion"]))
+        if "turn_rate" in d:
+            motion = replace(motion, turn_rate=d["turn_rate"])
+        return replace(base, motion=motion, **overlay)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid session config: {exc}") from exc
-    return cfg

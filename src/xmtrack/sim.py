@@ -8,9 +8,9 @@ per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
 confidence score.
 
-``run`` replays a generated sequence through the full pipeline — classify,
-(toy) feature adaptation, observation, motion filter — under one of four
-motion configurations used by the ablation harness:
+``run`` replays a generated sequence through the pipeline — classify,
+observation, motion filter — under one of four motion presets, each a
+``SessionConfig`` built by ``preset_config``:
 
 * ``off``  raw observations; box frozen during invalid windows
 * ``kf``   constant-velocity filter, fixed observation noise, no inflation
@@ -25,14 +25,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .adapter import (
-    DEFAULT_DIM,
-    DEFAULT_SEARCH_TOKENS,
-    DEFAULT_TEMPLATE_TOKENS,
-    AdapterStack,
-    apply_stack,
-    random_adapter_stack,
-)
 from .ctp import (
     BBox,
     FrameInput,
@@ -40,11 +32,9 @@ from .ctp import (
     MotionModel,
     SessionConfig,
     TrackerSession,
-    DEFAULT_EPSILON,
-    DEFAULT_THETA,
     turn_transition,
 )
-from .metrics import TrackRun, cle, iou
+from .metrics import TrackRun, cle, precision_rate, success_rate
 from .state_switch import (
     DEFAULT_RHO,
     Image,
@@ -100,8 +90,9 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames <= 0:
-            raise ValueError("Scenario: frames must be positive")
+        for name in ("frames", "frame_width", "frame_height", "image_width", "image_height"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"Scenario: {name} must be positive")
         if self.sigma < 0:
             raise ValueError("Scenario: sigma must be non-negative")
         if self.switch_radius < 0:
@@ -324,39 +315,36 @@ def generate(sc: Scenario) -> Sequence:
 MOTION_PRESETS = ("off", "kf", "ekf", "ctp")
 
 
+def _check_preset(motion: str):
+    if motion not in MOTION_PRESETS:
+        raise ValueError(f"motion preset {motion!r} not one of {MOTION_PRESETS}")
+
+
+def preset_config(motion: str, turn_rate: float = 0.0) -> SessionConfig:
+    """The filter config of a motion preset, on the ctp module's defaults.
+
+    Every preset carries ``turn_rate``, so a config file that sets
+    ``"motion": "ct"`` on kf turns at that rate.  ``off`` builds no filter
+    and reads only rho.
+    """
+    _check_preset(motion)
+    turns = motion in ("ekf", "ctp")
+    kind = MotionKind.COORDINATED_TURN if turns else MotionKind.CONSTANT_VELOCITY
+    full = motion == "ctp"
+    return SessionConfig(
+        motion=MotionModel(kind, turn_rate=turn_rate),
+        use_reliability=full,
+        inflate_on_invalid=full,
+    )
+
+
 @dataclass
 class HarnessConfig:
     motion: str = "ctp"
-    rho: float = DEFAULT_RHO
-    epsilon: float = DEFAULT_EPSILON
-    theta: float = DEFAULT_THETA
-    turn_rate: float | None = None  # None: take the scenario's rate (ekf/ctp)
-    run_adapter: bool = True
-    seed: int = 0  # drives the toy feature stream only
+    session: SessionConfig | None = None  # None: preset_config(motion, scenario turn rate)
 
     def __post_init__(self):
-        if self.motion not in MOTION_PRESETS:
-            raise ValueError(
-                f"HarnessConfig: motion {self.motion!r} not one of {MOTION_PRESETS}"
-            )
-
-
-def _session_for(config: HarnessConfig, sc: Scenario) -> SessionConfig | None:
-    if config.motion == "off":
-        return None
-    rate = sc.turn_rate if config.turn_rate is None else config.turn_rate
-    if config.motion == "kf":
-        motion = MotionModel(MotionKind.CONSTANT_VELOCITY)
-    else:
-        motion = MotionModel(MotionKind.COORDINATED_TURN, turn_rate=rate)
-    return SessionConfig(
-        theta=config.theta,
-        epsilon=config.epsilon,
-        rho=config.rho,
-        motion=motion,
-        use_reliability=(config.motion == "ctp"),
-        inflate_on_invalid=(config.motion == "ctp"),
-    )
+        _check_preset(self.motion)
 
 
 def classify_sequence(
@@ -394,28 +382,18 @@ def run(
     """
     config = config or HarnessConfig()
     sc = seq.scenario
+    session_cfg = config.session or preset_config(config.motion, sc.turn_rate)
     if decisions is None:
-        decisions = classify_sequence(seq, switch_weights, config.rho)
+        decisions = classify_sequence(seq, switch_weights, session_cfg.rho)
     if len(decisions) != len(seq.records):
         raise ValueError("run: decisions misaligned with sequence")
 
     b0 = seq.records[0].gt
-    session_cfg = _session_for(config, sc)
     session = (
         TrackerSession(b0, sc.frame_width, sc.frame_height, session_cfg)
-        if session_cfg is not None
+        if config.motion != "off"
         else None
     )
-
-    # Toy feature stream for the adapter stage.  The features carry no
-    # tracking signal; they exercise the NIR-path machinery (including the
-    # frozen-template rule) inside the real frame loop.
-    feat_rng = np.random.default_rng(config.seed)
-    stack: AdapterStack | None = None
-    f_dyn = None
-    if config.run_adapter:
-        stack = random_adapter_stack(feat_rng, layers=2, d=DEFAULT_DIM)
-        f_dyn = feat_rng.standard_normal((DEFAULT_TEMPLATE_TOKENS, DEFAULT_DIM))
 
     preds = [b0]
     tags = [_frame_tags(sc, 0)]
@@ -423,14 +401,6 @@ def run(
     for t in range(1, len(seq.records)):
         rec = seq.records[t]
         dec = decisions[t]
-
-        if config.run_adapter and dec.state != TriState.INVALID:
-            f_sr = feat_rng.standard_normal((DEFAULT_SEARCH_TOKENS, DEFAULT_DIM))
-            f_out = apply_stack(f_sr, f_dyn, dec.m, dec.state, stack)
-            # dynamic template: slow update from fresh features on valid
-            # frames, frozen while the state is invalid
-            f_dyn = 0.9 * f_dyn + 0.1 * f_out[: DEFAULT_TEMPLATE_TOKENS, :]
-
         if session is None:
             if dec.state == TriState.INVALID:
                 pred = last_pred  # frozen box
@@ -509,25 +479,19 @@ def ablation_suite(base_seed: int) -> list[Scenario]:
 
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     """Pooled PR/SR per motion preset over one three-scenario suite."""
-    per_preset = {name: {"hits_pr": 0, "hits_sr": 0, "n": 0} for name in MOTION_PRESETS}
+    pred: dict[str, list[BBox]] = {name: [] for name in MOTION_PRESETS}
+    gt: list[BBox] = []
     for sc in ablation_suite(base_seed):
         seq = generate(sc)
         decisions = classify_sequence(seq)
+        gt += [rec.gt for rec in seq.records]
         for preset in MOTION_PRESETS:
-            tr = run(seq, HarnessConfig(motion=preset, seed=base_seed), decisions)
-            for p, g in zip(tr.pred, tr.gt):
-                per_preset[preset]["n"] += 1
-                if cle(p, g) < 20.0:
-                    per_preset[preset]["hits_pr"] += 1
-                if iou(p, g) > 0.5:
-                    per_preset[preset]["hits_sr"] += 1
-    table = {}
-    for preset, acc in per_preset.items():
-        table[preset] = {
-            "PR": 100.0 * acc["hits_pr"] / acc["n"],
-            "SR": 100.0 * acc["hits_sr"] / acc["n"],
-        }
-    return table
+            pred[preset] += run(seq, HarnessConfig(motion=preset), decisions).pred
+    pooled = {preset: TrackRun(pred=boxes, gt=gt) for preset, boxes in pred.items()}
+    return {
+        preset: {"PR": precision_rate(tr), "SR": success_rate(tr)}
+        for preset, tr in pooled.items()
+    }
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -536,8 +500,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     d = dict(d)
-    d["initial_box"] = tuple(d.get("initial_box", (256.0, 256.0, 30.0, 30.0)))
-    d["velocity"] = tuple(d.get("velocity", (4.0, 0.0)))
-    d["modality_schedule"] = [tuple(x) for x in d.get("modality_schedule", [])]
-    d["invalid_windows"] = [tuple(x) for x in d.get("invalid_windows", [])]
-    return Scenario(**d)
+    for key in ("initial_box", "velocity"):
+        if key in d:
+            d[key] = tuple(d[key])
+    return Scenario(**d)  # __post_init__ turns the spans into tuples

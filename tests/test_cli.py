@@ -60,7 +60,7 @@ def test_track_rerun_with_same_seed_is_byte_identical(tmp_path, sequence_file):
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         rc = main(
-            ["track", str(sequence_file), "--out", str(out), "--motion", "ctp", "--seed", "5"]
+            ["track", str(sequence_file), "--out", str(out), "--motion", "ctp"]
         )
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -92,14 +92,102 @@ def test_motion_presets_produce_different_runs(tmp_path, sequence_file):
     assert outputs["kf"] != outputs["ctp"]
 
 
-def test_track_honors_config_file(tmp_path, sequence_file):
-    cfg = tmp_path / "filter.json"
-    cfg.write_text('{"motion": "ct", "turn_rate": 0.02, "theta": 1.5}')
-    out = tmp_path / "run.json"
-    rc = main(
-        ["track", str(sequence_file), "--out", str(out), "--config", str(cfg)]
+@pytest.fixture()
+def turning_sequence(tmp_path):
+    """A turn with a 12-frame blackout: past the default inflation cap (k = 6)."""
+    sc = Scenario(
+        name="cli-turn",
+        frames=40,
+        initial_box=(100.0, 256.0, 30.0, 30.0),
+        velocity=(4.0, 0.0),
+        turn_rate=0.02,
+        modality_schedule=[(0, 20, "rgb"), (20, 40, "nir")],
+        invalid_windows=[(10, 22)],
+        seed=7,
     )
-    assert rc == 0
+    save_scenario(tmp_path / "turn.json", sc)
+    out = tmp_path / "turn.jsonl"
+    assert main(["simulate", str(tmp_path / "turn.json"), "--out", str(out)]) == 0
+    return out
+
+
+def _track(sequence, out, *extra) -> bytes:
+    assert main(["track", str(sequence), "--out", str(out), *map(str, extra)]) == 0
+    return out.read_bytes()
+
+
+# One non-default value per config key; each alone must move the ctp track.
+CONFIG_CHANGES = {
+    "p0_diag": [1.0] * 8,
+    "q_diag": [0.5] * 4 + [0.01] * 4,
+    "r_diag": [1.0] * 4,
+    "theta": 2.0,
+    "cap_mult": 3.0,
+    "epsilon": 0.5,
+    "rho": 0.99,
+    "motion": "cv",
+    "turn_rate": 0.0,
+    "use_reliability": False,
+    "inflate_on_invalid": False,
+}
+
+
+def test_track_honors_config_file(tmp_path, turning_sequence):
+    base = _track(turning_sequence, tmp_path / "base.json")
+    cfg = tmp_path / "filter.json"
+    for key, value in CONFIG_CHANGES.items():
+        cfg.write_text(json.dumps({key: value}))
+        changed = _track(turning_sequence, tmp_path / "run.json", "--config", cfg)
+        assert changed != base, key
+
+
+def test_flags_beat_config_file(tmp_path, turning_sequence):
+    cfg = tmp_path / "filter.json"
+    cfg.write_text('{"rho": 0.99, "epsilon": 0.5, "theta": 2.0}')
+    flags = ("--rho", 0.1, "--epsilon", 0.01, "--theta", 1.2)
+    flags_only = _track(turning_sequence, tmp_path / "a.json", *flags)
+    both = _track(turning_sequence, tmp_path / "b.json", "--config", cfg, *flags)
+    assert both == flags_only
+    assert flags_only != _track(turning_sequence, tmp_path / "c.json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"bogus": 1}',
+        '{"q_diag": [0.1, 0.1, 0.1]}',
+        '{"r_diag": [4.0, 4.0, 0.0, 4.0]}',
+        '{"p0_diag": [10, 10, 10, 10, 100, 100, 100, NaN]}',
+        '{"theta": 0.5}',
+        '{"cap_mult": 0.9}',
+        '{"epsilon": 0}',
+        '{"rho": 1.5}',
+        '{"use_reliability": "false"}',
+        '{"motion": "spiral"}',
+        '{"turn_rate": "fast"}',
+        '[1, 2]',
+    ],
+)
+def test_bad_config_file_exits_2(tmp_path, sequence_file, text, capsys):
+    cfg = tmp_path / "filter.json"
+    cfg.write_text(text)
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out), "--config", str(cfg)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [("--rho", "-0.1"), ("--epsilon", "0"), ("--theta", "0.5")])
+def test_out_of_range_flag_exits_2(tmp_path, sequence_file, flag, capsys):
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out), *flag]) == 2
+    capsys.readouterr()
+
+
+def test_track_seed_flag_is_gone(tmp_path, sequence_file, capsys):
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out), "--seed", "5"]) == 1
+    capsys.readouterr()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -121,6 +209,17 @@ def test_negative_switch_radius_exits_2(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(d))
     assert main(["simulate", str(path), "--out", str(tmp_path / "s.jsonl")]) == 2
+
+
+def test_non_positive_scenario_size_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    for key in ("frame_width", "frame_height", "image_width", "image_height"):
+        for value in (0, -64):
+            d = scenario_to_dict(Scenario(name="size", frames=10))
+            d[key] = value
+            path.write_text(json.dumps(d))
+            assert main(["simulate", str(path), "--out", str(tmp_path / "s.jsonl")]) == 2, key
+    capsys.readouterr()
 
 
 def test_corrupt_input_exits_2(tmp_path):

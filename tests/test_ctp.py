@@ -1,6 +1,7 @@
 """Filter machinery against the naive textbook oracle and the golden trace."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,3 +258,47 @@ def test_session_inflation_can_be_disabled():
         sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
     assert sess.fs.invalid_streak == 5
     np.testing.assert_array_equal(sess.fs.Q, sess.fs.Q_base)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"p0_diag": (10.0,) * 7},
+        {"q_diag": (0.1,) * 9},
+        {"r_diag": (4.0, 4.0, 4.0)},
+        {"r_diag": (4.0, 4.0, 0.0, 4.0)},
+        {"r_diag": (4.0, 4.0, -4.0, 4.0)},
+        {"q_diag": (0.1,) * 7 + (float("inf"),)},
+        {"p0_diag": (10.0,) * 7 + (float("nan"),)},
+        {"r_diag": (4.0, 4.0, "4", 4.0)},
+        {"theta": 0.99},
+        {"theta": float("nan")},
+        {"theta": True},
+        {"cap_mult": 0.5},
+        {"epsilon": 0.0},
+        {"epsilon": 1.01},
+        {"rho": -0.01},
+        {"rho": 1.01},
+        {"rho": "0.4"},
+        {"use_reliability": "false"},
+        {"inflate_on_invalid": 1},
+        {"motion": "ct"},
+    ],
+)
+def test_session_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        SessionConfig(**bad)
+    with pytest.raises(ValueError):  # replace re-runs the checks
+        replace(SessionConfig(), **bad)
+
+
+def test_session_config_accepts_range_edges_and_lists():
+    cfg = SessionConfig(theta=1.0, cap_mult=1.0, epsilon=1.0, rho=0.0, q_diag=[0.5] * 8)
+    assert cfg.q_diag == (0.5,) * 8
+    assert SessionConfig(rho=1, epsilon=1e-12).rho == 1
+
+
+def test_motion_model_rejects_bad_values():
+    for kwargs in ({"kind": "ct"}, {"turn_rate": float("nan")}, {"turn_rate": "0.1"}):
+        with pytest.raises(ValueError):
+            MotionModel(**kwargs)

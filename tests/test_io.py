@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from xmtrack.adapter import random_adapter_stack
-from xmtrack.ctp import BBox, MotionKind
+from dataclasses import replace
+
+from xmtrack.ctp import BBox, MotionKind, MotionModel, SessionConfig
 from xmtrack.io import (
     DataError,
     load_scenario,
@@ -159,3 +161,18 @@ def test_session_config_defaults_fill_missing_keys(tmp_path):
     assert cfg.epsilon == 0.01
     assert cfg.theta == 1.5
     assert cfg.use_reliability is True
+
+
+def test_session_config_overlays_only_the_keys_it_sets(tmp_path):
+    ct = MotionKind.COORDINATED_TURN
+    base = SessionConfig(theta=2.0, motion=MotionModel(ct, 0.02), use_reliability=False)
+    path = tmp_path / "overlay.json"
+    path.write_text('{"turn_rate": 0.05, "epsilon": 0.01, "q_diag": [1, 1, 1, 1, 2, 2, 2, 2]}')
+    assert load_session_config(path, base) == replace(
+        base, epsilon=0.01, q_diag=(1, 1, 1, 1, 2, 2, 2, 2), motion=MotionModel(ct, 0.05)
+    )
+    path.write_text('{"motion": "cv"}')  # kind alone keeps the base rate
+    assert load_session_config(path, base).motion == MotionModel(MotionKind.CONSTANT_VELOCITY, 0.02)
+    path.write_text("{}")
+    assert load_session_config(path, base) == base
+

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 import kalman_oracle as oracle
-from xmtrack.metrics import cle, success_rate
+from xmtrack.ctp import MotionKind, MotionModel, SessionConfig
+from xmtrack.metrics import cle, iou, success_rate
 from xmtrack.sim import (
+    MOTION_PRESETS,
     HarnessConfig,
     Scenario,
     ablation_suite,
     classify_sequence,
     generate,
+    preset_config,
     run,
     run_ablation_suite,
     scenario_from_dict,
@@ -170,8 +175,8 @@ def test_nir_frames_collapse_channels_rgb_frames_do_not():
 
 def test_run_is_deterministic():
     seq = generate(_straight(seed=8))
-    a = run(seq, HarnessConfig(motion="ctp", seed=1))
-    b = run(seq, HarnessConfig(motion="ctp", seed=1))
+    a = run(seq, HarnessConfig(motion="ctp"))
+    b = run(seq, HarnessConfig(motion="ctp"))
     for pa, pb in zip(a.pred, b.pred):
         assert (pa.cx, pa.cy, pa.w, pa.h) == (pb.cx, pb.cy, pb.w, pb.h)
 
@@ -301,6 +306,56 @@ def test_scenario_rejects_bad_windows():
 def test_scenario_rejects_nonpositive_frame_count():
     with pytest.raises(ValueError):
         Scenario(name="bad", frames=0)
+
+
+def test_preset_configs():
+    ct = MotionKind.COORDINATED_TURN
+    assert preset_config("ctp", 0.02) == SessionConfig(motion=MotionModel(ct, 0.02))
+    assert preset_config("ekf", 0.02) == SessionConfig(
+        motion=MotionModel(ct, 0.02), use_reliability=False, inflate_on_invalid=False
+    )
+    for preset in ("off", "kf"):
+        cfg = preset_config(preset, 0.02)
+        assert cfg.motion == MotionModel(MotionKind.CONSTANT_VELOCITY, 0.02)
+        assert not cfg.use_reliability and not cfg.inflate_on_invalid
+    with pytest.raises(ValueError):
+        preset_config("ukf")
+    with pytest.raises(ValueError):
+        HarnessConfig(motion="ukf")
+
+
+def test_harness_session_overrides_the_preset():
+    sc = _straight(frames=40, invalid_windows=[(10, 22)], seed=5)
+    seq = generate(sc)
+    decisions = classify_sequence(seq)
+    for preset in MOTION_PRESETS:
+        implicit = run(seq, HarnessConfig(preset), decisions)
+        explicit = run(seq, HarnessConfig(preset, preset_config(preset, sc.turn_rate)), decisions)
+        assert implicit.pred == explicit.pred
+    tuned = replace(preset_config("ctp"), r_diag=(1.0, 1.0, 1.0, 1.0))
+    assert run(seq, HarnessConfig("ctp", tuned), decisions).pred != implicit.pred
+    # off reads only rho: a session with every filter setting changed is still off
+    frozen = replace(tuned, theta=3.0, use_reliability=True)
+    assert run(seq, HarnessConfig("off", frozen), decisions).pred == run(
+        seq, HarnessConfig("off"), decisions
+    ).pred
+
+
+def test_ablation_table_matches_hand_count():
+    scenarios = ablation_suite(4)
+    runs = {preset: [] for preset in MOTION_PRESETS}
+    for sc in scenarios:
+        seq = generate(sc)
+        decisions = classify_sequence(seq)
+        for preset in MOTION_PRESETS:
+            runs[preset].append(run(seq, HarnessConfig(preset), decisions))
+    table = run_ablation_suite(4)
+    for preset, trs in runs.items():
+        pairs = [(p, g) for tr in trs for p, g in zip(tr.pred, tr.gt)]
+        assert table[preset] == {
+            "PR": 100.0 * sum(cle(p, g) < 20.0 for p, g in pairs) / len(pairs),
+            "SR": 100.0 * sum(iou(p, g) > 0.5 for p, g in pairs) / len(pairs),
+        }
 
 
 def test_ablation_suite_geometry_stays_in_frame():
