@@ -44,6 +44,7 @@ from .adapter import (
 )
 from .ctp import (
     BBox,
+    FilterBank,
     FilterState,
     FrameInput,
     MotionKind,

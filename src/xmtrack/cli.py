@@ -2,7 +2,9 @@
 
 Subcommands: simulate, track, eval, ablate, gradcheck.  Exit codes are a
 stable contract: 0 success, 1 usage error, 2 data error (missing/malformed
-files), 3 property-check failure (gradcheck threshold exceeded).
+files, non-finite boxes or confidences in a sequence, or a filter config
+whose innovation covariance degenerates on the data: FilterDegenerateError),
+3 property-check failure (gradcheck threshold exceeded).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as xio
-from .ctp import DEFAULT_EPSILON, DEFAULT_THETA
+from .ctp import DEFAULT_EPSILON, DEFAULT_THETA, FilterDegenerateError
 from .metrics import metrics_csv, metrics_summary
 from .sim import (
     HarnessConfig,
@@ -220,6 +222,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"xmtrack {args.command}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except FilterDegenerateError as exc:
+        print(f"xmtrack {args.command}: filter degenerated: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -11,6 +11,25 @@ box is the post-prediction state clipped to the frame.
 Two motion models: a constant-velocity linear filter and a coordinated-turn
 variant with a fixed turn rate (the extended-filter ablation).  With turn
 rate 0 the two coincide.
+
+The math is written once, over a leading batch axis: ``batch_update`` and
+``batch_predict`` take x (B, 8), P (B, 8, 8) and per-row R, r, z or F, Q.
+``FilterBank`` holds B independent rows, each with its own settings from a
+``SessionConfig`` (F, R, Q_base, epsilon, theta, cap_mult, use_reliability,
+inflate_on_invalid) and its own counters (Q multiplier, invalid streak),
+and steps them in lockstep: correction on the rows whose frame is valid,
+prediction on all, one clip for every box.  ``ctp_update``, ``ctp_predict``
+and ``inflate_Q`` run the same functions on one ``FilterState`` (B=1), and
+``TrackerSession`` steps through them, so a session's boxes are the ones a
+one-row bank gives.
+
+The innovation covariance S = H P H^T + R/r of every corrected row is
+checked by a Cholesky factorization of the (B, 4, 4) stack, which the gain
+then reuses; a non-finite or non-positive-definite S, or a predicted P that
+overflows, raises ``FilterDegenerateError``.  A non-finite z or r raises
+``ValueError``.  Both are raised before any row changes.  The Q multiplier
+min(theta^k, cap_mult) is computed without forming theta^k once it is past
+the cap, so it never overflows on a long blackout.
 """
 
 from __future__ import annotations
@@ -35,9 +54,6 @@ from .core import Tensor, as_tensor
 STATE_DIM = 8
 OBS_DIM = 4
 
-# Observation picks the box components out of the state.
-H_OBS = np.hstack([np.eye(OBS_DIM), np.zeros((OBS_DIM, OBS_DIM))])
-
 DEFAULT_EPSILON = 1e-3
 DEFAULT_THETA = 1.5
 DEFAULT_CAP_MULT = 10.0
@@ -53,7 +69,7 @@ DEFAULT_R_DIAG = (4.0, 4.0, 4.0, 4.0)
 
 
 class FilterDegenerateError(RuntimeError):
-    """Innovation covariance is numerically singular."""
+    """Innovation covariance not positive definite, or a covariance not finite."""
 
 
 @dataclass(frozen=True)
@@ -112,29 +128,48 @@ def state2box(x: Tensor) -> BBox:
     return BBox(cx=float(x[0]), cy=float(x[1]), w=float(x[2]), h=float(x[3]))
 
 
+def box_limits(width: float, height: float) -> tuple[Tensor, Tensor]:
+    """Bounds on a reported [cx, cy, w, h]: center in the frame, size in [1, frame dim]."""
+    if not (width > 0 and height > 0):
+        raise ValueError(f"box_limits: non-positive frame {width}x{height}")
+    return np.array([0.0, 0.0, 1.0, 1.0]), np.array([width, height, width, height], dtype=np.float64)
+
+
 def clip_box(b: BBox, width: float, height: float) -> BBox:
-    """Clamp the center into the frame and the dimensions to [1, frame dim]."""
-    if width <= 0 or height <= 0:
-        raise ValueError(f"clip_box: non-positive frame {width}x{height}")
-    return BBox(
-        cx=float(np.clip(b.cx, 0.0, width)),
-        cy=float(np.clip(b.cy, 0.0, height)),
-        w=float(np.clip(b.w, 1.0, width)),
-        h=float(np.clip(b.h, 1.0, height)),
-    )
+    """Clamp the box into ``box_limits(width, height)``."""
+    cx, cy, w, h = np.clip(b.as_array(), *box_limits(width, height)).tolist()
+    return BBox(cx=cx, cy=cy, w=w, h=h)
 
 
-def reliability(s: float, m: float, epsilon: float = DEFAULT_EPSILON) -> float:
-    """r = max(epsilon, s * |2m - 1|).
+def _in_unit_interval(v) -> bool:
+    """Every entry of v lies in [0, 1] (NaN does not); plain floats skip numpy."""
+    if isinstance(v, (float, int)):
+        return 0.0 <= v <= 1.0
+    v = np.asarray(v)
+    return bool(((0.0 <= v) & (v <= 1.0)).all())
+
+
+def reliability(s, m, epsilon=DEFAULT_EPSILON):
+    """r = max(epsilon, s * |2m - 1|), elementwise over arrays of s and m.
 
     Confidence s sets the ceiling; |2m - 1| collapses to 0 when the modality
     is ambiguous (m = 0.5), flooring r at epsilon so R/r never blows up.
+    A scalar s and m give a scalar r.
     """
-    if not (0.0 <= s <= 1.0):
+    if not _in_unit_interval(s):
         raise ValueError(f"reliability: confidence s={s} outside [0, 1]")
-    if not (0.0 <= m <= 1.0):
+    if not _in_unit_interval(m):
         raise ValueError(f"reliability: modality weight m={m} outside [0, 1]")
-    return max(epsilon, s * abs(2.0 * m - 1.0))
+    return np.maximum(epsilon, s * abs(2.0 * m - 1.0))
+
+
+def filter_reliability(use_reliability, s, m, epsilon=DEFAULT_EPSILON):
+    """The r a filter corrects with: ``reliability`` where use_reliability, else 1.
+
+    Elementwise, so it serves one session or a bank's rows; s and m are
+    checked either way.
+    """
+    return np.where(use_reliability, reliability(s, m, epsilon), 1.0)[()]
 
 
 def cv_transition(dt: float = 1.0) -> Tensor:
@@ -194,31 +229,77 @@ def make_filter_state(
     )
 
 
-def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
-    """Reliability-weighted Kalman correction.
+# Rounding of streak * log(theta) is ~1e-13 even at the float range's edge.
+_LOG_CAP_MARGIN = 1e-9
 
-    S = H P H^T + R/r; K = P H^T S^-1; x += K (z - H x); P = (I - K H) P,
-    re-symmetrized.  Updates only happen on valid frames, so the process
-    noise drops back to its base value and the invalid streak resets here.
+
+def capped_multiplier(theta: float, cap_mult: float, streak: int) -> float:
+    """min(theta**streak, cap_mult) for theta >= 1, without forming a power past the cap.
+
+    theta**k only grows with k, so once streak * log(theta) clears
+    log(cap_mult) by a margin far above its rounding the cap holds, and the
+    power (which overflows from 1.5**1751 on) is never taken.  Below the cap
+    the multiplier is theta**streak itself, bit for bit.
     """
-    z = as_tensor(z).reshape(OBS_DIM)
-    if r <= 0.0:
-        raise ValueError(f"ctp_update: reliability r={r} must be positive")
-    p = fs.P
-    s_mat = H_OBS @ p @ H_OBS.T + fs.R / r
-    if not np.all(np.isfinite(s_mat)) or np.linalg.cond(s_mat) > 1e14:
-        raise FilterDegenerateError("ctp_update: innovation covariance singular")
-    m = p @ H_OBS.T
+    if streak * math.log(theta) > math.log(cap_mult) + _LOG_CAP_MARGIN:
+        return cap_mult
+    return min(theta**streak, cap_mult)
+
+
+def batch_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
+    """Reliability-weighted Kalman correction of a stack of B filters.
+
+    x (B, 8), P (B, 8, 8), R (B, 4, 4), r (B,), z (B, 4).  S = H P H^T + R/r
+    is factored as L L^T; a stack that is not finite or not positive definite
+    raises FilterDegenerateError.  With A = L^-1 H P, the gain is
+    K = P H^T S^-1 = A^T L^-1, so x += A^T L^-1 (z - H x) and
+    P = (I - K H) P = P - A^T A, re-symmetrized.  This is the only place S
+    and K are formed.  Inputs are checked before anything is computed.
+    """
+    if not (np.isfinite(z).all() and (r > 0.0).all() and (r < np.inf).all()):
+        raise ValueError("ctp update: observation z must be finite and reliability r finite positive")
+    # H picks the box components out of the state, so H P H^T is a slice of P.
+    with np.errstate(over="ignore"):  # an overflow is reported as degenerate below
+        s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]
+    if not np.isfinite(s_mat).all():
+        raise FilterDegenerateError("ctp update: innovation covariance not finite")
     try:
-        gain = np.linalg.solve(s_mat, m.T).T  # K = P H^T S^-1, S symmetric
+        chol = np.linalg.cholesky(s_mat)
     except np.linalg.LinAlgError as exc:
-        raise FilterDegenerateError("ctp_update: innovation covariance singular") from exc
-    x_new = fs.x + gain @ (z - H_OBS @ fs.x)
-    p_new = (np.eye(STATE_DIM) - gain @ H_OBS) @ p
-    p_new = (p_new + p_new.T) / 2.0
+        raise FilterDegenerateError("ctp update: innovation covariance not positive definite") from exc
+    innovation = (z - x[:, :OBS_DIM])[:, :, None]
+    white = np.linalg.solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2))
+    a_t = white[:, :, :STATE_DIM].transpose(0, 2, 1)
+    x_new = x + (a_t @ white[:, :, STATE_DIM:])[:, :, 0]
+    p_new = P - a_t @ white[:, :, :STATE_DIM]
+    return x_new, (p_new + p_new.transpose(0, 2, 1)) / 2.0
+
+
+def batch_predict(x: Tensor, P: Tensor, F: Tensor, Q: Tensor) -> tuple[Tensor, Tensor]:
+    """x = F x, P = F P F^T + Q (re-symmetrized) for a stack of B filters.
+
+    A covariance that overflows raises FilterDegenerateError.
+    """
+    x_new = (F @ x[:, :, None])[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_new = F @ P @ F.transpose(0, 2, 1) + Q
+        p_new = (p_new + p_new.transpose(0, 2, 1)) / 2.0
+    if not np.isfinite(p_new).all():
+        raise FilterDegenerateError("ctp predict: state covariance not finite")
+    return x_new, p_new
+
+
+def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
+    """``batch_update`` of one filter.
+
+    Updates only happen on valid frames, so the process noise drops back to
+    its base value and the invalid streak resets here.
+    """
+    z = as_tensor(z).reshape(1, OBS_DIM)
+    x, p = batch_update(fs.x[None], fs.P[None], fs.R[None], np.array([r], dtype=np.float64), z)
     return FilterState(
-        x=x_new,
-        P=p_new,
+        x=x[0],
+        P=p[0],
         Q=fs.Q_base.copy(),
         R=fs.R,
         Q_base=fs.Q_base,
@@ -227,11 +308,10 @@ def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
 
 
 def ctp_predict(fs: FilterState, model: MotionModel, dt: float = 1.0) -> FilterState:
+    """``batch_predict`` of one filter under ``model``."""
     f = transition_matrix(model, dt)
-    x_new = f @ fs.x
-    p_new = f @ fs.P @ f.T + fs.Q
-    p_new = (p_new + p_new.T) / 2.0
-    return replace(fs, x=x_new, P=p_new)
+    x, p = batch_predict(fs.x[None], fs.P[None], f[None], fs.Q[None])
+    return replace(fs, x=x[0], P=p[0])
 
 
 def inflate_Q(
@@ -245,8 +325,7 @@ def inflate_Q(
     The cap stops covariance blow-up on long streaks; ctp_update resets.
     """
     streak = fs.invalid_streak + 1
-    mult = min(theta**streak, cap_mult)
-    return replace(fs, Q=mult * fs.Q_base, invalid_streak=streak)
+    return replace(fs, Q=capped_multiplier(theta, cap_mult, streak) * fs.Q_base, invalid_streak=streak)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +387,78 @@ class FrameInput:
     decision: TriStateDecision | None = None
 
 
+class FilterBank:
+    """B independent filters stepped in lockstep, one row each.
+
+    Row b has its own state (x[b], P[b]), settings (F, R, Q_base, epsilon,
+    theta, cap_mult, use_reliability, inflate_on_invalid, box limits) from
+    ``configs[b]`` and counters (q_mult[b], streak[b]).  Rows share nothing
+    but the call: a row's boxes are the ones a B=1 bank would give it.
+    """
+
+    def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
+        if not len(b0) == len(frame_size) == len(configs) > 0:
+            raise ValueError("FilterBank: need one initial box, frame size and config per row")
+        limits = [box_limits(width, height) for width, height in frame_size]
+        self.x = np.stack([box2state(b) for b in b0])
+        self.P = np.stack([np.diag(c.p0_diag) for c in configs])
+        self.F = np.stack([transition_matrix(c.motion) for c in configs])
+        self.R = np.stack([np.diag(c.r_diag) for c in configs])
+        self.Q_base = np.stack([np.diag(c.q_diag) for c in configs])
+        self.epsilon = np.array([c.epsilon for c in configs])
+        # Python floats: capped_multiplier takes exact scalar powers of them.
+        self.theta = [c.theta for c in configs]
+        self.cap_mult = [c.cap_mult for c in configs]
+        self.use_reliability = np.array([c.use_reliability for c in configs])
+        self.inflate_on_invalid = np.array([c.inflate_on_invalid for c in configs])
+        self.q_mult = np.ones(len(configs))
+        self.streak = np.zeros(len(configs), dtype=np.int64)
+        self.box_min = np.stack([lo for lo, _ in limits])
+        self.box_max = np.stack([hi for _, hi in limits])
+
+    def reliability(self, s: Tensor, m: Tensor) -> Tensor:
+        """Per-row r for s and m of shape (..., B); 1 on rows without reliability."""
+        return filter_reliability(self.use_reliability, s, m, self.epsilon)
+
+    def step(self, valid: Tensor, z: Tensor, r: Tensor) -> Tensor:
+        """One frame for every row; returns the reported boxes (B, 4).
+
+        Valid rows are corrected with z (B, 4) and r (B,), which are read on
+        those rows only; the others count one more invalid frame and, where
+        they inflate, compound their Q multiplier.  Every row then predicts.
+        The bank changes only if the whole step succeeds: bad input raises
+        ValueError, a degenerate covariance FilterDegenerateError.
+        """
+        x, p = self.x, self.P
+        if valid.all():
+            x, p = batch_update(x, p, self.R, r, z)
+            streak = np.zeros_like(self.streak)
+            q_mult = np.ones_like(self.q_mult)
+            q = self.Q_base
+        else:
+            rows = np.flatnonzero(valid)
+            if rows.size:
+                x, p = x.copy(), p.copy()
+                x[rows], p[rows] = batch_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
+            streak = np.where(valid, 0, self.streak + 1)
+            q_mult = np.where(valid, 1.0, self.q_mult)
+            for b in np.flatnonzero(self.inflate_on_invalid & ~valid).tolist():
+                q_mult[b] = capped_multiplier(self.theta[b], self.cap_mult[b], int(streak[b]))
+            with np.errstate(over="ignore"):  # batch_predict reports the overflow
+                q = q_mult[:, None, None] * self.Q_base
+        self.x, self.P = batch_predict(x, p, self.F, q)
+        self.streak, self.q_mult = streak, q_mult
+        return np.clip(self.x[:, :OBS_DIM], self.box_min, self.box_max)
+
+
+
 class TrackerSession:
-    """Single-target filter session over one frame stream."""
+    """Single-target filter session over one frame stream.
+
+    It steps one ``FilterState`` through ``ctp_update``, ``inflate_Q`` and
+    ``ctp_predict``, the B=1 calls of the functions a ``FilterBank`` row runs,
+    so its boxes are the ones a one-row bank gives.
+    """
 
     def __init__(
         self,
@@ -320,8 +469,7 @@ class TrackerSession:
         switch_weights: SwitchWeights | None = None,
     ):
         self.config = config or SessionConfig()
-        self.frame_width = frame_width
-        self.frame_height = frame_height
+        self.box_limits = box_limits(frame_width, frame_height)
         self.switch_weights = switch_weights
         self.fs = make_filter_state(
             b0, self.config.p0_diag, self.config.q_diag, self.config.r_diag
@@ -339,25 +487,27 @@ class TrackerSession:
         return classify(frame.image, features, self.switch_weights, self.config.rho)
 
     def step(self, frame: FrameInput) -> BBox:
+        """One frame; ``fs`` changes only if the whole step succeeds."""
         cfg = self.config
         decision = self._decide(frame)
         self.last_decision = decision
+        fs = self.fs
         if decision.state == TriState.INVALID:
             if cfg.inflate_on_invalid:
-                self.fs = inflate_Q(self.fs, cfg.theta, cfg.cap_mult)
+                fs = inflate_Q(fs, cfg.theta, cfg.cap_mult)
             else:
-                self.fs = replace(self.fs, invalid_streak=self.fs.invalid_streak + 1)
-            self.fs = ctp_predict(self.fs, cfg.motion)
+                fs = replace(fs, invalid_streak=fs.invalid_streak + 1)
         else:
             if frame.observed is None:
                 raise ValueError("step: valid frame without an observation")
-            r = reliability(frame.s, decision.m, cfg.epsilon) if cfg.use_reliability else 1.0
-            self.fs = ctp_update(self.fs, frame.observed.as_array(), r)
-            self.fs = ctp_predict(self.fs, cfg.motion)
+            r = filter_reliability(cfg.use_reliability, frame.s, decision.m, cfg.epsilon)
+            fs = ctp_update(fs, frame.observed.as_array(), r)
+        self.fs = ctp_predict(fs, cfg.motion)
         return self.report_box()
 
     def report_box(self) -> BBox:
-        return clip_box(state2box(self.fs.x), self.frame_width, self.frame_height)
+        cx, cy, w, h = np.clip(self.fs.x[:OBS_DIM], *self.box_limits).tolist()
+        return BBox(cx=cx, cy=cy, w=w, h=h)
 
 
 def step(session: TrackerSession, frame: FrameInput) -> BBox:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import fields, replace
 from pathlib import Path
@@ -144,9 +145,19 @@ def _box_list(b: BBox) -> list[float]:
     return [b.cx, b.cy, b.w, b.h]
 
 
+def _finite(v, what: str) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad {what} value {v!r}") from exc
+    if not math.isfinite(x):
+        raise DataError(f"non-finite {what} value {v!r}")
+    return x
+
+
 def _box_from(v) -> BBox:
     try:
-        cx, cy, w, h = (float(x) for x in v)
+        cx, cy, w, h = (_finite(x, "box") for x in v)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad box value {v!r}") from exc
     return BBox(cx=cx, cy=cy, w=w, h=h)
@@ -253,11 +264,13 @@ def load_sequence(path: str | Path) -> Sequence:
                     modality=str(d["modality"]),
                     valid=bool(d["valid"]),
                     observed=_box_from(d["observed"]),
-                    s=float(d["s"]),
+                    s=_finite(d["s"], "confidence"),
                 )
             )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: sequence has no frames")
     if len(records) != scenario.frames:

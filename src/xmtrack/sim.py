@@ -27,6 +27,7 @@ import numpy as np
 
 from .ctp import (
     BBox,
+    FilterBank,
     FrameInput,
     MotionKind,
     MotionModel,
@@ -477,20 +478,94 @@ def ablation_suite(base_seed: int) -> list[Scenario]:
     return scenarios
 
 
+@dataclass
+class FilterInputs:
+    """One classified sequence reduced to what the filter presets read: no images."""
+
+    b0: BBox
+    frame_size: tuple[float, float]
+    turn_rate: float
+    valid: np.ndarray  # (T,) bool: the decision is not invalid
+    observed: np.ndarray  # (T, 4) observed boxes
+    s: np.ndarray  # (T,) confidence
+    m: np.ndarray  # (T,) modality weight
+    gt: list[BBox]
+
+
+def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInputs:
+    sc = seq.scenario
+    return FilterInputs(
+        b0=seq.records[0].gt,
+        frame_size=(sc.frame_width, sc.frame_height),
+        turn_rate=sc.turn_rate,
+        valid=np.array([d.state != TriState.INVALID for d in decisions]),
+        observed=np.array([rec.observed.as_array() for rec in seq.records]),
+        s=np.array([rec.s for rec in seq.records]),
+        m=np.array([d.m for d in decisions]),
+        gt=[rec.gt for rec in seq.records],
+    )
+
+
+FILTER_PRESETS = MOTION_PRESETS[1:]  # every preset but off runs a filter
+
+
+def run_filter_presets(inputs: list[FilterInputs]) -> np.ndarray:
+    """Boxes (sequence, preset, frame, 4) of every filtered track, stepped in lockstep.
+
+    The sequences must have one length.  Row (j, p) of one ``FilterBank``
+    tracks sequence j under ``preset_config(FILTER_PRESETS[p], its turn rate)``
+    and reports what ``run`` reports for it: the initial box at frame 0,
+    then one step per frame.
+    """
+    frames = len(inputs[0].valid)
+    if any(len(inp.valid) != frames for inp in inputs):
+        raise ValueError("run_filter_presets: sequences differ in length")
+    rows = [(inp, preset) for inp in inputs for preset in FILTER_PRESETS]
+    bank = FilterBank(
+        [inp.b0 for inp, _ in rows],
+        [inp.frame_size for inp, _ in rows],
+        [preset_config(preset, inp.turn_rate) for inp, preset in rows],
+    )
+
+    def per_row(name):  # (frames, rows, ...) from each sequence's array
+        stacked = np.stack([getattr(inp, name) for inp in inputs])
+        return np.repeat(stacked, len(FILTER_PRESETS), axis=0).swapaxes(0, 1)
+
+    valid, observed = per_row("valid"), per_row("observed")
+    r = bank.reliability(per_row("s"), per_row("m"))
+    boxes = np.empty((frames, len(rows), 4))
+    boxes[0] = [inp.b0.as_array() for inp, _ in rows]
+    for t in range(1, frames):
+        boxes[t] = bank.step(valid[t], observed[t], r[t])
+    return boxes.swapaxes(0, 1).reshape(len(inputs), len(FILTER_PRESETS), frames, 4)
+
+
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
-    """Pooled PR/SR per motion preset over one three-scenario suite."""
-    pred: dict[str, list[BBox]] = {name: [] for name in MOTION_PRESETS}
-    gt: list[BBox] = []
+    """Pooled PR/SR per motion preset over one three-scenario suite.
+
+    Each scenario is generated, classified right away and reduced to
+    ``FilterInputs``; its sequence, images included, is dropped when the
+    next one is generated.  ``off`` replays each sequence through ``run``.
+    The filtered presets of all three scenarios then step as one bank.
+    """
+    off: list[BBox] = []
+    inputs: list[FilterInputs] = []
     for sc in ablation_suite(base_seed):
+        # Rebinding seq frees the last sequence after this generate and before
+        # classify: freeing it first (del) made classification ~35% slower.
         seq = generate(sc)
         decisions = classify_sequence(seq)
-        gt += [rec.gt for rec in seq.records]
-        for preset in MOTION_PRESETS:
-            pred[preset] += run(seq, HarnessConfig(motion=preset), decisions).pred
-    pooled = {preset: TrackRun(pred=boxes, gt=gt) for preset, boxes in pred.items()}
+        off += run(seq, HarnessConfig(motion="off"), decisions).pred
+        inputs.append(filter_inputs(seq, decisions))
+    gt = [box for inp in inputs for box in inp.gt]
+    boxes = run_filter_presets(inputs)
+    pooled = {"off": TrackRun(pred=off, gt=gt)}
+    for p, preset in enumerate(FILTER_PRESETS):
+        pred = [BBox(*box) for box in boxes[:, p].reshape(-1, 4).tolist()]
+        pooled[preset] = TrackRun(pred=pred, gt=gt)
     return {
-        preset: {"PR": precision_rate(tr), "SR": success_rate(tr)}
-        for preset, tr in pooled.items()
+        preset: {"PR": precision_rate(pooled[preset]), "SR": success_rate(pooled[preset])}
+        for preset in MOTION_PRESETS
     }
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, end-to-end pipeline."""
 
 import json
+import warnings
 
 import pytest
 
@@ -188,6 +189,33 @@ def test_track_seed_flag_is_gone(tmp_path, sequence_file, capsys):
     out = tmp_path / "run.json"
     assert main(["track", str(sequence_file), "--out", str(out), "--seed", "5"]) == 1
     capsys.readouterr()
+
+
+def test_non_finite_observation_exits_2(tmp_path, turning_sequence, capsys):
+    lines = turning_sequence.read_text().splitlines()
+    frame = json.loads(lines[5])
+    frame["observed"][1] = float("nan")
+    lines[5] = json.dumps(frame)
+    bad = tmp_path / "nan.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run.json"
+    assert main(["track", str(bad), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [1e308, 1e307])
+def test_degenerate_filter_exits_2_with_one_line(tmp_path, turning_sequence, capsys, q):
+    config = tmp_path / "huge_q.json"
+    config.write_text(json.dumps({"q_diag": [q] * 8}))
+    out = tmp_path / "run.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would print more lines
+        rc = main(["track", str(turning_sequence), "--out", str(out), "--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "filter degenerated" in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,6 +1,7 @@
 """Filter machinery against the naive textbook oracle and the golden trace."""
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import kalman_oracle as oracle
 from xmtrack.ctp import (
     BBox,
+    FilterBank,
     FilterDegenerateError,
     FilterState,
     FrameInput,
@@ -18,6 +20,7 @@ from xmtrack.ctp import (
     SessionConfig,
     TrackerSession,
     box2state,
+    capped_multiplier,
     clip_box,
     ctp_predict,
     ctp_update,
@@ -302,3 +305,187 @@ def test_motion_model_rejects_bad_values():
     for kwargs in ({"kind": "ct"}, {"turn_rate": float("nan")}, {"turn_rate": "0.1"}):
         with pytest.raises(ValueError):
             MotionModel(**kwargs)
+
+
+def test_capped_multiplier_is_the_plain_power_below_the_cap():
+    for theta, cap in ((1.5, 10.0), (1.01, 1e6), (2.0, 1.0), (1.0, 10.0), (3.7, 1e300)):
+        for k in range(0, 3000):
+            plain = theta**k if k * np.log(theta) < 700.0 else float("inf")
+            want = plain if plain < cap else cap
+            assert capped_multiplier(theta, cap, k) == want, (theta, cap, k)
+
+
+def test_inflation_survives_a_streak_past_the_overflow_point():
+    # 1.5**1751 overflows a double; the session used to die on that frame.
+    cfg = SessionConfig(motion=MotionModel(MotionKind.COORDINATED_TURN, 0.02))
+    sess = TrackerSession(BBox(256.0, 256.0, 30.0, 30.0), 512.0, 512.0, cfg)
+    invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
+        fs = sess.fs
+        assert fs.invalid_streak == 2000
+        np.testing.assert_array_equal(fs.Q, cfg.cap_mult * fs.Q_base)
+        for p in (fs.P, ctp_update(fs, fs.x[:4] + 1.0, cfg.epsilon).P):  # r at its floor
+            assert np.isfinite(p).all()
+            np.testing.assert_array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p).min() > -1e-9
+
+
+def test_step_rejects_non_finite_input_before_changing_state():
+    sess = TrackerSession(BBox(100.0, 100.0, 30.0, 30.0), 512.0, 512.0)
+    rgb = TriStateDecision(TriState.RGB, 0.1, 0.0)
+    sess.step(FrameInput(observed=BBox(103.0, 99.0, 30.0, 31.0), s=0.9, decision=rgb))
+    before = sess.fs
+    nan = float("nan")
+    for frame in (
+        FrameInput(observed=BBox(nan, 100.0, 30.0, 30.0), s=0.9, decision=rgb),
+        FrameInput(observed=BBox(100.0, 100.0, 30.0, float("inf")), s=0.9, decision=rgb),
+        FrameInput(observed=BBox(100.0, 100.0, 30.0, 30.0), s=nan, decision=rgb),
+        FrameInput(observed=BBox(100.0, 100.0, 30.0, 30.0), s=0.9,
+                   decision=TriStateDecision(TriState.NIR, nan, 0.0)),
+    ):
+        with pytest.raises(ValueError):
+            sess.step(frame)
+        after = sess.fs
+        np.testing.assert_array_equal(after.x, before.x)
+        np.testing.assert_array_equal(after.P, before.P)
+        assert after.invalid_streak == before.invalid_streak
+    fs = make_filter_state(BBox(10, 10, 5, 5))
+    for z, r in (([10.0, nan, 5.0, 5.0], 1.0), ([10.0, 10.0, 5.0, 5.0], float("inf")),
+                 ([10.0, 10.0, 5.0, 5.0], nan)):
+        with pytest.raises(ValueError):
+            ctp_update(fs, np.array(z), r)
+
+
+def _bank_configs():
+    turn = MotionModel(MotionKind.COORDINATED_TURN, -0.03)
+    return [
+        SessionConfig(use_reliability=False, inflate_on_invalid=False),
+        SessionConfig(motion=turn, theta=2.0, cap_mult=5.0, epsilon=0.2),
+        SessionConfig(motion=turn, r_diag=(1.0, 2.0, 3.0, 4.0), q_diag=(0.3,) * 8),
+    ]
+
+
+def test_bank_rows_match_their_own_single_row_runs():
+    rng = np.random.default_rng(8)
+    configs = _bank_configs()
+    b0 = [BBox(100.0 + 50 * b, 200.0, 30.0 + b, 28.0) for b in range(len(configs))]
+    sizes = [(512.0, 512.0), (300.0, 400.0), (512.0, 256.0)]
+    bank = FilterBank(b0, sizes, configs)
+    singles = [FilterBank([b], [size], [cfg]) for b, size, cfg in zip(b0, sizes, configs)]
+    saw_mixed = False
+    for t in range(60):
+        valid = rng.random(len(configs)) < 0.7
+        if t == 5:
+            valid = np.array([True, False, True])  # one step with both kinds, always
+        saw_mixed |= bool(valid.any() and not valid.all())
+        z = np.array([bank.x[b, :4] + rng.normal(scale=3.0, size=4) for b in range(len(configs))])
+        z[~valid] = np.nan  # never read on invalid rows
+        r = bank.reliability(rng.uniform(0.0, 1.0, len(configs)), rng.uniform(0.0, 1.0, len(configs)))
+        boxes = bank.step(valid, z, r)
+        for b, single in enumerate(singles):
+            one = single.step(valid[b:b + 1], z[b:b + 1], r[b:b + 1])
+            np.testing.assert_allclose(boxes[b], one[0], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(bank.P[b], single.P[0], rtol=0.0, atol=1e-9)
+            assert bank.streak[b] == single.streak[0]
+            assert bank.q_mult[b] == single.q_mult[0]
+    assert saw_mixed
+
+
+def test_single_row_bank_is_the_session():
+    cfg = _bank_configs()[1]
+    b0 = BBox(120.0, 300.0, 32.0, 24.0)
+    sess = TrackerSession(b0, 512.0, 512.0, cfg)
+    bank = FilterBank([b0], [(512.0, 512.0)], [cfg])
+    rng = np.random.default_rng(9)
+    for t in range(40):
+        if 10 <= t < 18:
+            decision = TriStateDecision(TriState.INVALID, 0.5, 1.0)
+            box = sess.step(FrameInput(observed=None, s=0.0, decision=decision))
+            want = bank.step(np.array([False]), np.zeros((1, 4)), np.ones(1))
+        else:
+            z = bank.x[0, :4] + rng.normal(scale=2.0, size=4)
+            s, m = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 1.0))
+            decision = TriStateDecision(TriState.RGB, m, 0.0)
+            box = sess.step(FrameInput(observed=BBox(*z), s=s, decision=decision))
+            want = bank.step(np.array([True]), z[None], np.atleast_1d(bank.reliability(s, m)))
+        assert (box.cx, box.cy, box.w, box.h) == tuple(want[0].tolist())
+        assert sess.report_box() == box
+
+
+def test_session_steps_through_the_single_filter_functions(monkeypatch):
+    # Code that wraps ctp_update, inflate_Q and ctp_predict (a profiler, a
+    # tracer) sees every session step: the session looks them up per call.
+    import xmtrack.ctp as ctp_module
+
+    calls = {"ctp_update": 0, "inflate_Q": 0, "ctp_predict": 0}
+    for name in calls:
+        fn = getattr(ctp_module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ctp_module, name, counted)
+    sess = TrackerSession(BBox(100.0, 100.0, 30.0, 30.0), 512.0, 512.0)
+    rgb = TriStateDecision(TriState.RGB, 0.1, 0.0)
+    invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
+    for t in range(10):
+        if t % 3 == 2:
+            sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
+        else:
+            sess.step(FrameInput(observed=BBox(100.0 + t, 100.0, 30.0, 30.0), s=0.9, decision=rgb))
+    assert calls == {"ctp_update": 7, "inflate_Q": 3, "ctp_predict": 10}
+
+
+def test_bank_row_with_singular_innovation_covariance_raises():
+    configs = _bank_configs()
+    bank = FilterBank([BBox(100.0, 100.0, 30.0, 30.0)] * 3, [(512.0, 512.0)] * 3, configs)
+    bank.P[1] = 0.0
+    bank.R[1] = 0.0
+    x, p = bank.x.copy(), bank.P.copy()
+    z = bank.x[:, :4].copy()
+    with pytest.raises(FilterDegenerateError):
+        bank.step(np.array([True, True, True]), z, np.ones(3))
+    with pytest.raises(FilterDegenerateError):
+        bank.step(np.array([False, True, False]), z, np.ones(3))
+    np.testing.assert_array_equal(bank.x, x)
+    np.testing.assert_array_equal(bank.P, p)
+    assert not bank.streak.any()
+    bank.step(np.array([True, False, True]), z, np.ones(3))  # the singular row is not read
+
+
+def test_bank_step_that_overflows_the_covariance_changes_nothing():
+    bank = FilterBank([BBox(100.0, 100.0, 30.0, 30.0)] * 2, [(512.0, 512.0)] * 2, _bank_configs()[:2])
+    bank.Q_base[1] = 1e308 * np.eye(8)
+    x, p = bank.x.copy(), bank.P.copy()
+    for valid in ([True, True], [False, True], [False, False]):
+        with pytest.raises(FilterDegenerateError):
+            bank.step(np.array(valid), bank.x[:, :4] + 1.0, np.ones(2))
+        np.testing.assert_array_equal(bank.x, x)
+        np.testing.assert_array_equal(bank.P, p)
+        assert not bank.streak.any() and (bank.q_mult == 1.0).all()
+
+
+def test_bank_rejects_non_finite_input_on_a_valid_row():
+    bank = FilterBank([BBox(100.0, 100.0, 30.0, 30.0)] * 2, [(512.0, 512.0)] * 2, _bank_configs()[:2])
+    x = bank.x.copy()
+    z = np.array([[100.0, 100.0, 30.0, 30.0], [100.0, np.nan, 30.0, 30.0]])
+    with pytest.raises(ValueError):
+        bank.step(np.array([True, True]), z, np.ones(2))
+    with pytest.raises(ValueError):
+        bank.step(np.array([True, False]), z[:1].repeat(2, axis=0), np.array([np.inf, 1.0]))
+    np.testing.assert_array_equal(bank.x, x)
+    bank.step(np.array([True, False]), z, np.ones(2))  # NaN on the invalid row is not read
+
+
+def test_bank_rejects_misshapen_setup():
+    cfg = SessionConfig()
+    with pytest.raises(ValueError):
+        FilterBank([BBox(1, 1, 1, 1)], [(512.0, 512.0)], [cfg, cfg])
+    with pytest.raises(ValueError):
+        FilterBank([], [], [])
+    with pytest.raises(ValueError):
+        FilterBank([BBox(1, 1, 1, 1)], [(0.0, 512.0)], [cfg])

@@ -108,6 +108,26 @@ def test_sequence_roundtrip(tmp_path, mode):
         assert ra.image.pixels.tobytes() == rb.image.pixels.tobytes()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("observed", [1.0, float("nan"), 3.0, 4.0]), ("gt", [1.0, 2.0, float("inf"), 4.0]),
+     ("s", float("nan")), ("s", "high")],
+)
+def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
+    import json
+
+    sc = Scenario(name="nan", frames=4, seed=2)
+    path = tmp_path / "seq.jsonl"
+    save_sequence(path, generate(sc))
+    lines = path.read_text().splitlines()
+    frame = json.loads(lines[2])
+    frame[key] = value
+    lines[2] = json.dumps(frame)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=":3:"):
+        load_sequence(path)
+
+
 def test_sidecar_writes_image_files(tmp_path):
     sc = Scenario(name="side", frames=4, seed=1,
                   modality_schedule=[(0, 4, "nir")])

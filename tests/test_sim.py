@@ -7,17 +7,20 @@ from dataclasses import replace
 
 import kalman_oracle as oracle
 from xmtrack.ctp import MotionKind, MotionModel, SessionConfig
-from xmtrack.metrics import cle, iou, success_rate
+from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
 from xmtrack.sim import (
+    FILTER_PRESETS,
     MOTION_PRESETS,
     HarnessConfig,
     Scenario,
     ablation_suite,
     classify_sequence,
+    filter_inputs,
     generate,
     preset_config,
     run,
     run_ablation_suite,
+    run_filter_presets,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -356,6 +359,39 @@ def test_ablation_table_matches_hand_count():
             "PR": 100.0 * sum(cle(p, g) < 20.0 for p, g in pairs) / len(pairs),
             "SR": 100.0 * sum(iou(p, g) > 0.5 for p, g in pairs) / len(pairs),
         }
+
+
+@pytest.mark.parametrize("seed", [0, 7, 49])
+def test_lockstep_ablation_matches_one_session_per_track(seed):
+    """The suite's one bank against a B=1 TrackerSession per (scenario, preset)."""
+    sessions = {preset: [] for preset in MOTION_PRESETS}
+    inputs = []
+    for sc in ablation_suite(seed):
+        seq = generate(sc)
+        decisions = classify_sequence(seq)
+        for preset in MOTION_PRESETS:
+            sessions[preset].append(run(seq, HarnessConfig(preset), decisions))
+        inputs.append(filter_inputs(seq, decisions))
+    boxes = run_filter_presets(inputs)
+    assert boxes.shape == (3, len(FILTER_PRESETS), 150, 4)
+    for p, preset in enumerate(FILTER_PRESETS):
+        for j, tr in enumerate(sessions[preset]):
+            want = np.array([(b.cx, b.cy, b.w, b.h) for b in tr.pred])
+            np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
+    pooled = {
+        preset: TrackRun(pred=[b for tr in trs for b in tr.pred], gt=[g for tr in trs for g in tr.gt])
+        for preset, trs in sessions.items()
+    }
+    assert run_ablation_suite(seed) == {
+        preset: {"PR": precision_rate(tr), "SR": success_rate(tr)} for preset, tr in pooled.items()
+    }
+
+
+def test_lockstep_needs_sequences_of_one_length():
+    short, long_ = (generate(_straight(frames=n)) for n in (10, 12))
+    inputs = [filter_inputs(seq, classify_sequence(seq)) for seq in (short, long_)]
+    with pytest.raises(ValueError):
+        run_filter_presets(inputs)
 
 
 def test_ablation_suite_geometry_stays_in_frame():
