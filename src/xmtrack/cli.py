@@ -10,6 +10,7 @@ whose innovation covariance degenerates on the data: FilterDegenerateError),
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -170,8 +171,6 @@ def cmd_ablate(args) -> int:
         "ordering_fraction": ordered / len(rows),
         "strict_ctp_over_off_fraction": strict / len(rows),
     }
-    import json
-
     Path(args.out).write_text(
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
         encoding="utf-8",

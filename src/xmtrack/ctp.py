@@ -34,6 +34,7 @@ the cap, so it never overflows on a long blackout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -206,10 +207,19 @@ def turn_transition(omega: float, dt: float = 1.0) -> Tensor:
     return f
 
 
+@functools.lru_cache(maxsize=64)
 def transition_matrix(model: MotionModel, dt: float = 1.0) -> Tensor:
+    """F of ``model``, built once per (model, dt) and returned read-only.
+
+    ``MotionModel`` is frozen and hashable, so every step of a session reuses
+    one matrix instead of building it again.
+    """
     if model.kind == MotionKind.COORDINATED_TURN:
-        return turn_transition(model.turn_rate, dt)
-    return cv_transition(dt)
+        f = turn_transition(model.turn_rate, dt)
+    else:
+        f = cv_transition(dt)
+    f.flags.writeable = False
+    return f
 
 
 def make_filter_state(
@@ -297,21 +307,16 @@ def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
     """
     z = as_tensor(z).reshape(1, OBS_DIM)
     x, p = batch_update(fs.x[None], fs.P[None], fs.R[None], np.array([r], dtype=np.float64), z)
-    return FilterState(
-        x=x[0],
-        P=p[0],
-        Q=fs.Q_base.copy(),
-        R=fs.R,
-        Q_base=fs.Q_base,
-        invalid_streak=0,
-    )
+    # Q is never written in place (inflate_Q builds a new array), so the
+    # reset can share Q_base.
+    return FilterState(x=x[0], P=p[0], Q=fs.Q_base, R=fs.R, Q_base=fs.Q_base, invalid_streak=0)
 
 
 def ctp_predict(fs: FilterState, model: MotionModel, dt: float = 1.0) -> FilterState:
     """``batch_predict`` of one filter under ``model``."""
     f = transition_matrix(model, dt)
     x, p = batch_predict(fs.x[None], fs.P[None], f[None], fs.Q[None])
-    return replace(fs, x=x[0], P=p[0])
+    return FilterState(x=x[0], P=p[0], Q=fs.Q, R=fs.R, Q_base=fs.Q_base, invalid_streak=fs.invalid_streak)
 
 
 def inflate_Q(

@@ -17,15 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import ShapeError
 from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
-from .sim import FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
+from .sim import MODALITIES, FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
 from .state_switch import Image
 
 WEIGHTS_FORMAT = "xmtrack-weights-v1"
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
 
 CONFIG_DIR_ENV = "XMTRACK_CONFIG_DIR"
+
+# `simulate` renders, and `track`'s built-in switch weights classify,
+# 3-channel frames.
+FRAME_CHANNELS = 3
 
 
 class DataError(Exception):
@@ -208,7 +213,64 @@ def save_sequence(path: str | Path, seq: Sequence, image_mode: str = "inline"):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _integer(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DataError(f"{what} {v!r} is not an integer")
+    return v
+
+
+def _frame_image(field, path: Path) -> Image:
+    """The image of one frame record: inline base64 pixels or a PNM sidecar."""
+    if not isinstance(field, dict):
+        raise DataError("frame record without image")
+    if "pixels_b64" not in field:
+        if "file" not in field:
+            raise DataError("frame record without image")
+        return read_pnm(path.parent / str(field["file"]))
+    try:
+        pixels = np.frombuffer(base64.b64decode(field["pixels_b64"]), dtype=np.uint8)
+    except (ValueError, TypeError) as exc:
+        raise DataError("bad base64 image") from exc
+    width, height, channels = (_integer(field[k], f"image {k}") for k in ("width", "height", "channels"))
+    try:
+        return Image(width=width, height=height, channels=channels, pixels=pixels.copy())
+    except ShapeError as exc:
+        raise DataError(f"bad image: {exc}") from exc
+
+
+def _frame_record(d, path: Path, scenario: Scenario, index: int) -> FrameRecord:
+    """Frame ``index`` of a sequence, checked against its header's scenario."""
+    if not isinstance(d, dict) or d.get("type") != "frame":
+        raise DataError("expected a frame record")
+    if _integer(d["index"], "frame index") != index:
+        raise DataError(f"frame index {d['index']}, expected {index} (indices run 0..T-1 in order)")
+    if d["modality"] not in MODALITIES:
+        raise DataError(f"modality {d['modality']!r} is not one of {', '.join(MODALITIES)}")
+    if not isinstance(d["valid"], bool):
+        raise DataError(f"valid {d['valid']!r} is not true or false")
+    image = _frame_image(d.get("image"), path)
+    size = (image.width, image.height, image.channels)
+    want = (scenario.image_width, scenario.image_height, FRAME_CHANNELS)
+    if size != want:
+        raise DataError("image is {}x{}x{}, the scenario's frames are {}x{}x{}".format(*size, *want))
+    return FrameRecord(
+        index=index,
+        image=image,
+        gt=_box_from(d["gt"]),
+        modality=d["modality"],
+        valid=d["valid"],
+        observed=_box_from(d["observed"]),
+        s=_finite(d["s"], "confidence"),
+    )
+
+
 def load_sequence(path: str | Path) -> Sequence:
+    """Read a sequence file; every malformed or inconsistent frame is a DataError naming file:line.
+
+    Frame indices must run 0..T-1 in file order, modalities be rgb or nir,
+    ``valid`` a boolean, and every image 3-channel with the scenario's
+    image size.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -220,7 +282,7 @@ def load_sequence(path: str | Path) -> Sequence:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed header line: {exc}") from exc
-    if header.get("type") != "header" or "scenario" not in header:
+    if not isinstance(header, dict) or header.get("type") != "header" or "scenario" not in header:
         raise DataError(f"{path}: first line is not a sequence header")
     try:
         scenario = scenario_from_dict(header["scenario"])
@@ -232,41 +294,9 @@ def load_sequence(path: str | Path) -> Sequence:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            records.append(_frame_record(json.loads(line), path, scenario, len(records)))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if d.get("type") != "frame":
-            raise DataError(f"{path}:{lineno}: expected a frame record")
-        img_field = d.get("image", {})
-        if "pixels_b64" in img_field:
-            try:
-                pixels = np.frombuffer(
-                    base64.b64decode(img_field["pixels_b64"]), dtype=np.uint8
-                )
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad base64 image") from exc
-            image = Image(
-                width=int(img_field["width"]),
-                height=int(img_field["height"]),
-                channels=int(img_field["channels"]),
-                pixels=pixels.copy(),
-            )
-        elif "file" in img_field:
-            image = read_pnm(path.parent / img_field["file"])
-        else:
-            raise DataError(f"{path}:{lineno}: frame record without image")
-        try:
-            records.append(
-                FrameRecord(
-                    index=int(d["index"]),
-                    image=image,
-                    gt=_box_from(d["gt"]),
-                    modality=str(d["modality"]),
-                    valid=bool(d["valid"]),
-                    observed=_box_from(d["observed"]),
-                    s=_finite(d["s"], "confidence"),
-                )
-            )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:
@@ -298,15 +328,17 @@ def save_trackrun(path: str | Path, sequence_name: str, run: TrackRun):
 
 def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
     payload = _load_json(path)
-    if payload.get("format") != TRACKRUN_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != TRACKRUN_FORMAT:
         raise DataError(f"{path}: not a {TRACKRUN_FORMAT} file")
     try:
-        run = TrackRun(
-            pred=[_box_from(b) for b in payload["pred"]],
-            gt=[_box_from(b) for b in payload["gt"]],
-            tags=[list(t) for t in payload.get("tags", [])],
-        )
-    except (KeyError, ValueError) as exc:
+        pred, gt = ([_box_from(b) for b in payload[k]] for k in ("pred", "gt"))
+        tags = payload.get("tags", [])
+        if not all(isinstance(t, list) and all(isinstance(s, str) for s in t) for t in tags):
+            raise DataError("tags must be one list of strings per frame")
+        if any(b.w < 0 or b.h < 0 for b in pred + gt):
+            raise DataError("negative box dimensions")
+        run = TrackRun(pred=pred, gt=gt, tags=[list(t) for t in tags])
+    except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid track run: {exc}") from exc
     return str(payload.get("sequence", "unknown")), run
 

@@ -14,6 +14,7 @@ built by an initializer; training is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,8 @@ SPECTRAL_HIDDEN = 8
 FUSION_HIDDEN = 16
 
 WHITE_LEVEL = 250
+# BT.601 luma weights in thousandths, as ``Image.grayscale`` applies them.
+_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0])
 DEFAULT_RHO = 0.40
 
 
@@ -87,12 +90,15 @@ class Image:
         return (299 * r + 587 * g + 114 * b + 500) // 1000
 
     def features(self) -> Tensor:
-        """Pixels as a float (C, H, W) tensor scaled to [0, 1]."""
-        if self.channels == 1:
-            plane = self.pixels.reshape(1, self.height, self.width)
-        else:
-            plane = self.pixels.reshape(self.height, self.width, 3).transpose(2, 0, 1)
-        return plane.astype(np.float64) / 255.0
+        """Pixels as a C-contiguous float64 (C, H, W) plane scaled to [0, 1].
+
+        The channel-interleaved pixels are de-interleaved and divided by 255
+        in one pass into a fresh contiguous plane, so the per-channel
+        reductions and the conv's padding copy read it with unit stride.
+        The values equal ``plane.astype(np.float64) / 255.0`` bit for bit.
+        """
+        plane = self.pixels.reshape(self.height, self.width, self.channels).transpose(2, 0, 1)
+        return np.divide(plane, 255.0, out=np.empty(plane.shape, dtype=np.float64))
 
 
 @dataclass
@@ -282,11 +288,25 @@ def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
 def is_over_exposed(
     img: Image, rho: float = DEFAULT_RHO, white_level: int = WHITE_LEVEL
 ) -> tuple[bool, float]:
-    """White-pixel ratio test.  Invalid iff the ratio strictly exceeds rho."""
-    gray = img.grayscale()
-    if gray.size == 0:
+    """White-pixel ratio test.  Invalid iff the ratio strictly exceeds rho.
+
+    A pixel is white iff its ``Image.grayscale()`` luma is >= white_level,
+    counted without forming the grayscale image.  On 3-channel frames the
+    luma is (v + 500) // 1000 with v = 299 r + 587 g + 114 b, and for an
+    integer v, gray >= L iff v >= 1000 * ceil(L) - 500.  v is computed as
+    one float64 matrix-vector product; every partial sum is an integer
+    below 2**53, so it is exact whatever the summation order.  1-channel
+    frames compare the pixels themselves.
+    """
+    n = img.width * img.height
+    if n == 0:
         raise ShapeError("is_over_exposed: empty image")
-    white_ratio = float(np.count_nonzero(gray >= white_level)) / gray.size
+    if img.channels == 1:
+        white = np.count_nonzero(img.pixels >= white_level)
+    else:
+        luma = img.pixels.reshape(n, 3).astype(np.float64) @ _LUMA_WEIGHTS
+        white = np.count_nonzero(luma >= 1000.0 * math.ceil(white_level) - 500.0)
+    white_ratio = float(white) / n
     return white_ratio > rho, white_ratio
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, end-to-end pipeline."""
 
+import base64
 import json
 import warnings
 
@@ -202,6 +203,71 @@ def test_non_finite_observation_exits_2(tmp_path, turning_sequence, capsys):
     assert main(["track", str(bad), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _resize_image(frame, width, height):
+    image = frame["image"]
+    image.update(width=width, height=height)
+    image["pixels_b64"] = base64.b64encode(bytes(width * height * image["channels"])).decode()
+
+
+def _grayscale_image(frame):
+    image = frame["image"]
+    image["channels"] = 1
+    image["pixels_b64"] = base64.b64encode(bytes(image["width"] * image["height"])).decode()
+
+
+# Each edit of frame 4 (file line 6) makes one malformed or inconsistent frame.
+BAD_FRAMES = {
+    "index_not_integer": lambda f: f.update(index="x"),
+    "width_not_integer": lambda f: f["image"].update(width="wide"),
+    "height_not_integer": lambda f: f["image"].update(height=12.5),
+    "channels_not_integer": lambda f: f["image"].update(channels="3"),
+    "pixel_count_mismatch": lambda f: f["image"].update(width=65),
+    "image_smaller_than_scenario": lambda f: _resize_image(f, 32, 32),
+    "grayscale_image": _grayscale_image,
+    "modality_unknown": lambda f: f.update(modality="xyz"),
+    "index_duplicated": lambda f: f.update(index=3),
+    "index_skipped": lambda f: f.update(index=5),
+    "valid_not_boolean": lambda f: f.update(valid="false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+def test_malformed_frame_exits_2_naming_file_and_line(tmp_path, sequence_file, case, capsys):
+    lines = sequence_file.read_text().splitlines()
+    frame = json.loads(lines[5])
+    BAD_FRAMES[case](frame)
+    lines[5] = json.dumps(frame)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run.json"
+    assert main(["track", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:6: " in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Each function turns a valid track run into a malformed one.
+BAD_TRACK_RUNS = {
+    "pred_not_list": lambda p: {**p, "pred": 5},
+    "gt_not_list": lambda p: {**p, "gt": 5},
+    "tags_not_list": lambda p: {**p, "tags": 5},
+    "tag_not_string": lambda p: {**p, "tags": [[1]] + p["tags"][1:]},
+    "tags_a_string": lambda p: {**p, "tags": ["rgb"] + p["tags"][1:]},
+    "negative_box_size": lambda p: {**p, "pred": [[1.0, 1.0, -5.0, 5.0]] + p["pred"][1:]},
+    "not_an_object": lambda p: [p],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACK_RUNS))
+def test_malformed_track_run_exits_2(tmp_path, sequence_file, case, capsys):
+    run_path = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(run_path)]) == 0
+    run_path.write_text(json.dumps(BAD_TRACK_RUNS[case](json.loads(run_path.read_text()))))
+    capsys.readouterr()
+    assert main(["eval", str(run_path), "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("q", [1e308, 1e307])

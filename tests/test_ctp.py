@@ -489,3 +489,38 @@ def test_bank_rejects_misshapen_setup():
         FilterBank([], [], [])
     with pytest.raises(ValueError):
         FilterBank([BBox(1, 1, 1, 1)], [(0.0, 512.0)], [cfg])
+
+
+def test_transition_matrix_is_built_once_and_read_only():
+    model = MotionModel(MotionKind.COORDINATED_TURN, 0.05)
+    f = transition_matrix(model)
+    assert transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, 0.05)) is f
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 4] = 2.0
+    np.testing.assert_array_equal(f, turn_transition(0.05))
+
+
+def test_covariance_stays_symmetric_psd_at_the_reliability_floor_and_past_the_cap():
+    # r is either at its floor or uniform above it, and blackouts run up to
+    # 3x the 6 frames the default multiplier takes to reach its cap.
+    rng = np.random.default_rng(14)
+    eps = SessionConfig().epsilon
+    model = MotionModel(MotionKind.COORDINATED_TURN, 0.02)
+    fs = make_filter_state(BBox(256, 256, 30, 30))
+    longest = floor_updates = 0
+    for _ in range(150):
+        steps = ["valid"] * int(rng.integers(1, 4)) + ["invalid"] * int(rng.integers(0, 19))
+        for kind in steps:
+            if kind == "valid":
+                r = eps if rng.random() < 0.5 else float(rng.uniform(eps, 1.0))
+                floor_updates += r == eps
+                fs = ctp_update(fs, fs.x[:4] + rng.normal(scale=3.0, size=4), r)
+            else:
+                fs = inflate_Q(fs)
+                longest = max(longest, fs.invalid_streak)
+            fs = ctp_predict(fs, model)
+            assert np.isfinite(fs.P).all()
+            np.testing.assert_array_equal(fs.P, fs.P.T)
+            assert np.linalg.eigvalsh(fs.P).min() > -1e-9
+    assert longest > 6 and floor_updates > 50

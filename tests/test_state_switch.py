@@ -245,3 +245,51 @@ def test_switch_weights_shape_validation():
     bad["switch.spec_w"] = np.zeros((2, 2))
     with pytest.raises(Exception):
         SwitchWeights.from_tensor_map(bad)
+
+
+def test_white_ratio_matches_the_grayscale_oracle():
+    # Every (r, g, b) in [230, 255]^3 once: its lumas hit every residue mod
+    # 1000, so each level from 230 up has pixels on both sides of the
+    # rounding boundary and an off-by-one threshold changes the count.
+    levels = np.arange(230, 256, dtype=np.uint8)
+    cube = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
+    color = Image(width=26 * 26, height=26, channels=3, pixels=cube)
+    rng = np.random.default_rng(9)
+    mono = Image(width=40, height=32, channels=1, pixels=rng.integers(0, 256, 40 * 32))
+    ramp = Image(width=256, height=1, channels=1, pixels=np.arange(256))
+    for img in (color, mono, ramp):
+        gray = img.grayscale()
+        for level in (0, 200, 225, 249.5, *range(230, 257)):
+            want = float(np.count_nonzero(gray >= level)) / gray.size
+            assert is_over_exposed(img, white_level=level)[1] == want, (img.channels, level)
+
+
+def test_features_are_one_contiguous_plane_equal_to_the_scaled_pixels():
+    rng = np.random.default_rng(10)
+    for channels in (1, 3):
+        img = Image(width=7, height=5, channels=channels, pixels=rng.integers(0, 256, 7 * 5 * channels))
+        plane = img.pixels.reshape(5, 7, channels).transpose(2, 0, 1)
+        f = img.features()
+        assert f.flags.c_contiguous and f.dtype == np.float64
+        assert np.array_equal(f, plane.astype(np.float64) / 255.0)
+
+
+def test_classify_goes_through_its_stage_functions(monkeypatch):
+    # Code that wraps the four stages (a profiler, a tracer) sees every
+    # classified frame: classify looks them up per call.
+    import xmtrack.state_switch as ss
+
+    calls = {"is_over_exposed": 0, "spatial_branch": 0, "spectral_branch": 0, "modality_weight": 0}
+    for name in calls:
+        fn = getattr(ss, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ss, name, counted)
+    seq = generate(Scenario(name="stages", frames=12, invalid_windows=[(4, 7)], seed=2))
+    w = separator_switch_weights()
+    for rec in seq.records:
+        classify(rec.image, rec.image.features(), w)
+    assert calls == dict.fromkeys(calls, len(seq.records))
