@@ -253,14 +253,22 @@ def _frame_record(d, path: Path, scenario: Scenario, index: int) -> FrameRecord:
     want = (scenario.image_width, scenario.image_height, FRAME_CHANNELS)
     if size != want:
         raise DataError("image is {}x{}x{}, the scenario's frames are {}x{}x{}".format(*size, *want))
+    gt = _box_from(d["gt"])
+    if gt.w < 0 or gt.h < 0:
+        raise DataError(f"gt box has negative size w={gt.w}, h={gt.h}")
+    if index == 0 and not (gt.w > 0 and gt.h > 0):
+        raise DataError(f"frame 0 gt box starts the track, its size must be positive: w={gt.w}, h={gt.h}")
+    s = _finite(d["s"], "confidence")
+    if not 0.0 <= s <= 1.0:
+        raise DataError(f"confidence s={s} outside [0, 1]")
     return FrameRecord(
         index=index,
         image=image,
-        gt=_box_from(d["gt"]),
+        gt=gt,
         modality=d["modality"],
         valid=d["valid"],
         observed=_box_from(d["observed"]),
-        s=_finite(d["s"], "confidence"),
+        s=s,
     )
 
 
@@ -268,8 +276,9 @@ def load_sequence(path: str | Path) -> Sequence:
     """Read a sequence file; every malformed or inconsistent frame is a DataError naming file:line.
 
     Frame indices must run 0..T-1 in file order, modalities be rgb or nir,
-    ``valid`` a boolean, and every image 3-channel with the scenario's
-    image size.
+    ``valid`` a boolean, every image 3-channel with the scenario's image
+    size, every confidence ``s`` in [0, 1], and every ``gt`` size
+    non-negative (positive on frame 0, where the track starts).
     """
     path = Path(path)
     try:

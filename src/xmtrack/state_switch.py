@@ -15,7 +15,7 @@ built by an initializer; training is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -101,9 +101,26 @@ class Image:
         return np.divide(plane, 255.0, out=np.empty(plane.shape, dtype=np.float64))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchWeights:
-    """Parameters of the two-branch modality classifier."""
+    """Parameters of the two-branch modality classifier, planned once.
+
+    The eight arrays are kept as read-only float64 copies, so neither the
+    caller's arrays nor an in-place write can change the weights after the
+    plan below is made.
+
+    The plan skips the spatial branch when no fusion input reads it: every
+    entry of ``fuse1_w``'s first C*16 columns is 0, and each conv output
+    channel's worst case, sum|conv_w| + |conv_b|, is finite (with a factor 2
+    for rounding).  For features in [0, 1], as ``Image.features`` gives, the
+    spatial vector is then finite and >= 0, so each product 0 * f_spa equals
+    0 * 0 bit for bit, sign included, and ``classify`` passes the read-only
+    zero vector ``spatial_zeros`` in its place without running the conv.
+    ``fuse1_w`` is not sliced: its full dot product with the zeros gives m
+    bit-identical to the full path whatever order BLAS sums in, which a
+    shorter dot product does not.  ``spatial_zeros`` is None when the
+    fusion reads the spatial branch.
+    """
 
     conv_w: Tensor  # (C, C, 3, 3)
     conv_b: Tensor  # (C,)
@@ -113,6 +130,7 @@ class SwitchWeights:
     fuse1_b: Tensor
     fuse2_w: Tensor  # (1, FUSION_HIDDEN)
     fuse2_b: Tensor
+    spatial_zeros: Tensor | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in (
@@ -125,21 +143,30 @@ class SwitchWeights:
             "fuse2_w",
             "fuse2_b",
         ):
-            setattr(self, name, as_tensor(getattr(self, name)))
+            frozen = np.array(getattr(self, name), dtype=np.float64)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
         c = self.conv_w.shape[0]
-        fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
+        n_spatial = c * POOL_HW[0] * POOL_HW[1]
         checks = [
             self.conv_w.shape == (c, c, 3, 3),
             self.conv_b.shape == (c,),
             self.spec_w.shape == (SPECTRAL_HIDDEN, c),
             self.spec_b.shape == (SPECTRAL_HIDDEN,),
-            self.fuse1_w.shape == (FUSION_HIDDEN, fused_in),
+            self.fuse1_w.shape == (FUSION_HIDDEN, n_spatial + SPECTRAL_HIDDEN),
             self.fuse1_b.shape == (FUSION_HIDDEN,),
             self.fuse2_w.shape == (1, FUSION_HIDDEN),
             self.fuse2_b.shape == (1,),
         ]
         if not all(checks):
             raise ShapeError("SwitchWeights: inconsistent parameter shapes")
+        with np.errstate(over="ignore"):  # an overflow here only means "keep the conv"
+            worst = 2.0 * (np.abs(self.conv_w).sum(axis=(1, 2, 3)) + np.abs(self.conv_b))
+        zeros = None
+        if not np.any(self.fuse1_w[:, :n_spatial]) and np.all(np.isfinite(worst)):
+            zeros = np.zeros(n_spatial)
+            zeros.flags.writeable = False
+        object.__setattr__(self, "spatial_zeros", zeros)
 
     @property
     def channels(self) -> int:
@@ -202,7 +229,7 @@ def separator_switch_weights(channels: int = 3) -> SwitchWeights:
     The fusion head thresholds that statistic: logit = 4 - 40*relu(meanR-meanB),
     so color frames get m ~ 0 and single-band frames m = sigmoid(4) ~ 0.98.
     The spatial branch is zeroed out; it carries no signal the synthetic
-    frames need.
+    frames need, and ``classify`` skips it (see ``SwitchWeights``).
     """
     c = channels
     fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
@@ -317,9 +344,13 @@ def classify(
 
     Over-exposure is checked first; the modality weight is computed and
     reported either way (downstream consumers use it even on invalid frames).
+    When ``w``'s plan skips the spatial branch, its zero vector stands in for
+    ``spatial_branch(f_in, w)``: no fusion column reads that branch, and the
+    substitution leaves m bit-identical (see ``SwitchWeights``).
     """
     over, white_ratio = is_over_exposed(img, rho)
-    m = modality_weight(spatial_branch(f_in, w), spectral_branch(f_in, w), w)
+    f_spa = spatial_branch(f_in, w) if w.spatial_zeros is None else w.spatial_zeros
+    m = modality_weight(f_spa, spectral_branch(f_in, w), w)
     if over:
         state = TriState.INVALID
     elif m >= 0.5:

@@ -217,7 +217,12 @@ def _grayscale_image(frame):
     image["pixels_b64"] = base64.b64encode(bytes(image["width"] * image["height"])).decode()
 
 
-# Each edit of frame 4 (file line 6) makes one malformed or inconsistent frame.
+def _gt_width(width):
+    return lambda f: f.update(gt=[f["gt"][0], f["gt"][1], width, f["gt"][3]])
+
+
+# Each edit of frame 4 (file line 6), or of the frame on the line that
+# BAD_FRAME_LINE names, makes one malformed or inconsistent frame.
 BAD_FRAMES = {
     "index_not_integer": lambda f: f.update(index="x"),
     "width_not_integer": lambda f: f["image"].update(width="wide"),
@@ -230,21 +235,27 @@ BAD_FRAMES = {
     "index_duplicated": lambda f: f.update(index=3),
     "index_skipped": lambda f: f.update(index=5),
     "valid_not_boolean": lambda f: f.update(valid="false"),
+    "confidence_above_one": lambda f: f.update(s=1.5),
+    "confidence_below_zero": lambda f: f.update(s=-0.1),
+    "gt_negative_width": _gt_width(-1.0),
+    "gt_zero_width_on_frame_0": _gt_width(0.0),
 }
+BAD_FRAME_LINE = {"gt_zero_width_on_frame_0": 2}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
 def test_malformed_frame_exits_2_naming_file_and_line(tmp_path, sequence_file, case, capsys):
+    line = BAD_FRAME_LINE.get(case, 6)
     lines = sequence_file.read_text().splitlines()
-    frame = json.loads(lines[5])
+    frame = json.loads(lines[line - 1])
     BAD_FRAMES[case](frame)
-    lines[5] = json.dumps(frame)
+    lines[line - 1] = json.dumps(frame)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "run.json"
     assert main(["track", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{bad}:6: " in err and err.count("\n") == 1
+    assert f"{bad}:{line}: " in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Tri-state classifier: conv oracle, branch arithmetic, exposure boundary."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -274,13 +276,15 @@ def test_features_are_one_contiguous_plane_equal_to_the_scaled_pixels():
         assert np.array_equal(f, plane.astype(np.float64) / 255.0)
 
 
-def test_classify_goes_through_its_stage_functions(monkeypatch):
-    # Code that wraps the four stages (a profiler, a tracer) sees every
-    # classified frame: classify looks them up per call.
+STAGES = ("is_over_exposed", "spatial_branch", "spectral_branch", "modality_weight")
+
+
+def _stage_calls(monkeypatch, w, seq):
+    """Calls of each stage function while ``classify`` runs over ``seq`` with ``w``."""
     import xmtrack.state_switch as ss
 
-    calls = {"is_over_exposed": 0, "spatial_branch": 0, "spectral_branch": 0, "modality_weight": 0}
-    for name in calls:
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
         fn = getattr(ss, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -288,8 +292,74 @@ def test_classify_goes_through_its_stage_functions(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(ss, name, counted)
-    seq = generate(Scenario(name="stages", frames=12, invalid_windows=[(4, 7)], seed=2))
-    w = separator_switch_weights()
     for rec in seq.records:
         classify(rec.image, rec.image.features(), w)
-    assert calls == dict.fromkeys(calls, len(seq.records))
+    return calls
+
+
+def _stage_sequence():
+    return generate(Scenario(name="stages", frames=12, invalid_windows=[(4, 7)], seed=2))
+
+
+def test_classify_full_plan_goes_through_all_four_stages(monkeypatch):
+    # Code that wraps the stages (a profiler, a tracer) sees every classified
+    # frame: classify looks them up per call.
+    seq = _stage_sequence()
+    w = random_switch_weights(np.random.default_rng(3))
+    assert w.spatial_zeros is None
+    assert _stage_calls(monkeypatch, w, seq) == dict.fromkeys(STAGES, len(seq.records))
+
+
+def test_classify_skip_plan_never_runs_the_spatial_branch(monkeypatch):
+    seq = _stage_sequence()
+    want = dict.fromkeys(STAGES, len(seq.records))
+    want["spatial_branch"] = 0
+    assert _stage_calls(monkeypatch, separator_switch_weights(), seq) == want
+
+
+def _without_spatial_columns(w, **changes):
+    """``w`` rebuilt through the constructor with its spatial fusion columns zeroed."""
+    fuse1_w = w.fuse1_w.copy()
+    fuse1_w[:, : w.channels * POOL_HW[0] * POOL_HW[1]] = 0.0
+    return dataclasses.replace(w, fuse1_w=fuse1_w, **changes)
+
+
+def test_spatial_skip_gives_m_bit_identical_to_the_full_formula():
+    seq = generate(Scenario(name="skip", frames=40, invalid_windows=[(12, 17)], seed=4))
+    rng = np.random.default_rng(5)
+    plans = [separator_switch_weights()]
+    plans += [_without_spatial_columns(random_switch_weights(rng)) for _ in range(3)]
+    invalid = 0
+    for w in plans:
+        assert w.spatial_zeros is not None
+        for rec in seq.records:
+            f = rec.image.features()
+            m = modality_weight(spatial_branch(f, w), spectral_branch(f, w), w)
+            over, _ = is_over_exposed(rec.image)
+            state = TriState.INVALID if over else (TriState.NIR if m >= 0.5 else TriState.RGB)
+            d = classify(rec.image, f, w)
+            assert d.m.hex() == m.hex() and d.state == state
+            invalid += d.state == TriState.INVALID
+    assert invalid > 0
+
+
+def test_conv_weights_that_can_overflow_keep_the_full_path(monkeypatch):
+    seq = _stage_sequence()
+    w = random_switch_weights(np.random.default_rng(6))
+    w = _without_spatial_columns(w, conv_w=np.full(w.conv_w.shape, 1e308))
+    assert w.spatial_zeros is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        calls = _stage_calls(monkeypatch, w, seq)
+    assert calls["spatial_branch"] == len(seq.records)
+
+
+def test_switch_weights_are_read_only_copies():
+    source = random_switch_weights(np.random.default_rng(8)).tensor_map()
+    source = {k: v.copy() for k, v in source.items()}
+    w = SwitchWeights.from_tensor_map(source)
+    for name, arr in w.tensor_map().items():
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+        source[name][...] = 0.0  # the caller's array is not the weights'
+        assert np.any(arr), name
