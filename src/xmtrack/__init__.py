@@ -58,7 +58,6 @@ from .ctp import (
     inflate_Q,
     reliability,
     state2box,
-    step,
 )
 from .losses import (
     EpochSchedule,

@@ -108,12 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     sc = xio.load_scenario(args.scenario)
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.sigma is not None:
-        if args.sigma < 0:
-            raise xio.DataError(f"--sigma must be non-negative, got {args.sigma}")
-        sc.sigma = args.sigma
+    overrides = {k: v for k in ("seed", "sigma") if (v := getattr(args, k)) is not None}
+    try:
+        sc = replace(sc, **overrides)
+    except ValueError as exc:
+        raise xio.DataError(f"invalid scenario flag: {exc}") from exc
     seq = generate(sc)
     xio.save_sequence(args.out, seq, image_mode=args.images)
     print(f"wrote {sc.frames} frames to {args.out}")
@@ -151,6 +150,9 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     if args.suites <= 0:
         print("xmtrack ablate: error: need at least one suite", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("xmtrack ablate: error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for base_seed in range(args.seed, args.seed + args.suites):

@@ -255,18 +255,13 @@ def attention_pair(
     if d_k is None:
         d_k = q.shape[1]
     scale = 1.0 / np.sqrt(float(d_k))
-    weights = softmax(q @ k.T * scale, axis=-1)
-    value = weights @ v
+    weights = softmax_pair(q @ k.T * scale, axis=-1)
+    value = weights.value @ v
 
     def grad_fn(up: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         up = as_tensor(up)
-        dv = weights.T @ up
-        dw = up @ v.T
-        dot = np.sum(dw * weights, axis=-1, keepdims=True)
-        dscores = weights * (dw - dot)
-        dq = dscores @ k * scale
-        dk = dscores.T @ q * scale
-        return dq, dk, dv
+        (dscores,) = weights.grad_fn(up @ v.T)
+        return dscores @ k * scale, dscores.T @ q * scale, weights.value.T @ up
 
     return GradPair(value, grad_fn)
 

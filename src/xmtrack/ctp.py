@@ -381,14 +381,13 @@ class SessionConfig:
 class FrameInput:
     """One frame as seen by the session.
 
-    Either ``decision`` is precomputed (the simulator does this) or ``image``
-    + ``features`` are given for the session to classify itself.
+    Either ``decision`` is precomputed or ``image`` is given for the session
+    to classify itself.
     """
 
     observed: BBox | None
     s: float
     image: Image | None = None
-    features: Tensor | None = None
     decision: TriStateDecision | None = None
 
 
@@ -456,7 +455,6 @@ class FilterBank:
         return np.clip(self.x[:, :OBS_DIM], self.box_min, self.box_max)
 
 
-
 class TrackerSession:
     """Single-target filter session over one frame stream.
 
@@ -488,8 +486,7 @@ class TrackerSession:
             raise ValueError(
                 "step: need either a precomputed decision or an image plus switch weights"
             )
-        features = frame.features if frame.features is not None else frame.image.features()
-        return classify(frame.image, features, self.switch_weights, self.config.rho)
+        return classify(frame.image, frame.image.features(), self.switch_weights, self.config.rho)
 
     def step(self, frame: FrameInput) -> BBox:
         """One frame; ``fs`` changes only if the whole step succeeds."""
@@ -513,8 +510,3 @@ class TrackerSession:
     def report_box(self) -> BBox:
         cx, cy, w, h = np.clip(self.fs.x[:OBS_DIM], *self.box_limits).tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)
-
-
-def step(session: TrackerSession, frame: FrameInput) -> BBox:
-    """Functional alias for TrackerSession.step."""
-    return session.step(frame)

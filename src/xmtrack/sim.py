@@ -16,23 +16,27 @@ observation, motion filter — under one of four motion presets, each a
 * ``kf``   constant-velocity filter, fixed observation noise, no inflation
 * ``ekf``  coordinated-turn filter (scenario turn rate), fixed noise
 * ``ctp``  coordinated-turn + reliability-weighted noise + Q inflation
+
+``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
+the ``off`` track, and ``run_filters`` steps every filtered track as a row of
+one ``FilterBank``.  ``TrackerSession`` is the live per-frame API.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral
 
 import numpy as np
 
 from .ctp import (
     BBox,
     FilterBank,
-    FrameInput,
     MotionKind,
     MotionModel,
     SessionConfig,
-    TrackerSession,
+    _is_number,
     turn_transition,
 )
 from .metrics import TrackRun, cle, precision_rate, success_rate
@@ -58,6 +62,13 @@ INVALID_WHITE_FRACTION = 0.94
 TARGET_BOOST = 40.0
 
 MODALITIES = ("rgb", "nir")
+# Far beyond any frame and far inside the float range: a scenario whose path
+# and observation noise stay below it renders and observes finite boxes.
+MAX_COORD = 1e9
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _check_windows(windows, frames, who):
@@ -91,15 +102,41 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("frames", "frame_width", "frame_height", "image_width", "image_height"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"Scenario: {name} must be positive")
-        if self.sigma < 0:
-            raise ValueError("Scenario: sigma must be non-negative")
-        if self.switch_radius < 0:
-            raise ValueError("Scenario: switch_radius must be non-negative")
-        if self.switch_noise_boost < 1.0:
-            raise ValueError("Scenario: switch_noise_boost must be >= 1")
+        # Checked on every construction, dataclasses.replace included, so a
+        # bad field fails here and not mid-generate.
+        if not isinstance(self.name, str):
+            raise ValueError("Scenario: name must be a string")
+        for name in ("frames", "frame_width", "frame_height", "image_width", "image_height",
+                     "switch_radius", "seed"):
+            low = 0 if name in ("switch_radius", "seed") else 1
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= low):
+                raise ValueError(f"Scenario: {name} must be an integer >= {low}")
+        for name, n in (("initial_box", 4), ("velocity", 2)):
+            values = tuple(getattr(self, name))
+            if len(values) != n or not all(_is_number(v) for v in values):
+                raise ValueError(f"Scenario: {name} needs {n} finite numbers")
+            setattr(self, name, values)
+        for name in ("turn_rate", "sigma", "switch_noise_boost"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"Scenario: {name} must be a finite number")
+        cx, cy, w, h = self.initial_box
+        # min(): a frame count past MAX_COORD fails the path rule whenever the
+        # target moves, and would overflow the float product.
+        path = max(abs(cx), abs(cy), w, h) + math.hypot(*self.velocity) * min(self.frames, MAX_COORD)
+        for ok, rule in (
+            (w > 0 and h > 0, "a positive initial_box width and height"),
+            (self.sigma >= 0, "sigma >= 0"),
+            (self.switch_noise_boost >= 1.0, "switch_noise_boost >= 1"),
+            (
+                path < MAX_COORD and self.sigma * self.switch_noise_boost < MAX_COORD,
+                f"the path and its noise within {MAX_COORD:g} px",
+            ),
+        ):
+            if not ok:
+                raise ValueError(f"Scenario: needs {rule}")
+        for window in [*self.modality_schedule, *self.invalid_windows]:
+            if not all(_is_int(v) for v in window[:2]):
+                raise ValueError(f"Scenario: window bounds {window} must be integers")
         self.modality_schedule = [
             (int(s), int(e), str(m)) for s, e, m in self.modality_schedule
         ]
@@ -144,25 +181,10 @@ class Scenario:
     def near_switch(self, t: int) -> bool:
         return any(abs(t - sw) <= self.switch_radius for sw in self.switch_frames())
 
-    def initial_bbox(self) -> BBox:
-        cx, cy, w, h = self.initial_box
-        return BBox(cx=cx, cy=cy, w=w, h=h)
-
     def gt_boxes(self) -> list[BBox]:
         """Ground-truth path: the same discrete turn model the filter uses."""
         f = turn_transition(self.turn_rate)
-        x = np.array(
-            [
-                self.initial_box[0],
-                self.initial_box[1],
-                self.initial_box[2],
-                self.initial_box[3],
-                self.velocity[0],
-                self.velocity[1],
-                0.0,
-                0.0,
-            ]
-        )
+        x = np.array([*self.initial_box, *self.velocity, 0.0, 0.0], dtype=np.float64)
         boxes = []
         for _ in range(self.frames):
             boxes.append(BBox(cx=x[0], cy=x[1], w=x[2], h=x[3]))
@@ -246,14 +268,11 @@ DIMS_NOISE_SCALE = 0.5  # w/h observation noise relative to center noise
 
 def stub_tracker(
     record_gt: BBox,
-    prev_box: BBox | None,
     sigma: float,
     rng: np.random.Generator,
 ) -> tuple[BBox, float]:
     """Noisy observation of the ground truth plus a confidence score.
 
-    ``prev_box`` is an interface slot for appearance models that need a warm
-    start; this stub's noise is centered on the ground truth and ignores it.
     s = clamp(1 - CLE/20, 0, 1): confidence degrades linearly with the
     center error and bottoms out at 0 beyond 20 px.
     """
@@ -290,7 +309,7 @@ def generate(sc: Scenario) -> Sequence:
         if valid:
             near = sc.near_switch(t)
             sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
-            observed, s = stub_tracker(gts[t], None, sigma_eff, rng)
+            observed, s = stub_tracker(gts[t], sigma_eff, rng)
             if near:
                 s *= 0.5  # switching uncertainty damps confidence
         else:
@@ -373,49 +392,29 @@ def run(
     seq: Sequence,
     config: HarnessConfig | None = None,
     decisions: list[TriStateDecision] | None = None,
-    switch_weights: SwitchWeights | None = None,
 ) -> TrackRun:
     """Track one generated sequence end to end.
 
     ``decisions`` may be precomputed (e.g. shared across ablation presets);
-    otherwise each frame is classified with ``switch_weights`` (default: the
-    built-in separator weights).
+    otherwise each frame is classified with the built-in separator weights.
+    ``off`` reports ``frozen_boxes``; every other preset is one row of
+    ``run_filters``.
     """
     config = config or HarnessConfig()
     sc = seq.scenario
     session_cfg = config.session or preset_config(config.motion, sc.turn_rate)
     if decisions is None:
-        decisions = classify_sequence(seq, switch_weights, session_cfg.rho)
-    if len(decisions) != len(seq.records):
-        raise ValueError("run: decisions misaligned with sequence")
-
-    b0 = seq.records[0].gt
-    session = (
-        TrackerSession(b0, sc.frame_width, sc.frame_height, session_cfg)
-        if config.motion != "off"
-        else None
+        decisions = classify_sequence(seq, rho=session_cfg.rho)
+    inputs = filter_inputs(seq, decisions)
+    if config.motion == "off":
+        boxes = frozen_boxes(inputs)
+    else:
+        boxes = run_filters([(inputs, session_cfg)])[0]
+    return TrackRun(
+        pred=[BBox(*box) for box in boxes.tolist()],
+        gt=inputs.gt,
+        tags=[_frame_tags(sc, t) for t in range(len(seq.records))],
     )
-
-    preds = [b0]
-    tags = [_frame_tags(sc, 0)]
-    last_pred = b0
-    for t in range(1, len(seq.records)):
-        rec = seq.records[t]
-        dec = decisions[t]
-        if session is None:
-            if dec.state == TriState.INVALID:
-                pred = last_pred  # frozen box
-            else:
-                pred = rec.observed
-        else:
-            pred = session.step(
-                FrameInput(observed=rec.observed, s=rec.s, decision=dec)
-            )
-        preds.append(pred)
-        tags.append(_frame_tags(sc, t))
-        last_pred = pred
-
-    return TrackRun(pred=preds, gt=[r.gt for r in seq.records], tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,7 @@ def ablation_suite(base_seed: int) -> list[Scenario]:
 
 @dataclass
 class FilterInputs:
-    """One classified sequence reduced to what the filter presets read: no images."""
+    """One classified sequence reduced to what the motion presets read: no images."""
 
     b0: BBox
     frame_size: tuple[float, float]
@@ -493,6 +492,8 @@ class FilterInputs:
 
 
 def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInputs:
+    if len(decisions) != len(seq.records):
+        raise ValueError("filter_inputs: decisions misaligned with sequence")
     sc = seq.scenario
     return FilterInputs(
         b0=seq.records[0].gt,
@@ -506,38 +507,44 @@ def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInp
     )
 
 
+def frozen_boxes(inputs: FilterInputs) -> np.ndarray:
+    """The ``off`` track (T, 4): b0 at frame 0, then the observed box on valid
+    frames and the last reported box on invalid ones."""
+    frames = np.arange(len(inputs.valid))
+    last_reported = np.maximum.accumulate(np.where(inputs.valid | (frames == 0), frames, 0))
+    return np.vstack((inputs.b0.as_array(), inputs.observed[1:]))[last_reported]
+
+
 FILTER_PRESETS = MOTION_PRESETS[1:]  # every preset but off runs a filter
 
 
-def run_filter_presets(inputs: list[FilterInputs]) -> np.ndarray:
-    """Boxes (sequence, preset, frame, 4) of every filtered track, stepped in lockstep.
+def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
+    """Boxes (row, frame, 4) of every filtered track, stepped in lockstep.
 
-    The sequences must have one length.  Row (j, p) of one ``FilterBank``
-    tracks sequence j under ``preset_config(FILTER_PRESETS[p], its turn rate)``
-    and reports what ``run`` reports for it: the initial box at frame 0,
-    then one step per frame.
+    Row i of one ``FilterBank`` tracks ``rows[i]``'s sequence under its
+    config: the initial box at frame 0, then one bank step per frame.  The
+    sequences must have one length.
     """
+    inputs = [inp for inp, _ in rows]
+    bank = FilterBank(
+        [inp.b0 for inp in inputs],
+        [inp.frame_size for inp in inputs],
+        [config for _, config in rows],
+    )
     frames = len(inputs[0].valid)
     if any(len(inp.valid) != frames for inp in inputs):
-        raise ValueError("run_filter_presets: sequences differ in length")
-    rows = [(inp, preset) for inp in inputs for preset in FILTER_PRESETS]
-    bank = FilterBank(
-        [inp.b0 for inp, _ in rows],
-        [inp.frame_size for inp, _ in rows],
-        [preset_config(preset, inp.turn_rate) for inp, preset in rows],
-    )
+        raise ValueError("run_filters: sequences differ in length")
 
-    def per_row(name):  # (frames, rows, ...) from each sequence's array
-        stacked = np.stack([getattr(inp, name) for inp in inputs])
-        return np.repeat(stacked, len(FILTER_PRESETS), axis=0).swapaxes(0, 1)
+    def per_row(name):  # (frames, rows, ...) from each row's array
+        return np.stack([getattr(inp, name) for inp in inputs], axis=1)
 
     valid, observed = per_row("valid"), per_row("observed")
     r = bank.reliability(per_row("s"), per_row("m"))
     boxes = np.empty((frames, len(rows), 4))
-    boxes[0] = [inp.b0.as_array() for inp, _ in rows]
+    boxes[0] = [inp.b0.as_array() for inp in inputs]
     for t in range(1, frames):
         boxes[t] = bank.step(valid[t], observed[t], r[t])
-    return boxes.swapaxes(0, 1).reshape(len(inputs), len(FILTER_PRESETS), frames, 4)
+    return boxes.swapaxes(0, 1)
 
 
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
@@ -545,28 +552,24 @@ def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
 
     Each scenario is generated, classified right away and reduced to
     ``FilterInputs``; its sequence, images included, is dropped when the
-    next one is generated.  ``off`` replays each sequence through ``run``.
-    The filtered presets of all three scenarios then step as one bank.
+    next one is generated.  The filtered presets of all three scenarios then
+    step as one nine-row bank.
     """
-    off: list[BBox] = []
     inputs: list[FilterInputs] = []
     for sc in ablation_suite(base_seed):
         # Rebinding seq frees the last sequence after this generate and before
         # classify: freeing it first (del) made classification ~35% slower.
         seq = generate(sc)
-        decisions = classify_sequence(seq)
-        off += run(seq, HarnessConfig(motion="off"), decisions).pred
-        inputs.append(filter_inputs(seq, decisions))
+        inputs.append(filter_inputs(seq, classify_sequence(seq)))
+    rows = [(inp, preset_config(preset, inp.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]
+    filtered = run_filters(rows).reshape(len(inputs), len(FILTER_PRESETS), -1, 4)
+    off = np.stack([frozen_boxes(inp) for inp in inputs])
     gt = [box for inp in inputs for box in inp.gt]
-    boxes = run_filter_presets(inputs)
-    pooled = {"off": TrackRun(pred=off, gt=gt)}
-    for p, preset in enumerate(FILTER_PRESETS):
-        pred = [BBox(*box) for box in boxes[:, p].reshape(-1, 4).tolist()]
-        pooled[preset] = TrackRun(pred=pred, gt=gt)
-    return {
-        preset: {"PR": precision_rate(pooled[preset]), "SR": success_rate(pooled[preset])}
-        for preset in MOTION_PRESETS
-    }
+    table = {}
+    for preset, track in zip(MOTION_PRESETS, [off, *filtered.swapaxes(0, 1)]):
+        pooled = TrackRun(pred=[BBox(*box) for box in track.reshape(-1, 4).tolist()], gt=gt)
+        table[preset] = {"PR": precision_rate(pooled), "SR": success_rate(pooled)}
+    return table
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

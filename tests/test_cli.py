@@ -327,6 +327,46 @@ def test_non_positive_scenario_size_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Each entry edits a valid scenario file and adds simulate flags; every one
+# is rejected before anything is rendered.
+BAD_SCENARIOS = {
+    "seed_flag_negative": ({}, ["--seed", "-1"]),
+    "sigma_flag_nan": ({}, ["--sigma", "nan"]),
+    "sigma_flag_negative": ({}, ["--sigma", "-1"]),
+    "seed_negative": ({"seed": -5}, []),
+    "seed_not_integer": ({"seed": 1.5}, []),
+    "turn_rate_infinite": ({"turn_rate": float("inf")}, []),
+    "velocity_overflows_the_path": ({"velocity": [1e308, 1e308]}, []),
+    "velocity_one_entry": ({"velocity": [4.0]}, []),
+    "frames_not_integer": ({"frames": 30.5}, []),
+    "initial_box_three_entries": ({"initial_box": [100.0, 256.0, 30.0]}, []),
+    "initial_box_zero_width": ({"initial_box": [100.0, 256.0, 0.0, 30.0]}, []),
+    "sigma_nan": ({"sigma": float("nan")}, []),
+    "switch_noise_boost_nan": ({"switch_noise_boost": float("nan")}, []),
+    "window_bound_not_integer": ({"invalid_windows": [[12.5, 20]]}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_bad_scenario_exits_2_with_one_line(tmp_path, scenario_file, case, capsys):
+    edits, flags = BAD_SCENARIOS[case]
+    scenario = json.loads(scenario_file.read_text())
+    scenario.update(edits)
+    scenario_file.write_text(json.dumps(scenario))
+    out = tmp_path / "seq.jsonl"
+    assert main(["simulate", str(scenario_file), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ablate_rejects_a_negative_seed_like_an_empty_suite(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["ablate", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_corrupt_input_exits_2(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not a sequence\n")

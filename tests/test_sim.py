@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 import kalman_oracle as oracle
-from xmtrack.ctp import MotionKind, MotionModel, SessionConfig
+from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
 from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
 from xmtrack.sim import (
     FILTER_PRESETS,
@@ -20,7 +20,7 @@ from xmtrack.sim import (
     preset_config,
     run,
     run_ablation_suite,
-    run_filter_presets,
+    run_filters,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -311,6 +311,11 @@ def test_scenario_rejects_nonpositive_frame_count():
         Scenario(name="bad", frames=0)
 
 
+def test_frame_count_past_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="within"):
+        Scenario(name="long", frames=10**400)
+
+
 def test_preset_configs():
     ct = MotionKind.COORDINATED_TURN
     assert preset_config("ctp", 0.02) == SessionConfig(motion=MotionModel(ct, 0.02))
@@ -361,37 +366,86 @@ def test_ablation_table_matches_hand_count():
         }
 
 
+def oracle_track(seq, decisions, preset):
+    """Per-frame boxes (T, 4) of one preset, one frame at a time.
+
+    ``off`` is a freeze loop; every other preset steps one TrackerSession.
+    """
+    sc = seq.scenario
+    boxes = [seq.records[0].gt]
+    if preset == "off":
+        for rec, dec in zip(seq.records[1:], decisions[1:]):
+            boxes.append(boxes[-1] if dec.state == TriState.INVALID else rec.observed)
+    else:
+        config = preset_config(preset, sc.turn_rate)
+        session = TrackerSession(boxes[0], sc.frame_width, sc.frame_height, config)
+        for rec, dec in zip(seq.records[1:], decisions[1:]):
+            boxes.append(session.step(FrameInput(observed=rec.observed, s=rec.s, decision=dec)))
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 49])
 def test_lockstep_ablation_matches_one_session_per_track(seed):
-    """The suite's one bank against a B=1 TrackerSession per (scenario, preset)."""
-    sessions = {preset: [] for preset in MOTION_PRESETS}
-    inputs = []
+    """The suite's one bank against a per-frame oracle per (scenario, preset)."""
+    tracks = {preset: [] for preset in MOTION_PRESETS}
+    gt = []
+    rows = []
     for sc in ablation_suite(seed):
         seq = generate(sc)
         decisions = classify_sequence(seq)
         for preset in MOTION_PRESETS:
-            sessions[preset].append(run(seq, HarnessConfig(preset), decisions))
-        inputs.append(filter_inputs(seq, decisions))
-    boxes = run_filter_presets(inputs)
-    assert boxes.shape == (3, len(FILTER_PRESETS), 150, 4)
+            tracks[preset].append(oracle_track(seq, decisions, preset))
+        gt += [rec.gt for rec in seq.records]
+        inp = filter_inputs(seq, decisions)
+        rows += [(inp, preset_config(preset, sc.turn_rate)) for preset in FILTER_PRESETS]
+    boxes = run_filters(rows)
+    assert boxes.shape == (3 * len(FILTER_PRESETS), 150, 4)
+    boxes = boxes.reshape(3, len(FILTER_PRESETS), 150, 4)
     for p, preset in enumerate(FILTER_PRESETS):
-        for j, tr in enumerate(sessions[preset]):
-            want = np.array([(b.cx, b.cy, b.w, b.h) for b in tr.pred])
+        for j, want in enumerate(tracks[preset]):
             np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
     pooled = {
-        preset: TrackRun(pred=[b for tr in trs for b in tr.pred], gt=[g for tr in trs for g in tr.gt])
-        for preset, trs in sessions.items()
+        preset: TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt)
+        for preset, trs in tracks.items()
     }
     assert run_ablation_suite(seed) == {
         preset: {"PR": precision_rate(tr), "SR": success_rate(tr)} for preset, tr in pooled.items()
     }
 
 
+# Blackouts at the edges: from frame 1 (the first tracked frame), to the last
+# frame, and over every frame after the initial box.
+EDGE_BLACKOUTS = [
+    dict(invalid_windows=[(1, 6), (24, 30)], modality_schedule=[(0, 12, "rgb"), (12, 30, "nir")]),
+    dict(invalid_windows=[(1, 30)]),
+    dict(invalid_windows=[(8, 12), (27, 30)], turn_rate=0.03),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_BLACKOUTS)))
+def test_run_matches_the_per_frame_loop_bit_for_bit(case):
+    sc = _straight(frames=30, seed=11, **EDGE_BLACKOUTS[case])
+    seq = generate(sc)
+    decisions = classify_sequence(seq)
+    want_tags = [
+        [sc.scheduled_modality(t)]
+        + ["invalid-window"] * sc.is_invalid(t)
+        + ["switch"] * sc.near_switch(t)
+        for t in range(sc.frames)
+    ]
+    for preset in MOTION_PRESETS:
+        tr = run(seq, HarnessConfig(preset), decisions)
+        got = np.array([(b.cx, b.cy, b.w, b.h) for b in tr.pred], dtype=np.float64)
+        assert got.tobytes() == oracle_track(seq, decisions, preset).tobytes(), preset
+        assert tr.gt == [rec.gt for rec in seq.records]
+        assert tr.tags == want_tags
+
+
 def test_lockstep_needs_sequences_of_one_length():
     short, long_ = (generate(_straight(frames=n)) for n in (10, 12))
     inputs = [filter_inputs(seq, classify_sequence(seq)) for seq in (short, long_)]
     with pytest.raises(ValueError):
-        run_filter_presets(inputs)
+        run_filters([(inp, preset_config("ctp")) for inp in inputs])
 
 
 def test_ablation_suite_geometry_stays_in_frame():
