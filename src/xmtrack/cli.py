@@ -54,15 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="render a scenario into a sequence file", parents=[]
     )
     p_sim.add_argument("scenario", help="scenario JSON file")
-    p_sim.add_argument("--out", required=True, help="output sequence (.jsonl)")
+    p_sim.add_argument("--out", required=True, help="output sequence (.jsonl), pixels to <out>.npy")
     p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_sim.add_argument("--sigma", type=float, default=None, help="override observation noise (px)")
-    p_sim.add_argument(
-        "--images",
-        choices=("inline", "sidecar"),
-        default="inline",
-        help="base64 pixels inline, or PGM/PPM sidecar files",
-    )
 
     p_trk = sub.add_parser("track", help="run the tracking pipeline on a sequence")
     p_trk.add_argument("sequence", help="sequence file from `simulate`")
@@ -114,8 +108,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise xio.DataError(f"invalid scenario flag: {exc}") from exc
     seq = generate(sc)
-    xio.save_sequence(args.out, seq, image_mode=args.images)
-    print(f"wrote {sc.frames} frames to {args.out}")
+    xio.save_sequence(args.out, seq)
+    print(f"wrote {sc.frames} frames to {args.out} and {xio.frames_path(args.out)}")
     return EXIT_OK
 
 
@@ -185,6 +179,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        print("xmtrack gradcheck: error: --seed must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     report = gradient_report(seed=args.seed, inject_bug=args.inject_bug)
     worst_name = max(report, key=report.get)
     for name, err in report.items():

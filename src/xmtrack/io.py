@@ -1,14 +1,13 @@
 """File formats: weights, scenarios, sequences, track runs, filter configs.
 
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
-order) except images, which are either base64 inline or binary PGM/PPM
-sidecar files next to the sequence.  All writers are byte-deterministic
+order) except a sequence's pixels, which go to one ``.npy`` array (numpy's
+own format) beside the sequence's JSONL.  All writers are byte-deterministic
 given identical inputs.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -17,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ShapeError
 from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
 from .sim import MODALITIES, FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
@@ -102,46 +100,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# images (PGM/PPM sidecars)
-# ---------------------------------------------------------------------------
-
-
-def write_pnm(path: str | Path, img: Image):
-    """Binary PGM (1 channel) or PPM (3 channels)."""
-    magic = b"P5" if img.channels == 1 else b"P6"
-    header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
-
-
-def read_pnm(path: str | Path) -> Image:
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise DataError(f"missing image file: {path}") from exc
-    try:
-        magic, rest = raw.split(None, 1)
-        dims, rest = rest.split(b"\n", 1)
-        # dims may be "w h" with maxval on the next token
-        parts = dims.split()
-        if len(parts) == 2:
-            width, height = int(parts[0]), int(parts[1])
-            maxval, rest = rest.split(b"\n", 1)
-            maxval = int(maxval)
-        else:
-            width, height, maxval = int(parts[0]), int(parts[1]), int(parts[2])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{path}: malformed PNM header") from exc
-    if magic not in (b"P5", b"P6") or maxval != 255:
-        raise DataError(f"{path}: unsupported PNM variant")
-    channels = 1 if magic == b"P5" else 3
-    want = width * height * channels
-    pixels = np.frombuffer(rest[:want], dtype=np.uint8)
-    if pixels.size != want:
-        raise DataError(f"{path}: truncated pixel data")
-    return Image(width=width, height=height, channels=channels, pixels=pixels.copy())
-
-
-# ---------------------------------------------------------------------------
 # sequence (JSON lines: header record then one record per frame)
 # ---------------------------------------------------------------------------
 
@@ -168,34 +126,25 @@ def _box_from(v) -> BBox:
     return BBox(cx=cx, cy=cy, w=w, h=h)
 
 
-def save_sequence(path: str | Path, seq: Sequence, image_mode: str = "inline"):
-    """Write a sequence as JSONL.
-
-    image_mode 'inline': base64 pixels in each record; 'sidecar': binary
-    PGM/PPM files under <stem>_frames/ referenced by relative path.
-    """
-    if image_mode not in ("inline", "sidecar"):
-        raise ValueError(f"save_sequence: unknown image_mode {image_mode!r}")
+def frames_path(path: str | Path) -> Path:
+    """The ``.npy`` frame stack beside a sequence file: ``seq.jsonl`` -> ``seq.jsonl.npy``."""
     path = Path(path)
-    frames_dir = None
-    if image_mode == "sidecar":
-        frames_dir = path.parent / f"{path.stem}_frames"
-        frames_dir.mkdir(parents=True, exist_ok=True)
+    return path.with_name(path.name + ".npy")
+
+
+def save_sequence(path: str | Path, seq: Sequence):
+    """Write a sequence: per-frame metadata as JSONL, pixels as one ``.npy``.
+
+    The pixels of every frame go to ``frames_path(path)`` as one C-ordered
+    ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL holds the
+    header and one metadata record per frame.
+    """
+    frames = np.stack(
+        [r.image.pixels.reshape(r.image.height, r.image.width, r.image.channels) for r in seq.records]
+    )
+    np.save(frames_path(path), frames)
     lines = [_dump({"type": "header", "scenario": scenario_to_dict(seq.scenario)})]
     for rec in seq.records:
-        img = rec.image
-        if image_mode == "inline":
-            image_field = {
-                "width": img.width,
-                "height": img.height,
-                "channels": img.channels,
-                "pixels_b64": base64.b64encode(img.pixels.tobytes()).decode("ascii"),
-            }
-        else:
-            ext = "pgm" if img.channels == 1 else "ppm"
-            fname = f"{rec.index:06d}.{ext}"
-            write_pnm(frames_dir / fname, img)
-            image_field = {"file": f"{frames_dir.name}/{fname}"}
         lines.append(
             _dump(
                 {
@@ -206,11 +155,10 @@ def save_sequence(path: str | Path, seq: Sequence, image_mode: str = "inline"):
                     "valid": rec.valid,
                     "observed": _box_list(rec.observed),
                     "s": rec.s,
-                    "image": image_field,
                 }
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _integer(v, what: str) -> int:
@@ -219,27 +167,26 @@ def _integer(v, what: str) -> int:
     return v
 
 
-def _frame_image(field, path: Path) -> Image:
-    """The image of one frame record: inline base64 pixels or a PNM sidecar."""
-    if not isinstance(field, dict):
-        raise DataError("frame record without image")
-    if "pixels_b64" not in field:
-        if "file" not in field:
-            raise DataError("frame record without image")
-        return read_pnm(path.parent / str(field["file"]))
+def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
+    """The sequence's ``(T, H, W, 3)`` uint8 frame stack, checked against its scenario."""
+    npy = frames_path(path)
     try:
-        pixels = np.frombuffer(base64.b64decode(field["pixels_b64"]), dtype=np.uint8)
-    except (ValueError, TypeError) as exc:
-        raise DataError("bad base64 image") from exc
-    width, height, channels = (_integer(field[k], f"image {k}") for k in ("width", "height", "channels"))
-    try:
-        return Image(width=width, height=height, channels=channels, pixels=pixels.copy())
-    except ShapeError as exc:
-        raise DataError(f"bad image: {exc}") from exc
+        frames = np.load(npy, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError) as exc:  # MemoryError: a header claiming vast data
+        raise DataError(f"{npy}: unreadable frame stack: {exc}") from exc
+    if not isinstance(frames, np.ndarray):  # an .npz archive
+        frames.close()
+        raise DataError(f"{npy}: an .npz archive, not one .npy array")
+    want = (scenario.frames, scenario.image_height, scenario.image_width, FRAME_CHANNELS)
+    if frames.dtype != np.uint8 or frames.shape != want:
+        raise DataError(
+            f"{npy}: frames are {frames.dtype} {frames.shape}, the scenario's are uint8 {want}"
+        )
+    return frames
 
 
-def _frame_record(d, path: Path, scenario: Scenario, index: int) -> FrameRecord:
-    """Frame ``index`` of a sequence, checked against its header's scenario."""
+def _frame_record(d, image: Image, index: int) -> FrameRecord:
+    """Frame ``index`` of a sequence, its pixels ``image``."""
     if not isinstance(d, dict) or d.get("type") != "frame":
         raise DataError("expected a frame record")
     if _integer(d["index"], "frame index") != index:
@@ -248,11 +195,6 @@ def _frame_record(d, path: Path, scenario: Scenario, index: int) -> FrameRecord:
         raise DataError(f"modality {d['modality']!r} is not one of {', '.join(MODALITIES)}")
     if not isinstance(d["valid"], bool):
         raise DataError(f"valid {d['valid']!r} is not true or false")
-    image = _frame_image(d.get("image"), path)
-    size = (image.width, image.height, image.channels)
-    want = (scenario.image_width, scenario.image_height, FRAME_CHANNELS)
-    if size != want:
-        raise DataError("image is {}x{}x{}, the scenario's frames are {}x{}x{}".format(*size, *want))
     gt = _box_from(d["gt"])
     if gt.w < 0 or gt.h < 0:
         raise DataError(f"gt box has negative size w={gt.w}, h={gt.h}")
@@ -273,12 +215,16 @@ def _frame_record(d, path: Path, scenario: Scenario, index: int) -> FrameRecord:
 
 
 def load_sequence(path: str | Path) -> Sequence:
-    """Read a sequence file; every malformed or inconsistent frame is a DataError naming file:line.
+    """Read a sequence file and its frame stack; bad input is a DataError.
 
-    Frame indices must run 0..T-1 in file order, modalities be rgb or nir,
-    ``valid`` a boolean, every image 3-channel with the scenario's image
-    size, every confidence ``s`` in [0, 1], and every ``gt`` size
-    non-negative (positive on frame 0, where the track starts).
+    The JSONL must hold one frame record per scenario frame, and the
+    ``.npy`` beside it (``frames_path``) one uint8 array of shape
+    ``(frames, image_height, image_width, 3)`` from the header's scenario;
+    each frame's image is a view of that array.  A malformed or
+    inconsistent frame record names file:line: frame indices must run
+    0..T-1 in file order, modalities be rgb or nir, ``valid`` a boolean,
+    every confidence ``s`` in [0, 1], and every ``gt`` size non-negative
+    (positive on frame 0, where the track starts).
     """
     path = Path(path)
     try:
@@ -298,24 +244,21 @@ def load_sequence(path: str | Path) -> Sequence:
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"{path}: invalid scenario in header: {exc}") from exc
 
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(body) != scenario.frames:
+        raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
+    frames = _load_frames(path, scenario)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for (lineno, line), pixels in zip(body, frames):
+        image = Image(scenario.image_width, scenario.image_height, FRAME_CHANNELS, pixels)
         try:
-            records.append(_frame_record(json.loads(line), path, scenario, len(records)))
+            records.append(_frame_record(json.loads(line), image, len(records)))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not records:
-        raise DataError(f"{path}: sequence has no frames")
-    if len(records) != scenario.frames:
-        raise DataError(
-            f"{path}: header says {scenario.frames} frames, found {len(records)}"
-        )
     return Sequence(scenario=scenario, records=records)
 
 

@@ -181,6 +181,13 @@ class Scenario:
     def near_switch(self, t: int) -> bool:
         return any(abs(t - sw) <= self.switch_radius for sw in self.switch_frames())
 
+    def near_switch_mask(self) -> np.ndarray:
+        """``near_switch(t)`` for every frame t, from one ``switch_frames()`` walk."""
+        near = np.zeros(self.frames, dtype=bool)
+        for sw in self.switch_frames():
+            near[max(0, sw - self.switch_radius) : sw + self.switch_radius + 1] = True
+        return near
+
     def gt_boxes(self) -> list[BBox]:
         """Ground-truth path: the same discrete turn model the filter uses."""
         f = turn_transition(self.turn_rate)
@@ -302,12 +309,13 @@ def generate(sc: Scenario) -> Sequence:
     """Render the whole scripted sequence.  Deterministic given the seed."""
     rng = np.random.default_rng(sc.seed)
     gts = sc.gt_boxes()
+    near_switch = sc.near_switch_mask()
     records = []
     for t in range(sc.frames):
         image = render_frame(sc, t, gts[t], rng)
         valid = not sc.is_invalid(t)
         if valid:
-            near = sc.near_switch(t)
+            near = near_switch[t]
             sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
             observed, s = stub_tracker(gts[t], sigma_eff, rng)
             if near:
@@ -379,12 +387,15 @@ def classify_sequence(
     ]
 
 
-def _frame_tags(sc: Scenario, t: int) -> list[str]:
-    tags = [sc.scheduled_modality(t)]
-    if sc.is_invalid(t):
-        tags.append("invalid-window")
-    if sc.near_switch(t):
-        tags.append("switch")
+def _frame_tags(sc: Scenario) -> list[list[str]]:
+    near_switch = sc.near_switch_mask()
+    tags = []
+    for t in range(sc.frames):
+        tags.append([sc.scheduled_modality(t)])
+        if sc.is_invalid(t):
+            tags[t].append("invalid-window")
+        if near_switch[t]:
+            tags[t].append("switch")
     return tags
 
 
@@ -413,7 +424,7 @@ def run(
     return TrackRun(
         pred=[BBox(*box) for box in boxes.tolist()],
         gt=inputs.gt,
-        tags=[_frame_tags(sc, t) for t in range(len(seq.records))],
+        tags=_frame_tags(sc),
     )
 
 

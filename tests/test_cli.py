@@ -1,13 +1,14 @@
 """Command-line surface: exit codes, determinism, end-to-end pipeline."""
 
-import base64
 import json
+import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from xmtrack.cli import main
-from xmtrack.io import load_trackrun, save_scenario
+from xmtrack.io import frames_path, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
 from xmtrack.sim import Scenario, scenario_to_dict
 
@@ -74,6 +75,7 @@ def test_simulate_rerun_is_byte_identical(tmp_path, scenario_file):
     for out in (out1, out2):
         assert main(["simulate", str(scenario_file), "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert frames_path(out1).read_bytes() == frames_path(out2).read_bytes()
 
 
 def test_sigma_override_changes_sequence(tmp_path, scenario_file):
@@ -192,29 +194,23 @@ def test_track_seed_flag_is_gone(tmp_path, sequence_file, capsys):
     capsys.readouterr()
 
 
-def test_non_finite_observation_exits_2(tmp_path, turning_sequence, capsys):
-    lines = turning_sequence.read_text().splitlines()
-    frame = json.loads(lines[5])
-    frame["observed"][1] = float("nan")
-    lines[5] = json.dumps(frame)
-    bad = tmp_path / "nan.jsonl"
+def _edited_copy(sequence, bad, line, edit):
+    """Copy a sequence and its frame stack to ``bad``, with ``edit`` applied to file line ``line``."""
+    lines = sequence.read_text().splitlines()
+    frame = json.loads(lines[line - 1])
+    edit(frame)
+    lines[line - 1] = json.dumps(frame)
     bad.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(frames_path(sequence), frames_path(bad))
+
+
+def test_non_finite_observation_exits_2(tmp_path, turning_sequence, capsys):
+    bad = tmp_path / "nan.jsonl"
+    _edited_copy(turning_sequence, bad, 6, lambda f: f["observed"].__setitem__(1, float("nan")))
     out = tmp_path / "run.json"
     assert main(["track", str(bad), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-def _resize_image(frame, width, height):
-    image = frame["image"]
-    image.update(width=width, height=height)
-    image["pixels_b64"] = base64.b64encode(bytes(width * height * image["channels"])).decode()
-
-
-def _grayscale_image(frame):
-    image = frame["image"]
-    image["channels"] = 1
-    image["pixels_b64"] = base64.b64encode(bytes(image["width"] * image["height"])).decode()
 
 
 def _gt_width(width):
@@ -225,12 +221,6 @@ def _gt_width(width):
 # BAD_FRAME_LINE names, makes one malformed or inconsistent frame.
 BAD_FRAMES = {
     "index_not_integer": lambda f: f.update(index="x"),
-    "width_not_integer": lambda f: f["image"].update(width="wide"),
-    "height_not_integer": lambda f: f["image"].update(height=12.5),
-    "channels_not_integer": lambda f: f["image"].update(channels="3"),
-    "pixel_count_mismatch": lambda f: f["image"].update(width=65),
-    "image_smaller_than_scenario": lambda f: _resize_image(f, 32, 32),
-    "grayscale_image": _grayscale_image,
     "modality_unknown": lambda f: f.update(modality="xyz"),
     "index_duplicated": lambda f: f.update(index=3),
     "index_skipped": lambda f: f.update(index=5),
@@ -246,16 +236,67 @@ BAD_FRAME_LINE = {"gt_zero_width_on_frame_0": 2}
 @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
 def test_malformed_frame_exits_2_naming_file_and_line(tmp_path, sequence_file, case, capsys):
     line = BAD_FRAME_LINE.get(case, 6)
-    lines = sequence_file.read_text().splitlines()
-    frame = json.loads(lines[line - 1])
-    BAD_FRAMES[case](frame)
-    lines[line - 1] = json.dumps(frame)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
+    _edited_copy(sequence_file, bad, line, BAD_FRAMES[case])
     out = tmp_path / "run.json"
     assert main(["track", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:{line}: " in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _header_only(npy, frames):
+    with open(npy, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        header = fh.tell()
+    npy.write_bytes(npy.read_bytes()[:header])
+
+
+def _header_shape(shape):
+    def write(npy, frames):
+        with open(npy, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False, "shape": shape})
+            fh.write(frames.tobytes())
+
+    return write
+
+
+def _npz(npy, frames):
+    with open(npy, "wb") as fh:  # a file handle: given a path, np.savez appends .npz
+        np.savez(fh, frames=frames)
+
+
+# Each function breaks the (frames, 64, 64, 3) uint8 stack beside a valid
+# sequence file, given its path and its frames.
+BAD_STORES = {
+    "missing": lambda npy, frames: npy.unlink(),
+    "empty": lambda npy, frames: npy.write_bytes(b""),
+    "truncated": lambda npy, frames: npy.write_bytes(npy.read_bytes()[:-100]),
+    "header_only": _header_only,
+    "shape_not_integer": _header_shape((30, 64.0, 64, 3)),
+    # More bytes than any address space: np.load fails to allocate, touching no memory.
+    "shape_past_any_memory": _header_shape((10**12, 64, 64, 3)),
+    "pickled_object_array": lambda npy, frames: np.save(
+        npy, np.array([frames, None], dtype=object), allow_pickle=True
+    ),
+    "npz_archive": _npz,
+    "dtype_int16": lambda npy, frames: np.save(npy, frames.astype(np.int16)),
+    "frames_32x32": lambda npy, frames: np.save(npy, frames[:, :32, :32]),
+    "one_channel": lambda npy, frames: np.save(npy, frames[..., :1]),
+    "one_frame_too_few": lambda npy, frames: np.save(npy, frames[:-1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STORES))
+def test_bad_frame_store_exits_2_naming_the_npy(tmp_path, sequence_file, case, capsys):
+    npy = frames_path(sequence_file)
+    BAD_STORES[case](npy, np.load(npy))
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xmtrack track: {npy}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -365,6 +406,9 @@ def test_ablate_rejects_a_negative_seed_like_an_empty_suite(tmp_path, capsys):
     assert main(["ablate", "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 def test_corrupt_input_exits_2(tmp_path):

@@ -1,5 +1,7 @@
 """File formats round-trip bit-exactly; bad inputs become DataError."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,22 +11,21 @@ from dataclasses import replace
 from xmtrack.ctp import BBox, MotionKind, MotionModel, SessionConfig
 from xmtrack.io import (
     DataError,
+    frames_path,
     load_scenario,
     load_sequence,
     load_session_config,
     load_trackrun,
     load_weights,
-    read_pnm,
     resolve_config_path,
     save_scenario,
     save_sequence,
     save_trackrun,
     save_weights,
-    write_pnm,
 )
 from xmtrack.metrics import TrackRun
 from xmtrack.sim import Scenario, generate
-from xmtrack.state_switch import Image, random_switch_weights
+from xmtrack.state_switch import random_switch_weights
 
 
 def test_weights_roundtrip_is_exact(tmp_path):
@@ -63,37 +64,18 @@ def test_scenario_file_roundtrip(tmp_path):
     assert load_scenario(path) == sc
 
 
-def test_pnm_roundtrip_gray_and_color(tmp_path):
-    rng = np.random.default_rng(1)
-    gray = Image(6, 4, 1, rng.integers(0, 256, size=24, dtype=np.uint8))
-    color = Image(5, 3, 3, rng.integers(0, 256, size=45, dtype=np.uint8))
-    for img, name in ((gray, "g.pgm"), (color, "c.ppm")):
-        path = tmp_path / name
-        write_pnm(path, img)
-        back = read_pnm(path)
-        assert (back.width, back.height, back.channels) == (
-            img.width,
-            img.height,
-            img.channels,
-        )
-        assert back.pixels.tobytes() == img.pixels.tobytes()
-
-
-def test_read_pnm_rejects_truncated_file(tmp_path):
-    path = tmp_path / "trunc.pgm"
-    path.write_bytes(b"P5\n4 4\n255\nab")  # promises 16 bytes, ships 2
-    with pytest.raises(DataError):
-        read_pnm(path)
-
-
-@pytest.mark.parametrize("mode", ["inline", "sidecar"])
-def test_sequence_roundtrip(tmp_path, mode):
+def test_sequence_roundtrip(tmp_path):
     sc = Scenario(name="seqio", frames=6, sigma=1.0, seed=3,
                   modality_schedule=[(0, 3, "rgb"), (3, 6, "nir")],
                   invalid_windows=[(2, 3)])
     seq = generate(sc)
     path = tmp_path / "seq.jsonl"
-    save_sequence(path, seq, image_mode=mode)
+    save_sequence(path, seq)
+    frames = np.load(tmp_path / "seq.jsonl.npy")
+    assert frames_path(path) == tmp_path / "seq.jsonl.npy"
+    assert (frames.dtype, frames.shape) == (np.uint8, (6, sc.image_height, sc.image_width, 3))
+    metadata = {"type", "index", "gt", "modality", "valid", "observed", "s"}
+    assert all(set(json.loads(line)) == metadata for line in path.read_text().splitlines()[1:])
     back = load_sequence(path)
     assert back.scenario == sc
     assert len(back.records) == len(seq.records)
@@ -105,7 +87,10 @@ def test_sequence_roundtrip(tmp_path, mode):
         assert (ra.gt.cx, ra.gt.cy, ra.gt.w, ra.gt.h) == (
             rb.gt.cx, rb.gt.cy, rb.gt.w, rb.gt.h,
         )
-        assert ra.image.pixels.tobytes() == rb.image.pixels.tobytes()
+        assert (rb.image.width, rb.image.height, rb.image.channels) == (
+            ra.image.width, ra.image.height, ra.image.channels,
+        )
+        np.testing.assert_array_equal(rb.image.pixels, ra.image.pixels)
 
 
 @pytest.mark.parametrize(
@@ -114,8 +99,6 @@ def test_sequence_roundtrip(tmp_path, mode):
      ("s", float("nan")), ("s", "high")],
 )
 def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
-    import json
-
     sc = Scenario(name="nan", frames=4, seed=2)
     path = tmp_path / "seq.jsonl"
     save_sequence(path, generate(sc))
@@ -126,14 +109,6 @@ def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=":3:"):
         load_sequence(path)
-
-
-def test_sidecar_writes_image_files(tmp_path):
-    sc = Scenario(name="side", frames=4, seed=1,
-                  modality_schedule=[(0, 4, "nir")])
-    save_sequence(tmp_path / "s.jsonl", generate(sc), image_mode="sidecar")
-    images = list((tmp_path / "s_frames").glob("*.p?m"))
-    assert len(images) == 4
 
 
 def test_trackrun_roundtrip(tmp_path):

@@ -258,9 +258,11 @@ def test_switch_frames_match_full_scan():
                       switch_radius=radius)
         expected = scan_switch_frames(sc)
         assert sc.switch_frames() == expected, (frames, schedule)
+        near = sc.near_switch_mask()
+        assert near.shape == (frames,)
         for t in range(frames):
             want = any(abs(t - sw) <= radius for sw in expected)
-            assert sc.near_switch(t) == want, (frames, schedule, t)
+            assert sc.near_switch(t) == want == near[t], (frames, schedule, t)
 
 
 def test_generate_schedule_queries_grow_linearly(monkeypatch):
