@@ -274,7 +274,9 @@ BAD_STORES = {
     "empty": lambda npy, frames: npy.write_bytes(b""),
     "truncated": lambda npy, frames: npy.write_bytes(npy.read_bytes()[:-100]),
     "header_only": _header_only,
-    "shape_not_integer": _header_shape((30, 64.0, 64, 3)),
+    "height_not_integer": _header_shape((30, 64.0, 64, 3)),
+    "width_not_integer": _header_shape((30, 64, 64.0, 3)),
+    "channels_not_integer": _header_shape((30, 64, 64, 3.0)),
     # More bytes than any address space: np.load fails to allocate, touching no memory.
     "shape_past_any_memory": _header_shape((10**12, 64, 64, 3)),
     "pickled_object_array": lambda npy, frames: np.save(
