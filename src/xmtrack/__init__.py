@@ -11,7 +11,6 @@ from .core import (
     GradPair,
     ShapeError,
     Tensor,
-    adaptive_avg_pool,
     adaptive_max_pool,
     attention,
     cosine_similarity,

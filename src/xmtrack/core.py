@@ -2,7 +2,7 @@
 
 Everything operates on plain float64 numpy arrays (aliased ``Tensor``).  The
 operator set is the minimum the rest of the toolkit needs: matrix products,
-affine maps, relu/sigmoid, numerically stable softmax, adaptive pooling,
+affine maps, relu/sigmoid, numerically stable softmax, adaptive max pooling,
 single-head scaled dot-product attention and cosine similarity.  Each
 differentiable op has a hand-derived vector-Jacobian product, and
 ``grad_check`` ties forward and backward together via central differences.
@@ -95,6 +95,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
+def scalar_sigmoid(x: float) -> float:
+    """``sigmoid`` of one float, bit for bit: same split by sign, same ``np.exp``."""
+    if x >= 0.0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
+
+
 def softmax(v: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis`` (max subtraction before exponentiation)."""
     v = as_tensor(v)
@@ -114,18 +122,6 @@ def _pool_windows(n_in: int, n_out: int) -> list[tuple[int, int]]:
     ]
 
 
-def _check_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"pool: expected C*H*W input, got shape {x.shape}")
-    h, w = out_hw
-    if h <= 0 or w <= 0 or h > x.shape[1] or w > x.shape[2]:
-        raise ShapeError(
-            f"pool: output {out_hw} not within input plane {x.shape[1:]}"
-        )
-    return x
-
-
 def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     """Adaptive max pool of a (C, H, W) tensor to (C, h, w).
 
@@ -133,23 +129,16 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     those, h + w reductions instead of h * w.  Max is exact, so the result
     equals the per-cell window max bit for bit.
     """
-    x = _check_pool(x, out_hw)
-    rows = _pool_windows(x.shape[1], out_hw[0])
-    cols = _pool_windows(x.shape[2], out_hw[1])
+    x = as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"pool: expected C*H*W input, got shape {x.shape}")
+    h, w = out_hw
+    if h <= 0 or w <= 0 or h > x.shape[1] or w > x.shape[2]:
+        raise ShapeError(f"pool: output {out_hw} not within input plane {x.shape[1:]}")
+    rows = _pool_windows(x.shape[1], h)
+    cols = _pool_windows(x.shape[2], w)
     by_row = np.stack([x[:, r0:r1].max(axis=1) for r0, r1 in rows], axis=1)
     return np.stack([by_row[:, :, c0:c1].max(axis=2) for c0, c1 in cols], axis=2)
-
-
-def adaptive_avg_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Adaptive average pool of a (C, H, W) tensor to (C, h, w)."""
-    x = _check_pool(x, out_hw)
-    rows = _pool_windows(x.shape[1], out_hw[0])
-    cols = _pool_windows(x.shape[2], out_hw[1])
-    out = np.empty((x.shape[0], out_hw[0], out_hw[1]), dtype=np.float64)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
-    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, d_k: float | None = None) -> Tensor:

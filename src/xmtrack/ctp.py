@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Real
@@ -92,7 +93,8 @@ class MotionKind(str, Enum):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+    """A real, non-bool number finite as a float (an int past the float range is not)."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,6 @@ def reliability(s, m, epsilon=DEFAULT_EPSILON):
     if not _in_unit_interval(m):
         raise ValueError(f"reliability: modality weight m={m} outside [0, 1]")
     return np.maximum(epsilon, s * abs(2.0 * m - 1.0))
-
-
-def filter_reliability(use_reliability, s, m, epsilon=DEFAULT_EPSILON):
-    """The r a filter corrects with: ``reliability`` where use_reliability, else 1.
-
-    Elementwise, so it serves one session or a bank's rows; s and m are
-    checked either way.
-    """
-    return np.where(use_reliability, reliability(s, m, epsilon), 1.0)[()]
 
 
 def cv_transition(dt: float = 1.0) -> Tensor:
@@ -259,14 +252,16 @@ def capped_multiplier(theta: float, cap_mult: float, streak: int) -> float:
 def batch_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
     """Reliability-weighted Kalman correction of a stack of B filters.
 
-    x (B, 8), P (B, 8, 8), R (B, 4, 4), r (B,), z (B, 4).  S = H P H^T + R/r
-    is factored as L L^T; a stack that is not finite or not positive definite
-    raises FilterDegenerateError.  With A = L^-1 H P, the gain is
-    K = P H^T S^-1 = A^T L^-1, so x += A^T L^-1 (z - H x) and
-    P = (I - K H) P = P - A^T A, re-symmetrized.  This is the only place S
-    and K are formed.  Inputs are checked before anything is computed.
+    x (B, 8), P (B, 8, 8), R (B, 4, 4), r (B,), z (B, 4) or one (4,) for
+    every row.  S = H P H^T + R/r is factored as L L^T; a stack that is not
+    finite or not positive definite raises FilterDegenerateError.  One
+    triangular solve gives [A | w] = L^-1 [H P | z - H x].  The gain is
+    K = P H^T S^-1 = A^T L^-1, so the one product A^T [A | w] holds both
+    steps: P = (I - K H) P = P - A^T A, re-symmetrized, and x += A^T w.
+    This is the only place S and K are formed.  Inputs are checked before
+    anything is computed.
     """
-    if not (np.isfinite(z).all() and (r > 0.0).all() and (r < np.inf).all()):
+    if not (np.isfinite(z).all() and ((0.0 < r) & (r < np.inf)).all()):
         raise ValueError("ctp update: observation z must be finite and reliability r finite positive")
     # H picks the box components out of the state, so H P H^T is a slice of P.
     with np.errstate(over="ignore"):  # an overflow is reported as degenerate below
@@ -279,10 +274,9 @@ def batch_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple
         raise FilterDegenerateError("ctp update: innovation covariance not positive definite") from exc
     innovation = (z - x[:, :OBS_DIM])[:, :, None]
     white = np.linalg.solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2))
-    a_t = white[:, :, :STATE_DIM].transpose(0, 2, 1)
-    x_new = x + (a_t @ white[:, :, STATE_DIM:])[:, :, 0]
-    p_new = P - a_t @ white[:, :, :STATE_DIM]
-    return x_new, (p_new + p_new.transpose(0, 2, 1)) / 2.0
+    step = white[:, :, :STATE_DIM].transpose(0, 2, 1) @ white  # A^T [A | w], (B, 8, 9)
+    p_new = P - step[:, :, :STATE_DIM]
+    return x + step[:, :, STATE_DIM], (p_new + p_new.transpose(0, 2, 1)) / 2.0
 
 
 def batch_predict(x: Tensor, P: Tensor, F: Tensor, Q: Tensor) -> tuple[Tensor, Tensor]:
@@ -303,10 +297,10 @@ def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
     """``batch_update`` of one filter.
 
     Updates only happen on valid frames, so the process noise drops back to
-    its base value and the invalid streak resets here.
+    its base value and the invalid streak resets here.  z is the (4,)
+    observation, r a float.
     """
-    z = as_tensor(z).reshape(1, OBS_DIM)
-    x, p = batch_update(fs.x[None], fs.P[None], fs.R[None], np.array([r], dtype=np.float64), z)
+    x, p = batch_update(fs.x[None], fs.P[None], fs.R[None], np.array([r]), z)
     # Q is never written in place (inflate_Q builds a new array), so the
     # reset can share Q_base.
     return FilterState(x=x[0], P=p[0], Q=fs.Q_base, R=fs.R, Q_base=fs.Q_base, invalid_streak=0)
@@ -314,8 +308,7 @@ def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
 
 def ctp_predict(fs: FilterState, model: MotionModel, dt: float = 1.0) -> FilterState:
     """``batch_predict`` of one filter under ``model``."""
-    f = transition_matrix(model, dt)
-    x, p = batch_predict(fs.x[None], fs.P[None], f[None], fs.Q[None])
+    x, p = batch_predict(fs.x[None], fs.P[None], transition_matrix(model, dt)[None], fs.Q[None])
     return FilterState(x=x[0], P=p[0], Q=fs.Q, R=fs.R, Q_base=fs.Q_base, invalid_streak=fs.invalid_streak)
 
 
@@ -330,7 +323,8 @@ def inflate_Q(
     The cap stops covariance blow-up on long streaks; ctp_update resets.
     """
     streak = fs.invalid_streak + 1
-    return replace(fs, Q=capped_multiplier(theta, cap_mult, streak) * fs.Q_base, invalid_streak=streak)
+    q = capped_multiplier(theta, cap_mult, streak) * fs.Q_base
+    return FilterState(x=fs.x, P=fs.P, Q=q, R=fs.R, Q_base=fs.Q_base, invalid_streak=streak)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ class SessionConfig:
             diag = tuple(getattr(self, name))
             if len(diag) != n or not all(_is_number(v) and v > 0 for v in diag):
                 raise ValueError(f"SessionConfig: {name} needs {n} finite positive entries")
-            setattr(self, name, diag)
+            setattr(self, name, tuple(map(float, diag)))  # a big int would make an object array
         for name in ("theta", "cap_mult", "epsilon", "rho"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"SessionConfig: {name} must be a finite number")
@@ -421,8 +415,11 @@ class FilterBank:
         self.box_max = np.stack([hi for _, hi in limits])
 
     def reliability(self, s: Tensor, m: Tensor) -> Tensor:
-        """Per-row r for s and m of shape (..., B); 1 on rows without reliability."""
-        return filter_reliability(self.use_reliability, s, m, self.epsilon)
+        """Per-row r for s and m of shape (..., B); 1 on rows without reliability.
+
+        s and m are checked on every row.
+        """
+        return np.where(self.use_reliability, reliability(s, m, self.epsilon), 1.0)
 
     def step(self, valid: Tensor, z: Tensor, r: Tensor) -> Tensor:
         """One frame for every row; returns the reported boxes (B, 4).
@@ -486,7 +483,7 @@ class TrackerSession:
             raise ValueError(
                 "step: need either a precomputed decision or an image plus switch weights"
             )
-        return classify(frame.image, frame.image.features(), self.switch_weights, self.config.rho)
+        return classify(frame.image, self.switch_weights, self.config.rho)
 
     def step(self, frame: FrameInput) -> BBox:
         """One frame; ``fs`` changes only if the whole step succeeds."""
@@ -502,11 +499,12 @@ class TrackerSession:
         else:
             if frame.observed is None:
                 raise ValueError("step: valid frame without an observation")
-            r = filter_reliability(cfg.use_reliability, frame.s, decision.m, cfg.epsilon)
-            fs = ctp_update(fs, frame.observed.as_array(), r)
+            r = reliability(frame.s, decision.m, cfg.epsilon)  # checks s and m either way
+            fs = ctp_update(fs, frame.observed.as_array(), r if cfg.use_reliability else 1.0)
         self.fs = ctp_predict(fs, cfg.motion)
         return self.report_box()
 
     def report_box(self) -> BBox:
-        cx, cy, w, h = np.clip(self.fs.x[:OBS_DIM], *self.box_limits).tolist()
+        lo, hi = self.box_limits
+        cx, cy, w, h = np.minimum(np.maximum(self.fs.x[:OBS_DIM], lo), hi).tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tokenize
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -39,14 +40,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _load_json(path: str | Path):
+def _read_text(path: str | Path) -> str:
+    """The file as UTF-8 text; a missing file or bytes that are not UTF-8 are a DataError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def _parse_json(text: str, where):
+    """``json.loads``; malformed JSON, an over-long integer or too deep nesting is a DataError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{where}: malformed JSON: {exc}") from exc
+
+
+def _load_json(path: str | Path):
+    return _parse_json(_read_text(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +80,23 @@ def save_weights(path: str | Path, tensors: dict[str, np.ndarray]):
 
 
 def load_weights(path: str | Path) -> dict[str, np.ndarray]:
+    """Tensors by name; each entry's shape lists non-negative integers its data fills."""
     payload = _load_json(path)
-    if payload.get("format") != WEIGHTS_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != WEIGHTS_FORMAT:
         raise DataError(f"{path}: not a {WEIGHTS_FORMAT} file")
+    entries = payload.get("tensors", {})
+    if not isinstance(entries, dict):
+        raise DataError(f"{path}: tensors must be an object of named entries")
     tensors = {}
-    for name, entry in payload.get("tensors", {}).items():
+    for name, entry in entries.items():
         try:
-            shape = tuple(entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad tensor entry {name!r}") from exc
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"{path}: tensor {name!r} data does not match shape {shape}")
-        tensors[name] = data.reshape(shape)
+            shape = tuple(_integer(n, "dimension") for n in entry["shape"])
+            if any(n < 0 for n in shape):
+                raise DataError(f"negative dimension in shape {shape}")
+            tensors[name] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        # ValueError: data that does not fill the shape; OverflowError: an int past the float range.
+        except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: bad tensor entry {name!r}: {exc}") from exc
     return tensors
 
 
@@ -111,7 +129,7 @@ def _box_list(b: BBox) -> list[float]:
 def _finite(v, what: str) -> float:
     try:
         x = float(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise DataError(f"bad {what} value {v!r}") from exc
     if not math.isfinite(x):
         raise DataError(f"non-finite {what} value {v!r}")
@@ -172,7 +190,8 @@ def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
     npy = frames_path(path)
     try:
         frames = np.load(npy, allow_pickle=False)
-    except (OSError, ValueError, EOFError, MemoryError) as exc:  # MemoryError: a header claiming vast data
+    # MemoryError: a header claiming vast data; SyntaxError, TokenError: a garbled header.
+    except (OSError, ValueError, EOFError, MemoryError, SyntaxError, tokenize.TokenError) as exc:
         raise DataError(f"{npy}: unreadable frame stack: {exc}") from exc
     if not isinstance(frames, np.ndarray):  # an .npz archive
         frames.close()
@@ -227,16 +246,10 @@ def load_sequence(path: str | Path) -> Sequence:
     (positive on frame 0, where the track starts).
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty sequence file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed header line: {exc}") from exc
+    header = _parse_json(lines[0], f"{path}:1")
     if not isinstance(header, dict) or header.get("type") != "header" or "scenario" not in header:
         raise DataError(f"{path}: first line is not a sequence header")
     try:
@@ -251,10 +264,9 @@ def load_sequence(path: str | Path) -> Sequence:
     records = []
     for (lineno, line), pixels in zip(body, frames):
         image = Image(scenario.image_width, scenario.image_height, FRAME_CHANNELS, pixels)
+        d = _parse_json(line, f"{path}:{lineno}")
         try:
-            records.append(_frame_record(json.loads(line), image, len(records)))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            records.append(_frame_record(d, image, len(records)))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:

@@ -65,6 +65,8 @@ MODALITIES = ("rgb", "nir")
 # Far beyond any frame and far inside the float range: a scenario whose path
 # and observation noise stay below it renders and observes finite boxes.
 MAX_COORD = 1e9
+# Largest rendered image, 4096 x 4096 pixels.
+MAX_IMAGE_PIXELS = 1 << 24
 
 
 def _is_int(v) -> bool:
@@ -125,6 +127,7 @@ class Scenario:
         path = max(abs(cx), abs(cy), w, h) + math.hypot(*self.velocity) * min(self.frames, MAX_COORD)
         for ok, rule in (
             (w > 0 and h > 0, "a positive initial_box width and height"),
+            (self.image_width * self.image_height <= MAX_IMAGE_PIXELS, f"<= {MAX_IMAGE_PIXELS} image pixels"),
             (self.sigma >= 0, "sigma >= 0"),
             (self.switch_noise_boost >= 1.0, "switch_noise_boost >= 1"),
             (
@@ -296,12 +299,13 @@ def stub_tracker(
 
 def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> BBox:
     # Maximally uninformative: uniform over the frame.  Filters are expected
-    # to ignore it; the 'off' baseline freezes instead of consuming it.
+    # to ignore it; the 'off' baseline freezes instead of consuming it.  A
+    # frame narrower than 20 px gets 5 px boxes.
     return BBox(
         cx=float(rng.uniform(0, sc.frame_width)),
         cy=float(rng.uniform(0, sc.frame_height)),
-        w=float(rng.uniform(5.0, sc.frame_width / 4)),
-        h=float(rng.uniform(5.0, sc.frame_height / 4)),
+        w=float(rng.uniform(5.0, max(5.0, sc.frame_width / 4))),
+        h=float(rng.uniform(5.0, max(5.0, sc.frame_height / 4))),
     )
 
 
@@ -382,9 +386,7 @@ def classify_sequence(
 ) -> list[TriStateDecision]:
     """Tri-state decision per frame (weights default to the built-in separator)."""
     w = weights or separator_switch_weights()
-    return [
-        classify(rec.image, rec.image.features(), w, rho) for rec in seq.records
-    ]
+    return [classify(rec.image, w, rho) for rec in seq.records]
 
 
 def _frame_tags(sc: Scenario) -> list[list[str]]:

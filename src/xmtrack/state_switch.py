@@ -8,28 +8,24 @@ Two mechanisms combine:
 * a pixel-counting over-exposure detector (fraction of near-white pixels
   above a ratio threshold marks the frame Invalid).
 
+The spectral branch reads exact channel means of the uint8 pixels.
+``classify`` builds the float (C, H, W) feature plane only for weights whose
+plan runs the spatial branch's conv.
+
 The classifier here is inference-only: weights are loaded from a file or
 built by an initializer; training is out of scope.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import (
-    ShapeError,
-    Tensor,
-    adaptive_avg_pool,
-    adaptive_max_pool,
-    as_tensor,
-    linear,
-    relu,
-    sigmoid,
-)
+from .core import ShapeError, Tensor, adaptive_max_pool, as_tensor, relu, scalar_sigmoid
 
 # Fixed classifier hyper-parameters (unspecified upstream; pinned so tests
 # are deterministic): 3x3 conv, stride 1, pad 1, out channels = in channels;
@@ -40,8 +36,10 @@ FUSION_HIDDEN = 16
 
 WHITE_LEVEL = 250
 # BT.601 luma weights in thousandths, as ``Image.grayscale`` applies them.
-_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0])
+_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0], dtype=np.float32)
 DEFAULT_RHO = 0.40
+
+WEIGHT_NAMES = ("conv_w", "conv_b", "spec_w", "spec_b", "fuse1_w", "fuse1_b", "fuse2_w", "fuse2_b")
 
 
 class TriState(str, Enum):
@@ -100,6 +98,27 @@ class Image:
         plane = self.pixels.reshape(self.height, self.width, self.channels).transpose(2, 0, 1)
         return np.divide(plane, 255.0, out=np.empty(plane.shape, dtype=np.float64))
 
+    def channel_means(self) -> Tensor:
+        """Per-channel mean of ``features()``'s values, shape (C,), correctly rounded.
+
+        The channel sums are a ones vector times the (H*W, C) float64 pixels:
+        every partial sum is an integer below 2**53, so they are exact in any
+        BLAS order, and one division by 255*H*W rounds the exact mean.
+        """
+        n = self.width * self.height
+        if n == 0:
+            raise ShapeError("Image.channel_means: empty image")
+        sums = _ones(n) @ self.pixels.reshape(n, self.channels).astype(np.float64)
+        return sums / (255.0 * n)
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(n: int) -> Tensor:
+    """A read-only ones vector of length n, one per image size."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
 
 @dataclass(frozen=True)
 class SwitchWeights:
@@ -115,7 +134,8 @@ class SwitchWeights:
     for rounding).  For features in [0, 1], as ``Image.features`` gives, the
     spatial vector is then finite and >= 0, so each product 0 * f_spa equals
     0 * 0 bit for bit, sign included, and ``classify`` passes the read-only
-    zero vector ``spatial_zeros`` in its place without running the conv.
+    zero vector ``spatial_zeros`` in its place without building the feature
+    plane or running the conv.
     ``fuse1_w`` is not sliced: its full dot product with the zeros gives m
     bit-identical to the full path whatever order BLAS sums in, which a
     shorter dot product does not.  ``spatial_zeros`` is None when the
@@ -133,16 +153,7 @@ class SwitchWeights:
     spatial_zeros: Tensor | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in (
-            "conv_w",
-            "conv_b",
-            "spec_w",
-            "spec_b",
-            "fuse1_w",
-            "fuse1_b",
-            "fuse2_w",
-            "fuse2_b",
-        ):
+        for name in WEIGHT_NAMES:
             frozen = np.array(getattr(self, name), dtype=np.float64)
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
@@ -173,30 +184,12 @@ class SwitchWeights:
         return self.conv_w.shape[0]
 
     def tensor_map(self) -> dict[str, Tensor]:
-        return {
-            "switch.conv_w": self.conv_w,
-            "switch.conv_b": self.conv_b,
-            "switch.spec_w": self.spec_w,
-            "switch.spec_b": self.spec_b,
-            "switch.fuse1_w": self.fuse1_w,
-            "switch.fuse1_b": self.fuse1_b,
-            "switch.fuse2_w": self.fuse2_w,
-            "switch.fuse2_b": self.fuse2_b,
-        }
+        return {f"switch.{name}": getattr(self, name) for name in WEIGHT_NAMES}
 
     @classmethod
     def from_tensor_map(cls, tensors: dict[str, Tensor]) -> "SwitchWeights":
         try:
-            return cls(
-                conv_w=tensors["switch.conv_w"],
-                conv_b=tensors["switch.conv_b"],
-                spec_w=tensors["switch.spec_w"],
-                spec_b=tensors["switch.spec_b"],
-                fuse1_w=tensors["switch.fuse1_w"],
-                fuse1_b=tensors["switch.fuse1_b"],
-                fuse2_w=tensors["switch.fuse2_w"],
-                fuse2_b=tensors["switch.fuse2_b"],
-            )
+            return cls(**{name: tensors[f"switch.{name}"] for name in WEIGHT_NAMES})
         except KeyError as exc:
             raise KeyError(f"weights file missing tensor {exc}") from exc
 
@@ -299,17 +292,21 @@ def spatial_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
     return relu(pooled).ravel()
 
 
-def spectral_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
-    """adaptive avg pool to 1x1 (channel means) -> linear -> relu."""
-    means = adaptive_avg_pool(as_tensor(f_in), (1, 1)).ravel()
-    return relu(linear(means, w.spec_w, w.spec_b))
+def spectral_branch(img: Image, w: SwitchWeights) -> Tensor:
+    """Exact channel means (``Image.channel_means``) -> linear -> relu.
+
+    ``SwitchWeights`` checked the shapes once; only the image's channel
+    count is checked here.
+    """
+    if img.channels != w.channels:
+        raise ShapeError(f"spectral_branch: {img.channels}-channel image, {w.channels}-channel weights")
+    return np.maximum(img.channel_means() @ w.spec_w.T + w.spec_b, 0.0)
 
 
 def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
-    """Fuse the two branch vectors into a scalar modality weight in (0, 1)."""
-    fused = np.concatenate([as_tensor(f_spa).ravel(), as_tensor(f_spe).ravel()])
-    hidden = relu(linear(fused, w.fuse1_w, w.fuse1_b))
-    return float(sigmoid(linear(hidden, w.fuse2_w, w.fuse2_b))[0])
+    """Fuse the two 1-D branch vectors into a scalar modality weight in [0, 1]."""
+    hidden = np.maximum(np.concatenate((f_spa, f_spe)) @ w.fuse1_w.T + w.fuse1_b, 0.0)
+    return scalar_sigmoid((hidden @ w.fuse2_w.T + w.fuse2_b)[0])
 
 
 def is_over_exposed(
@@ -321,9 +318,11 @@ def is_over_exposed(
     counted without forming the grayscale image.  On 3-channel frames the
     luma is (v + 500) // 1000 with v = 299 r + 587 g + 114 b, and for an
     integer v, gray >= L iff v >= 1000 * ceil(L) - 500.  v is computed as
-    one float64 matrix-vector product; every partial sum is an integer
-    below 2**53, so it is exact whatever the summation order.  1-channel
-    frames compare the pixels themselves.
+    one float32 matrix-vector product; every partial sum is an integer
+    in [0, 255000], below 2**24, so it is exact whatever the summation order.
+    The threshold is clamped to [-1, 2**24], which changes no comparison
+    with such a v and keeps it an exact float32 integer.  1-channel frames
+    compare the pixels themselves.
     """
     n = img.width * img.height
     if n == 0:
@@ -331,26 +330,26 @@ def is_over_exposed(
     if img.channels == 1:
         white = np.count_nonzero(img.pixels >= white_level)
     else:
-        luma = img.pixels.reshape(n, 3).astype(np.float64) @ _LUMA_WEIGHTS
-        white = np.count_nonzero(luma >= 1000.0 * math.ceil(white_level) - 500.0)
+        luma = img.pixels.reshape(n, 3).astype(np.float32) @ _LUMA_WEIGHTS
+        white = np.count_nonzero(luma >= min(max(1000.0 * math.ceil(white_level) - 500.0, -1.0), 2.0**24))
     white_ratio = float(white) / n
     return white_ratio > rho, white_ratio
 
 
-def classify(
-    img: Image, f_in: Tensor, w: SwitchWeights, rho: float = DEFAULT_RHO
-) -> TriStateDecision:
+def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriStateDecision:
     """Full tri-state decision for one frame.
 
     Over-exposure is checked first; the modality weight is computed and
     reported either way (downstream consumers use it even on invalid frames).
     When ``w``'s plan skips the spatial branch, its zero vector stands in for
-    ``spatial_branch(f_in, w)``: no fusion column reads that branch, and the
-    substitution leaves m bit-identical (see ``SwitchWeights``).
+    ``spatial_branch(img.features(), w)`` and no feature plane is built: no
+    fusion column reads that branch, so m stays bit-identical (see
+    ``SwitchWeights``).  The stages are looked up by module name on every
+    call, so code that wraps them sees every frame.
     """
     over, white_ratio = is_over_exposed(img, rho)
-    f_spa = spatial_branch(f_in, w) if w.spatial_zeros is None else w.spatial_zeros
-    m = modality_weight(f_spa, spectral_branch(f_in, w), w)
+    f_spa = spatial_branch(img.features(), w) if w.spatial_zeros is None else w.spatial_zeros
+    m = modality_weight(f_spa, spectral_branch(img, w), w)
     if over:
         state = TriState.INVALID
     elif m >= 0.5:

@@ -170,6 +170,7 @@ def test_flags_beat_config_file(tmp_path, turning_sequence):
         '{"motion": "spiral"}',
         '{"turn_rate": "fast"}',
         '[1, 2]',
+        pytest.param('{"theta": 1%s}' % ("0" * 400), id="theta_past_the_float_range"),
     ],
 )
 def test_bad_config_file_exits_2(tmp_path, sequence_file, text, capsys):
@@ -179,6 +180,12 @@ def test_bad_config_file_exits_2(tmp_path, sequence_file, text, capsys):
     assert main(["track", str(sequence_file), "--out", str(out), "--config", str(cfg)]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_config_diagonal_of_big_integers_runs(tmp_path, sequence_file):
+    cfg = tmp_path / "filter.json"
+    cfg.write_text(json.dumps({"r_diag": [10**30] * 4}))  # integers past int64 made an object array
+    assert main(["track", str(sequence_file), "--out", str(tmp_path / "run.json"), "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("flag", [("--rho", "-0.1"), ("--epsilon", "0"), ("--theta", "0.5")])
@@ -287,6 +294,7 @@ BAD_STORES = {
     "frames_32x32": lambda npy, frames: np.save(npy, frames[:, :32, :32]),
     "one_channel": lambda npy, frames: np.save(npy, frames[..., :1]),
     "one_frame_too_few": lambda npy, frames: np.save(npy, frames[:-1]),
+    "header_dict_unclosed": lambda npy, frames: npy.write_bytes(npy.read_bytes().replace(b"}", b" ", 1)),
 }
 
 
@@ -310,6 +318,7 @@ BAD_TRACK_RUNS = {
     "tag_not_string": lambda p: {**p, "tags": [[1]] + p["tags"][1:]},
     "tags_a_string": lambda p: {**p, "tags": ["rgb"] + p["tags"][1:]},
     "negative_box_size": lambda p: {**p, "pred": [[1.0, 1.0, -5.0, 5.0]] + p["pred"][1:]},
+    "coordinate_past_the_float_range": lambda p: {**p, "pred": [[10**400, 1.0, 5.0, 5.0]] + p["pred"][1:]},
     "not_an_object": lambda p: [p],
 }
 
@@ -387,6 +396,8 @@ BAD_SCENARIOS = {
     "sigma_nan": ({"sigma": float("nan")}, []),
     "switch_noise_boost_nan": ({"switch_noise_boost": float("nan")}, []),
     "window_bound_not_integer": ({"invalid_windows": [[12.5, 20]]}, []),
+    "image_past_the_pixel_cap": ({"image_width": 10**30}, []),
+    "sigma_past_the_float_range": ({"sigma": 10**400}, []),
 }
 
 
@@ -411,6 +422,68 @@ def test_ablate_rejects_a_negative_seed_like_an_empty_suite(tmp_path, capsys):
     assert main(["gradcheck", "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+NOT_UTF8 = b'{"name": "\xff\xfe"}\n'
+TOO_DEEP = b"[" * 100_000 + b"\n"
+
+
+def _file(content):
+    """A case input: one file holding ``content``."""
+
+    def build(tmp_path, sequence):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        return path
+
+    return build
+
+
+def _sequence_line(line, content):
+    """A case input: a copy of the sequence, its frame stack beside it, with file line ``line`` replaced."""
+
+    def build(tmp_path, sequence):
+        lines = sequence.read_bytes().splitlines()
+        lines[line - 1] = content.rstrip(b"\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        shutil.copyfile(frames_path(sequence), frames_path(bad))
+        return bad
+
+    return build
+
+
+# case -> (input builder, argv with {bad}/{seq}/{out} filled in, text the one stderr line holds)
+SIMULATE, EVAL, TRACK = "simulate {bad} --out {out}", "eval {bad} --out {out}", "track {bad} --out {out}"
+TRACK_CONFIG = "track {seq} --out {out} --config {bad}"
+UNREADABLE_INPUTS = {
+    "simulate_scenario_not_utf8": (_file(NOT_UTF8), SIMULATE, "{bad}:1: not UTF-8"),
+    "eval_track_run_not_utf8": (_file(NOT_UTF8), EVAL, "{bad}:1: not UTF-8"),
+    "track_sequence_not_utf8": (_file(NOT_UTF8), TRACK, "{bad}:1: not UTF-8"),
+    "track_config_not_utf8": (_file(NOT_UTF8), TRACK_CONFIG, "{bad}:1: not UTF-8"),
+    "track_frame_line_not_utf8": (_sequence_line(4, NOT_UTF8), TRACK, "{bad}:4: not UTF-8"),
+    "simulate_scenario_too_deep": (_file(TOO_DEEP), SIMULATE, "{bad}: malformed JSON"),
+    "eval_track_run_too_deep": (_file(TOO_DEEP), EVAL, "{bad}: malformed JSON"),
+    "track_config_too_deep": (_file(TOO_DEEP), TRACK_CONFIG, "{bad}: malformed JSON"),
+    "track_header_too_deep": (_sequence_line(1, TOO_DEEP), TRACK, "{bad}:1: malformed JSON"),
+    "track_frame_line_too_deep": (_sequence_line(4, TOO_DEEP), TRACK, "{bad}:4: malformed JSON"),
+    "track_frame_line_huge_integer": (
+        _sequence_line(4, b'{"index": ' + b"9" * 5000 + b"}"),
+        TRACK,
+        "{bad}:4: malformed JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2_with_one_line(tmp_path, sequence_file, case, capsys):
+    build, argv, want = UNREADABLE_INPUTS[case]
+    names = {"bad": build(tmp_path, sequence_file), "seq": sequence_file, "out": tmp_path / "out.json"}
+    capsys.readouterr()
+    assert main(argv.format(**names).split()) == 2
+    err = capsys.readouterr().err
+    assert want.format(**names) in err and err.count("\n") == 1
+    assert not names["out"].exists()
 
 
 def test_corrupt_input_exits_2(tmp_path):

@@ -48,6 +48,25 @@ def test_load_weights_rejects_garbage(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["xmtrack-weights-v1"],
+        {"format": "xmtrack-weights-v1", "tensors": [1, 2]},
+        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": ["2"], "data": [1.0, 2.0]}}},
+        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [2.0], "data": [1.0, 2.0]}}},
+        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [-1, 2], "data": [1.0, 2.0]}}},
+        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [3], "data": [1.0, 2.0]}}},
+        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [1], "data": [10**400]}}},
+    ],
+)
+def test_load_weights_rejects_a_bad_payload_or_entry(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError):
+        load_weights(path)
+
+
 def test_scenario_file_roundtrip(tmp_path):
     sc = Scenario(
         name="roundtrip",

@@ -318,6 +318,13 @@ def test_frame_count_past_the_float_range_is_a_value_error():
         Scenario(name="long", frames=10**400)
 
 
+def test_frames_narrower_than_20_px_render_invalid_observations():
+    sc = Scenario(name="narrow", frames=6, frame_width=8, frame_height=12, invalid_windows=[(2, 4)])
+    seq = generate(sc)
+    for rec in seq.records[2:4]:
+        assert rec.observed.w == 5.0 and rec.observed.h == 5.0
+
+
 def test_preset_configs():
     ct = MotionKind.COORDINATED_TURN
     assert preset_config("ctp", 0.02) == SessionConfig(motion=MotionModel(ct, 0.02))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from test_core import naive_max_pool
-from xmtrack.core import relu, sigmoid
+from xmtrack.core import ShapeError, relu, sigmoid
+from xmtrack.ctp import FrameInput, TrackerSession
 from xmtrack.sim import Scenario, classify_sequence, generate
 from xmtrack.state_switch import (
     POOL_HW,
@@ -89,18 +90,18 @@ def test_spatial_branch_output_width():
 def test_spectral_branch_is_relu_linear_of_channel_means():
     rng = np.random.default_rng(3)
     w = random_switch_weights(rng)
-    f_in = rng.random(size=(3, 8, 8))
-    means = f_in.mean(axis=(1, 2))
+    img = Image(8, 8, 3, rng.integers(0, 256, 8 * 8 * 3))
+    means = img.features().mean(axis=(1, 2))
     expected = relu(w.spec_w @ means + w.spec_b)
-    np.testing.assert_allclose(spectral_branch(f_in, w), expected, atol=1e-12)
+    np.testing.assert_allclose(spectral_branch(img, w), expected, atol=1e-12)
 
 
 def test_modality_weight_is_strictly_inside_unit_interval():
     rng = np.random.default_rng(4)
     for _ in range(25):
         w = random_switch_weights(rng)
-        f_in = rng.random(size=(3, 10, 10))
-        m = modality_weight(spatial_branch(f_in, w), spectral_branch(f_in, w), w)
+        img = Image(10, 10, 3, rng.integers(0, 256, 10 * 10 * 3))
+        m = modality_weight(spatial_branch(img.features(), w), spectral_branch(img, w), w)
         assert 0.0 < m < 1.0
 
 
@@ -162,8 +163,8 @@ def test_separator_weights_split_color_from_single_band():
     for seed in range(10):
         color = _color_image((140.0, 95.0, 55.0), seed=seed)
         mono = _single_band_image(seed=seed)
-        d_color = classify(color, color.features(), w)
-        d_mono = classify(mono, mono.features(), w)
+        d_color = classify(color, w)
+        d_mono = classify(mono, w)
         assert d_color.state == TriState.RGB and d_color.m < 0.5
         assert d_mono.state == TriState.NIR and d_mono.m >= 0.5
 
@@ -173,14 +174,14 @@ def test_separator_modality_weight_values():
     # channel-collapsed frames land exactly at sigmoid(4)
     w = separator_switch_weights()
     mono = _single_band_image(seed=3)
-    d = classify(mono, mono.features(), w)
+    d = classify(mono, w)
     assert abs(d.m - 1.0 / (1.0 + np.exp(-4.0))) < 1e-12
 
 
 def test_over_exposure_takes_precedence_but_m_is_still_reported():
     w = separator_switch_weights()
     white = Image(8, 8, 3, np.full(8 * 8 * 3, 255, dtype=np.uint8))
-    d = classify(white, white.features(), w)
+    d = classify(white, w)
     assert d.state == TriState.INVALID
     assert d.white_ratio == 1.0
     # all channels equal -> spectral separator sees a single-band frame
@@ -192,9 +193,8 @@ def test_classify_respects_rho_override():
     hwc = np.full((10, 10, 3), 128, dtype=np.uint8)
     hwc.reshape(100, 3)[:45] = 255  # 45% white pixels
     img = Image(10, 10, 3, hwc)
-    f_in = img.features()
-    assert classify(img, f_in, w, rho=0.40).state == TriState.INVALID
-    assert classify(img, f_in, w, rho=0.50).state != TriState.INVALID
+    assert classify(img, w, rho=0.40).state == TriState.INVALID
+    assert classify(img, w, rho=0.50).state != TriState.INVALID
 
 
 def naive_classify(img, w, rho=0.40):
@@ -261,7 +261,7 @@ def test_white_ratio_matches_the_grayscale_oracle():
     ramp = Image(width=256, height=1, channels=1, pixels=np.arange(256))
     for img in (color, mono, ramp):
         gray = img.grayscale()
-        for level in (0, 200, 225, 249.5, *range(230, 257)):
+        for level in (-1e36, 0, 200, 225, 249.5, *range(230, 257), 1e36):  # 1e36: past float32
             want = float(np.count_nonzero(gray >= level)) / gray.size
             assert is_over_exposed(img, white_level=level)[1] == want, (img.channels, level)
 
@@ -274,6 +274,64 @@ def test_features_are_one_contiguous_plane_equal_to_the_scaled_pixels():
         f = img.features()
         assert f.flags.c_contiguous and f.dtype == np.float64
         assert np.array_equal(f, plane.astype(np.float64) / 255.0)
+
+
+def test_channel_means_are_the_exact_channel_sums_over_255_hw():
+    rng = np.random.default_rng(13)
+    for channels in (1, 3):
+        for width, height in ((7, 5), (64, 64), (33, 17), (160, 120)):
+            img = Image(width, height, channels, rng.integers(0, 256, width * height * channels))
+            sums = img.pixels.reshape(-1, channels).sum(axis=0, dtype=np.int64)
+            means = img.channel_means()
+            assert means.tolist() == (sums / (255 * width * height)).tolist()
+            assert np.abs(means - img.features().mean(axis=(1, 2))).max() <= 2.3e-16
+    white = Image(5, 3, 3, np.full(45, 255))
+    assert white.channel_means().tolist() == [1.0, 1.0, 1.0]
+
+
+def test_classify_rejects_empty_images_and_mismatched_channels():
+    plans = (separator_switch_weights(), random_switch_weights(np.random.default_rng(1)))
+    mono = Image(6, 6, 1, np.zeros(36))
+    empty = Image(0, 0, 3, np.zeros(0))
+    for w in plans:
+        for img in (mono, empty):
+            with pytest.raises(ShapeError):
+                classify(img, w)
+    with pytest.raises(ShapeError):
+        empty.channel_means()
+
+
+def _features_calls(monkeypatch, run) -> int:
+    """Calls of ``Image.features`` while ``run()`` runs."""
+    calls = []
+    features = Image.features
+
+    def counted(img):
+        calls.append(img)
+        return features(img)
+
+    monkeypatch.setattr(Image, "features", counted)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def _live_session(seq, w):
+    sc = seq.scenario
+    session = TrackerSession(seq.records[0].gt, sc.frame_width, sc.frame_height, switch_weights=w)
+    for rec in seq.records:
+        session.step(FrameInput(observed=rec.observed, s=rec.s, image=rec.image))
+
+
+def test_skip_plan_builds_no_feature_plane_and_the_full_plan_one_per_frame(monkeypatch):
+    seq = _stage_sequence()
+    frames = len(seq.records)
+    for w, want in (
+        (separator_switch_weights(), 0),
+        (random_switch_weights(np.random.default_rng(3)), frames),
+    ):
+        assert _features_calls(monkeypatch, lambda: classify_sequence(seq, w)) == want
+        assert _features_calls(monkeypatch, lambda: _live_session(seq, w)) == want
 
 
 STAGES = ("is_over_exposed", "spatial_branch", "spectral_branch", "modality_weight")
@@ -293,7 +351,7 @@ def _stage_calls(monkeypatch, w, seq):
 
         monkeypatch.setattr(ss, name, counted)
     for rec in seq.records:
-        classify(rec.image, rec.image.features(), w)
+        classify(rec.image, w)
     return calls
 
 
@@ -333,11 +391,11 @@ def test_spatial_skip_gives_m_bit_identical_to_the_full_formula():
     for w in plans:
         assert w.spatial_zeros is not None
         for rec in seq.records:
-            f = rec.image.features()
-            m = modality_weight(spatial_branch(f, w), spectral_branch(f, w), w)
+            f_spa = spatial_branch(rec.image.features(), w)
+            m = modality_weight(f_spa, spectral_branch(rec.image, w), w)
             over, _ = is_over_exposed(rec.image)
             state = TriState.INVALID if over else (TriState.NIR if m >= 0.5 else TriState.RGB)
-            d = classify(rec.image, f, w)
+            d = classify(rec.image, w)
             assert d.m.hex() == m.hex() and d.state == state
             invalid += d.state == TriState.INVALID
     assert invalid > 0
