@@ -12,11 +12,9 @@ from .core import (
     ShapeError,
     Tensor,
     adaptive_max_pool,
-    attention,
     cosine_similarity,
     grad_check,
     linear,
-    matmul,
     relu,
     sigmoid,
     softmax,
@@ -51,12 +49,10 @@ from .ctp import (
     SessionConfig,
     TrackerSession,
     box2state,
-    clip_box,
     ctp_predict,
     ctp_update,
     inflate_Q,
     reliability,
-    state2box,
 )
 from .losses import (
     EpochSchedule,

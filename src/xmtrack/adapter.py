@@ -99,26 +99,6 @@ class AdapterStack:
     def dim(self) -> int:
         return self.layers[0].dim
 
-    def tensor_map(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name in WEIGHT_NAMES:
-                out[f"adapter.{i}.{name}"] = getattr(layer, name)
-        return out
-
-    @classmethod
-    def from_tensor_map(cls, tensors: dict[str, Tensor]) -> "AdapterStack":
-        layers = []
-        i = 0
-        while f"adapter.{i}.q_w" in tensors:
-            layers.append(
-                AdapterLayerWeights(
-                    **{name: tensors[f"adapter.{i}.{name}"] for name in WEIGHT_NAMES}
-                )
-            )
-            i += 1
-        return cls(layers=layers)
-
 
 def random_adapter_weights(
     rng: np.random.Generator, d: int = DEFAULT_DIM

@@ -1,9 +1,9 @@
 """Dense neural primitives with analytic backward passes.
 
 Everything operates on plain float64 numpy arrays (aliased ``Tensor``).  The
-operator set is the minimum the rest of the toolkit needs: matrix products,
-affine maps, relu/sigmoid, numerically stable softmax, adaptive max pooling,
-single-head scaled dot-product attention and cosine similarity.  Each
+operator set is the minimum the rest of the toolkit needs: affine maps,
+relu/sigmoid, numerically stable softmax, adaptive max pooling, single-head
+scaled dot-product attention and cosine similarity.  Each
 differentiable op has a hand-derived vector-Jacobian product, and
 ``grad_check`` ties forward and backward together via central differences.
 
@@ -51,17 +51,6 @@ class GradPair:
 # ---------------------------------------------------------------------------
 # forward ops
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with explicit inner-dimension validation."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0] if b.ndim >= 1 else None
-    if b.ndim == 0 or a.ndim == 0 or inner_a != inner_b:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -141,24 +130,6 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return np.stack([by_row[:, :, c0:c1].max(axis=2) for c0, c1 in cols], axis=2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, d_k: float | None = None) -> Tensor:
-    """Single-head scaled dot-product attention: Softmax(q k^T / sqrt(d_k)) v.
-
-    q: (T, d); k: (S, d); v: (S, dv).  Rows of the attention matrix sum to 1.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention: q, k, v must be 2-D token matrices")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: feature dims differ, q {q.shape} vs k {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: token counts differ, k {k.shape} vs v {v.shape}")
-    if d_k is None:
-        d_k = q.shape[1]
-    weights = softmax(q @ k.T / np.sqrt(float(d_k)), axis=-1)
-    return weights @ v
-
-
 def cosine_similarity(a: Tensor, b: Tensor) -> float:
     """a.b / (|a| |b|), flattening both inputs; zero norms are rejected."""
     a = as_tensor(a).ravel()
@@ -175,17 +146,6 @@ def cosine_similarity(a: Tensor, b: Tensor) -> float:
 # ---------------------------------------------------------------------------
 # backward closures
 # ---------------------------------------------------------------------------
-
-
-def matmul_pair(a: Tensor, b: Tensor) -> GradPair:
-    a, b = as_tensor(a), as_tensor(b)
-    value = matmul(a, b)
-
-    def grad_fn(up: Tensor) -> tuple[Tensor, Tensor]:
-        up = as_tensor(up)
-        return up @ b.T, a.T @ up
-
-    return GradPair(value, grad_fn)
 
 
 def linear_pair(x: Tensor, w: Tensor, b: Tensor) -> GradPair:
@@ -235,12 +195,20 @@ def softmax_pair(x: Tensor, axis: int = -1) -> GradPair:
 def attention_pair(
     q: Tensor, k: Tensor, v: Tensor, d_k: float | None = None
 ) -> GradPair:
-    """Attention with gradients for q, k and v.
+    """Single-head scaled dot-product attention, Softmax(q k^T / sqrt(d_k)) v,
+    with gradients for q, k and v.
 
+    q: (T, d); k: (S, d); v: (S, dv).  Rows of the attention matrix sum to 1.
     Backward runs the softmax VJP per row of the attention matrix, then
     distributes through the two matrix products and the 1/sqrt(d_k) scale.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError("attention: q, k, v must be 2-D token matrices")
+    if q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: feature dims differ, q {q.shape} vs k {k.shape}")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention: token counts differ, k {k.shape} vs v {v.shape}")
     if d_k is None:
         d_k = q.shape[1]
     scale = 1.0 / np.sqrt(float(d_k))

@@ -51,7 +51,7 @@ from .state_switch import (
     TriStateDecision,
     classify,
 )
-from .core import Tensor, as_tensor
+from .core import Tensor
 
 STATE_DIM = 8
 OBS_DIM = 4
@@ -126,22 +126,11 @@ def box2state(b: BBox) -> Tensor:
     return np.array([b.cx, b.cy, b.w, b.h, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
 
 
-def state2box(x: Tensor) -> BBox:
-    x = as_tensor(x)
-    return BBox(cx=float(x[0]), cy=float(x[1]), w=float(x[2]), h=float(x[3]))
-
-
 def box_limits(width: float, height: float) -> tuple[Tensor, Tensor]:
     """Bounds on a reported [cx, cy, w, h]: center in the frame, size in [1, frame dim]."""
     if not (width > 0 and height > 0):
         raise ValueError(f"box_limits: non-positive frame {width}x{height}")
     return np.array([0.0, 0.0, 1.0, 1.0]), np.array([width, height, width, height], dtype=np.float64)
-
-
-def clip_box(b: BBox, width: float, height: float) -> BBox:
-    """Clamp the box into ``box_limits(width, height)``."""
-    cx, cy, w, h = np.clip(b.as_array(), *box_limits(width, height)).tolist()
-    return BBox(cx=cx, cy=cy, w=w, h=h)
 
 
 def _in_unit_interval(v) -> bool:

@@ -1,4 +1,4 @@
-"""File formats: weights, scenarios, sequences, track runs, filter configs.
+"""File formats: scenarios, sequences, track runs, filter configs.
 
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
 order) except a sequence's pixels, which go to one ``.npy`` array (numpy's
@@ -22,7 +22,6 @@ from .metrics import TrackRun
 from .sim import MODALITIES, FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
 from .state_switch import Image
 
-WEIGHTS_FORMAT = "xmtrack-weights-v1"
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
 
 CONFIG_DIR_ENV = "XMTRACK_CONFIG_DIR"
@@ -61,43 +60,6 @@ def _parse_json(text: str, where):
 
 def _load_json(path: str | Path):
     return _parse_json(_read_text(path), path)
-
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
-
-def save_weights(path: str | Path, tensors: dict[str, np.ndarray]):
-    payload = {
-        "format": WEIGHTS_FORMAT,
-        "tensors": {
-            name: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).ravel().tolist()}
-            for name, arr in sorted(tensors.items())
-        },
-    }
-    Path(path).write_text(_dump(payload) + "\n", encoding="utf-8")
-
-
-def load_weights(path: str | Path) -> dict[str, np.ndarray]:
-    """Tensors by name; each entry's shape lists non-negative integers its data fills."""
-    payload = _load_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != WEIGHTS_FORMAT:
-        raise DataError(f"{path}: not a {WEIGHTS_FORMAT} file")
-    entries = payload.get("tensors", {})
-    if not isinstance(entries, dict):
-        raise DataError(f"{path}: tensors must be an object of named entries")
-    tensors = {}
-    for name, entry in entries.items():
-        try:
-            shape = tuple(_integer(n, "dimension") for n in entry["shape"])
-            if any(n < 0 for n in shape):
-                raise DataError(f"negative dimension in shape {shape}")
-            tensors[name] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
-        # ValueError: data that does not fill the shape; OverflowError: an int past the float range.
-        except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: bad tensor entry {name!r}: {exc}") from exc
-    return tensors
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .state_switch import (
     SwitchWeights,
     TriState,
     TriStateDecision,
+    _is_int,
     classify,
     separator_switch_weights,
 )
@@ -67,10 +67,6 @@ MODALITIES = ("rgb", "nir")
 MAX_COORD = 1e9
 # Largest rendered image, 4096 x 4096 pixels.
 MAX_IMAGE_PIXELS = 1 << 24
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _check_windows(windows, frames, who):

@@ -12,8 +12,9 @@ The spectral branch reads exact channel means of the uint8 pixels.
 ``classify`` builds the float (C, H, W) feature plane only for weights whose
 plan runs the spatial branch's conv.
 
-The classifier here is inference-only: weights are loaded from a file or
-built by an initializer; training is out of scope.
+The classifier here is inference-only: weights are built in code, by
+``separator_switch_weights``, ``random_switch_weights`` or the
+``SwitchWeights`` constructor; training is out of scope.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +57,11 @@ class TriStateDecision:
     white_ratio: float
 
 
+def _is_int(v) -> bool:
+    """An integer and not a bool; a plain int skips the slower ``Integral`` check."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
 @dataclass
 class Image:
     """8-bit image, pixels row-major (then channel-interleaved if 3-channel)."""
@@ -65,9 +72,21 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise ShapeError(f"Image: channels must be 1 or 3, got {self.channels}")
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8).ravel()
+        for name in ("width", "height"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 0):
+                raise ShapeError(f"Image: {name} must be a non-negative integer, got {v!r}")
+        if not _is_int(self.channels) or self.channels not in (1, 3):
+            raise ShapeError(f"Image: channels must be 1 or 3, got {self.channels!r}")
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            # A plain cast would wrap 300 to 44 and -1 to 255, and turn NaN into 0.
+            if pixels.dtype.kind not in "buif" or not np.all(
+                (pixels >= 0) & (pixels <= 255) & (np.rint(pixels) == pixels)
+            ):
+                raise ValueError("Image: pixel values must be integers in [0, 255]")
+            pixels = pixels.astype(np.uint8)
+        self.pixels = pixels.ravel()
         want = self.width * self.height * self.channels
         if self.pixels.size != want:
             raise ShapeError(
@@ -155,8 +174,13 @@ class SwitchWeights:
     def __post_init__(self):
         for name in WEIGHT_NAMES:
             frozen = np.array(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(frozen)):
+                raise ValueError(f"SwitchWeights: {name} has a non-finite entry")
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
+        # Every other array is compared by its whole shape, rank included.
+        if self.conv_w.ndim != 4:
+            raise ShapeError(f"SwitchWeights: conv_w must be (C, C, 3, 3), got shape {self.conv_w.shape}")
         c = self.conv_w.shape[0]
         n_spatial = c * POOL_HW[0] * POOL_HW[1]
         checks = [
@@ -182,16 +206,6 @@ class SwitchWeights:
     @property
     def channels(self) -> int:
         return self.conv_w.shape[0]
-
-    def tensor_map(self) -> dict[str, Tensor]:
-        return {f"switch.{name}": getattr(self, name) for name in WEIGHT_NAMES}
-
-    @classmethod
-    def from_tensor_map(cls, tensors: dict[str, Tensor]) -> "SwitchWeights":
-        try:
-            return cls(**{name: tensors[f"switch.{name}"] for name in WEIGHT_NAMES})
-        except KeyError as exc:
-            raise KeyError(f"weights file missing tensor {exc}") from exc
 
 
 def random_switch_weights(rng: np.random.Generator, channels: int = 3) -> SwitchWeights:
@@ -256,10 +270,10 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     values: one zero row above the plane, two below, one zero column on each
     side.  With row stride W + 2, tap (di, dj) of every output pixel lies in
     the window of length H * (W + 2) that starts at di * (W + 2) + dj.  Each
-    tap is then one (C_out, C_in) @ (C_in, H * (W + 2)) matmul on a view of
+    tap is then one (C_out, C_in) @ (C_in, H * (W + 2)) product on a view of
     that window, accumulated into the output; each output row carries two pad
     columns, which are dropped.  The taps are accumulated one at a time, not
-    stacked into a (C_in * 9, H * (W + 2)) column matrix for a single matmul:
+    stacked into a (C_in * 9, H * (W + 2)) column matrix for a single product:
     that matrix is ~0.9 MB per 3x64x64 frame, and allocating it every frame
     costs more in page faults than the whole convolution.
     """

@@ -181,14 +181,3 @@ def test_apply_stack_rgb_returns_input_unchanged():
     f_dyn = rng.normal(size=(2, 6))
     out = apply_stack(f_sr, f_dyn, 0.4, TriState.RGB, stack)
     assert out.tobytes() == f_sr.tobytes()
-
-
-def test_stack_tensor_map_roundtrip():
-    rng = np.random.default_rng(9)
-    stack = random_adapter_stack(rng, layers=2, d=4)
-    tensors = stack.tensor_map()
-    assert any(key.startswith("adapter.0.") for key in tensors)
-    assert any(key.startswith("adapter.1.") for key in tensors)
-    rebuilt = type(stack).from_tensor_map(tensors)
-    for k, v in rebuilt.tensor_map().items():
-        np.testing.assert_array_equal(v, tensors[k])

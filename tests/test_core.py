@@ -7,15 +7,12 @@ from xmtrack.core import (
     DegenerateInputError,
     ShapeError,
     adaptive_max_pool,
-    attention,
     attention_pair,
     cosine_pair,
     cosine_similarity,
     grad_check,
     linear,
     linear_pair,
-    matmul,
-    matmul_pair,
     relu,
     relu_pair,
     scalar_sigmoid,
@@ -24,42 +21,6 @@ from xmtrack.core import (
     softmax,
     softmax_pair,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference, no BLAS."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n, k, m = rng.integers(1, 7, size=3)
-        a = rng.normal(size=(n, k))
-        b = rng.normal(size=(k, m))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-
-def test_matmul_rejects_mismatched_inner_dims():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_associative_up_to_roundoff():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        np.testing.assert_allclose(
-            matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-10
-        )
 
 
 def test_linear_matches_manual_affine():
@@ -155,7 +116,7 @@ def test_attention_single_key_returns_value_rows():
     q = rng.normal(size=(6, 4))
     k = rng.normal(size=(1, 4))
     v = rng.normal(size=(1, 4))
-    out = attention(q, k, v)
+    out = attention_pair(q, k, v).value
     for row in out:
         np.testing.assert_allclose(row, v[0], atol=1e-12)
 
@@ -165,8 +126,15 @@ def test_attention_uniform_when_all_scores_equal():
     rng = np.random.default_rng(6)
     k = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 4))
-    out = attention(q, k, v)
+    out = attention_pair(q, k, v).value
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
+
+
+def test_attention_rejects_nonconforming_operands():
+    q, k, v = np.ones((3, 4)), np.ones((5, 4)), np.ones((5, 2))
+    for bad in [(q[0], k, v), (q, k[:, :3], v), (q, k, v[:4])]:
+        with pytest.raises(ShapeError):
+            attention_pair(*bad)
 
 
 def test_cosine_similarity_reference_points():
@@ -186,7 +154,6 @@ def test_grad_pairs_map_zero_upstream_to_zero_grads():
     w = rng.normal(size=(5, 4))
     b = rng.normal(size=5)
     cases = [
-        matmul_pair(x, w.T),
         linear_pair(x, w, b),
         relu_pair(x + 0.1),
         sigmoid_pair(x),

@@ -20,15 +20,14 @@ from xmtrack.ctp import (
     SessionConfig,
     TrackerSession,
     box2state,
+    box_limits,
     capped_multiplier,
-    clip_box,
     ctp_predict,
     ctp_update,
     cv_transition,
     inflate_Q,
     make_filter_state,
     reliability,
-    state2box,
     transition_matrix,
     turn_transition,
 )
@@ -172,16 +171,28 @@ def test_box_state_roundtrip_and_validation():
     b = BBox(12.5, 400.0, 31.0, 17.0)
     np.testing.assert_array_equal(box2state(b)[:4], b.as_array())
     np.testing.assert_array_equal(box2state(b)[4:], np.zeros(4))
-    assert state2box(box2state(b)) == b
+    assert BBox(*box2state(b)[:4]) == b
     with pytest.raises(ValueError):
         box2state(BBox(0, 0, -1.0, 5.0))
 
 
 def test_clip_box_limits():
-    clipped = clip_box(BBox(-20.0, 600.0, 0.2, 1000.0), 512.0, 512.0)
-    assert clipped == BBox(0.0, 512.0, 1.0, 512.0)
+    lo, hi = box_limits(512.0, 256.0)
+    np.testing.assert_array_equal(lo, [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(hi, [512.0, 256.0, 512.0, 256.0])
     with pytest.raises(ValueError):
-        clip_box(BBox(1, 1, 1, 1), 0.0, 512.0)
+        box_limits(0.0, 512.0)
+    # A state past every bound, reported by a session and by a bank row
+    # that coasts it through one invalid frame at zero velocity.
+    outside = np.array([-20.0, 600.0, 0.2, 1000.0, 0.0, 0.0, 0.0, 0.0])
+    clipped = BBox(0.0, 256.0, 1.0, 256.0)
+    sess = TrackerSession(BBox(10.0, 10.0, 5.0, 5.0), 512.0, 256.0)
+    sess.fs = replace(sess.fs, x=outside)
+    assert sess.report_box() == clipped
+    bank = FilterBank([BBox(10.0, 10.0, 5.0, 5.0)], [(512.0, 256.0)], [SessionConfig()])
+    bank.x = outside[None].copy()
+    boxes = bank.step(np.array([False]), np.zeros((1, 4)), np.ones(1))
+    np.testing.assert_array_equal(boxes, [clipped.as_array()])
 
 
 def test_invalid_streak_coasts_on_pure_cv_extrapolation():

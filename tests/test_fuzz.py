@@ -1,11 +1,10 @@
 """Seeded fuzzing of every input file: a corrupted input exits 0 or 2, never a traceback.
 
 Each case takes one valid file (scenario, sequence JSONL, frame stack,
-track run, config or weights), corrupts it one of three ways (byte flips,
-a truncation, or one JSON field deleted or retyped) and runs the command
-that reads it.  A CLI run must return 0 or 2, write at most one stderr
-line and raise nothing, numpy warnings included; a weights file goes
-straight to ``load_weights``, which may only raise ``DataError``.
+track run or config), corrupts it one of three ways (byte flips, a
+truncation, or one JSON field deleted or retyped) and runs the command that
+reads it.  A CLI run must return 0 or 2, write at most one stderr line and
+raise nothing, numpy warnings included.
 """
 
 import json
@@ -16,9 +15,8 @@ import numpy as np
 import pytest
 
 from xmtrack.cli import main
-from xmtrack.io import DataError, frames_path, load_weights, save_scenario, save_weights
+from xmtrack.io import frames_path, save_scenario
 from xmtrack.sim import Scenario
-from xmtrack.state_switch import separator_switch_weights
 
 CASES_PER_FILE = 100
 
@@ -83,14 +81,13 @@ def valid(tmp_path_factory):
         invalid_windows=[(2, 4)],
         seed=5,
     )
-    names = ("scenario.json", "seq.jsonl", "run.json", "config.json", "weights.json")
+    names = ("scenario.json", "seq.jsonl", "run.json", "config.json")
     files = {name: root / name for name in names}
     save_scenario(files["scenario.json"], sc)
     assert main(["simulate", str(files["scenario.json"]), "--out", str(files["seq.jsonl"])]) == 0
     assert main(["track", str(files["seq.jsonl"]), "--out", str(files["run.json"])]) == 0
     config = {"q_diag": [0.2] * 8, "theta": 2.0, "motion": "ct", "turn_rate": 0.01}
     files["config.json"].write_text(json.dumps(config))
-    save_weights(files["weights.json"], separator_switch_weights().tensor_map())
     files["seq.jsonl.npy"] = frames_path(files["seq.jsonl"])
     return files
 
@@ -133,19 +130,3 @@ def test_corrupted_input_exits_0_or_2_with_at_most_one_line(tmp_path, valid, tar
         assert rc in (0, 2), f"{what}: exit {rc}: {err}"
         assert err.count("\n") == (rc == 2) and "Traceback" not in err, f"{what}: {err}"
 
-
-def test_corrupted_weights_file_raises_only_data_error(tmp_path, valid):
-    rng = np.random.default_rng(9)
-    data = valid["weights.json"].read_bytes()
-    path = tmp_path / "weights.json"
-    for case in range(CASES_PER_FILE):
-        corrupt = (flip_bytes, truncate, edit_json)[case % 3]
-        path.write_bytes(corrupt(data, rng))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                load_weights(path)
-            except DataError:
-                pass
-            except Exception as exc:  # noqa: BLE001 - any other escape is the failure under test
-                pytest.fail(f"weights case {case} ({corrupt.__name__}): {type(exc).__name__}: {exc}")

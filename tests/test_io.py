@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from xmtrack.adapter import random_adapter_stack
 from dataclasses import replace
 
 from xmtrack.ctp import BBox, MotionKind, MotionModel, SessionConfig
@@ -16,55 +15,13 @@ from xmtrack.io import (
     load_sequence,
     load_session_config,
     load_trackrun,
-    load_weights,
     resolve_config_path,
     save_scenario,
     save_sequence,
     save_trackrun,
-    save_weights,
 )
 from xmtrack.metrics import TrackRun
 from xmtrack.sim import Scenario, generate
-from xmtrack.state_switch import random_switch_weights
-
-
-def test_weights_roundtrip_is_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    tensors = random_switch_weights(rng).tensor_map()
-    tensors.update(random_adapter_stack(rng, layers=2, d=8).tensor_map())
-    path = tmp_path / "weights.json"
-    save_weights(path, tensors)
-    loaded = load_weights(path)
-    assert set(loaded) == set(tensors)
-    for k, v in tensors.items():
-        np.testing.assert_array_equal(loaded[k], v)
-        assert loaded[k].dtype == v.dtype
-
-
-def test_load_weights_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(DataError):
-        load_weights(path)
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        ["xmtrack-weights-v1"],
-        {"format": "xmtrack-weights-v1", "tensors": [1, 2]},
-        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": ["2"], "data": [1.0, 2.0]}}},
-        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [2.0], "data": [1.0, 2.0]}}},
-        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [-1, 2], "data": [1.0, 2.0]}}},
-        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [3], "data": [1.0, 2.0]}}},
-        {"format": "xmtrack-weights-v1", "tensors": {"w": {"shape": [1], "data": [10**400]}}},
-    ],
-)
-def test_load_weights_rejects_a_bad_payload_or_entry(tmp_path, payload):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError):
-        load_weights(path)
 
 
 def test_scenario_file_roundtrip(tmp_path):

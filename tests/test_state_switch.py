@@ -232,21 +232,24 @@ def test_classify_sequence_matches_naive_classifier():
             assert abs(dec.m - m) <= 1e-12
 
 
-def test_switch_weights_tensor_map_roundtrip():
-    rng = np.random.default_rng(6)
-    w = random_switch_weights(rng)
-    w2 = SwitchWeights.from_tensor_map(w.tensor_map())
-    for k, v in w.tensor_map().items():
-        np.testing.assert_array_equal(v, w2.tensor_map()[k])
+def _weight_arrays(w):
+    return {f.name: getattr(w, f.name) for f in dataclasses.fields(w) if f.init}
 
 
 def test_switch_weights_shape_validation():
     rng = np.random.default_rng(7)
-    w = random_switch_weights(rng)
-    bad = w.tensor_map().copy()
-    bad["switch.spec_w"] = np.zeros((2, 2))
-    with pytest.raises(Exception):
-        SwitchWeights.from_tensor_map(bad)
+    arrays = _weight_arrays(random_switch_weights(rng))
+    cases = [
+        ("spec_w", np.zeros((2, 2)), ShapeError),
+        ("conv_w", np.float64(0.5), ShapeError),  # 0-d: no conv_w.shape[0] to read
+        ("conv_w", np.zeros(3), ShapeError),
+        ("fuse2_b", np.array([np.nan]), ValueError),  # m would be NaN and read as RGB
+        ("conv_b", np.array([0.0, np.inf, 0.0]), ValueError),
+    ]
+    for name, value, error in cases:
+        with pytest.raises(error):
+            SwitchWeights(**{**arrays, name: value})
+    SwitchWeights(**arrays)  # the unmodified arrays still build
 
 
 def test_white_ratio_matches_the_grayscale_oracle():
@@ -299,6 +302,25 @@ def test_classify_rejects_empty_images_and_mismatched_channels():
                 classify(img, w)
     with pytest.raises(ShapeError):
         empty.channel_means()
+
+
+def test_image_rejects_sizes_that_are_not_non_negative_integers():
+    for width, height, channels in [(-2, -2, 3), (2.0, 2, 3), (2, np.float64(2), 3), (True, 4, 3), (4, 1, 3.0)]:
+        with pytest.raises(ShapeError):
+            Image(width, height, channels, np.zeros(12))
+    assert Image(np.int64(2), 2, 3, np.zeros(12)).pixels.size == 12
+
+
+def test_image_rejects_pixel_values_a_uint8_cast_would_change():
+    # A plain uint8 cast of these arrays wraps 300 to 44 and -1 to 255.
+    for pixels in ([300, 0, 0], [-1, 0, 0], [np.nan, 0, 0], [np.inf, 0, 0], [0.5, 0, 0], ["a", "b", "c"]):
+        with pytest.raises(ValueError):
+            Image(1, 1, 3, np.array(pixels))
+    for pixels in ([0, 255, 7], [0.0, 255.0, 7.0], np.array([0, 255, 7], dtype=np.int16)):
+        assert Image(1, 1, 3, pixels).pixels.tolist() == [0, 255, 7]
+    # uint8 input is kept as it is, a view and not a copy.
+    stack = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    assert np.shares_memory(Image(2, 2, 3, stack).pixels, stack)
 
 
 def _features_calls(monkeypatch, run) -> int:
@@ -412,10 +434,10 @@ def test_conv_weights_that_can_overflow_keep_the_full_path(monkeypatch):
 
 
 def test_switch_weights_are_read_only_copies():
-    source = random_switch_weights(np.random.default_rng(8)).tensor_map()
+    source = _weight_arrays(random_switch_weights(np.random.default_rng(8)))
     source = {k: v.copy() for k, v in source.items()}
-    w = SwitchWeights.from_tensor_map(source)
-    for name, arr in w.tensor_map().items():
+    w = SwitchWeights(**source)
+    for name, arr in _weight_arrays(w).items():
         assert arr.dtype == np.float64
         with pytest.raises(ValueError):
             arr[...] = 0.0
