@@ -35,7 +35,7 @@ from .adapter import (
     AdapterLayerWeights,
     AdapterStack,
     adapt,
-    adapter_backward,
+    adapter_pair,
     apply_stack,
     layer_gate,
 )

@@ -11,9 +11,10 @@ which is the residual form of the convex blend g*(m*f_ref + (1-m)*f_sr)
 + (1-g)*f_sr; it collapses to the exact identity whenever g*m = 0.  For RGB
 frames the adapter is bypassed entirely and the input is returned untouched.
 
-The forward composes ``core``'s gradient pairs (linear/relu/softmax for the
-gate head, attention for f_ref), and ``adapter_backward`` chains their VJPs
-by hand; there is no autodiff graph anywhere in the toolkit.
+``adapter_pair`` is a ``core.GradPair`` like every other differentiable op:
+its forward composes ``core``'s pairs (linear/relu/softmax for the gate head,
+attention for f_ref), and its VJP closure chains theirs by hand; there is no
+autodiff graph anywhere in the toolkit.
 """
 
 from __future__ import annotations
@@ -64,19 +65,17 @@ class AdapterLayerWeights:
 
     def __post_init__(self):
         for name in WEIGHT_NAMES:
-            setattr(self, name, as_tensor(getattr(self, name)))
+            arr = as_tensor(getattr(self, name))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"AdapterLayerWeights: {name} has a non-finite entry")
+            setattr(self, name, arr)
+        # Every other array is compared by its whole shape, rank included.
+        if self.q_w.ndim != 2:
+            raise ShapeError(f"AdapterLayerWeights: q_w must be (d, d), got shape {self.q_w.shape}")
         d = self.q_w.shape[0]
         hid = gate_hidden_dim(d)
-        ok = (
-            self.q_w.shape == (d, d)
-            and self.k_w.shape == (d, d)
-            and self.v_w.shape == (d, d)
-            and self.gate_w1.shape == (hid, d)
-            and self.gate_b1.shape == (hid,)
-            and self.gate_w2.shape == (2, hid)
-            and self.gate_b2.shape == (2,)
-        )
-        if not ok:
+        expected = ((d, d), (d, d), (d, d), (hid, d), (hid,), (2, hid), (2,))
+        if tuple(getattr(self, name).shape for name in WEIGHT_NAMES) != expected:
             raise ShapeError("AdapterLayerWeights: inconsistent parameter shapes")
 
     @property
@@ -138,36 +137,35 @@ def layer_gate(f_sr: Tensor, w: AdapterLayerWeights) -> float:
     return float(_gate_head(f_sr, w)[-1].value[0])
 
 
-@dataclass
-class AdapterCache:
-    """Intermediate values of one NIR-path forward, consumed by backward."""
+def adapter_pair(
+    f_sr: Tensor,
+    f_dyn: Tensor,
+    m: float,
+    state: TriState,
+    w: AdapterLayerWeights,
+) -> GradPair:
+    """One adapter layer with gradients for f_sr, f_dyn and ``w``'s arrays.
 
-    f_sr: Tensor
-    f_dyn: Tensor
-    m: float
-    w: AdapterLayerWeights
-    bypassed: bool
-    g: float = 0.0
-    v: Tensor | None = None
-    f_ref: Tensor | None = None
-    gate: list[GradPair] | None = None  # _gate_head chain, forward order
-    attention: GradPair | None = None  # f_ref = attention(q, k, v)
+    ``grad_fn`` returns one gradient per input: f_sr, f_dyn, then the
+    weights in ``WEIGHT_NAMES`` order.  Adaptation is NIR-specific: any other
+    state (RGB, or Invalid where the features are junk anyway) returns the
+    input array object itself, and its VJP passes the upstream gradient
+    through to f_sr with zeros everywhere else.
 
+    Gradient of the blend f_o = f_sr + g*m*(f_ref - f_sr) flows along three
+    paths into f_sr: the direct blend term, the query projection, and the
+    token mean feeding the gate.  m is treated as a constant (it comes from
+    the switch, which is inference-only).
+    """
+    if state != TriState.NIR:
+        def bypass_grad_fn(up: Tensor) -> tuple[Tensor, ...]:
+            weights = (np.zeros_like(getattr(w, name)) for name in WEIGHT_NAMES)
+            return (as_tensor(up).copy(), np.zeros(np.shape(f_dyn)), *weights)
 
-@dataclass
-class AdapterGrads:
-    f_sr: Tensor
-    f_dyn: Tensor
-    q_w: Tensor
-    k_w: Tensor
-    v_w: Tensor
-    gate_w1: Tensor
-    gate_b1: Tensor
-    gate_w2: Tensor
-    gate_b2: Tensor
+        return GradPair(f_sr, bypass_grad_fn)
 
-
-def _check_adapt_inputs(f_sr: Tensor, f_dyn: Tensor, m: float, w: AdapterLayerWeights):
+    f_sr = as_tensor(f_sr)
+    f_dyn = as_tensor(f_dyn)
     if f_sr.ndim != 2 or f_dyn.ndim != 2:
         raise ShapeError("adapt: features must be (tokens, dim) matrices")
     if f_sr.shape[1] != w.dim or f_dyn.shape[1] != w.dim:
@@ -178,42 +176,48 @@ def _check_adapt_inputs(f_sr: Tensor, f_dyn: Tensor, m: float, w: AdapterLayerWe
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"adapt: modality weight {m} outside [0, 1]")
 
-
-def adapt_with_cache(
-    f_sr: Tensor,
-    f_dyn: Tensor,
-    m: float,
-    state: TriState,
-    w: AdapterLayerWeights,
-) -> tuple[Tensor, AdapterCache]:
-    """Adapter forward returning (output, cache-for-backward).
-
-    Adaptation is NIR-specific: any other state (RGB, or Invalid where the
-    features are junk anyway) bypasses everything — the input array is
-    returned as-is (bit-identical) and the cache records the bypass.
-    """
-    if state != TriState.NIR:
-        cache = AdapterCache(as_tensor(f_sr), as_tensor(f_dyn), m, w, bypassed=True)
-        return f_sr, cache
-
-    f_sr = as_tensor(f_sr)
-    f_dyn = as_tensor(f_dyn)
-    _check_adapt_inputs(f_sr, f_dyn, m, w)
-
-    gate = _gate_head(f_sr, w)
-    g = float(gate[-1].value[0])
+    hidden, active, logits, probs = _gate_head(f_sr, w)
+    g = float(probs.value[0])
 
     # cross attention against the dynamic template
-    v = f_dyn @ w.v_w.T
-    attention = attention_pair(f_sr @ w.q_w.T, f_dyn @ w.k_w.T, v)
+    attention = attention_pair(f_sr @ w.q_w.T, f_dyn @ w.k_w.T, f_dyn @ w.v_w.T)
     f_ref = attention.value
 
-    f_o = f_sr + (g * m) * (f_ref - f_sr)
-    cache = AdapterCache(
-        f_sr, f_dyn, m, w, bypassed=False, g=g, v=v, f_ref=f_ref,
-        gate=gate, attention=attention,
-    )
-    return f_o, cache
+    c = g * m
+    t_tokens = f_sr.shape[0]
+
+    def grad_fn(up: Tensor) -> tuple[Tensor, ...]:
+        up = as_tensor(up)
+        if up.shape != f_sr.shape:
+            raise ShapeError(f"adapter_pair: upstream {up.shape} vs output {f_sr.shape}")
+
+        # blend
+        d_f_ref = c * up
+        d_g = m * float(np.sum(up * (f_ref - f_sr)))
+        d_f_sr = (1.0 - c) * up
+
+        # attention, then the bias-free projections q = f_sr q_w^T, k/v = f_dyn {k,v}_w^T
+        d_q, d_k, d_v = attention.grad_fn(d_f_ref)
+        d_f_sr += d_q @ w.q_w
+        d_q_w = d_q.T @ f_sr
+        d_f_dyn = d_k @ w.k_w + d_v @ w.v_w
+        d_k_w = d_k.T @ f_dyn
+        d_v_w = d_v.T @ f_dyn
+
+        # gate head, back from g = softmax(logits)[0] to the token mean
+        (d_logits,) = probs.grad_fn(np.array([d_g, 0.0]))
+        d_a1, d_gate_w2, d_gate_b2 = logits.grad_fn(d_logits)
+        (d_h1,) = active.grad_fn(d_a1)
+        d_mu, d_gate_w1, d_gate_b1 = hidden.grad_fn(d_h1)
+        # mean over tokens spreads its gradient evenly across rows
+        d_f_sr += np.tile(d_mu / t_tokens, (t_tokens, 1))
+
+        return (
+            d_f_sr, d_f_dyn, d_q_w, d_k_w, d_v_w,
+            d_gate_w1, d_gate_b1, d_gate_w2, d_gate_b2,
+        )
+
+    return GradPair(f_sr + c * (f_ref - f_sr), grad_fn)
 
 
 def adapt(
@@ -223,8 +227,7 @@ def adapt(
     state: TriState,
     w: AdapterLayerWeights,
 ) -> Tensor:
-    out, _ = adapt_with_cache(f_sr, f_dyn, m, state, w)
-    return out
+    return adapter_pair(f_sr, f_dyn, m, state, w).value
 
 
 def apply_stack(
@@ -239,66 +242,3 @@ def apply_stack(
     for layer in stack.layers:
         out = adapt(out, f_dyn, m, state, layer)
     return out
-
-
-def adapter_backward(upstream: Tensor, cache: AdapterCache) -> AdapterGrads:
-    """Analytic gradients of one adapter layer.
-
-    Gradient of the blend f_o = f_sr + g*m*(f_ref - f_sr) flows along three
-    paths into f_sr: the direct blend term, the query projection, and the
-    token mean feeding the gate.  m is treated as a constant (it comes from
-    the switch, which is inference-only).
-    """
-    if cache is None:
-        raise ValueError("adapter_backward: missing forward cache")
-    up = as_tensor(upstream)
-    w = cache.w
-
-    if cache.bypassed:
-        return AdapterGrads(
-            f_sr=up.copy(),
-            f_dyn=np.zeros_like(cache.f_dyn),
-            **{name: np.zeros_like(getattr(w, name)) for name in WEIGHT_NAMES},
-        )
-    if up.shape != cache.f_sr.shape:
-        raise ShapeError(
-            f"adapter_backward: upstream {up.shape} vs output {cache.f_sr.shape}"
-        )
-
-    f_sr, f_dyn = cache.f_sr, cache.f_dyn
-    c = cache.g * cache.m
-    t_tokens = f_sr.shape[0]
-
-    # blend
-    d_f_ref = c * up
-    d_g = cache.m * float(np.sum(up * (cache.f_ref - f_sr)))
-    d_f_sr = (1.0 - c) * up
-
-    # attention, then the bias-free projections q = f_sr q_w^T, k/v = f_dyn {k,v}_w^T
-    d_q, d_k, d_v = cache.attention.grad_fn(d_f_ref)
-    d_f_sr += d_q @ w.q_w
-    d_q_w = d_q.T @ f_sr
-    d_f_dyn = d_k @ w.k_w + d_v @ w.v_w
-    d_k_w = d_k.T @ f_dyn
-    d_v_w = d_v.T @ f_dyn
-
-    # gate head, back from g = softmax(logits)[0] to the token mean
-    hidden, active, logits, probs = cache.gate
-    (d_logits,) = probs.grad_fn(np.array([d_g, 0.0]))
-    d_a1, d_gate_w2, d_gate_b2 = logits.grad_fn(d_logits)
-    (d_h1,) = active.grad_fn(d_a1)
-    d_mu, d_gate_w1, d_gate_b1 = hidden.grad_fn(d_h1)
-    # mean over tokens spreads its gradient evenly across rows
-    d_f_sr += np.tile(d_mu / t_tokens, (t_tokens, 1))
-
-    return AdapterGrads(
-        f_sr=d_f_sr,
-        f_dyn=d_f_dyn,
-        q_w=d_q_w,
-        k_w=d_k_w,
-        v_w=d_v_w,
-        gate_w1=d_gate_w1,
-        gate_b1=d_gate_b1,
-        gate_w2=d_gate_w2,
-        gate_b2=d_gate_b2,
-    )

@@ -4,8 +4,10 @@ Everything operates on plain float64 numpy arrays (aliased ``Tensor``).  The
 operator set is the minimum the rest of the toolkit needs: affine maps,
 relu/sigmoid, numerically stable softmax, adaptive max pooling, single-head
 scaled dot-product attention and cosine similarity.  Each
-differentiable op has a hand-derived vector-Jacobian product, and
-``grad_check`` ties forward and backward together via central differences.
+differentiable op returns a ``GradPair``, its value with a hand-derived
+vector-Jacobian product; ``adapter.adapter_pair`` composes these into one
+more pair, and ``grad_check`` ties forward and backward together via central
+differences.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.

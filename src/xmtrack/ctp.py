@@ -155,29 +155,29 @@ def reliability(s, m, epsilon=DEFAULT_EPSILON):
     return np.maximum(epsilon, s * abs(2.0 * m - 1.0))
 
 
-def cv_transition(dt: float = 1.0) -> Tensor:
+def cv_transition() -> Tensor:
     f = np.eye(STATE_DIM)
     for i in range(4):
-        f[i, i + 4] = dt
+        f[i, i + 4] = 1.0
     return f
 
 
-def turn_transition(omega: float, dt: float = 1.0) -> Tensor:
-    """Coordinated-turn transition on (cx, cy, vcx, vcy); linear on w/h.
+def turn_transition(omega: float) -> Tensor:
+    """Coordinated-turn transition over one frame on (cx, cy, vcx, vcy); linear on w/h.
 
-    Uses 2*sin^2(theta/2) for the versine so small turn rates stay accurate;
+    ``omega`` is the turn per frame in radians.  Uses 2*sin^2(omega/2) for
+    the versine so small turn rates stay accurate;
     omega -> 0 reduces exactly to the constant-velocity matrix.  Since the
     turn rate is a fixed parameter (not part of the state), the map is linear
     and its Jacobian is this same matrix.
     """
-    f = cv_transition(dt)
+    f = cv_transition()
     if abs(omega) < 1e-12:
         return f
-    theta = omega * dt
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
+    sin_t = np.sin(omega)
+    cos_t = np.cos(omega)
     a = sin_t / omega
-    b = 2.0 * np.sin(theta / 2.0) ** 2 / omega
+    b = 2.0 * np.sin(omega / 2.0) ** 2 / omega
     f[0, 4] = a
     f[0, 5] = -b
     f[1, 4] = b
@@ -190,16 +190,16 @@ def turn_transition(omega: float, dt: float = 1.0) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def transition_matrix(model: MotionModel, dt: float = 1.0) -> Tensor:
-    """F of ``model``, built once per (model, dt) and returned read-only.
+def transition_matrix(model: MotionModel) -> Tensor:
+    """F of ``model``, built once per model and returned read-only.
 
     ``MotionModel`` is frozen and hashable, so every step of a session reuses
     one matrix instead of building it again.
     """
     if model.kind == MotionKind.COORDINATED_TURN:
-        f = turn_transition(model.turn_rate, dt)
+        f = turn_transition(model.turn_rate)
     else:
-        f = cv_transition(dt)
+        f = cv_transition()
     f.flags.writeable = False
     return f
 
@@ -295,9 +295,9 @@ def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
     return FilterState(x=x[0], P=p[0], Q=fs.Q_base, R=fs.R, Q_base=fs.Q_base, invalid_streak=0)
 
 
-def ctp_predict(fs: FilterState, model: MotionModel, dt: float = 1.0) -> FilterState:
+def ctp_predict(fs: FilterState, model: MotionModel) -> FilterState:
     """``batch_predict`` of one filter under ``model``."""
-    x, p = batch_predict(fs.x[None], fs.P[None], transition_matrix(model, dt)[None], fs.Q[None])
+    x, p = batch_predict(fs.x[None], fs.P[None], transition_matrix(model)[None], fs.Q[None])
     return FilterState(x=x[0], P=p[0], Q=fs.Q, R=fs.R, Q_base=fs.Q_base, invalid_streak=fs.invalid_streak)
 
 

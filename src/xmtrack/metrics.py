@@ -80,24 +80,23 @@ class MetricRow:
     n: int
 
 
-def _subset_row(run: TrackRun, idx: list[int]) -> MetricRow:
-    sub = TrackRun(
-        pred=[run.pred[i] for i in idx],
-        gt=[run.gt[i] for i in idx],
-        tags=[run.tags[i] for i in idx],
-    )
-    return MetricRow(pr=precision_rate(sub), sr=success_rate(sub), n=len(idx))
-
-
 def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
     """PR/SR per tag, plus an 'all' row over every frame.
 
-    A frame may carry several tags and then counts toward each of them.
+    Each frame's PR and SR hits are evaluated once; a frame may carry
+    several tags and then counts toward each of them.
     """
-    table = {"all": _subset_row(run, list(range(len(run))))}
+    pr_hits = [cle(p, g) < PR_TAU_PX for p, g in zip(run.pred, run.gt)]
+    sr_hits = [iou(p, g) > SR_TAU_IOU for p, g in zip(run.pred, run.gt)]
+
+    def row(idx: list[int]) -> MetricRow:
+        pr = 100.0 * sum(pr_hits[i] for i in idx) / len(idx)
+        sr = 100.0 * sum(sr_hits[i] for i in idx) / len(idx)
+        return MetricRow(pr=pr, sr=sr, n=len(idx))
+
+    table = {"all": row(list(range(len(run))))}
     for tag in sorted({t for tags in run.tags for t in tags}):
-        idx = [i for i, tags in enumerate(run.tags) if tag in tags]
-        table[tag] = _subset_row(run, idx)
+        table[tag] = row([i for i, tags in enumerate(run.tags) if tag in tags])
     return table
 
 

@@ -1,9 +1,12 @@
 """Registry of gradient checks over every differentiable operation.
 
 Each check builds a scalar-valued function with hand-derived gradients and
-runs it through the central-difference checker.  The CLI's gradcheck command
-and the acceptance suite both consume ``gradient_report``; the threshold for
-a pass is a max relative error below 1e-4.
+runs it through the central-difference checker.  Every ``GradPair`` op, the
+adapter included, goes through one harness, ``_pair_check``: it weights the
+pair's value by a seeded ``coef`` and hands that same ``coef`` to the pair's
+``grad_fn``.  The four losses return their gradients directly.  The CLI's
+gradcheck command and the acceptance suite both consume ``gradient_report``;
+the threshold for a pass is a max relative error below 1e-4.
 
 Inputs are seeded and nudged away from documented singular sets (relu kinks,
 SIoU center/shape ties), which the checker cannot handle by construction.
@@ -11,11 +14,9 @@ SIoU center/shape ties), which the checker cannot handle by construction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .adapter import AdapterLayerWeights, adapt_with_cache, adapter_backward
+from .adapter import AdapterLayerWeights, adapter_pair
 from .core import (
     attention_pair,
     grad_check,
@@ -48,60 +49,41 @@ def _away_from(x: np.ndarray, kink: float = 0.0, margin: float = 1e-3) -> np.nda
     return x
 
 
+def _pair_check(make, inputs, coef) -> float:
+    """Check ``make``'s pair on sum(coef * value) against its own ``grad_fn(coef)``."""
+
+    def f(*xs):
+        pair = make(*xs)
+        return float(np.sum(coef * pair.value)), pair.grad_fn(coef)
+
+    return grad_check(f, inputs)
+
+
 def check_linear(seed: int) -> float:
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(4)
-
-    def f(x, w, b):
-        pair = linear_pair(x, w, b)
-        dx, dw, db = pair.grad_fn(coef)
-        return float(coef @ pair.value), [dx, dw, db]
-
-    return grad_check(f, [rng.standard_normal(5), rng.standard_normal((4, 5)), rng.standard_normal(4)])
+    inputs = [rng.standard_normal(5), rng.standard_normal((4, 5)), rng.standard_normal(4)]
+    return _pair_check(linear_pair, inputs, coef)
 
 
 def check_sigmoid(seed: int) -> float:
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(6)
-
-    def f(x):
-        pair = sigmoid_pair(x)
-        (dx,) = pair.grad_fn(coef)
-        return float(coef @ pair.value), [dx]
-
-    return grad_check(f, [rng.standard_normal(6)])
+    return _pair_check(sigmoid_pair, [rng.standard_normal(6)], coef)
 
 
 def check_softmax(seed: int) -> float:
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(7)
-
-    def f(x):
-        pair = softmax_pair(x)
-        (dx,) = pair.grad_fn(coef)
-        return float(coef @ pair.value), [dx]
-
-    return grad_check(f, [rng.standard_normal(7)])
+    return _pair_check(softmax_pair, [rng.standard_normal(7)], coef)
 
 
 def check_attention(seed: int) -> float:
     rng = np.random.default_rng(seed)
     t_tok, s_tok, d = 3, 4, 5
     coef = rng.standard_normal((t_tok, d))
-
-    def f(q, k, v):
-        pair = attention_pair(q, k, v)
-        dq, dk, dv = pair.grad_fn(coef)
-        return float(np.sum(coef * pair.value)), [dq, dk, dv]
-
-    return grad_check(
-        f,
-        [
-            rng.standard_normal((t_tok, d)),
-            rng.standard_normal((s_tok, d)),
-            rng.standard_normal((s_tok, d)),
-        ],
-    )
+    inputs = [rng.standard_normal((n, d)) for n in (t_tok, s_tok, s_tok)]
+    return _pair_check(attention_pair, inputs, coef)
 
 
 def check_adapter(seed: int) -> float:
@@ -115,39 +97,21 @@ def check_adapter(seed: int) -> float:
     # keep the gate's relu pre-activations clear of the kink at this point
     h1 = gate_w1 @ f_sr0.mean(axis=0) + gate_b1
     gate_b1 = gate_b1 + (_away_from(h1) - h1)
-    base = AdapterLayerWeights(
-        q_w=rng.standard_normal((d, d)) / np.sqrt(d),
-        k_w=rng.standard_normal((d, d)) / np.sqrt(d),
-        v_w=rng.standard_normal((d, d)) / np.sqrt(d),
-        gate_w1=gate_w1,
-        gate_b1=gate_b1,
-        gate_w2=rng.standard_normal((2, 2)),
-        gate_b2=0.3 * rng.standard_normal(2),
-    )
-    m = 0.7
+    weights = [
+        rng.standard_normal((d, d)) / np.sqrt(d),
+        rng.standard_normal((d, d)) / np.sqrt(d),
+        rng.standard_normal((d, d)) / np.sqrt(d),
+        gate_w1,
+        gate_b1,
+        rng.standard_normal((2, 2)),
+        0.3 * rng.standard_normal(2),
+    ]
     coef = rng.standard_normal((t_tok, d))
 
-    def f(f_sr, f_dyn, q_w, k_w, v_w, g_w1, g_b1, g_w2, g_b2):
-        w = replace(
-            base, q_w=q_w, k_w=k_w, v_w=v_w,
-            gate_w1=g_w1, gate_b1=g_b1, gate_w2=g_w2, gate_b2=g_b2,
-        )
-        out, cache = adapt_with_cache(f_sr, f_dyn, m, TriState.NIR, w)
-        grads = adapter_backward(coef, cache)
-        return float(np.sum(coef * out)), [
-            grads.f_sr, grads.f_dyn, grads.q_w, grads.k_w, grads.v_w,
-            grads.gate_w1, grads.gate_b1, grads.gate_w2, grads.gate_b2,
-        ]
+    def make(f_sr, f_dyn, *w):
+        return adapter_pair(f_sr, f_dyn, 0.7, TriState.NIR, AdapterLayerWeights(*w))
 
-    return grad_check(
-        f,
-        [
-            f_sr0,
-            f_dyn0,
-            base.q_w, base.k_w, base.v_w,
-            base.gate_w1, base.gate_b1, base.gate_w2, base.gate_b2,
-        ],
-    )
+    return _pair_check(make, [f_sr0, f_dyn0, *weights], coef)
 
 
 def check_l1(seed: int) -> float:

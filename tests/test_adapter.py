@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from xmtrack.adapter import (
+    WEIGHT_NAMES,
     AdapterLayerWeights,
     adapt,
-    adapt_with_cache,
-    adapter_backward,
+    adapter_pair,
     apply_stack,
     gate_hidden_dim,
     layer_gate,
     random_adapter_stack,
     random_adapter_weights,
 )
+from xmtrack.core import ShapeError, attention_pair
 from xmtrack.state_switch import TriState
 from xmtrack import verify
+
+
+def _reference(f_sr, f_dyn, w):
+    """f_ref of the NIR path, straight from attention_pair."""
+    return attention_pair(f_sr @ w.q_w.T, f_dyn @ w.k_w.T, f_dyn @ w.v_w.T).value
 
 
 def test_gate_hidden_dim_floor():
@@ -80,9 +86,10 @@ def test_blend_stays_between_input_and_reference():
         f_sr = rng.normal(size=(3, 6))
         f_dyn = rng.normal(size=(2, 6))
         m = float(rng.random())
-        out, cache = adapt_with_cache(f_sr, f_dyn, m, TriState.NIR, w)
-        lo = np.minimum(f_sr, cache.f_ref) - 1e-12
-        hi = np.maximum(f_sr, cache.f_ref) + 1e-12
+        out = adapt(f_sr, f_dyn, m, TriState.NIR, w)
+        f_ref = _reference(f_sr, f_dyn, w)
+        lo = np.minimum(f_sr, f_ref) - 1e-12
+        hi = np.maximum(f_sr, f_ref) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
 
 
@@ -94,12 +101,9 @@ def test_singleton_template_attention_reproduces_projected_template():
     w = random_adapter_weights(rng, d=d)
     f_sr = rng.normal(size=(4, d))
     f_dyn = rng.normal(size=(1, d))
-    _, cache = adapt_with_cache(f_sr, f_dyn, 0.7, TriState.NIR, w)
-    expected_row = f_dyn[0] @ cache.w.v_w.T if cache.w.v_w.shape[0] == d else None
-    for row in cache.f_ref:
-        np.testing.assert_allclose(row, cache.v[0], atol=1e-12)
-    if expected_row is not None:
-        np.testing.assert_allclose(cache.v[0], expected_row, atol=1e-12)
+    v = f_dyn @ w.v_w.T
+    for row in _reference(f_sr, f_dyn, w):
+        np.testing.assert_allclose(row, v[0], atol=1e-12)
 
 
 def test_hand_computed_gradients_on_scalar_toy():
@@ -118,21 +122,21 @@ def test_hand_computed_gradients_on_scalar_toy():
     )
     f_sr = np.array([[x]])
     f_dyn = np.array([[y]])
-    out, cache = adapt_with_cache(f_sr, f_dyn, m, TriState.NIR, w)
+    pair = adapter_pair(f_sr, f_dyn, m, TriState.NIR, w)
     g = 0.5
-    assert abs(cache.g - g) < 1e-15
-    assert abs(out[0, 0] - (x + g * m * (c * y - x))) < 1e-12
+    assert abs(layer_gate(f_sr, w) - g) < 1e-15
+    assert abs(pair.value[0, 0] - (x + g * m * (c * y - x))) < 1e-12
 
-    grads = adapter_backward(np.ones((1, 1)), cache)
-    assert abs(grads.f_sr[0, 0] - (1.0 - g * m)) < 1e-12
-    assert abs(grads.f_dyn[0, 0] - g * m * c) < 1e-12
-    assert abs(grads.v_w[0, 0] - g * m * y) < 1e-12
-    assert abs(grads.q_w[0, 0]) < 1e-15
-    assert abs(grads.k_w[0, 0]) < 1e-15
+    d_f_sr, d_f_dyn, d_q_w, d_k_w, d_v_w, _, _, d_gate_w2, _ = pair.grad_fn(np.ones((1, 1)))
+    assert abs(d_f_sr[0, 0] - (1.0 - g * m)) < 1e-12
+    assert abs(d_f_dyn[0, 0] - g * m * c) < 1e-12
+    assert abs(d_v_w[0, 0] - g * m * y) < 1e-12
+    assert abs(d_q_w[0, 0]) < 1e-15
+    assert abs(d_k_w[0, 0]) < 1e-15
     # gate logits move g by +/- p0*p1 = 0.25, scaled by h1 = relu(b1) = 1
     residual = c * y - x
-    assert abs(grads.gate_w2[0, 0] - m * residual * 0.25) < 1e-12
-    assert abs(grads.gate_w2[1, 0] + m * residual * 0.25) < 1e-12
+    assert abs(d_gate_w2[0, 0] - m * residual * 0.25) < 1e-12
+    assert abs(d_gate_w2[1, 0] + m * residual * 0.25) < 1e-12
 
 
 def test_backward_through_bypass_is_gradient_passthrough():
@@ -142,17 +146,43 @@ def test_backward_through_bypass_is_gradient_passthrough():
     w = random_adapter_weights(rng, d=4)
     f_sr = rng.normal(size=(2, 4))
     f_dyn = rng.normal(size=(2, 4))
-    _, cache = adapt_with_cache(f_sr, f_dyn, 0.5, TriState.RGB, w)
+    pair = adapter_pair(f_sr, f_dyn, 0.5, TriState.RGB, w)
+    assert pair.value is f_sr
     up = rng.normal(size=(2, 4))
-    grads = adapter_backward(up, cache)
-    np.testing.assert_array_equal(grads.f_sr, up)
-    np.testing.assert_array_equal(grads.f_dyn, np.zeros_like(f_dyn))
-    assert np.all(grads.q_w == 0) and np.all(grads.gate_w2 == 0)
+    d_f_sr, d_f_dyn, *d_weights = pair.grad_fn(up)
+    np.testing.assert_array_equal(d_f_sr, up)
+    np.testing.assert_array_equal(d_f_dyn, np.zeros_like(f_dyn))
+    assert all(np.all(d == 0) for d in d_weights)
 
 
-def test_backward_requires_a_cache():
-    with pytest.raises(ValueError):
-        adapter_backward(np.ones((2, 4)), None)
+@pytest.mark.parametrize("state", [TriState.NIR, TriState.RGB])
+def test_grad_fn_returns_one_gradient_per_input_in_order(state):
+    rng = np.random.default_rng(9)
+    w = random_adapter_weights(rng, d=8)
+    f_sr = rng.normal(size=(5, 8))
+    f_dyn = rng.normal(size=(3, 8))
+    grads = adapter_pair(f_sr, f_dyn, 0.6, state, w).grad_fn(rng.normal(size=(5, 8)))
+    inputs = [f_sr, f_dyn] + [getattr(w, name) for name in WEIGHT_NAMES]
+    assert len(grads) == 9
+    assert [g.shape for g in grads] == [x.shape for x in inputs]
+
+
+def test_layer_weights_reject_a_0d_q_w():
+    w = random_adapter_weights(np.random.default_rng(10), d=8)
+    with pytest.raises(ShapeError):
+        AdapterLayerWeights(
+            q_w=np.array(1.0), k_w=w.k_w, v_w=w.v_w, gate_w1=w.gate_w1,
+            gate_b1=w.gate_b1, gate_w2=w.gate_w2, gate_b2=w.gate_b2,
+        )
+
+
+def test_layer_weights_reject_a_nan_entry():
+    w = random_adapter_weights(np.random.default_rng(11), d=8)
+    with pytest.raises(ValueError, match="gate_b2 has a non-finite entry"):
+        AdapterLayerWeights(
+            q_w=w.q_w, k_w=w.k_w, v_w=w.v_w, gate_w1=w.gate_w1,
+            gate_b1=w.gate_b1, gate_w2=w.gate_w2, gate_b2=np.array([np.nan, 0.0]),
+        )
 
 
 def test_gradients_pass_central_difference_across_seeds():
