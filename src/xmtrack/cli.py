@@ -152,7 +152,6 @@ def cmd_ablate(args) -> int:
     for base_seed in range(args.seed, args.seed + args.suites):
         table = run_ablation_suite(base_seed)
         rows.append({"seed": base_seed, "results": table})
-    rows.sort(key=lambda r: r["seed"])
     ordered = sum(
         1
         for r in rows

@@ -94,14 +94,14 @@ def scalar_sigmoid(x: float) -> float:
     return float(ex / (1.0 + ex))
 
 
-def softmax(v: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (max subtraction before exponentiation)."""
+def softmax(v: Tensor) -> Tensor:
+    """Stable softmax along the last axis (max subtraction before exponentiation)."""
     v = as_tensor(v)
-    if v.size == 0 or v.shape[axis] == 0:
+    if v.size == 0 or v.shape[-1] == 0:
         raise ShapeError("softmax: empty axis")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
+    shifted = v - np.max(v, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _pool_windows(n_in: int, n_out: int) -> list[tuple[int, int]]:
@@ -183,26 +183,24 @@ def sigmoid_pair(x: Tensor) -> GradPair:
     return GradPair(s, grad_fn)
 
 
-def softmax_pair(x: Tensor, axis: int = -1) -> GradPair:
-    y = softmax(x, axis=axis)
+def softmax_pair(x: Tensor) -> GradPair:
+    y = softmax(x)
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:
         up = as_tensor(up)
-        dot = np.sum(up * y, axis=axis, keepdims=True)
+        dot = np.sum(up * y, axis=-1, keepdims=True)
         return (y * (up - dot),)
 
     return GradPair(y, grad_fn)
 
 
-def attention_pair(
-    q: Tensor, k: Tensor, v: Tensor, d_k: float | None = None
-) -> GradPair:
-    """Single-head scaled dot-product attention, Softmax(q k^T / sqrt(d_k)) v,
+def attention_pair(q: Tensor, k: Tensor, v: Tensor) -> GradPair:
+    """Single-head scaled dot-product attention, Softmax(q k^T / sqrt(d)) v,
     with gradients for q, k and v.
 
     q: (T, d); k: (S, d); v: (S, dv).  Rows of the attention matrix sum to 1.
     Backward runs the softmax VJP per row of the attention matrix, then
-    distributes through the two matrix products and the 1/sqrt(d_k) scale.
+    distributes through the two matrix products and the 1/sqrt(d) scale.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -211,10 +209,8 @@ def attention_pair(
         raise ShapeError(f"attention: feature dims differ, q {q.shape} vs k {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: token counts differ, k {k.shape} vs v {v.shape}")
-    if d_k is None:
-        d_k = q.shape[1]
-    scale = 1.0 / np.sqrt(float(d_k))
-    weights = softmax_pair(q @ k.T * scale, axis=-1)
+    scale = 1.0 / np.sqrt(float(q.shape[1]))
+    weights = softmax_pair(q @ k.T * scale)
     value = weights.value @ v
 
     def grad_fn(up: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -246,12 +242,10 @@ def cosine_pair(a: Tensor, b: Tensor) -> GradPair:
 # gradient checker
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-5  # central-difference step
 
-def grad_check(
-    f: Callable[..., tuple[float, Sequence[Tensor]]],
-    inputs: Sequence[Tensor],
-    h: float = 1e-5,
-) -> float:
+
+def grad_check(f: Callable[..., tuple[float, Sequence[Tensor]]], inputs: Sequence[Tensor]) -> float:
     """Compare analytic gradients of a scalar function to central differences.
 
     ``f(*inputs)`` must return ``(scalar_value, [grad_per_input])``.  Returns
@@ -276,12 +270,12 @@ def grad_check(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             f_plus, _ = f(*inputs)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             f_minus, _ = f(*inputs)
             flat[i] = orig
-            cd = (float(f_plus) - float(f_minus)) / (2.0 * h)
+            cd = (float(f_plus) - float(f_minus)) / (2.0 * FD_STEP)
             rel = abs(float(gflat[i]) - cd) / max(1e-8, abs(cd))
             worst = max(worst, rel)
     return worst

@@ -2,8 +2,11 @@
 
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
 order) except a sequence's pixels, which go to one ``.npy`` array (numpy's
-own format) beside the sequence's JSONL.  All writers are byte-deterministic
-given identical inputs.
+own format) beside the sequence's JSONL.  A sequence keeps only what its
+scenario cannot reproduce: the header's scenario scripts the modality
+schedule, the invalid windows and the ground-truth path, and each frame line
+holds the stub tracker's observed box and confidence.  All writers are
+byte-deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -19,16 +22,12 @@ import numpy as np
 
 from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
-from .sim import MODALITIES, FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
-from .state_switch import Image
+from .sim import FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
+from .state_switch import FRAME_CHANNELS, Image
 
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
 
 CONFIG_DIR_ENV = "XMTRACK_CONFIG_DIR"
-
-# `simulate` renders, and `track`'s built-in switch weights classify,
-# 3-channel frames.
-FRAME_CHANNELS = 3
 
 
 class DataError(Exception):
@@ -89,21 +88,22 @@ def _box_list(b: BBox) -> list[float]:
 
 
 def _finite(v, what: str) -> float:
+    """A JSON number finite as a float: an int or a float, and a bool is neither."""
+    if type(v) not in (int, float):
+        raise DataError(f"bad {what} value {v!r}: not a number")
     try:
         x = float(v)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
-        raise DataError(f"bad {what} value {v!r}") from exc
+    except OverflowError:  # an int past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise DataError(f"non-finite {what} value {v!r}")
     return x
 
 
 def _box_from(v) -> BBox:
-    try:
-        cx, cy, w, h = (_finite(x, "box") for x in v)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad box value {v!r}") from exc
-    return BBox(cx=cx, cy=cy, w=w, h=h)
+    if not (isinstance(v, list) and len(v) == 4):
+        raise DataError(f"bad box value {v!r}: not a list of 4 numbers")
+    return BBox(*(_finite(x, "box") for x in v))
 
 
 def frames_path(path: str | Path) -> Path:
@@ -113,38 +113,19 @@ def frames_path(path: str | Path) -> Path:
 
 
 def save_sequence(path: str | Path, seq: Sequence):
-    """Write a sequence: per-frame metadata as JSONL, pixels as one ``.npy``.
+    """Write a sequence: the scenario and observations as JSONL, pixels as one ``.npy``.
 
     The pixels of every frame go to ``frames_path(path)`` as one C-ordered
     ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL holds the
-    header and one metadata record per frame.
+    header and one ``{"observed": [cx, cy, w, h], "s": s}`` line per frame.
     """
     frames = np.stack(
         [r.image.pixels.reshape(r.image.height, r.image.width, r.image.channels) for r in seq.records]
     )
     np.save(frames_path(path), frames)
     lines = [_dump({"type": "header", "scenario": scenario_to_dict(seq.scenario)})]
-    for rec in seq.records:
-        lines.append(
-            _dump(
-                {
-                    "type": "frame",
-                    "index": rec.index,
-                    "gt": _box_list(rec.gt),
-                    "modality": rec.modality,
-                    "valid": rec.valid,
-                    "observed": _box_list(rec.observed),
-                    "s": rec.s,
-                }
-            )
-        )
+    lines += [_dump({"observed": _box_list(rec.observed), "s": rec.s}) for rec in seq.records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _integer(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DataError(f"{what} {v!r} is not an integer")
-    return v
 
 
 def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
@@ -166,46 +147,26 @@ def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
     return frames
 
 
-def _frame_record(d, image: Image, index: int) -> FrameRecord:
-    """Frame ``index`` of a sequence, its pixels ``image``."""
-    if not isinstance(d, dict) or d.get("type") != "frame":
+def _frame_record(d, image: Image, gt: BBox) -> FrameRecord:
+    """A frame from its line ``d``, its pixels ``image`` and its scenario's ``gt``."""
+    if not isinstance(d, dict):
         raise DataError("expected a frame record")
-    if _integer(d["index"], "frame index") != index:
-        raise DataError(f"frame index {d['index']}, expected {index} (indices run 0..T-1 in order)")
-    if d["modality"] not in MODALITIES:
-        raise DataError(f"modality {d['modality']!r} is not one of {', '.join(MODALITIES)}")
-    if not isinstance(d["valid"], bool):
-        raise DataError(f"valid {d['valid']!r} is not true or false")
-    gt = _box_from(d["gt"])
-    if gt.w < 0 or gt.h < 0:
-        raise DataError(f"gt box has negative size w={gt.w}, h={gt.h}")
-    if index == 0 and not (gt.w > 0 and gt.h > 0):
-        raise DataError(f"frame 0 gt box starts the track, its size must be positive: w={gt.w}, h={gt.h}")
     s = _finite(d["s"], "confidence")
     if not 0.0 <= s <= 1.0:
         raise DataError(f"confidence s={s} outside [0, 1]")
-    return FrameRecord(
-        index=index,
-        image=image,
-        gt=gt,
-        modality=d["modality"],
-        valid=d["valid"],
-        observed=_box_from(d["observed"]),
-        s=s,
-    )
+    return FrameRecord(image=image, gt=gt, observed=_box_from(d["observed"]), s=s)
 
 
 def load_sequence(path: str | Path) -> Sequence:
     """Read a sequence file and its frame stack; bad input is a DataError.
 
-    The JSONL must hold one frame record per scenario frame, and the
+    The JSONL must hold one frame line per scenario frame, and the
     ``.npy`` beside it (``frames_path``) one uint8 array of shape
     ``(frames, image_height, image_width, 3)`` from the header's scenario;
-    each frame's image is a view of that array.  A malformed or
-    inconsistent frame record names file:line: frame indices must run
-    0..T-1 in file order, modalities be rgb or nir, ``valid`` a boolean,
-    every confidence ``s`` in [0, 1], and every ``gt`` size non-negative
-    (positive on frame 0, where the track starts).
+    each frame's image is a view of that array and its ``gt`` the
+    scenario's ``gt_boxes()``.  A malformed frame line names file:line:
+    ``observed`` must be a list of 4 finite numbers and the confidence
+    ``s`` a number in [0, 1].  Other keys on a line are ignored.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -224,11 +185,11 @@ def load_sequence(path: str | Path) -> Sequence:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
     frames = _load_frames(path, scenario)
     records = []
-    for (lineno, line), pixels in zip(body, frames):
+    for (lineno, line), pixels, gt in zip(body, frames, scenario.gt_boxes()):
         image = Image(scenario.image_width, scenario.image_height, FRAME_CHANNELS, pixels)
         d = _parse_json(line, f"{path}:{lineno}")
         try:
-            records.append(_frame_record(d, image, len(records)))
+            records.append(_frame_record(d, image, gt))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:
@@ -259,14 +220,19 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
     try:
         pred, gt = ([_box_from(b) for b in payload[k]] for k in ("pred", "gt"))
         tags = payload.get("tags", [])
-        if not all(isinstance(t, list) and all(isinstance(s, str) for s in t) for t in tags):
+        if not isinstance(tags, list) or not all(
+            isinstance(t, list) and all(isinstance(s, str) for s in t) for t in tags
+        ):
             raise DataError("tags must be one list of strings per frame")
+        name = payload.get("sequence", "unknown")
+        if not isinstance(name, str):
+            raise DataError(f"sequence name {name!r} is not a string")
         if any(b.w < 0 or b.h < 0 for b in pred + gt):
             raise DataError("negative box dimensions")
         run = TrackRun(pred=pred, gt=gt, tags=[list(t) for t in tags])
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid track run: {exc}") from exc
-    return str(payload.get("sequence", "unknown")), run
+    return name, run
 
 
 # ---------------------------------------------------------------------------

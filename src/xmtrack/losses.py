@@ -186,20 +186,12 @@ def siou_loss_grad(pred: BBox, gt: BBox) -> Tensor:
     return grad
 
 
-def tracking_loss(
-    pred: BBox,
-    gt: BBox,
-    ce_term: float,
-    sched: EpochSchedule,
-    lambda_l1: float = LAMBDA_L1,
-    lambda_siou: float = LAMBDA_SIOU,
-    lambda_ce: float = LAMBDA_CE,
-) -> float:
+def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) -> float:
     """lambda_1 * L1 + lambda_2 * SIoU + lambda_3 * ((N-C)/N) * CE."""
     return (
-        lambda_l1 * l1_loss(pred, gt)
-        + lambda_siou * siou_loss(pred, gt)
-        + lambda_ce * decayed_ce_weight(sched) * ce_term
+        LAMBDA_L1 * l1_loss(pred, gt)
+        + LAMBDA_SIOU * siou_loss(pred, gt)
+        + LAMBDA_CE * decayed_ce_weight(sched) * ce_term
     )
 
 
@@ -209,33 +201,29 @@ def bce(target: float, prob: float) -> float:
     return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
 
 
-def modality_loss(m: float, m_hat: float, alpha: float = ALPHA_MODALITY) -> float:
+def modality_loss(m: float, m_hat: float) -> float:
     """alpha * BCE(true modality, predicted modality weight)."""
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modality_loss: target m={m} outside [0, 1]")
-    return alpha * bce(m, m_hat)
+    return ALPHA_MODALITY * bce(m, m_hat)
 
 
-def modality_loss_grad(m: float, m_hat: float, alpha: float = ALPHA_MODALITY) -> float:
+def modality_loss_grad(m: float, m_hat: float) -> float:
     """d modality_loss / d m_hat; zero in the clamped tails."""
     if m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP:
         return 0.0
-    return alpha * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
+    return ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
 
 
-def template_sim_loss(
-    f: Tensor, f_hat: Tensor, sched: EpochSchedule, zeta: float = ZETA_TEMPLATE
-) -> float:
+def template_sim_loss(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> float:
     """zeta * ((N-C)/N) * (1 - cos(f, f_hat)); decays to 0 at the last epoch."""
     pair = cosine_pair(as_tensor(f), as_tensor(f_hat))
-    return zeta * decayed_ce_weight(sched) * (1.0 - float(pair.value))
+    return ZETA_TEMPLATE * decayed_ce_weight(sched) * (1.0 - float(pair.value))
 
 
-def template_sim_loss_grad(
-    f: Tensor, f_hat: Tensor, sched: EpochSchedule, zeta: float = ZETA_TEMPLATE
-) -> tuple[Tensor, Tensor]:
+def template_sim_loss_grad(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> tuple[Tensor, Tensor]:
     pair = cosine_pair(as_tensor(f), as_tensor(f_hat))
-    scale = -zeta * decayed_ce_weight(sched)
+    scale = -ZETA_TEMPLATE * decayed_ce_weight(sched)
     df, df_hat = pair.grad_fn(np.asarray(scale))
     return df, df_hat
 

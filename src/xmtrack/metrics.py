@@ -7,6 +7,8 @@ exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -103,11 +105,13 @@ def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
 def metrics_csv(sequence: str, run: TrackRun) -> str:
     """CSV with columns (sequence, tag, PR, SR, N); 'all' row first."""
     table = tag_breakdown(run)
-    lines = ["sequence,tag,PR,SR,N"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a field holding a comma, quote or newline
+    writer.writerow(["sequence", "tag", "PR", "SR", "N"])
     for tag in ["all"] + sorted(t for t in table if t != "all"):
         row = table[tag]
-        lines.append(f"{sequence},{tag},{row.pr:.4f},{row.sr:.4f},{row.n}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([sequence, tag, f"{row.pr:.4f}", f"{row.sr:.4f}", row.n])
+    return out.getvalue()
 
 
 def metrics_summary(sequence: str, run: TrackRun) -> str:

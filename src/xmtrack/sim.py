@@ -6,7 +6,9 @@ observation-noise model.  ``generate`` renders 64x64 synthetic frames whose
 channel statistics carry the modality signal (color frames have distinct
 per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
-confidence score.
+confidence score.  The scenario alone answers each frame's modality,
+validity and ground truth; a ``FrameRecord`` adds only what it cannot
+reproduce: the pixels, the observed box and the confidence.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -200,11 +202,10 @@ class Scenario:
 
 @dataclass
 class FrameRecord:
-    index: int
+    """One frame's pixels, ground truth, stub observation and its confidence."""
+
     image: Image
     gt: BBox
-    modality: str  # scheduled modality (rgb/nir), even under an invalid window
-    valid: bool
     observed: BBox
     s: float
 
@@ -313,8 +314,7 @@ def generate(sc: Scenario) -> Sequence:
     records = []
     for t in range(sc.frames):
         image = render_frame(sc, t, gts[t], rng)
-        valid = not sc.is_invalid(t)
-        if valid:
+        if not sc.is_invalid(t):
             near = near_switch[t]
             sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
             observed, s = stub_tracker(gts[t], sigma_eff, rng)
@@ -322,17 +322,7 @@ def generate(sc: Scenario) -> Sequence:
                 s *= 0.5  # switching uncertainty damps confidence
         else:
             observed, s = _invalid_observation(sc, rng), 0.0
-        records.append(
-            FrameRecord(
-                index=t,
-                image=image,
-                gt=gts[t],
-                modality=sc.scheduled_modality(t),
-                valid=valid,
-                observed=observed,
-                s=s,
-            )
-        )
+        records.append(FrameRecord(image=image, gt=gts[t], observed=observed, s=s))
     return Sequence(scenario=sc, records=records)
 
 

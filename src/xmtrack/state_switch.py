@@ -29,6 +29,8 @@ import numpy as np
 
 from .core import ShapeError, Tensor, adaptive_max_pool, as_tensor, relu, scalar_sigmoid
 
+# The built-in weights classify 3-channel frames, the layout sim renders.
+FRAME_CHANNELS = 3
 # Fixed classifier hyper-parameters (unspecified upstream; pinned so tests
 # are deterministic): 3x3 conv, stride 1, pad 1, out channels = in channels;
 # spatial pool target 4x4; spectral hidden width 8; fusion hidden width 16.
@@ -208,9 +210,9 @@ class SwitchWeights:
         return self.conv_w.shape[0]
 
 
-def random_switch_weights(rng: np.random.Generator, channels: int = 3) -> SwitchWeights:
+def random_switch_weights(rng: np.random.Generator) -> SwitchWeights:
     """Seeded random initializer (scale 0.1) for property tests."""
-    c = channels
+    c = FRAME_CHANNELS
     fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
 
     def init(*shape):
@@ -228,7 +230,7 @@ def random_switch_weights(rng: np.random.Generator, channels: int = 3) -> Switch
     )
 
 
-def separator_switch_weights(channels: int = 3) -> SwitchWeights:
+def separator_switch_weights() -> SwitchWeights:
     """Weights correct-by-construction for the synthetic sequences.
 
     The spectral branch measures mean(R) - mean(B), which is far from zero on
@@ -238,7 +240,7 @@ def separator_switch_weights(channels: int = 3) -> SwitchWeights:
     The spatial branch is zeroed out; it carries no signal the synthetic
     frames need, and ``classify`` skips it (see ``SwitchWeights``).
     """
-    c = channels
+    c = FRAME_CHANNELS
     fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
     spec_w = np.zeros((SPECTRAL_HIDDEN, c))
     spec_w[0, 0] = 1.0

@@ -41,11 +41,11 @@ from .state_switch import TriState
 GRAD_TOL = 1e-4
 
 
-def _away_from(x: np.ndarray, kink: float = 0.0, margin: float = 1e-3) -> np.ndarray:
-    """Push entries out of the +-margin band around a kink."""
+def _away_from(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
+    """Push entries out of the +-margin band around the kink at zero."""
     x = x.copy()
-    close = np.abs(x - kink) < margin
-    x[close] = kink + margin * np.where(x[close] >= kink, 1.0, -1.0) * 2.0
+    close = np.abs(x) < margin
+    x[close] = margin * np.where(x[close] >= 0.0, 1.0, -1.0) * 2.0
     return x
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xmtrack.cli import main
-from xmtrack.io import frames_path, load_trackrun, save_scenario
+from xmtrack.io import frames_path, load_scenario, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
 from xmtrack.sim import Scenario, scenario_to_dict
 
@@ -220,36 +220,53 @@ def test_non_finite_observation_exits_2(tmp_path, turning_sequence, capsys):
     assert not out.exists()
 
 
-def _gt_width(width):
-    return lambda f: f.update(gt=[f["gt"][0], f["gt"][1], width, f["gt"][3]])
-
-
-# Each edit of frame 4 (file line 6), or of the frame on the line that
-# BAD_FRAME_LINE names, makes one malformed or inconsistent frame.
+# Each edit of frame 4 (file line 6) makes one malformed frame.
 BAD_FRAMES = {
-    "index_not_integer": lambda f: f.update(index="x"),
-    "modality_unknown": lambda f: f.update(modality="xyz"),
-    "index_duplicated": lambda f: f.update(index=3),
-    "index_skipped": lambda f: f.update(index=5),
-    "valid_not_boolean": lambda f: f.update(valid="false"),
     "confidence_above_one": lambda f: f.update(s=1.5),
     "confidence_below_zero": lambda f: f.update(s=-0.1),
-    "gt_negative_width": _gt_width(-1.0),
-    "gt_zero_width_on_frame_0": _gt_width(0.0),
+    "confidence_a_numeric_string": lambda f: f.update(s="0.5"),
+    "confidence_a_padded_numeric_string": lambda f: f.update(s=" 1e-1 "),
+    "confidence_true": lambda f: f.update(s=True),
+    "observed_a_string_of_4_digits": lambda f: f.update(observed="1234"),
+    "observed_5_numbers": lambda f: f.update(observed=f["observed"] + [1.0]),
+    "observed_coordinate_a_numeric_string": lambda f: f["observed"].__setitem__(0, "9999"),
+    "observed_coordinate_false": lambda f: f["observed"].__setitem__(2, False),
 }
-BAD_FRAME_LINE = {"gt_zero_width_on_frame_0": 2}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
 def test_malformed_frame_exits_2_naming_file_and_line(tmp_path, sequence_file, case, capsys):
-    line = BAD_FRAME_LINE.get(case, 6)
     bad = tmp_path / "bad.jsonl"
-    _edited_copy(sequence_file, bad, line, BAD_FRAMES[case])
+    _edited_copy(sequence_file, bad, 6, BAD_FRAMES[case])
     out = tmp_path / "run.json"
     assert main(["track", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{bad}:{line}: " in err and err.count("\n") == 1
+    assert f"{bad}:6: " in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_frame_lines_with_the_old_keys_track_like_the_clean_file(tmp_path, scenario_file, sequence_file):
+    # A frame line's keys other than observed and s are ignored: the header's
+    # scenario alone gives each frame's index, gt, modality and validity.
+    sc = load_scenario(scenario_file)
+    lines = sequence_file.read_text().splitlines()
+    for t in range(sc.frames):
+        frame = json.loads(lines[t + 1])
+        frame.update(
+            type="frame",
+            index=t,
+            gt=[1.0, 2.0, 0.0, -5.0],
+            modality="rgb" if sc.scheduled_modality(t) == "nir" else "nir",
+            valid=sc.is_invalid(t),
+        )
+        lines[t + 1] = json.dumps(frame)
+    old = tmp_path / "old.jsonl"
+    old.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(frames_path(sequence_file), frames_path(old))
+    runs = tmp_path / "clean.json", tmp_path / "old.json"
+    for seq, run in zip((sequence_file, old), runs):
+        assert main(["track", str(seq), "--out", str(run)]) == 0
+    assert runs[0].read_bytes() == runs[1].read_bytes()
 
 
 def _header_only(npy, frames):
@@ -319,6 +336,14 @@ BAD_TRACK_RUNS = {
     "tags_a_string": lambda p: {**p, "tags": ["rgb"] + p["tags"][1:]},
     "negative_box_size": lambda p: {**p, "pred": [[1.0, 1.0, -5.0, 5.0]] + p["pred"][1:]},
     "coordinate_past_the_float_range": lambda p: {**p, "pred": [[10**400, 1.0, 5.0, 5.0]] + p["pred"][1:]},
+    "coordinate_a_numeric_string": lambda p: {**p, "pred": [["9999", 1.0, 5.0, 5.0]] + p["pred"][1:]},
+    "coordinate_true": lambda p: {**p, "gt": [[True, 1.0, 5.0, 5.0]] + p["gt"][1:]},
+    "box_a_string_of_4_digits": lambda p: {**p, "pred": ["1234"] + p["pred"][1:]},
+    "box_of_3_numbers": lambda p: {**p, "gt": [[1.0, 5.0, 5.0]] + p["gt"][1:]},
+    "tags_an_empty_object": lambda p: {**p, "tags": {}},
+    "tags_an_empty_string": lambda p: {**p, "tags": ""},
+    "sequence_a_number": lambda p: {**p, "sequence": 5},
+    "sequence_null": lambda p: {**p, "sequence": None},
     "not_an_object": lambda p: [p],
 }
 
@@ -468,7 +493,7 @@ UNREADABLE_INPUTS = {
     "track_header_too_deep": (_sequence_line(1, TOO_DEEP), TRACK, "{bad}:1: malformed JSON"),
     "track_frame_line_too_deep": (_sequence_line(4, TOO_DEEP), TRACK, "{bad}:4: malformed JSON"),
     "track_frame_line_huge_integer": (
-        _sequence_line(4, b'{"index": ' + b"9" * 5000 + b"}"),
+        _sequence_line(4, b'{"s": ' + b"9" * 5000 + b"}"),
         TRACK,
         "{bad}:4: malformed JSON",
     ),

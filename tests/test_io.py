@@ -50,19 +50,14 @@ def test_sequence_roundtrip(tmp_path):
     frames = np.load(tmp_path / "seq.jsonl.npy")
     assert frames_path(path) == tmp_path / "seq.jsonl.npy"
     assert (frames.dtype, frames.shape) == (np.uint8, (6, sc.image_height, sc.image_width, 3))
-    metadata = {"type", "index", "gt", "modality", "valid", "observed", "s"}
-    assert all(set(json.loads(line)) == metadata for line in path.read_text().splitlines()[1:])
+    assert all(set(json.loads(line)) == {"observed", "s"} for line in path.read_text().splitlines()[1:])
     back = load_sequence(path)
     assert back.scenario == sc
     assert len(back.records) == len(seq.records)
     for ra, rb in zip(seq.records, back.records):
-        assert ra.index == rb.index
-        assert ra.modality == rb.modality
-        assert ra.valid == rb.valid
         assert ra.s == rb.s
-        assert (ra.gt.cx, ra.gt.cy, ra.gt.w, ra.gt.h) == (
-            rb.gt.cx, rb.gt.cy, rb.gt.w, rb.gt.h,
-        )
+        assert ra.observed == rb.observed
+        assert ra.gt == rb.gt
         assert (rb.image.width, rb.image.height, rb.image.channels) == (
             ra.image.width, ra.image.height, ra.image.channels,
         )
@@ -71,8 +66,7 @@ def test_sequence_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("observed", [1.0, float("nan"), 3.0, 4.0]), ("gt", [1.0, 2.0, float("inf"), 4.0]),
-     ("s", float("nan")), ("s", "high")],
+    [("observed", [1.0, float("nan"), 3.0, 4.0]), ("s", float("nan")), ("s", "high")],
 )
 def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
     sc = Scenario(name="nan", frames=4, seed=2)

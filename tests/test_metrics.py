@@ -1,5 +1,7 @@
 """PR/SR metrics: hand-counted fixture, strict boundaries, invariances."""
 
+import csv
+import io
 import json
 import random
 from pathlib import Path
@@ -152,6 +154,22 @@ def test_metrics_csv_golden(fixtures_dir):
         "fixture,rgb,80.0000,60.0000,5\n"
     )
     assert got == expected
+
+
+@pytest.mark.parametrize("name", ["a,b\nc", 'say "hi"', "x\r\ny"])
+def test_metrics_csv_quotes_a_name_that_csv_reader_splits_back(fixtures_dir, name):
+    rows = list(csv.reader(io.StringIO(metrics_csv(name, _load_fixture(fixtures_dir)), newline="")))
+    assert rows == [
+        ["sequence", "tag", "PR", "SR", "N"],
+        [name, "all", "70.0000", "60.0000", "10"],
+        [name, "nir", "60.0000", "60.0000", "5"],
+        [name, "rgb", "80.0000", "60.0000", "5"],
+    ]
+
+
+@pytest.mark.parametrize("name", ["cli-demo", "", "a b", "x-1.5"])
+def test_metrics_csv_leaves_a_plain_name_unquoted(fixtures_dir, name):
+    assert metrics_csv(name, _load_fixture(fixtures_dir)).splitlines()[1] == f"{name},all,70.0000,60.0000,10"
 
 
 def test_metrics_summary_is_deterministic_sorted_json(fixtures_dir):

@@ -110,8 +110,8 @@ def test_confidence_is_damped_near_modality_switches():
         frames=40, sigma=0.0, modality_schedule=[(0, 20, "rgb"), (20, 40, "nir")]
     )
     seq = generate(sc)
-    for rec in seq.records:
-        if abs(rec.index - 20) <= sc.switch_radius:
+    for t, rec in enumerate(seq.records):
+        if abs(t - 20) <= sc.switch_radius:
             assert rec.s == 0.5
         else:
             assert rec.s == 1.0
@@ -126,8 +126,7 @@ def test_observation_noise_statistics():
 
 def test_modality_schedule_gaps_default_to_rgb():
     sc = _straight(frames=15, modality_schedule=[(5, 10, "nir")])
-    seq = generate(sc)
-    mods = [r.modality for r in seq.records]
+    mods = [sc.scheduled_modality(t) for t in range(sc.frames)]
     assert mods[:5] == ["rgb"] * 5
     assert mods[5:10] == ["nir"] * 5
     assert mods[10:] == ["rgb"] * 5
@@ -136,9 +135,9 @@ def test_modality_schedule_gaps_default_to_rgb():
 def test_invalid_windows_mark_frames_and_whiten_pixels():
     sc = _straight(frames=30, invalid_windows=[(10, 18)])
     seq = generate(sc)
-    for rec in seq.records:
-        in_window = 10 <= rec.index < 18
-        assert rec.valid == (not in_window)
+    for t, rec in enumerate(seq.records):
+        in_window = 10 <= t < 18
+        assert sc.is_invalid(t) == in_window
         white = np.count_nonzero(rec.image.grayscale() >= 250) / (64 * 64)
         if in_window:
             assert white > 0.4
@@ -155,10 +154,10 @@ def test_classifier_recovers_schedule_exactly():
     )
     seq = generate(sc)
     decisions = classify_sequence(seq)
-    for rec, dec in zip(seq.records, decisions):
-        if not rec.valid:
+    for t, dec in enumerate(decisions):
+        if sc.is_invalid(t):
             assert dec.state == TriState.INVALID
-        elif rec.modality == "nir":
+        elif sc.scheduled_modality(t) == "nir":
             assert dec.state == TriState.NIR
         else:
             assert dec.state == TriState.RGB
@@ -167,9 +166,9 @@ def test_classifier_recovers_schedule_exactly():
 def test_nir_frames_collapse_channels_rgb_frames_do_not():
     sc = _straight(frames=20, modality_schedule=[(10, 20, "nir")])
     seq = generate(sc)
-    for rec in seq.records:
+    for t, rec in enumerate(seq.records):
         hwc = rec.image.pixels.reshape(64, 64, 3)
-        if rec.modality == "nir":
+        if sc.scheduled_modality(t) == "nir":
             assert np.array_equal(hwc[..., 0], hwc[..., 1])
             assert np.array_equal(hwc[..., 0], hwc[..., 2])
         else:
