@@ -132,9 +132,8 @@ def cmd_track(args) -> int:
 
 def cmd_eval(args) -> int:
     name, tr = xio.load_trackrun(args.trackrun)
-    out = Path(args.out)
-    csv_path = out.with_suffix(".csv")
-    json_path = out.with_suffix(".json")
+    # Appended to the prefix string: run.v1 keeps its last segment, and "out/" names out/.csv.
+    csv_path, json_path = (Path(args.out + ext) for ext in (".csv", ".json"))
     csv_path.write_text(metrics_csv(name, tr), encoding="utf-8")
     json_path.write_text(metrics_summary(name, tr), encoding="utf-8")
     print(f"wrote {csv_path} and {json_path}")

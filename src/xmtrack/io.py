@@ -1,8 +1,10 @@
 """File formats: scenarios, sequences, track runs, filter configs.
 
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
-order) except a sequence's pixels, which go to one ``.npy`` array (numpy's
-own format) beside the sequence's JSONL.  A sequence keeps only what its
+order) except a sequence's pixels: its ``(T, H, W, 3)`` uint8 frame stack
+``Sequence.frames`` is written as is to one ``.npy`` array (numpy's own
+format) beside the sequence's JSONL, and loading it back gives the stack
+that every frame's image views.  A sequence keeps only what its
 scenario cannot reproduce: the header's scenario scripts the modality
 schedule, the invalid windows and the ground-truth path, and each frame line
 holds the stub tracker's observed box and confidence.  All writers are
@@ -115,14 +117,12 @@ def frames_path(path: str | Path) -> Path:
 def save_sequence(path: str | Path, seq: Sequence):
     """Write a sequence: the scenario and observations as JSONL, pixels as one ``.npy``.
 
-    The pixels of every frame go to ``frames_path(path)`` as one C-ordered
-    ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL holds the
-    header and one ``{"observed": [cx, cy, w, h], "s": s}`` line per frame.
+    The frame stack ``seq.frames`` goes to ``frames_path(path)`` as one
+    C-ordered ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL
+    holds the header and one ``{"observed": [cx, cy, w, h], "s": s}`` line
+    per frame.
     """
-    frames = np.stack(
-        [r.image.pixels.reshape(r.image.height, r.image.width, r.image.channels) for r in seq.records]
-    )
-    np.save(frames_path(path), frames)
+    np.save(frames_path(path), seq.frames)
     lines = [_dump({"type": "header", "scenario": scenario_to_dict(seq.scenario)})]
     lines += [_dump({"observed": _box_list(rec.observed), "s": rec.s}) for rec in seq.records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -194,7 +194,7 @@ def load_sequence(path: str | Path) -> Sequence:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return Sequence(scenario=scenario, records=records)
+    return Sequence(scenario=scenario, frames=frames, records=records)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 PR counts frames whose CLE is strictly below 20 px; SR counts frames whose
 IoU strictly exceeds 0.5.  Both are percentages.  Boundary frames (CLE
 exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
+
+The rates are array expressions: ``cle_array`` and ``iou_array`` score
+``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, each in its scalar
+twin's operation order, so a frame scores the same bits either way.  The
+scalar ``cle`` and ``iou`` stay as the per-box API and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +46,30 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def cle_array(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """``cle`` of every box pair in two broadcastable ``(..., 4)`` arrays."""
+    return np.hypot(pred[..., 0] - gt[..., 0], pred[..., 1] - gt[..., 1])
+
+
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of every box pair in two broadcastable ``(..., 4)`` arrays."""
+    if (a[..., 2:] < 0).any() or (b[..., 2:] < 0).any():
+        raise ValueError("iou: negative box dimensions")
+    half_a, half_b = a[..., 2:] / 2, b[..., 2:] / 2
+    sides = np.minimum(a[..., :2] + half_a, b[..., :2] + half_b) - np.maximum(
+        a[..., :2] - half_a, b[..., :2] - half_b
+    )
+    np.maximum(sides, 0.0, out=sides)
+    inter = sides[..., 0] * sides[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def box_array(boxes: list[BBox]) -> np.ndarray:
+    """``(N, 4)`` float64 array of ``(cx, cy, w, h)`` rows."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 @dataclass
 class TrackRun:
     """Aligned predicted and ground-truth boxes plus per-frame tags."""
@@ -66,12 +95,12 @@ class TrackRun:
 
 
 def precision_rate(run: TrackRun, tau: float = PR_TAU_PX) -> float:
-    hits = sum(1 for p, g in zip(run.pred, run.gt) if cle(p, g) < tau)
+    hits = int(np.count_nonzero(cle_array(box_array(run.pred), box_array(run.gt)) < tau))
     return 100.0 * hits / len(run)
 
 
 def success_rate(run: TrackRun, tau: float = SR_TAU_IOU) -> float:
-    hits = sum(1 for p, g in zip(run.pred, run.gt) if iou(p, g) > tau)
+    hits = int(np.count_nonzero(iou_array(box_array(run.pred), box_array(run.gt)) > tau))
     return 100.0 * hits / len(run)
 
 
@@ -88,17 +117,19 @@ def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
     Each frame's PR and SR hits are evaluated once; a frame may carry
     several tags and then counts toward each of them.
     """
-    pr_hits = [cle(p, g) < PR_TAU_PX for p, g in zip(run.pred, run.gt)]
-    sr_hits = [iou(p, g) > SR_TAU_IOU for p, g in zip(run.pred, run.gt)]
+    pred, gt = box_array(run.pred), box_array(run.gt)
+    pr_hits = cle_array(pred, gt) < PR_TAU_PX
+    sr_hits = iou_array(pred, gt) > SR_TAU_IOU
 
-    def row(idx: list[int]) -> MetricRow:
-        pr = 100.0 * sum(pr_hits[i] for i in idx) / len(idx)
-        sr = 100.0 * sum(sr_hits[i] for i in idx) / len(idx)
-        return MetricRow(pr=pr, sr=sr, n=len(idx))
+    def row(mask: np.ndarray) -> MetricRow:
+        n = int(np.count_nonzero(mask))
+        pr = 100.0 * int(np.count_nonzero(pr_hits & mask)) / n
+        sr = 100.0 * int(np.count_nonzero(sr_hits & mask)) / n
+        return MetricRow(pr=pr, sr=sr, n=n)
 
-    table = {"all": row(list(range(len(run))))}
+    table = {"all": row(np.ones(len(run), dtype=bool))}
     for tag in sorted({t for tags in run.tags for t in tags}):
-        table[tag] = row([i for i, tags in enumerate(run.tags) if tag in tags])
+        table[tag] = row(np.array([tag in tags for tags in run.tags]))
     return table
 
 

@@ -6,9 +6,11 @@ observation-noise model.  ``generate`` renders 64x64 synthetic frames whose
 channel statistics carry the modality signal (color frames have distinct
 per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
-confidence score.  The scenario alone answers each frame's modality,
-validity and ground truth; a ``FrameRecord`` adds only what it cannot
-reproduce: the pixels, the observed box and the confidence.
+confidence score.  Every frame is rendered in place into one ``(T, H, W, 3)``
+uint8 stack, ``Sequence.frames``.  The scenario alone answers each frame's
+modality, validity and ground truth; a ``FrameRecord`` adds only what it
+cannot reproduce: the pixels (a view of its frame in the stack), the
+observed box and the confidence.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -21,7 +23,9 @@ observation, motion filter — under one of four motion presets, each a
 
 ``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
 the ``off`` track, and ``run_filters`` steps every filtered track as a row of
-one ``FilterBank``.  ``TrackerSession`` is the live per-frame API.
+one ``FilterBank``.  The suite scores its tracks as arrays with
+``metrics.cle_array``/``iou_array``.  ``TrackerSession`` is the live
+per-frame API.
 """
 
 from __future__ import annotations
@@ -40,9 +44,18 @@ from .ctp import (
     _is_number,
     turn_transition,
 )
-from .metrics import TrackRun, cle, precision_rate, success_rate
+from .metrics import (
+    PR_TAU_PX,
+    SR_TAU_IOU,
+    TrackRun,
+    box_array,
+    cle,
+    cle_array,
+    iou_array,
+)
 from .state_switch import (
     DEFAULT_RHO,
+    FRAME_CHANNELS,
     Image,
     SwitchWeights,
     TriState,
@@ -212,7 +225,13 @@ class FrameRecord:
 
 @dataclass
 class Sequence:
+    """A scenario, its ``(T, H, W, 3)`` uint8 frame stack and one record per frame.
+
+    Each record's ``image.pixels`` is a view of its frame in ``frames``.
+    """
+
     scenario: Scenario
+    frames: np.ndarray
     records: list[FrameRecord]
 
 
@@ -235,17 +254,18 @@ def _box_to_image_rect(b: BBox, sc: Scenario) -> tuple[int, int, int, int] | Non
     return x0, x1, y0, y1
 
 
-def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator) -> Image:
+def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator, out: np.ndarray):
+    """Render frame ``t`` into ``out``, an ``(image_height, image_width, 3)`` uint8 view."""
     iw, ih = sc.image_width, sc.image_height
     if sc.is_invalid(t):
         # Over-exposed: white except a fixed fraction of dark survivors.
-        flat = np.full(iw * ih, 255, dtype=np.int64)
         n_dark = int(round((1.0 - INVALID_WHITE_FRACTION) * iw * ih))
-        dark_idx = rng.choice(iw * ih, size=n_dark, replace=False)
-        flat[dark_idx] = 80
-        hwc = np.repeat(flat.reshape(ih, iw, 1), 3, axis=2)
-        return Image(width=iw, height=ih, channels=3, pixels=hwc.astype(np.uint8))
+        rows, cols = np.divmod(rng.choice(iw * ih, size=n_dark, replace=False), iw)
+        out.fill(255)
+        out[rows, cols] = 80
+        return
 
+    # Clipped to [0, PIXEL_MAX], the rounded values cast to uint8 exactly.
     rect = _box_to_image_rect(gt, sc)
     if sc.scheduled_modality(t) == "nir":
         # One luminance field replicated across channels (channel-collapsed).
@@ -253,8 +273,8 @@ def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator) -> Im
         if rect:
             x0, x1, y0, y1 = rect
             band[y0:y1, x0:x1] += TARGET_BOOST
-        band = np.clip(band, 0, PIXEL_MAX)
-        hwc = np.repeat(band.reshape(ih, iw, 1), 3, axis=2)
+        np.clip(band, 0, PIXEL_MAX, out=band)
+        out[...] = np.rint(band, out=band)[:, :, None]
     else:
         chans = [
             rng.normal(mu, PIXEL_NOISE, (ih, iw)) for mu in RGB_CHANNEL_MEANS
@@ -262,8 +282,9 @@ def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator) -> Im
         if rect:
             x0, x1, y0, y1 = rect
             chans[0][y0:y1, x0:x1] += TARGET_BOOST  # target pops in the red channel
-        hwc = np.stack([np.clip(c, 0, PIXEL_MAX) for c in chans], axis=2)
-    return Image(width=iw, height=ih, channels=3, pixels=np.rint(hwc).astype(np.uint8))
+        for c, chan in enumerate(chans):
+            np.clip(chan, 0, PIXEL_MAX, out=chan)
+            np.rint(chan, out=out[:, :, c], casting="unsafe")
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +328,20 @@ def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> BBox:
 
 
 def generate(sc: Scenario) -> Sequence:
-    """Render the whole scripted sequence.  Deterministic given the seed."""
+    """Render the whole scripted sequence.  Deterministic given the seed.
+
+    Every frame renders straight into one preallocated uint8 stack, and each
+    record's image is a view of its frame.
+    """
     rng = np.random.default_rng(sc.seed)
     gts = sc.gt_boxes()
     near_switch = sc.near_switch_mask()
+    iw, ih = sc.image_width, sc.image_height
+    frames = np.empty((sc.frames, ih, iw, FRAME_CHANNELS), dtype=np.uint8)
     records = []
     for t in range(sc.frames):
-        image = render_frame(sc, t, gts[t], rng)
+        render_frame(sc, t, gts[t], rng, frames[t])
+        image = Image(width=iw, height=ih, channels=FRAME_CHANNELS, pixels=frames[t])
         if not sc.is_invalid(t):
             near = near_switch[t]
             sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
@@ -323,7 +351,7 @@ def generate(sc: Scenario) -> Sequence:
         else:
             observed, s = _invalid_observation(sc, rng), 0.0
         records.append(FrameRecord(image=image, gt=gts[t], observed=observed, s=s))
-    return Sequence(scenario=sc, records=records)
+    return Sequence(scenario=sc, frames=frames, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +439,7 @@ def run(
         boxes = run_filters([(inputs, session_cfg)])[0]
     return TrackRun(
         pred=[BBox(*box) for box in boxes.tolist()],
-        gt=inputs.gt,
+        gt=[rec.gt for rec in seq.records],
         tags=_frame_tags(sc),
     )
 
@@ -487,7 +515,7 @@ class FilterInputs:
     observed: np.ndarray  # (T, 4) observed boxes
     s: np.ndarray  # (T,) confidence
     m: np.ndarray  # (T,) modality weight
-    gt: list[BBox]
+    gt: np.ndarray  # (T, 4) ground-truth boxes
 
 
 def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInputs:
@@ -499,10 +527,10 @@ def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInp
         frame_size=(sc.frame_width, sc.frame_height),
         turn_rate=sc.turn_rate,
         valid=np.array([d.state != TriState.INVALID for d in decisions]),
-        observed=np.array([rec.observed.as_array() for rec in seq.records]),
+        observed=box_array([rec.observed for rec in seq.records]),
         s=np.array([rec.s for rec in seq.records]),
         m=np.array([d.m for d in decisions]),
-        gt=[rec.gt for rec in seq.records],
+        gt=box_array([rec.gt for rec in seq.records]),
     )
 
 
@@ -550,25 +578,27 @@ def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     """Pooled PR/SR per motion preset over one three-scenario suite.
 
     Each scenario is generated, classified right away and reduced to
-    ``FilterInputs``; its sequence, images included, is dropped when the
+    ``FilterInputs``; its sequence, frame stack included, is dropped when the
     next one is generated.  The filtered presets of all three scenarios then
-    step as one nine-row bank.
+    step as one nine-row bank, and every preset's pooled track is scored
+    against the pooled ground truth in one array expression per rate.
     """
     inputs: list[FilterInputs] = []
     for sc in ablation_suite(base_seed):
-        # Rebinding seq frees the last sequence after this generate and before
-        # classify: freeing it first (del) made classification ~35% slower.
         seq = generate(sc)
         inputs.append(filter_inputs(seq, classify_sequence(seq)))
     rows = [(inp, preset_config(preset, inp.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]
     filtered = run_filters(rows).reshape(len(inputs), len(FILTER_PRESETS), -1, 4)
     off = np.stack([frozen_boxes(inp) for inp in inputs])
-    gt = [box for inp in inputs for box in inp.gt]
-    table = {}
-    for preset, track in zip(MOTION_PRESETS, [off, *filtered.swapaxes(0, 1)]):
-        pooled = TrackRun(pred=[BBox(*box) for box in track.reshape(-1, 4).tolist()], gt=gt)
-        table[preset] = {"PR": precision_rate(pooled), "SR": success_rate(pooled)}
-    return table
+    tracks = np.stack([off, *filtered.swapaxes(0, 1)]).reshape(len(MOTION_PRESETS), -1, 4)
+    gt = np.concatenate([inp.gt for inp in inputs])
+    n = len(gt)
+    pr_hits = np.count_nonzero(cle_array(tracks, gt) < PR_TAU_PX, axis=1).tolist()
+    sr_hits = np.count_nonzero(iou_array(tracks, gt) > SR_TAU_IOU, axis=1).tolist()
+    return {
+        preset: {"PR": 100.0 * pr / n, "SR": 100.0 * sr / n}
+        for preset, pr, sr in zip(MOTION_PRESETS, pr_hits, sr_hits)
+    }
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

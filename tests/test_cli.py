@@ -96,6 +96,33 @@ def test_motion_presets_produce_different_runs(tmp_path, sequence_file):
     assert outputs["kf"] != outputs["ctp"]
 
 
+@pytest.mark.parametrize("prefix", ["cli-demo.ctp.metrics", "sub/", "sub/."])
+def test_eval_appends_to_the_whole_prefix(tmp_path, sequence_file, prefix):
+    run_path = tmp_path / "run.json"
+    (tmp_path / "sub").mkdir()
+    assert main(["track", str(sequence_file), "--out", str(run_path)]) == 0
+    assert main(["eval", str(run_path), "--out", f"{tmp_path}/{prefix}"]) == 0
+    written = sorted(
+        p.relative_to(tmp_path).as_posix()
+        for p in tmp_path.rglob("*")
+        if p.name.endswith((".csv", ".json")) and p.name not in ("run.json", "scenario.json")
+    )
+    assert written == [f"{prefix}.csv", f"{prefix}.json"]
+
+
+def test_dotted_prefixes_keep_separate_files(tmp_path, sequence_file):
+    texts = {}
+    for prefix, motion in (("run.v1", "off"), ("run.v2", "ctp")):
+        run_path = tmp_path / f"{motion}.json"
+        assert main(["track", str(sequence_file), "--out", str(run_path), "--motion", motion]) == 0
+        assert main(["eval", str(run_path), "--out", str(tmp_path / prefix)]) == 0
+        texts[prefix] = metrics_csv(*load_trackrun(run_path))
+    assert texts["run.v1"] != texts["run.v2"]
+    for prefix, text in texts.items():
+        assert (tmp_path / f"{prefix}.csv").read_text() == text
+        assert (tmp_path / f"{prefix}.json").is_file()
+
+
 @pytest.fixture()
 def turning_sequence(tmp_path):
     """A turn with a 12-frame blackout: past the default inflation cap (k = 6)."""

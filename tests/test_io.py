@@ -1,5 +1,6 @@
 """File formats round-trip bit-exactly; bad inputs become DataError."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -62,6 +63,40 @@ def test_sequence_roundtrip(tmp_path):
             ra.image.width, ra.image.height, ra.image.channels,
         )
         np.testing.assert_array_equal(rb.image.pixels, ra.image.pixels)
+
+
+# RGB, NIR, over-exposed and gap (RGB) frames on a 48x20 image; the target
+# starts across the left and bottom edges and leaves the image by frame 13.
+PINNED = Scenario(
+    name="pinned",
+    frames=24,
+    frame_width=300,
+    frame_height=200,
+    image_width=48,
+    image_height=20,
+    initial_box=(5.0, 190.0, 40.0, 30.0),
+    velocity=(-1.0, 2.0),
+    modality_schedule=[(0, 8, "rgb"), (8, 16, "nir")],
+    invalid_windows=[(10, 13), (20, 22)],
+    seed=3,
+)
+PINNED_FRAMES_SHA256 = "d0802db07a51158f04cf4ece058faa52d9bd76483c1489307142a72df4f79829"
+PINNED_JSONL_SHA256 = "5c05434df48cccf5edb884087df0e7e5e6176c94f862e60865a1cc8bc232e7b8"
+
+
+def test_generated_bytes_are_pinned_and_records_view_one_stack(tmp_path):
+    seq = generate(PINNED)
+    assert (seq.frames.dtype, seq.frames.shape) == (np.uint8, (24, 20, 48, 3))
+    assert hashlib.sha256(seq.frames.tobytes()).hexdigest() == PINNED_FRAMES_SHA256
+    path = tmp_path / "pinned.jsonl"
+    save_sequence(path, seq)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_JSONL_SHA256
+    back = load_sequence(path)
+    assert back.frames.tobytes() == seq.frames.tobytes()
+    for s in (seq, back):
+        for t, rec in enumerate(s.records):
+            assert np.shares_memory(s.frames, rec.image.pixels)
+            assert rec.image.pixels.tobytes() == s.frames[t].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ from xmtrack.metrics import (
     MetricRow,
     TrackRun,
     cle,
+    cle_array,
     iou,
+    iou_array,
     metrics_csv,
     metrics_summary,
     precision_rate,
@@ -186,3 +188,70 @@ def test_metrics_summary_is_deterministic_sorted_json(fixtures_dir):
 def test_metric_row_is_plain_data():
     row = MetricRow(pr=50.0, sr=25.0, n=4)
     assert (row.pr, row.sr, row.n) == (50.0, 25.0, 4)
+
+
+def _oracle_boxes():
+    """Seeded random pairs plus the exact boundary and degenerate cases."""
+    rng = np.random.default_rng(5)
+    n = 400
+    pred = np.column_stack([rng.uniform(0, 60, (n, 2)), rng.uniform(0, 30, (n, 2))])
+    gt = np.column_stack([rng.uniform(0, 60, (n, 2)), rng.uniform(0, 30, (n, 2))])
+    edge_pred = [
+        (112.0, 116.0, 30.0, 30.0),  # CLE exactly 20
+        (10.0, 10.0, 2.0, 1.0),  # contained, IoU exactly 0.5
+        (0.0, 0.0, 1.0, 1.0),  # shares half its area: IoU 1/3
+        (5.0, 5.0, 0.0, 0.0),  # zero-area pair: IoU 0
+        (5.0, 5.0, 0.0, 4.0),  # zero-width box inside a real one
+        (0.0, 0.0, 4.0, 4.0),  # disjoint
+        (0.0, 0.0, 4.0, 4.0),  # touching edges: zero-width overlap
+        (3.0, 3.0, 4.0, 4.0),  # identical
+    ]
+    edge_gt = [
+        (100.0, 100.0, 30.0, 30.0),
+        (10.0, 10.0, 2.0, 2.0),
+        (0.5, 0.0, 1.0, 1.0),
+        (5.0, 5.0, 0.0, 0.0),
+        (5.0, 5.0, 4.0, 4.0),
+        (50.0, 50.0, 4.0, 4.0),
+        (4.0, 0.0, 4.0, 4.0),
+        (3.0, 3.0, 4.0, 4.0),
+    ]
+    return np.vstack([pred, edge_pred]), np.vstack([gt, edge_gt])
+
+
+def test_array_kernels_match_the_scalar_oracle_bit_for_bit():
+    pred, gt = _oracle_boxes()
+    boxes = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
+    assert cle_array(pred, gt).tolist() == [cle(p, g) for p, g in boxes]
+    assert iou_array(pred, gt).tolist() == [iou(p, g) for p, g in boxes]
+    assert cle_array(pred, gt)[-8] == 20.0 and iou_array(pred, gt)[-7] == 0.5
+
+
+def test_array_rates_count_the_scalar_oracle_hits():
+    pred, gt = _oracle_boxes()
+    pairs = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
+    pr_hits = sum(cle(p, g) < 20.0 for p, g in pairs)
+    sr_hits = sum(iou(p, g) > 0.5 for p, g in pairs)
+    assert 0 < sr_hits < pr_hits < len(pairs)
+    assert np.count_nonzero(cle_array(pred, gt) < 20.0) == pr_hits
+    assert np.count_nonzero(iou_array(pred, gt) > 0.5) == sr_hits
+    run = TrackRun(pred=[p for p, _ in pairs], gt=[g for _, g in pairs])
+    assert precision_rate(run) == 100.0 * pr_hits / len(pairs)
+    assert success_rate(run) == 100.0 * sr_hits / len(pairs)
+    # (rows, T, 4) tracks against one (T, 4) ground truth, as the ablation scores them
+    tracks = np.stack([pred, gt, pred[::-1]])
+    want = [sum(cle(BBox(*p), BBox(*g)) < 20.0 for p, g in zip(t.tolist(), gt.tolist())) for t in tracks]
+    assert np.count_nonzero(cle_array(tracks, gt) < 20.0, axis=1).tolist() == want
+
+
+@pytest.mark.parametrize("side", [2, 3])
+def test_array_iou_rejects_negative_dimensions(side):
+    pred, gt = _oracle_boxes()
+    bad = gt.copy()
+    bad[7, side] = -1.0
+    with pytest.raises(ValueError):
+        iou_array(pred, bad)
+    with pytest.raises(ValueError):
+        iou_array(bad, pred)
+    with pytest.raises(ValueError):
+        success_rate(TrackRun(pred=[BBox(*b) for b in pred.tolist()], gt=[BBox(*b) for b in bad.tolist()]))
