@@ -6,8 +6,8 @@ relu/sigmoid, numerically stable softmax, adaptive max pooling, single-head
 scaled dot-product attention and cosine similarity.  Each
 differentiable op returns a ``GradPair``, its value with a hand-derived
 vector-Jacobian product; ``adapter.adapter_pair`` composes these into one
-more pair, and ``grad_check`` ties forward and backward together via central
-differences.
+more pair, and the losses are pairs too.  ``grad_check`` is the one harness
+that ties any pair's forward and backward together via central differences.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.
@@ -245,19 +245,21 @@ def cosine_pair(a: Tensor, b: Tensor) -> GradPair:
 FD_STEP = 1e-5  # central-difference step
 
 
-def grad_check(f: Callable[..., tuple[float, Sequence[Tensor]]], inputs: Sequence[Tensor]) -> float:
-    """Compare analytic gradients of a scalar function to central differences.
+def grad_check(make: Callable[..., GradPair], inputs: Sequence[Tensor], coef) -> float:
+    """Compare a pair's vector-Jacobian product to central differences.
 
-    ``f(*inputs)`` must return ``(scalar_value, [grad_per_input])``.  Returns
+    The scalar checked is ``sum(coef * make(*inputs).value)``; its analytic
+    gradients are ``make(*inputs).grad_fn(coef)``, one per input.  Returns
     the max over all input coordinates of
 
         |analytic - central_difference| / max(1e-8, |central_difference|)
     """
     inputs = [as_tensor(x).copy() for x in inputs]
-    _, grads = f(*inputs)
+    coef = as_tensor(coef)
+    grads = make(*inputs).grad_fn(coef)
     if len(grads) != len(inputs):
         raise ShapeError(
-            f"grad_check: f returned {len(grads)} gradients for {len(inputs)} inputs"
+            f"grad_check: grad_fn returned {len(grads)} gradients for {len(inputs)} inputs"
         )
     worst = 0.0
     for x, g in zip(inputs, grads):
@@ -271,9 +273,9 @@ def grad_check(f: Callable[..., tuple[float, Sequence[Tensor]]], inputs: Sequenc
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + FD_STEP
-            f_plus, _ = f(*inputs)
+            f_plus = np.sum(coef * make(*inputs).value)
             flat[i] = orig - FD_STEP
-            f_minus, _ = f(*inputs)
+            f_minus = np.sum(coef * make(*inputs).value)
             flat[i] = orig
             cd = (float(f_plus) - float(f_minus)) / (2.0 * FD_STEP)
             rel = abs(float(gflat[i]) - cd) / max(1e-8, abs(cd))

@@ -9,9 +9,11 @@ Three components sum into the total objective:
 * template similarity loss: 2 * ((N-C)/N) * (1 - cosine similarity).
 
 End-to-end training is out of scope; the losses exist standalone so their
-values and gradients can be verified.  Every gradient is hand-derived; the
+values and gradients can be verified.  Each loss ``*_pair`` is a
+``core.GradPair`` with a 0-d value and hand-derived gradients, one per
+differentiable input; each ``*_loss`` is its pair's value as a float.  The
 SIoU gradient's singular set (coincident centers, axis-aligned centers,
-equal dimensions, edge ties) is documented on the function.
+equal dimensions, edge ties) is documented on ``siou_pair``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, as_tensor, cosine_pair
+from .core import GradPair, Tensor, as_tensor, cosine_pair
 from .ctp import BBox
 
 LAMBDA_L1 = 5.0
@@ -51,24 +53,29 @@ def decayed_ce_weight(sched: EpochSchedule) -> float:
     return (sched.N - sched.C) / sched.N
 
 
-def _check_box(b: BBox, who: str):
-    if not (b.w > 0 and b.h > 0):
-        raise ValueError(f"{who}: degenerate box w={b.w}, h={b.h}")
+def _check_boxes(who: str, *boxes: BBox):
+    for b in boxes:
+        if not (b.w > 0 and b.h > 0):
+            raise ValueError(f"{who}: degenerate box w={b.w}, h={b.h}")
+
+
+def l1_pair(pred: BBox, gt: BBox) -> GradPair:
+    """Mean absolute difference of the box coordinates; subgradient 0 at ties."""
+    _check_boxes("l1_loss", pred, gt)
+    diff = pred.as_array() - gt.as_array()
+
+    def grad_fn(up: Tensor) -> tuple[Tensor]:
+        return (float(up) * (np.sign(diff) / 4.0),)
+
+    return GradPair(as_tensor(np.mean(np.abs(diff))), grad_fn)
 
 
 def l1_loss(pred: BBox, gt: BBox) -> float:
-    """Mean absolute difference of the four box coordinates."""
-    p, g = pred.as_array(), gt.as_array()
-    return float(np.mean(np.abs(p - g)))
+    return float(l1_pair(pred, gt).value)
 
 
-def l1_loss_grad(pred: BBox, gt: BBox) -> Tensor:
-    """d l1 / d pred; subgradient 0 where a coordinate matches exactly."""
-    return np.sign(pred.as_array() - gt.as_array()) / 4.0
-
-
-def _siou_with_grad(pred: BBox, gt: BBox) -> tuple[float, Tensor]:
-    """SIoU loss and its gradient w.r.t. (cx, cy, w, h) of pred.
+def siou_pair(pred: BBox, gt: BBox) -> GradPair:
+    """SIoU loss with its gradient w.r.t. (cx, cy, w, h) of pred.
 
     Loss = 1 - IoU + (distance_cost + shape_cost) / 2 where the angle cost
     Lambda = 2|dx||dy|/sigma^2 sharpens the distance cost through
@@ -77,8 +84,7 @@ def _siou_with_grad(pred: BBox, gt: BBox) -> tuple[float, Tensor]:
     Singular set (gradient only): coincident centers (sigma = 0), dx = 0,
     dy = 0, equal widths/heights, and intersection/enclosure edge ties.
     """
-    _check_box(pred, "siou_loss")
-    _check_box(gt, "siou_loss")
+    _check_boxes("siou_loss", pred, gt)
     px, py, pw, ph = pred.cx, pred.cy, pred.w, pred.h
     gx, gy, gw, gh = gt.cx, gt.cy, gt.w, gt.h
     grad = np.zeros(4)
@@ -173,17 +179,15 @@ def _siou_with_grad(pred: BBox, gt: BBox) -> tuple[float, Tensor]:
 
     loss = (1.0 - iou_v) + (delta + omega_cost) / 2.0
     grad += (d_delta + d_omega_cost) / 2.0
-    return loss, grad
+
+    def grad_fn(up: Tensor) -> tuple[Tensor]:
+        return (float(up) * grad,)
+
+    return GradPair(as_tensor(loss), grad_fn)
 
 
 def siou_loss(pred: BBox, gt: BBox) -> float:
-    loss, _ = _siou_with_grad(pred, gt)
-    return loss
-
-
-def siou_loss_grad(pred: BBox, gt: BBox) -> Tensor:
-    _, grad = _siou_with_grad(pred, gt)
-    return grad
+    return float(siou_pair(pred, gt).value)
 
 
 def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) -> float:
@@ -201,31 +205,43 @@ def bce(target: float, prob: float) -> float:
     return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
 
 
-def modality_loss(m: float, m_hat: float) -> float:
-    """alpha * BCE(true modality, predicted modality weight)."""
+def modality_pair(m: float, m_hat: float) -> GradPair:
+    """alpha * BCE(true modality, predicted modality weight), with d/d m_hat.
+
+    A finite ``m_hat`` outside [0, 1] clamps like any probability, and the
+    gradient is zero in the clamped tails; a non-finite one is rejected.
+    """
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modality_loss: target m={m} outside [0, 1]")
-    return ALPHA_MODALITY * bce(m, m_hat)
+    m_hat = float(m_hat)
+    if not math.isfinite(m_hat):
+        raise ValueError(f"modality_loss: prediction m_hat={m_hat} is not finite")
+    clamped = m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP
+    grad = 0.0 if clamped else ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
+
+    def grad_fn(up: Tensor) -> tuple[Tensor]:
+        return (as_tensor(float(up) * grad),)
+
+    return GradPair(as_tensor(ALPHA_MODALITY * bce(m, m_hat)), grad_fn)
 
 
-def modality_loss_grad(m: float, m_hat: float) -> float:
-    """d modality_loss / d m_hat; zero in the clamped tails."""
-    if m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP:
-        return 0.0
-    return ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
+def modality_loss(m: float, m_hat: float) -> float:
+    return float(modality_pair(m, m_hat).value)
+
+
+def template_sim_pair(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> GradPair:
+    """zeta * ((N-C)/N) * (1 - cos(f, f_hat)); decays to 0 at the last epoch."""
+    cos = cosine_pair(as_tensor(f), as_tensor(f_hat))
+    weight = ZETA_TEMPLATE * decayed_ce_weight(sched)
+
+    def grad_fn(up: Tensor) -> tuple[Tensor, Tensor]:
+        return cos.grad_fn(as_tensor(-weight * float(up)))
+
+    return GradPair(as_tensor(weight * (1.0 - float(cos.value))), grad_fn)
 
 
 def template_sim_loss(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> float:
-    """zeta * ((N-C)/N) * (1 - cos(f, f_hat)); decays to 0 at the last epoch."""
-    pair = cosine_pair(as_tensor(f), as_tensor(f_hat))
-    return ZETA_TEMPLATE * decayed_ce_weight(sched) * (1.0 - float(pair.value))
-
-
-def template_sim_loss_grad(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> tuple[Tensor, Tensor]:
-    pair = cosine_pair(as_tensor(f), as_tensor(f_hat))
-    scale = -ZETA_TEMPLATE * decayed_ce_weight(sched)
-    df, df_hat = pair.grad_fn(np.asarray(scale))
-    return df, df_hat
+    return float(template_sim_pair(f, f_hat, sched).value)
 
 
 def total_loss(tracking_term: float, modality_term: float, template_term: float) -> float:

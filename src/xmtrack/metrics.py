@@ -6,7 +6,8 @@ exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
 
 The rates are array expressions: ``cle_array`` and ``iou_array`` score
 ``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, each in its scalar
-twin's operation order, so a frame scores the same bits either way.  The
+twin's operation order, so a frame scores the same bits either way.
+``hit_masks`` is the one place that applies both thresholds to them.  The
 scalar ``cle`` and ``iou`` stay as the per-box API and the tests' oracle.
 """
 
@@ -65,6 +66,14 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
+def hit_masks(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PR and SR hits of every box pair in two broadcastable ``(..., 4)`` arrays.
+
+    The one scoring rule: ``cle < PR_TAU_PX`` and ``iou > SR_TAU_IOU``.
+    """
+    return cle_array(pred, gt) < PR_TAU_PX, iou_array(pred, gt) > SR_TAU_IOU
+
+
 def box_array(boxes: list[BBox]) -> np.ndarray:
     """``(N, 4)`` float64 array of ``(cx, cy, w, h)`` rows."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
@@ -117,9 +126,7 @@ def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
     Each frame's PR and SR hits are evaluated once; a frame may carry
     several tags and then counts toward each of them.
     """
-    pred, gt = box_array(run.pred), box_array(run.gt)
-    pr_hits = cle_array(pred, gt) < PR_TAU_PX
-    sr_hits = iou_array(pred, gt) > SR_TAU_IOU
+    pr_hits, sr_hits = hit_masks(box_array(run.pred), box_array(run.gt))
 
     def row(mask: np.ndarray) -> MetricRow:
         n = int(np.count_nonzero(mask))

@@ -24,7 +24,7 @@ observation, motion filter — under one of four motion presets, each a
 ``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
 the ``off`` track, and ``run_filters`` steps every filtered track as a row of
 one ``FilterBank``.  The suite scores its tracks as arrays with
-``metrics.cle_array``/``iou_array``.  ``TrackerSession`` is the live
+``metrics.hit_masks``.  ``TrackerSession`` is the live
 per-frame API.
 """
 
@@ -44,15 +44,7 @@ from .ctp import (
     _is_number,
     turn_transition,
 )
-from .metrics import (
-    PR_TAU_PX,
-    SR_TAU_IOU,
-    TrackRun,
-    box_array,
-    cle,
-    cle_array,
-    iou_array,
-)
+from .metrics import TrackRun, box_array, cle, hit_masks
 from .state_switch import (
     DEFAULT_RHO,
     FRAME_CHANNELS,
@@ -593,8 +585,7 @@ def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     tracks = np.stack([off, *filtered.swapaxes(0, 1)]).reshape(len(MOTION_PRESETS), -1, 4)
     gt = np.concatenate([inp.gt for inp in inputs])
     n = len(gt)
-    pr_hits = np.count_nonzero(cle_array(tracks, gt) < PR_TAU_PX, axis=1).tolist()
-    sr_hits = np.count_nonzero(iou_array(tracks, gt) > SR_TAU_IOU, axis=1).tolist()
+    pr_hits, sr_hits = (np.count_nonzero(hits, axis=1).tolist() for hits in hit_masks(tracks, gt))
     return {
         preset: {"PR": 100.0 * pr / n, "SR": 100.0 * sr / n}
         for preset, pr, sr in zip(MOTION_PRESETS, pr_hits, sr_hits)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import inspect
+
+from xmtrack import adapter, core, losses, verify
 from xmtrack.core import (
     DegenerateInputError,
+    GradPair,
     ShapeError,
     adaptive_max_pool,
     attention_pair,
@@ -21,6 +25,8 @@ from xmtrack.core import (
     softmax,
     softmax_pair,
 )
+from xmtrack.ctp import BBox
+from xmtrack.losses import EpochSchedule, l1_pair, modality_pair, siou_pair, template_sim_pair
 
 
 def test_linear_matches_manual_affine():
@@ -160,6 +166,10 @@ def test_grad_pairs_map_zero_upstream_to_zero_grads():
         softmax_pair(x),
         attention_pair(x, rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
         cosine_pair(x[0], x[1]),
+        l1_pair(BBox(3.0, 4.0, 5.0, 6.0), BBox(2.0, 5.0, 4.0, 7.0)),
+        siou_pair(BBox(3.0, 4.0, 5.0, 6.0), BBox(2.0, 5.0, 4.0, 7.0)),
+        modality_pair(1.0, 0.3),
+        template_sim_pair(x[0], x[1], EpochSchedule(C=1, N=4)),
     ]
     for pair in cases:
         upstream = np.zeros_like(np.asarray(pair.value))
@@ -172,13 +182,8 @@ def test_grad_check_accepts_correct_linear_gradient():
     x = rng.normal(size=(2, 3))
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
-
-    def f(x_, w_, b_):
-        pair = linear_pair(x_, w_, b_)
-        loss = float(np.sum(pair.value**2))
-        return loss, pair.grad_fn(2.0 * pair.value)
-
-    assert grad_check(f, [x, w, b]) < 1e-6
+    coef = rng.normal(size=(2, 4))
+    assert grad_check(linear_pair, [x, w, b], coef) < 1e-6
 
 
 def test_grad_check_flags_corrupted_gradient():
@@ -187,11 +192,54 @@ def test_grad_check_flags_corrupted_gradient():
 
     def bad(x_):
         pair = relu_pair(x_ + 5.0)  # shifted away from the kink
-        loss = float(np.sum(pair.value))
-        (gx,) = pair.grad_fn(np.ones_like(pair.value))
-        return loss, (gx + 0.25,)
+        return GradPair(pair.value, lambda up: tuple(g + 0.25 for g in pair.grad_fn(up)))
 
-    assert grad_check(bad, [x]) > 0.1
+    assert grad_check(bad, [x], np.ones((2, 3))) > 0.1
+
+
+def test_injected_bug_fails_only_the_l1_check():
+    clean = verify.gradient_report()
+    broken = verify.gradient_report(inject_bug=True)
+    assert list(broken) == list(clean) == list(verify.GRADIENT_CHECKS)
+    assert {name for name in clean if broken[name] != clean[name]} == {"l1"}
+    assert broken["l1"] >= verify.GRAD_TOL
+
+
+# Pairs that no check calls directly, and the check whose pair composes them.
+INDIRECT_PAIRS = {"relu_pair": "adapter", "cosine_pair": "cosine_loss"}
+
+
+def test_every_grad_pair_is_exercised_by_a_gradient_check(monkeypatch):
+    modules = (core, adapter, losses)
+    pairs = {
+        name
+        for mod in modules
+        for name, fn in vars(mod).items()
+        if name.endswith("_pair") and inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    }
+    reached = {name: set() for name in pairs}
+    running = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            reached[name].add(running[-1])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in pairs:
+        for mod in (*modules, verify):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, spy(name, vars(mod)[name]))
+    for check_name, check in verify.GRADIENT_CHECKS.items():
+        running.append(check_name)
+        check(0)
+    direct = {name for name in pairs if name in vars(verify)}
+    assert pairs - direct == set(INDIRECT_PAIRS), "a new pair needs a check or an entry here"
+    for name in direct:
+        assert reached[name], f"{name} is imported by verify but no check calls it"
+    for name, check_name in INDIRECT_PAIRS.items():
+        assert check_name in reached[name], f"{check_name} does not reach {name}"
 
 
 def test_scalar_sigmoid_matches_the_array_sigmoid_bit_for_bit():

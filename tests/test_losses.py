@@ -11,13 +11,13 @@ from xmtrack.losses import (
     bce,
     decayed_ce_weight,
     l1_loss,
-    l1_loss_grad,
+    l1_pair,
     modality_loss,
-    modality_loss_grad,
+    modality_pair,
     siou_loss,
-    siou_loss_grad,
+    siou_pair,
     template_sim_loss,
-    template_sim_loss_grad,
+    template_sim_pair,
     total_loss,
     tracking_loss,
 )
@@ -45,15 +45,26 @@ def test_l1_zero_at_match_and_quarter_per_unit_offset():
 
 def test_l1_grad_is_quarter_sign():
     pred = BBox(103.0, 98.0, 34.0, 25.0)
-    np.testing.assert_array_equal(l1_loss_grad(pred, GT), [0.25, -0.25, 0.25, -0.25])
+    (grad,) = l1_pair(pred, GT).grad_fn(1.0)
+    np.testing.assert_array_equal(grad, [0.25, -0.25, 0.25, -0.25])
 
 
 def test_l1_grad_matches_central_difference():
     pred = BBox(91.0, 112.0, 26.5, 41.0)
-    grad = l1_loss_grad(pred, GT)
+    (grad,) = l1_pair(pred, GT).grad_fn(1.0)
     for i in range(4):
         num = central_diff_box(lambda b: l1_loss(b, GT), pred, i)
         assert abs(grad[i] - num) < 1e-8
+
+
+@pytest.mark.parametrize("w", [0.0, -5.0, float("nan")])
+def test_l1_rejects_a_degenerate_box_on_either_side(w):
+    bad = BBox(1.0, 1.0, w, 1.0)
+    for pred, gt in ((bad, GT), (GT, bad), (BBox(1.0, 1.0, 1.0, w), GT)):
+        with pytest.raises(ValueError):
+            l1_loss(pred, gt)
+        with pytest.raises(ValueError):
+            siou_loss(pred, gt)
 
 
 # --- SIoU -----------------------------------------------------------------
@@ -90,7 +101,7 @@ def test_siou_grad_matches_central_difference_generic_points():
             continue
         if abs(pred.w - GT.w) < 0.5 or abs(pred.h - GT.h) < 0.5:
             continue
-        grad = siou_loss_grad(pred, GT)
+        (grad,) = siou_pair(pred, GT).grad_fn(1.0)
         for i in range(4):
             num = central_diff_box(lambda b: siou_loss(b, GT), pred, i)
             denom = max(1e-8, abs(num))
@@ -161,7 +172,23 @@ def test_modality_loss_grad_matches_central_difference():
     for m, m_hat in ((1.0, 0.3), (0.0, 0.7), (1.0, 0.92), (0.0, 0.08)):
         h = 1e-7
         num = (modality_loss(m, m_hat + h) - modality_loss(m, m_hat - h)) / (2 * h)
-        assert abs(modality_loss_grad(m, m_hat) - num) < 1e-5
+        (grad,) = modality_pair(m, m_hat).grad_fn(1.0)
+        assert abs(float(grad) - num) < 1e-5
+
+
+@pytest.mark.parametrize("m_hat", [float("nan"), float("inf"), float("-inf")])
+def test_modality_loss_rejects_a_non_finite_prediction(m_hat):
+    with pytest.raises(ValueError):
+        modality_loss(1.0, m_hat)
+
+
+def test_modality_loss_clamps_a_finite_prediction_outside_the_unit_interval():
+    assert modality_loss(1.0, 1.5) == modality_loss(1.0, 1.0)
+    assert modality_loss(1.0, -0.5) == modality_loss(1.0, 0.0)
+    assert np.isfinite(modality_loss(1.0, -0.5))
+    for m_hat in (1.5, -0.5):
+        (grad,) = modality_pair(1.0, m_hat).grad_fn(1.0)
+        assert float(grad) == 0.0
 
 
 # --- template similarity loss -----------------------------------------------
@@ -192,7 +219,7 @@ def test_template_loss_grad_matches_central_difference():
     rng = np.random.default_rng(2)
     f, f_hat = rng.normal(size=5), rng.normal(size=5)
     sched = EpochSchedule(C=1, N=4)
-    gf, gf_hat = template_sim_loss_grad(f, f_hat, sched)
+    gf, gf_hat = template_sim_pair(f, f_hat, sched).grad_fn(1.0)
     h = 1e-6
     for i in range(5):
         for vec, grad in ((f, gf), (f_hat, gf_hat)):
@@ -202,6 +229,26 @@ def test_template_loss_grad_matches_central_difference():
             dn = template_sim_loss(f, f_hat, sched)
             vec[i] += h
             assert abs(grad[i] - (up - dn) / (2 * h)) < 1e-7
+
+
+# --- pairs ------------------------------------------------------------------
+
+
+def test_loss_pairs_are_scalars_whose_grads_scale_with_the_upstream():
+    rng = np.random.default_rng(3)
+    f, f_hat = rng.normal(size=5), rng.normal(size=5)
+    pred = BBox(91.0, 112.0, 26.5, 41.0)
+    sched = EpochSchedule(C=1, N=4)
+    cases = [
+        (l1_pair(pred, GT), l1_loss(pred, GT)),
+        (siou_pair(pred, GT), siou_loss(pred, GT)),
+        (modality_pair(0.0, 0.7), modality_loss(0.0, 0.7)),
+        (template_sim_pair(f, f_hat, sched), template_sim_loss(f, f_hat, sched)),
+    ]
+    for pair, value in cases:
+        assert np.shape(pair.value) == () and float(pair.value) == value
+        for g1, g3 in zip(pair.grad_fn(1.0), pair.grad_fn(np.asarray(-3.0))):
+            np.testing.assert_allclose(g3, -3.0 * np.asarray(g1), rtol=1e-15)
 
 
 # --- total -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from xmtrack.metrics import (
     TrackRun,
     cle,
     cle_array,
+    hit_masks,
     iou,
     iou_array,
     metrics_csv,
@@ -242,6 +243,21 @@ def test_array_rates_count_the_scalar_oracle_hits():
     tracks = np.stack([pred, gt, pred[::-1]])
     want = [sum(cle(BBox(*p), BBox(*g)) < 20.0 for p, g in zip(t.tolist(), gt.tolist())) for t in tracks]
     assert np.count_nonzero(cle_array(tracks, gt) < 20.0, axis=1).tolist() == want
+
+
+def test_hit_masks_apply_the_strict_thresholds_of_the_scalar_oracle():
+    pred, gt = _oracle_boxes()
+    pairs = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
+    pr_hits, sr_hits = hit_masks(pred, gt)
+    assert pr_hits.tolist() == [cle(p, g) < 20.0 for p, g in pairs]
+    assert sr_hits.tolist() == [iou(p, g) > 0.5 for p, g in pairs]
+    assert not pr_hits[-8] and not sr_hits[-7]  # the exact boundary frames
+    tracks = np.stack([pred, gt, pred[::-1]])
+    stacked = hit_masks(tracks, gt)
+    for row, track in enumerate(tracks):
+        for mask, want in zip(stacked, hit_masks(track, gt)):
+            assert mask.shape == tracks.shape[:2]
+            np.testing.assert_array_equal(mask[row], want)
 
 
 @pytest.mark.parametrize("side", [2, 3])
