@@ -42,7 +42,6 @@ from .adapter import (
 from .ctp import (
     BBox,
     FilterBank,
-    FilterState,
     FrameInput,
     MotionKind,
     MotionModel,

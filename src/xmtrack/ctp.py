@@ -12,16 +12,15 @@ Two motion models: a constant-velocity linear filter and a coordinated-turn
 variant with a fixed turn rate (the extended-filter ablation).  With turn
 rate 0 the two coincide.
 
-The math is written once, over a leading batch axis: ``batch_update`` and
-``batch_predict`` take x (B, 8), P (B, 8, 8) and per-row R, r, z or F, Q.
-``FilterBank`` holds B independent rows, each with its own settings from a
-``SessionConfig`` (F, R, Q_base, epsilon, theta, cap_mult, use_reliability,
-inflate_on_invalid) and its own counters (Q multiplier, invalid streak),
-and steps them in lockstep: correction on the rows whose frame is valid,
-prediction on all, one clip for every box.  ``ctp_update``, ``ctp_predict``
-and ``inflate_Q`` run the same functions on one ``FilterState`` (B=1), and
-``TrackerSession`` steps through them, so a session's boxes are the ones a
-one-row bank gives.
+The math is written once, over a leading batch axis: ``ctp_update`` and
+``ctp_predict`` take x (B, 8), P (B, 8, 8) and per-row R, r, z or F, Q, and
+``inflate_Q`` gives one row's Q multiplier.  ``FilterBank`` holds B
+independent rows, each with its own settings from a ``SessionConfig`` (F, R,
+Q_base, epsilon, theta, cap_mult, use_reliability, inflate_on_invalid) and
+its own invalid streak, and ``FilterBank.step`` is the one step policy:
+correction on the rows whose frame is valid, Q inflation on the invalid rows
+that inflate, prediction on all, one clip for every box.  ``TrackerSession``
+is a one-row ``FilterBank`` plus the classifier that decides each frame.
 
 The innovation covariance S = H P H^T + R/r of every corrected row is
 checked by a Cholesky factorization of the (B, 4, 4) stack, which the gain
@@ -37,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 
@@ -107,16 +106,6 @@ class MotionModel:
             raise ValueError(f"MotionModel: kind {self.kind!r} is not a MotionKind")
         if not _is_number(self.turn_rate):
             raise ValueError(f"MotionModel: turn_rate {self.turn_rate!r} is not a finite number")
-
-
-@dataclass
-class FilterState:
-    x: Tensor  # (8,)
-    P: Tensor  # (8, 8)
-    Q: Tensor  # (8, 8) current (possibly inflated) process noise
-    R: Tensor  # (4, 4) base observation noise
-    Q_base: Tensor  # (8, 8) reset target after an invalid streak
-    invalid_streak: int = 0
 
 
 def box2state(b: BBox) -> Tensor:
@@ -204,41 +193,26 @@ def transition_matrix(model: MotionModel) -> Tensor:
     return f
 
 
-def make_filter_state(
-    b0: BBox,
-    p0_diag=DEFAULT_P0_DIAG,
-    q_diag=DEFAULT_Q_DIAG,
-    r_diag=DEFAULT_R_DIAG,
-) -> FilterState:
-    q = np.diag(np.asarray(q_diag, dtype=np.float64))
-    return FilterState(
-        x=box2state(b0),
-        P=np.diag(np.asarray(p0_diag, dtype=np.float64)),
-        Q=q.copy(),
-        R=np.diag(np.asarray(r_diag, dtype=np.float64)),
-        Q_base=q.copy(),
-        invalid_streak=0,
-    )
-
-
 # Rounding of streak * log(theta) is ~1e-13 even at the float range's edge.
 _LOG_CAP_MARGIN = 1e-9
 
 
-def capped_multiplier(theta: float, cap_mult: float, streak: int) -> float:
-    """min(theta**streak, cap_mult) for theta >= 1, without forming a power past the cap.
+def inflate_Q(theta: float, cap_mult: float, streak: int) -> float:
+    """Q multiplier after ``streak`` consecutive invalid frames: min(theta**streak, cap_mult).
 
-    theta**k only grows with k, so once streak * log(theta) clears
-    log(cap_mult) by a margin far above its rounding the cap holds, and the
-    power (which overflows from 1.5**1751 on) is never taken.  Below the cap
-    the multiplier is theta**streak itself, bit for bit.
+    The cap stops covariance blow-up on long streaks; a valid frame resets
+    the streak.  theta >= 1, so theta**k only grows with k: once
+    streak * log(theta) clears log(cap_mult) by a margin far above its
+    rounding the cap holds, and the power (which overflows from 1.5**1751
+    on) is never taken.  Below the cap the multiplier is theta**streak
+    itself, bit for bit.
     """
     if streak * math.log(theta) > math.log(cap_mult) + _LOG_CAP_MARGIN:
         return cap_mult
     return min(theta**streak, cap_mult)
 
 
-def batch_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
+def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
     """Reliability-weighted Kalman correction of a stack of B filters.
 
     x (B, 8), P (B, 8, 8), R (B, 4, 4), r (B,), z (B, 4) or one (4,) for
@@ -268,52 +242,24 @@ def batch_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple
     return x + step[:, :, STATE_DIM], (p_new + p_new.transpose(0, 2, 1)) / 2.0
 
 
-def batch_predict(x: Tensor, P: Tensor, F: Tensor, Q: Tensor) -> tuple[Tensor, Tensor]:
-    """x = F x, P = F P F^T + Q (re-symmetrized) for a stack of B filters.
+def ctp_predict(
+    x: Tensor, P: Tensor, F: Tensor, Q: Tensor, scale: Tensor | None = None
+) -> tuple[Tensor, Tensor]:
+    """x = F x, P = F P F^T + scale * Q (re-symmetrized) for a stack of B filters.
 
-    A covariance that overflows raises FilterDegenerateError.
+    ``scale`` (B,) multiplies each row's Q; None leaves Q as it is.  A
+    covariance that overflows, the scaled Q's included, raises
+    FilterDegenerateError.
     """
     x_new = (F @ x[:, :, None])[:, :, 0]
     with np.errstate(over="ignore", invalid="ignore"):
+        if scale is not None:
+            Q = scale[:, None, None] * Q
         p_new = F @ P @ F.transpose(0, 2, 1) + Q
         p_new = (p_new + p_new.transpose(0, 2, 1)) / 2.0
     if not np.isfinite(p_new).all():
         raise FilterDegenerateError("ctp predict: state covariance not finite")
     return x_new, p_new
-
-
-def ctp_update(fs: FilterState, z: Tensor, r: float) -> FilterState:
-    """``batch_update`` of one filter.
-
-    Updates only happen on valid frames, so the process noise drops back to
-    its base value and the invalid streak resets here.  z is the (4,)
-    observation, r a float.
-    """
-    x, p = batch_update(fs.x[None], fs.P[None], fs.R[None], np.array([r]), z)
-    # Q is never written in place (inflate_Q builds a new array), so the
-    # reset can share Q_base.
-    return FilterState(x=x[0], P=p[0], Q=fs.Q_base, R=fs.R, Q_base=fs.Q_base, invalid_streak=0)
-
-
-def ctp_predict(fs: FilterState, model: MotionModel) -> FilterState:
-    """``batch_predict`` of one filter under ``model``."""
-    x, p = batch_predict(fs.x[None], fs.P[None], transition_matrix(model)[None], fs.Q[None])
-    return FilterState(x=x[0], P=p[0], Q=fs.Q, R=fs.R, Q_base=fs.Q_base, invalid_streak=fs.invalid_streak)
-
-
-def inflate_Q(
-    fs: FilterState,
-    theta: float = DEFAULT_THETA,
-    cap_mult: float = DEFAULT_CAP_MULT,
-) -> FilterState:
-    """Compound the process noise for one more consecutive invalid frame.
-
-    After k invalid frames in a row, Q = min(theta^k, cap_mult) * Q_base.
-    The cap stops covariance blow-up on long streaks; ctp_update resets.
-    """
-    streak = fs.invalid_streak + 1
-    q = capped_multiplier(theta, cap_mult, streak) * fs.Q_base
-    return FilterState(x=fs.x, P=fs.P, Q=q, R=fs.R, Q_base=fs.Q_base, invalid_streak=streak)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +325,8 @@ class FilterBank:
 
     Row b has its own state (x[b], P[b]), settings (F, R, Q_base, epsilon,
     theta, cap_mult, use_reliability, inflate_on_invalid, box limits) from
-    ``configs[b]`` and counters (q_mult[b], streak[b]).  Rows share nothing
-    but the call: a row's boxes are the ones a B=1 bank would give it.
+    ``configs[b]`` and invalid streak, streak[b].  Rows share nothing but
+    the call: a row's boxes are the ones a B=1 bank would give it.
     """
 
     def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
@@ -393,13 +339,12 @@ class FilterBank:
         self.R = np.stack([np.diag(c.r_diag) for c in configs])
         self.Q_base = np.stack([np.diag(c.q_diag) for c in configs])
         self.epsilon = np.array([c.epsilon for c in configs])
-        # Python floats: capped_multiplier takes exact scalar powers of them.
+        # Python numbers: inflate_Q takes exact scalar powers of them.
         self.theta = [c.theta for c in configs]
         self.cap_mult = [c.cap_mult for c in configs]
+        self.streak = [0] * len(configs)
         self.use_reliability = np.array([c.use_reliability for c in configs])
-        self.inflate_on_invalid = np.array([c.inflate_on_invalid for c in configs])
-        self.q_mult = np.ones(len(configs))
-        self.streak = np.zeros(len(configs), dtype=np.int64)
+        self.inflating_rows = [b for b, c in enumerate(configs) if c.inflate_on_invalid]
         self.box_min = np.stack([lo for lo, _ in limits])
         self.box_max = np.stack([hi for _, hi in limits])
 
@@ -410,43 +355,50 @@ class FilterBank:
         """
         return np.where(self.use_reliability, reliability(s, m, self.epsilon), 1.0)
 
-    def step(self, valid: Tensor, z: Tensor, r: Tensor) -> Tensor:
+    def step(self, valid: Tensor, z: Tensor | None, r: Tensor | None) -> Tensor:
         """One frame for every row; returns the reported boxes (B, 4).
 
         Valid rows are corrected with z (B, 4) and r (B,), which are read on
-        those rows only; the others count one more invalid frame and, where
-        they inflate, compound their Q multiplier.  Every row then predicts.
-        The bank changes only if the whole step succeeds: bad input raises
-        ValueError, a degenerate covariance FilterDegenerateError.
+        those rows only (None when no row is valid), and reset their streak.
+        The others count one more invalid frame, and those that inflate
+        predict with Q_base scaled by ``inflate_Q`` of their streak.  Every
+        row then predicts.  The bank changes only if the whole step
+        succeeds: bad input raises ValueError, a degenerate covariance
+        FilterDegenerateError.
         """
-        x, p = self.x, self.P
-        if valid.all():
-            x, p = batch_update(x, p, self.R, r, z)
-            streak = np.zeros_like(self.streak)
-            q_mult = np.ones_like(self.q_mult)
-            q = self.Q_base
-        else:
+        n_valid = np.count_nonzero(valid)
+        if n_valid == len(valid):
+            x, p = ctp_update(self.x, self.P, self.R, r, z)
+            streak, inflating = [0] * n_valid, ()
+        elif n_valid:
             rows = np.flatnonzero(valid)
-            if rows.size:
-                x, p = x.copy(), p.copy()
-                x[rows], p[rows] = batch_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
-            streak = np.where(valid, 0, self.streak + 1)
-            q_mult = np.where(valid, 1.0, self.q_mult)
-            for b in np.flatnonzero(self.inflate_on_invalid & ~valid).tolist():
-                q_mult[b] = capped_multiplier(self.theta[b], self.cap_mult[b], int(streak[b]))
-            with np.errstate(over="ignore"):  # batch_predict reports the overflow
-                q = q_mult[:, None, None] * self.Q_base
-        self.x, self.P = batch_predict(x, p, self.F, q)
-        self.streak, self.q_mult = streak, q_mult
-        return np.clip(self.x[:, :OBS_DIM], self.box_min, self.box_max)
+            x, p = self.x.copy(), self.P.copy()
+            x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
+            is_valid = valid.tolist()
+            streak = [0 if v else k + 1 for v, k in zip(is_valid, self.streak)]
+            inflating = [b for b in self.inflating_rows if not is_valid[b]]
+        else:  # a blackout on every row: nothing to correct or copy
+            x, p = self.x, self.P
+            streak, inflating = [k + 1 for k in self.streak], self.inflating_rows
+        scale = None
+        if inflating:
+            mult = [1.0] * len(streak)
+            for b in inflating:
+                mult[b] = inflate_Q(self.theta[b], self.cap_mult[b], streak[b])
+            scale = np.array(mult)
+        self.x, self.P = ctp_predict(x, p, self.F, self.Q_base, scale)
+        self.streak = streak
+        return np.minimum(np.maximum(self.x[:, :OBS_DIM], self.box_min), self.box_max)
+
+
+_ONE_VALID, _ONE_INVALID = np.array([True]), np.array([False])
 
 
 class TrackerSession:
     """Single-target filter session over one frame stream.
 
-    It steps one ``FilterState`` through ``ctp_update``, ``inflate_Q`` and
-    ``ctp_predict``, the B=1 calls of the functions a ``FilterBank`` row runs,
-    so its boxes are the ones a one-row bank gives.
+    It decides each frame (or takes the given decision) and steps a one-row
+    ``FilterBank``, ``bank``, with it.
     """
 
     def __init__(
@@ -458,11 +410,8 @@ class TrackerSession:
         switch_weights: SwitchWeights | None = None,
     ):
         self.config = config or SessionConfig()
-        self.box_limits = box_limits(frame_width, frame_height)
         self.switch_weights = switch_weights
-        self.fs = make_filter_state(
-            b0, self.config.p0_diag, self.config.q_diag, self.config.r_diag
-        )
+        self.bank = FilterBank([b0], [(frame_width, frame_height)], [self.config])
         self.last_decision: TriStateDecision | None = None
 
     def _decide(self, frame: FrameInput) -> TriStateDecision:
@@ -475,25 +424,15 @@ class TrackerSession:
         return classify(frame.image, self.switch_weights, self.config.rho)
 
     def step(self, frame: FrameInput) -> BBox:
-        """One frame; ``fs`` changes only if the whole step succeeds."""
-        cfg = self.config
+        """One frame; ``bank`` changes only if the whole step succeeds."""
         decision = self._decide(frame)
         self.last_decision = decision
-        fs = self.fs
         if decision.state == TriState.INVALID:
-            if cfg.inflate_on_invalid:
-                fs = inflate_Q(fs, cfg.theta, cfg.cap_mult)
-            else:
-                fs = replace(fs, invalid_streak=fs.invalid_streak + 1)
+            box = self.bank.step(_ONE_INVALID, None, None)
         else:
             if frame.observed is None:
                 raise ValueError("step: valid frame without an observation")
-            r = reliability(frame.s, decision.m, cfg.epsilon)  # checks s and m either way
-            fs = ctp_update(fs, frame.observed.as_array(), r if cfg.use_reliability else 1.0)
-        self.fs = ctp_predict(fs, cfg.motion)
-        return self.report_box()
-
-    def report_box(self) -> BBox:
-        lo, hi = self.box_limits
-        cx, cy, w, h = np.minimum(np.maximum(self.fs.x[:OBS_DIM], lo), hi).tolist()
+            r = self.bank.reliability(frame.s, decision.m)  # checks s and m either way
+            box = self.bank.step(_ONE_VALID, frame.observed.as_array()[None], r)
+        cx, cy, w, h = box[0].tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)

@@ -7,8 +7,9 @@ exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
 The rates are array expressions: ``cle_array`` and ``iou_array`` score
 ``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, each in its scalar
 twin's operation order, so a frame scores the same bits either way.
-``hit_masks`` is the one place that applies both thresholds to them.  The
-scalar ``cle`` and ``iou`` stay as the per-box API and the tests' oracle.
+``hit_masks`` is the one place that applies both thresholds to them; PR/SR,
+``tag_breakdown`` and the ablation count its hits.  The scalar ``cle`` and
+``iou`` stay as the per-box API and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -103,14 +104,16 @@ class TrackRun:
         return len(self.pred)
 
 
-def precision_rate(run: TrackRun, tau: float = PR_TAU_PX) -> float:
-    hits = int(np.count_nonzero(cle_array(box_array(run.pred), box_array(run.gt)) < tau))
-    return 100.0 * hits / len(run)
+def precision_rate(run: TrackRun) -> float:
+    """Percentage of the run's frames that ``hit_masks`` counts as PR hits."""
+    pr_hits, _ = hit_masks(box_array(run.pred), box_array(run.gt))
+    return 100.0 * int(np.count_nonzero(pr_hits)) / len(run)
 
 
-def success_rate(run: TrackRun, tau: float = SR_TAU_IOU) -> float:
-    hits = int(np.count_nonzero(iou_array(box_array(run.pred), box_array(run.gt)) > tau))
-    return 100.0 * hits / len(run)
+def success_rate(run: TrackRun) -> float:
+    """Percentage of the run's frames that ``hit_masks`` counts as SR hits."""
+    _, sr_hits = hit_masks(box_array(run.pred), box_array(run.gt))
+    return 100.0 * int(np.count_nonzero(sr_hits)) / len(run)
 
 
 @dataclass(frozen=True)

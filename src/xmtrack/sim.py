@@ -24,8 +24,8 @@ observation, motion filter — under one of four motion presets, each a
 ``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
 the ``off`` track, and ``run_filters`` steps every filtered track as a row of
 one ``FilterBank``.  The suite scores its tracks as arrays with
-``metrics.hit_masks``.  ``TrackerSession`` is the live
-per-frame API.
+``metrics.hit_masks``.  ``TrackerSession``, a one-row ``FilterBank`` plus
+the classifier, is the live per-frame API.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ MODALITIES = ("rgb", "nir")
 MAX_COORD = 1e9
 # Largest rendered image, 4096 x 4096 pixels.
 MAX_IMAGE_PIXELS = 1 << 24
+# Largest frame stack (frames x height x width x channels uint8), 1 GiB.
+MAX_STACK_BYTES = 1 << 30
 
 
 def _check_windows(windows, frames, who):
@@ -136,6 +138,10 @@ class Scenario:
             (
                 path < MAX_COORD and self.sigma * self.switch_noise_boost < MAX_COORD,
                 f"the path and its noise within {MAX_COORD:g} px",
+            ),
+            (
+                self.frames * self.image_height * self.image_width * FRAME_CHANNELS <= MAX_STACK_BYTES,
+                f"a frame stack of <= {MAX_STACK_BYTES} bytes",
             ),
         ):
             if not ok:

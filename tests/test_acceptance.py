@@ -17,14 +17,15 @@ from xmtrack.adapter import AdapterLayerWeights, adapt, layer_gate, random_adapt
 from xmtrack.cli import main
 from xmtrack.ctp import (
     BBox,
-    FilterState,
+    FilterBank,
     MotionKind,
     MotionModel,
+    SessionConfig,
     ctp_predict,
     ctp_update,
     inflate_Q,
-    make_filter_state,
     reliability,
+    transition_matrix,
 )
 from xmtrack.io import save_scenario
 from xmtrack.losses import EpochSchedule, modality_loss, tracking_loss
@@ -45,25 +46,27 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_kalman_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    worst = 0.0
+    trials = []  # (x, P, Q, R, z, r, omega) per trial, stepped as one stack below
     for _ in range(200):
         a = rng.normal(size=(8, 8))
         p = a @ a.T + np.eye(8)
         q = np.diag(rng.uniform(0.01, 1.0, size=8))
         r_mat = np.diag(rng.uniform(0.5, 8.0, size=4))
-        fs = FilterState(
-            x=rng.normal(scale=50.0, size=8), P=p, Q=q.copy(), R=r_mat, Q_base=q.copy()
-        )
+        x = rng.normal(scale=50.0, size=8)
         z = rng.normal(scale=50.0, size=4)
         rel = float(rng.uniform(1e-3, 1.0))
-        got_u = ctp_update(fs, z, rel)
-        want_x, want_p = oracle.update(fs.x, fs.P, z, r_mat, rel)
-        worst = max(worst, np.abs(got_u.x - want_x).max(), np.abs(got_u.P - want_p).max())
-
         omega = float(rng.uniform(-0.1, 0.1))
-        got_p = ctp_predict(fs, MotionModel(MotionKind.COORDINATED_TURN, omega))
-        want_x2, want_p2 = oracle.predict(fs.x, fs.P, oracle.turn_matrix(omega), fs.Q)
-        worst = max(worst, np.abs(got_p.x - want_x2).max(), np.abs(got_p.P - want_p2).max())
+        trials.append((x, p, q, r_mat, z, rel, omega))
+    x, p, q, r_mat, z, rel, omega = (np.array(col) for col in zip(*trials))
+    f = np.stack([transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, w)) for w in omega.tolist()])
+    got_ux, got_up = ctp_update(x, p, r_mat, rel, z)
+    got_px, got_pp = ctp_predict(x, p, f, q)
+    worst = 0.0
+    for b in range(len(trials)):
+        want_x, want_p = oracle.update(x[b], p[b], z[b], r_mat[b], rel[b])
+        worst = max(worst, np.abs(got_ux[b] - want_x).max(), np.abs(got_up[b] - want_p).max())
+        want_x2, want_p2 = oracle.predict(x[b], p[b], oracle.turn_matrix(omega[b]), q[b])
+        worst = max(worst, np.abs(got_px[b] - want_x2).max(), np.abs(got_pp[b] - want_p2).max())
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -85,14 +88,25 @@ def test_criterion_02_reliability_formula_exactness():
 
 
 def test_criterion_03_q_inflation_schedule():
-    fs = make_filter_state(BBox(100, 100, 30, 30))
+    # A one-row bank with the default theta 1.5 and cap 10 predicts through
+    # each invalid frame with the inflated Q, and through a valid one with Q_base.
+    bank = FilterBank([BBox(100, 100, 30, 30)], [(512.0, 512.0)], [SessionConfig()])
+    q_base = bank.Q_base
     ok = True
     for k in range(1, 12):
-        fs = inflate_Q(fs)
-        expected = min(1.5**k, 10.0) * fs.Q_base
-        ok = ok and np.array_equal(fs.Q, expected) and fs.invalid_streak == k
-    fs = ctp_update(fs, np.array([100.0, 100.0, 30.0, 30.0]), 1.0)
-    ok = ok and np.array_equal(fs.Q, fs.Q_base) and fs.invalid_streak == 0
+        expected = min(1.5**k, 10.0) * q_base
+        x, p = bank.x, bank.P
+        bank.step(np.array([False]), None, None)
+        ok = (
+            ok
+            and np.array_equal(inflate_Q(1.5, 10.0, k) * q_base, expected)
+            and np.array_equal(bank.P, ctp_predict(x, p, bank.F, expected)[1])
+            and bank.streak == [k]
+        )
+    z = np.array([[100.0, 100.0, 30.0, 30.0]])
+    x, p = ctp_update(bank.x, bank.P, bank.R, np.ones(1), z)
+    bank.step(np.array([True]), z, np.ones(1))
+    ok = ok and np.array_equal(bank.P, ctp_predict(x, p, bank.F, q_base)[1]) and bank.streak == [0]
     _report(3, ok, "Q = min(1.5^k, 10) * Q_base exactly for k=1..11, reset on valid")
 
 

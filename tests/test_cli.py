@@ -449,6 +449,7 @@ BAD_SCENARIOS = {
     "switch_noise_boost_nan": ({"switch_noise_boost": float("nan")}, []),
     "window_bound_not_integer": ({"invalid_windows": [[12.5, 20]]}, []),
     "image_past_the_pixel_cap": ({"image_width": 10**30}, []),
+    "frame_stack_past_the_byte_cap": ({"frames": 2**40, "velocity": [0.0, 0.0]}, []),
     "sigma_past_the_float_range": ({"sigma": 10**400}, []),
 }
 

@@ -13,7 +13,6 @@ from xmtrack.ctp import (
     BBox,
     FilterBank,
     FilterDegenerateError,
-    FilterState,
     FrameInput,
     MotionKind,
     MotionModel,
@@ -21,12 +20,10 @@ from xmtrack.ctp import (
     TrackerSession,
     box2state,
     box_limits,
-    capped_multiplier,
     ctp_predict,
     ctp_update,
     cv_transition,
     inflate_Q,
-    make_filter_state,
     reliability,
     transition_matrix,
     turn_transition,
@@ -34,38 +31,44 @@ from xmtrack.ctp import (
 from xmtrack.state_switch import TriState, TriStateDecision
 
 
-def random_filter_state(rng) -> FilterState:
+def random_filter_row(rng):
+    """x (1, 8), P (1, 8, 8), Q (1, 8, 8) and R (1, 4, 4) of one random filter."""
     a = rng.normal(size=(8, 8))
     p = a @ a.T + np.eye(8)  # comfortably SPD
     q = np.diag(rng.uniform(0.01, 1.0, size=8))
     r = np.diag(rng.uniform(0.5, 8.0, size=4))
-    return FilterState(
-        x=rng.normal(scale=50.0, size=8), P=p, Q=q.copy(), R=r, Q_base=q.copy()
-    )
+    return rng.normal(scale=50.0, size=8)[None], p[None], q[None], r[None]
+
+
+def default_filter_row(b0: BBox):
+    """x, P, R and Q_base of a fresh default filter at b0, each a (1, ...) stack."""
+    cfg = SessionConfig()
+    p, r, q = (np.diag(d)[None] for d in (cfg.p0_diag, cfg.r_diag, cfg.q_diag))
+    return box2state(b0)[None], p, r, q
 
 
 def test_update_matches_textbook_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        fs = random_filter_state(rng)
+        x, p, _, r_mat = random_filter_row(rng)
         z = rng.normal(scale=50.0, size=4)
         r = float(rng.uniform(1e-3, 1.0))
-        got = ctp_update(fs, z, r)
-        want_x, want_p = oracle.update(fs.x, fs.P, z, fs.R, r)
-        np.testing.assert_allclose(got.x, want_x, atol=1e-9)
-        np.testing.assert_allclose(got.P, want_p, atol=1e-9)
+        got_x, got_p = ctp_update(x, p, r_mat, np.array([r]), z)
+        want_x, want_p = oracle.update(x[0], p[0], z, r_mat[0], r)
+        np.testing.assert_allclose(got_x[0], want_x, atol=1e-9)
+        np.testing.assert_allclose(got_p[0], want_p, atol=1e-9)
 
 
 def test_predict_matches_textbook_oracle():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        fs = random_filter_state(rng)
+        x, p, q, _ = random_filter_row(rng)
         omega = float(rng.uniform(-0.1, 0.1))
-        model = MotionModel(MotionKind.COORDINATED_TURN, omega)
-        got = ctp_predict(fs, model)
-        want_x, want_p = oracle.predict(fs.x, fs.P, oracle.turn_matrix(omega), fs.Q)
-        np.testing.assert_allclose(got.x, want_x, atol=1e-9)
-        np.testing.assert_allclose(got.P, want_p, atol=1e-9)
+        f = transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, omega))
+        got_x, got_p = ctp_predict(x, p, f[None], q)
+        want_x, want_p = oracle.predict(x[0], p[0], oracle.turn_matrix(omega), q[0])
+        np.testing.assert_allclose(got_x[0], want_x, atol=1e-9)
+        np.testing.assert_allclose(got_p[0], want_p, atol=1e-9)
 
 
 def test_reliability_values_and_floor():
@@ -85,22 +88,26 @@ def test_reliability_rejects_out_of_range_inputs():
 
 def test_update_rejects_nonpositive_reliability():
     rng = np.random.default_rng(2)
-    fs = random_filter_state(rng)
+    x, p, _, r_mat = random_filter_row(rng)
     with pytest.raises(ValueError):
-        ctp_update(fs, np.zeros(4), 0.0)
+        ctp_update(x, p, r_mat, np.array([0.0]), np.zeros(4))
 
 
 def test_q_inflation_schedule_and_reset():
-    fs = make_filter_state(BBox(100, 100, 30, 30))
     expected_mults = [1.5, 2.25, 3.375, 5.0625, 7.59375, 10.0, 10.0]
+    bank = FilterBank([BBox(100, 100, 30, 30)], [(512.0, 512.0)], [SessionConfig()])
     for k, mult in enumerate(expected_mults, start=1):
-        fs = inflate_Q(fs)
-        assert fs.invalid_streak == k
-        np.testing.assert_array_equal(fs.Q, mult * fs.Q_base)
+        assert inflate_Q(1.5, 10.0, k) == mult
+        x, p = bank.x, bank.P
+        bank.step(np.array([False]), None, None)
+        assert bank.streak == [k]
+        np.testing.assert_array_equal(bank.P, ctp_predict(x, p, bank.F, mult * bank.Q_base)[1])
     # one valid update resets both the streak and Q
-    fs = ctp_update(fs, np.array([100.0, 100.0, 30.0, 30.0]), 1.0)
-    assert fs.invalid_streak == 0
-    np.testing.assert_array_equal(fs.Q, fs.Q_base)
+    z = np.array([[100.0, 100.0, 30.0, 30.0]])
+    x, p = ctp_update(bank.x, bank.P, bank.R, np.ones(1), z)
+    bank.step(np.array([True]), z, np.ones(1))
+    assert bank.streak == [0]
+    np.testing.assert_array_equal(bank.P, ctp_predict(x, p, bank.F, bank.Q_base)[1])
 
 
 def test_turn_transition_at_zero_rate_is_cv():
@@ -126,19 +133,24 @@ def test_transition_matrix_dispatch():
 
 
 def test_covariance_stays_symmetric_psd_over_random_schedule():
+    # Updates, inflations and bare predictions in any order; a bare
+    # prediction keeps the last multiplier.
     rng = np.random.default_rng(4)
-    fs = make_filter_state(BBox(256, 256, 30, 30))
-    model = MotionModel(MotionKind.COORDINATED_TURN, 0.02)
+    x, p, r_mat, q_base = default_filter_row(BBox(256, 256, 30, 30))
+    f = transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, 0.02))[None]
+    streak, mult = 0, 1.0
     for _ in range(1000):
         choice = rng.random()
         if choice < 0.45:
-            z = fs.x[:4] + rng.normal(scale=3.0, size=4)
-            fs = ctp_update(fs, z, float(rng.uniform(1e-3, 1.0)))
+            z = x[0, :4] + rng.normal(scale=3.0, size=4)
+            x, p = ctp_update(x, p, r_mat, np.array([rng.uniform(1e-3, 1.0)]), z)
+            streak, mult = 0, 1.0
         elif choice < 0.7:
-            fs = inflate_Q(fs)
-        fs = ctp_predict(fs, model)
-        np.testing.assert_array_equal(fs.P, fs.P.T)
-        assert np.linalg.eigvalsh(fs.P).min() > -1e-9
+            streak += 1
+            mult = inflate_Q(1.5, 10.0, streak)
+        x, p = ctp_predict(x, p, f, q_base, np.array([mult]))
+        np.testing.assert_array_equal(p[0], p[0].T)
+        assert np.linalg.eigvalsh(p[0]).min() > -1e-9
 
 
 def test_lower_reliability_keeps_more_uncertainty():
@@ -146,25 +158,25 @@ def test_lower_reliability_keeps_more_uncertainty():
     # larger remaining P (in the PSD order)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        fs = random_filter_state(rng)
+        x, p, _, r_mat = random_filter_row(rng)
         z = rng.normal(scale=20.0, size=4)
-        p_low = ctp_update(fs, z, 0.05).P
-        p_high = ctp_update(fs, z, 1.0).P
+        p_low = ctp_update(x, p, r_mat, np.array([0.05]), z)[1][0]
+        p_high = ctp_update(x, p, r_mat, np.array([1.0]), z)[1][0]
         assert np.linalg.eigvalsh(p_low - p_high).min() > -1e-12
 
 
 def test_update_with_exact_observation_moves_nothing():
     rng = np.random.default_rng(6)
-    fs = random_filter_state(rng)
-    z = fs.x[:4].copy()  # innovation is exactly zero
-    got = ctp_update(fs, z, 0.7)
-    np.testing.assert_allclose(got.x, fs.x, atol=1e-12)
+    x, p, _, r_mat = random_filter_row(rng)
+    z = x[0, :4].copy()  # innovation is exactly zero
+    got_x, _ = ctp_update(x, p, r_mat, np.array([0.7]), z)
+    np.testing.assert_allclose(got_x, x, atol=1e-12)
 
 
 def test_degenerate_innovation_covariance_raises():
-    fs = make_filter_state(BBox(10, 10, 5, 5), p0_diag=(0.0,) * 8, r_diag=(0.0,) * 4)
+    x = box2state(BBox(10, 10, 5, 5))[None]
     with pytest.raises(FilterDegenerateError):
-        ctp_update(fs, np.array([10.0, 10.0, 5.0, 5.0]), 1.0)
+        ctp_update(x, np.zeros((1, 8, 8)), np.zeros((1, 4, 4)), np.ones(1), np.array([10.0, 10.0, 5.0, 5.0]))
 
 
 def test_box_state_roundtrip_and_validation():
@@ -183,12 +195,13 @@ def test_clip_box_limits():
     with pytest.raises(ValueError):
         box_limits(0.0, 512.0)
     # A state past every bound, reported by a session and by a bank row
-    # that coasts it through one invalid frame at zero velocity.
+    # that coast it through one invalid frame at zero velocity.
     outside = np.array([-20.0, 600.0, 0.2, 1000.0, 0.0, 0.0, 0.0, 0.0])
     clipped = BBox(0.0, 256.0, 1.0, 256.0)
     sess = TrackerSession(BBox(10.0, 10.0, 5.0, 5.0), 512.0, 256.0)
-    sess.fs = replace(sess.fs, x=outside)
-    assert sess.report_box() == clipped
+    sess.bank.x = outside[None].copy()
+    invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
+    assert sess.step(FrameInput(observed=None, s=0.0, decision=invalid)) == clipped
     bank = FilterBank([BBox(10.0, 10.0, 5.0, 5.0)], [(512.0, 256.0)], [SessionConfig()])
     bank.x = outside[None].copy()
     boxes = bank.step(np.array([False]), np.zeros((1, 4)), np.ones(1))
@@ -205,7 +218,7 @@ def test_invalid_streak_coasts_on_pure_cv_extrapolation():
     for t in range(1, 15):
         z = BBox(100.0 + 4.0 * t, 200.0, 30.0, 30.0)
         sess.step(FrameInput(observed=z, s=0.95, decision=decision))
-    x0 = sess.fs.x.copy()
+    x0 = sess.bank.x[0].copy()
     invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
     for k in range(1, 8):
         box = sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
@@ -253,7 +266,7 @@ def test_session_without_reliability_pins_r_to_one():
     manual = TrackerSession(b0, 512, 512, SessionConfig(use_reliability=True))
     manual.step(FrameInput(observed=z, s=1.0, decision=TriStateDecision(TriState.RGB, 0.0, 0.0)))
     # s=1, m=0 gives r=1 exactly, so both sessions did the same update
-    np.testing.assert_allclose(plain.fs.x, manual.fs.x, atol=1e-12)
+    np.testing.assert_allclose(plain.bank.x, manual.bank.x, atol=1e-12)
 
 
 def test_session_valid_frame_requires_observation():
@@ -267,11 +280,14 @@ def test_session_valid_frame_requires_observation():
 def test_session_inflation_can_be_disabled():
     cfg = SessionConfig(inflate_on_invalid=False)
     sess = TrackerSession(BBox(100, 100, 30, 30), 512, 512, cfg)
+    bank = sess.bank
+    x, p = bank.x, bank.P
     invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
     for _ in range(5):
         sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
-    assert sess.fs.invalid_streak == 5
-    np.testing.assert_array_equal(sess.fs.Q, sess.fs.Q_base)
+        x, p = ctp_predict(x, p, bank.F, bank.Q_base)  # Q stays at Q_base
+    assert bank.streak == [5]
+    np.testing.assert_array_equal(bank.P, p)
 
 
 @pytest.mark.parametrize(
@@ -318,12 +334,12 @@ def test_motion_model_rejects_bad_values():
             MotionModel(**kwargs)
 
 
-def test_capped_multiplier_is_the_plain_power_below_the_cap():
+def test_inflate_Q_is_the_plain_power_below_the_cap():
     for theta, cap in ((1.5, 10.0), (1.01, 1e6), (2.0, 1.0), (1.0, 10.0), (3.7, 1e300)):
         for k in range(0, 3000):
             plain = theta**k if k * np.log(theta) < 700.0 else float("inf")
             want = plain if plain < cap else cap
-            assert capped_multiplier(theta, cap, k) == want, (theta, cap, k)
+            assert inflate_Q(theta, cap, k) == want, (theta, cap, k)
 
 
 def test_inflation_survives_a_streak_past_the_overflow_point():
@@ -331,14 +347,16 @@ def test_inflation_survives_a_streak_past_the_overflow_point():
     cfg = SessionConfig(motion=MotionModel(MotionKind.COORDINATED_TURN, 0.02))
     sess = TrackerSession(BBox(256.0, 256.0, 30.0, 30.0), 512.0, 512.0, cfg)
     invalid = TriStateDecision(TriState.INVALID, 0.5, 1.0)
+    bank = sess.bank
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(2000):
+            x, p = bank.x, bank.P
             sess.step(FrameInput(observed=None, s=0.0, decision=invalid))
-        fs = sess.fs
-        assert fs.invalid_streak == 2000
-        np.testing.assert_array_equal(fs.Q, cfg.cap_mult * fs.Q_base)
-        for p in (fs.P, ctp_update(fs, fs.x[:4] + 1.0, cfg.epsilon).P):  # r at its floor
+        assert bank.streak == [2000]
+        np.testing.assert_array_equal(bank.P, ctp_predict(x, p, bank.F, cfg.cap_mult * bank.Q_base)[1])
+        _, p_floor = ctp_update(bank.x, bank.P, bank.R, np.array([cfg.epsilon]), bank.x[:, :4] + 1.0)
+        for p in (bank.P[0], p_floor[0]):  # r at its floor
             assert np.isfinite(p).all()
             np.testing.assert_array_equal(p, p.T)
             assert np.linalg.eigvalsh(p).min() > -1e-9
@@ -348,7 +366,8 @@ def test_step_rejects_non_finite_input_before_changing_state():
     sess = TrackerSession(BBox(100.0, 100.0, 30.0, 30.0), 512.0, 512.0)
     rgb = TriStateDecision(TriState.RGB, 0.1, 0.0)
     sess.step(FrameInput(observed=BBox(103.0, 99.0, 30.0, 31.0), s=0.9, decision=rgb))
-    before = sess.fs
+    bank = sess.bank
+    x, p, streak = bank.x.copy(), bank.P.copy(), list(bank.streak)
     nan = float("nan")
     for frame in (
         FrameInput(observed=BBox(nan, 100.0, 30.0, 30.0), s=0.9, decision=rgb),
@@ -359,15 +378,14 @@ def test_step_rejects_non_finite_input_before_changing_state():
     ):
         with pytest.raises(ValueError):
             sess.step(frame)
-        after = sess.fs
-        np.testing.assert_array_equal(after.x, before.x)
-        np.testing.assert_array_equal(after.P, before.P)
-        assert after.invalid_streak == before.invalid_streak
-    fs = make_filter_state(BBox(10, 10, 5, 5))
+        np.testing.assert_array_equal(bank.x, x)
+        np.testing.assert_array_equal(bank.P, p)
+        assert bank.streak == streak
+    x, p, r_mat, _ = default_filter_row(BBox(10, 10, 5, 5))
     for z, r in (([10.0, nan, 5.0, 5.0], 1.0), ([10.0, 10.0, 5.0, 5.0], float("inf")),
                  ([10.0, 10.0, 5.0, 5.0], nan)):
         with pytest.raises(ValueError):
-            ctp_update(fs, np.array(z), r)
+            ctp_update(x, p, r_mat, np.array([r]), np.array(z))
 
 
 def _bank_configs():
@@ -386,12 +404,15 @@ def test_bank_rows_match_their_own_single_row_runs():
     sizes = [(512.0, 512.0), (300.0, 400.0), (512.0, 256.0)]
     bank = FilterBank(b0, sizes, configs)
     singles = [FilterBank([b], [size], [cfg]) for b, size, cfg in zip(b0, sizes, configs)]
-    saw_mixed = False
+    saw_mixed = saw_all_invalid = False
     for t in range(60):
         valid = rng.random(len(configs)) < 0.7
         if t == 5:
             valid = np.array([True, False, True])  # one step with both kinds, always
+        if t == 6:
+            valid = np.zeros(len(configs), dtype=bool)  # and one with none valid
         saw_mixed |= bool(valid.any() and not valid.all())
+        saw_all_invalid |= not valid.any()
         z = np.array([bank.x[b, :4] + rng.normal(scale=3.0, size=4) for b in range(len(configs))])
         z[~valid] = np.nan  # never read on invalid rows
         r = bank.reliability(rng.uniform(0.0, 1.0, len(configs)), rng.uniform(0.0, 1.0, len(configs)))
@@ -401,8 +422,7 @@ def test_bank_rows_match_their_own_single_row_runs():
             np.testing.assert_allclose(boxes[b], one[0], rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(bank.P[b], single.P[0], rtol=0.0, atol=1e-9)
             assert bank.streak[b] == single.streak[0]
-            assert bank.q_mult[b] == single.q_mult[0]
-    assert saw_mixed
+    assert saw_mixed and saw_all_invalid
 
 
 def test_single_row_bank_is_the_session():
@@ -423,12 +443,14 @@ def test_single_row_bank_is_the_session():
             box = sess.step(FrameInput(observed=BBox(*z), s=s, decision=decision))
             want = bank.step(np.array([True]), z[None], np.atleast_1d(bank.reliability(s, m)))
         assert (box.cx, box.cy, box.w, box.h) == tuple(want[0].tolist())
-        assert sess.report_box() == box
+        np.testing.assert_array_equal(sess.bank.x, bank.x)
+        np.testing.assert_array_equal(sess.bank.P, bank.P)
 
 
 def test_session_steps_through_the_single_filter_functions(monkeypatch):
     # Code that wraps ctp_update, inflate_Q and ctp_predict (a profiler, a
-    # tracer) sees every session step: the session looks them up per call.
+    # tracer) sees every bank step, a session's included: the bank looks
+    # them up per call, and calls inflate_Q once per invalid row that inflates.
     import xmtrack.ctp as ctp_module
 
     calls = {"ctp_update": 0, "inflate_Q": 0, "ctp_predict": 0}
@@ -450,6 +472,15 @@ def test_session_steps_through_the_single_filter_functions(monkeypatch):
             sess.step(FrameInput(observed=BBox(100.0 + t, 100.0, 30.0, 30.0), s=0.9, decision=rgb))
     assert calls == {"ctp_update": 7, "inflate_Q": 3, "ctp_predict": 10}
 
+    calls.update(dict.fromkeys(calls, 0))
+    configs = _bank_configs()
+    assert [c.inflate_on_invalid for c in configs] == [False, True, True]
+    bank = FilterBank([BBox(100.0, 100.0, 30.0, 30.0)] * 3, [(512.0, 512.0)] * 3, configs)
+    z = np.array([[100.0, 100.0, 30.0, 30.0]] * 3)
+    for valid in ([True, True, True], [False, True, False], [False, False, False], [True, False, True]):
+        bank.step(np.array(valid), z, np.ones(3))
+    assert calls == {"ctp_update": 3, "inflate_Q": 0 + 1 + 2 + 1, "ctp_predict": 4}
+
 
 def test_bank_row_with_singular_innovation_covariance_raises():
     configs = _bank_configs()
@@ -464,7 +495,7 @@ def test_bank_row_with_singular_innovation_covariance_raises():
         bank.step(np.array([False, True, False]), z, np.ones(3))
     np.testing.assert_array_equal(bank.x, x)
     np.testing.assert_array_equal(bank.P, p)
-    assert not bank.streak.any()
+    assert bank.streak == [0, 0, 0]
     bank.step(np.array([True, False, True]), z, np.ones(3))  # the singular row is not read
 
 
@@ -477,7 +508,7 @@ def test_bank_step_that_overflows_the_covariance_changes_nothing():
             bank.step(np.array(valid), bank.x[:, :4] + 1.0, np.ones(2))
         np.testing.assert_array_equal(bank.x, x)
         np.testing.assert_array_equal(bank.P, p)
-        assert not bank.streak.any() and (bank.q_mult == 1.0).all()
+        assert bank.streak == [0, 0]
 
 
 def test_bank_rejects_non_finite_input_on_a_valid_row():
@@ -516,9 +547,9 @@ def test_covariance_stays_symmetric_psd_at_the_reliability_floor_and_past_the_ca
     # r is either at its floor or uniform above it, and blackouts run up to
     # 3x the 6 frames the default multiplier takes to reach its cap.
     rng = np.random.default_rng(14)
-    eps = SessionConfig().epsilon
-    model = MotionModel(MotionKind.COORDINATED_TURN, 0.02)
-    fs = make_filter_state(BBox(256, 256, 30, 30))
+    cfg = SessionConfig(motion=MotionModel(MotionKind.COORDINATED_TURN, 0.02))
+    eps = cfg.epsilon
+    bank = FilterBank([BBox(256, 256, 30, 30)], [(512.0, 512.0)], [cfg])
     longest = floor_updates = 0
     for _ in range(150):
         steps = ["valid"] * int(rng.integers(1, 4)) + ["invalid"] * int(rng.integers(0, 19))
@@ -526,12 +557,13 @@ def test_covariance_stays_symmetric_psd_at_the_reliability_floor_and_past_the_ca
             if kind == "valid":
                 r = eps if rng.random() < 0.5 else float(rng.uniform(eps, 1.0))
                 floor_updates += r == eps
-                fs = ctp_update(fs, fs.x[:4] + rng.normal(scale=3.0, size=4), r)
+                z = bank.x[:, :4] + rng.normal(scale=3.0, size=4)
+                bank.step(np.array([True]), z, np.array([r]))
             else:
-                fs = inflate_Q(fs)
-                longest = max(longest, fs.invalid_streak)
-            fs = ctp_predict(fs, model)
-            assert np.isfinite(fs.P).all()
-            np.testing.assert_array_equal(fs.P, fs.P.T)
-            assert np.linalg.eigvalsh(fs.P).min() > -1e-9
+                bank.step(np.array([False]), None, None)
+                longest = max(longest, bank.streak[0])
+            p = bank.P[0]
+            assert np.isfinite(p).all()
+            np.testing.assert_array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p).min() > -1e-9
     assert longest > 6 and floor_updates > 50

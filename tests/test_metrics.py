@@ -109,14 +109,6 @@ def test_rates_invariant_under_frame_reordering(fixtures_dir):
         assert success_rate(shuffled) == success_rate(run)
 
 
-def test_rates_monotone_in_threshold(fixtures_dir):
-    run = _load_fixture(fixtures_dir)
-    pr = [precision_rate(run, tau) for tau in (1.0, 5.0, 10.0, 20.0, 50.0)]
-    assert all(a <= b for a, b in zip(pr, pr[1:]))
-    sr = [success_rate(run, tau) for tau in (0.9, 0.7, 0.5, 0.3, 0.1)]
-    assert all(a <= b for a, b in zip(sr, sr[1:]))
-
-
 def test_rates_live_in_percent_range(fixtures_dir):
     run = _load_fixture(fixtures_dir)
     assert 0.0 <= precision_rate(run) <= 100.0

@@ -10,6 +10,7 @@ from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig
 from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
 from xmtrack.sim import (
     FILTER_PRESETS,
+    MAX_STACK_BYTES,
     MOTION_PRESETS,
     HarnessConfig,
     Scenario,
@@ -310,6 +311,15 @@ def test_scenario_rejects_bad_windows():
 def test_scenario_rejects_nonpositive_frame_count():
     with pytest.raises(ValueError):
         Scenario(name="bad", frames=0)
+
+
+def test_frame_stack_past_the_byte_cap_is_rejected_before_any_allocation():
+    per_frame = 64 * 64 * 3
+    at_cap = MAX_STACK_BYTES // per_frame
+    assert Scenario(name="cap", frames=at_cap, velocity=(0, 0)).frames == at_cap
+    for frames in (at_cap + 1, 2**40):
+        with pytest.raises(ValueError, match="frame stack"):
+            Scenario(name="big", frames=frames, velocity=(0, 0))
 
 
 def test_frame_count_past_the_float_range_is_a_value_error():
