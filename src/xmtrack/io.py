@@ -17,14 +17,14 @@ import json
 import math
 import os
 import tokenize
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
-from .sim import FrameRecord, Scenario, Sequence, scenario_from_dict, scenario_to_dict
+from .sim import FrameRecord, Scenario, Sequence
 from .state_switch import FRAME_CHANNELS, Image
 
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
@@ -69,13 +69,12 @@ def _load_json(path: str | Path):
 
 
 def save_scenario(path: str | Path, sc: Scenario):
-    Path(path).write_text(_dump(scenario_to_dict(sc)) + "\n", encoding="utf-8")
+    Path(path).write_text(_dump(asdict(sc)) + "\n", encoding="utf-8")
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    d = _load_json(path)
     try:
-        return scenario_from_dict(d)
+        return Scenario(**_load_json(path))
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"{path}: invalid scenario: {exc}") from exc
 
@@ -123,7 +122,7 @@ def save_sequence(path: str | Path, seq: Sequence):
     per frame.
     """
     np.save(frames_path(path), seq.frames)
-    lines = [_dump({"type": "header", "scenario": scenario_to_dict(seq.scenario)})]
+    lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [_dump({"observed": _box_list(rec.observed), "s": rec.s}) for rec in seq.records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -176,7 +175,7 @@ def load_sequence(path: str | Path) -> Sequence:
     if not isinstance(header, dict) or header.get("type") != "header" or "scenario" not in header:
         raise DataError(f"{path}: first line is not a sequence header")
     try:
-        scenario = scenario_from_dict(header["scenario"])
+        scenario = Scenario(**header["scenario"])
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"{path}: invalid scenario in header: {exc}") from exc
 

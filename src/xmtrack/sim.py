@@ -7,10 +7,11 @@ channel statistics carry the modality signal (color frames have distinct
 per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
 confidence score.  Every frame is rendered in place into one ``(T, H, W, 3)``
-uint8 stack, ``Sequence.frames``.  The scenario alone answers each frame's
-modality, validity and ground truth; a ``FrameRecord`` adds only what it
-cannot reproduce: the pixels (a view of its frame in the stack), the
-observed box and the confidence.
+uint8 stack, ``Sequence.frames``.  ``Scenario.frame_masks`` answers every
+frame's band, validity and nearness to a band switch at once, as three bool
+masks that ``generate`` renders and observes from and ``run`` tags from; a
+``FrameRecord`` adds what the scenario cannot reproduce: the pixels (a view
+of its frame in the stack), the observed box and the confidence.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -31,7 +32,7 @@ the classifier, is the live per-frame API.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,7 +162,24 @@ class Scenario:
         )
         _check_windows(self.invalid_windows, self.frames, "Scenario invalid windows")
 
-    # -- per-frame schedule queries ------------------------------------
+    def frame_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nir, invalid, near_switch)``: three ``(frames,)`` bool masks.
+
+        Gaps in the schedule read as rgb.  A frame is near a switch within
+        ``switch_radius`` of a frame t >= 1 whose band differs from frame t - 1's.
+        """
+        nir = np.zeros(self.frames, dtype=bool)
+        for start, end, mod in self.modality_schedule:
+            nir[start:end] = mod == "nir"
+        invalid = np.zeros(self.frames, dtype=bool)
+        for start, end in self.invalid_windows:
+            invalid[start:end] = True
+        near_switch = np.zeros(self.frames, dtype=bool)
+        for sw in (np.flatnonzero(nir[1:] != nir[:-1]) + 1).tolist():  # ints: radius may pass int64
+            near_switch[max(0, sw - self.switch_radius) : sw + self.switch_radius + 1] = True
+        return nir, invalid, near_switch
+
+    # Per-frame queries, independent of ``frame_masks``: the tests' reference for it.
 
     def scheduled_modality(self, t: int) -> str:
         for start, end, mod in self.modality_schedule:
@@ -172,33 +190,12 @@ class Scenario:
     def is_invalid(self, t: int) -> bool:
         return any(start <= t < end for start, end in self.invalid_windows)
 
-    def switch_frames(self) -> list[int]:
-        """Frames t in [1, frames) whose modality differs from frame t - 1.
-
-        The modality only changes at segment boundaries, so the schedule is
-        walked once as (boundary, modality from there on) pairs, gaps reading
-        as rgb: O(segments) per call, whatever the frame count.
-        """
-        runs = {0: "rgb"}  # segments never overlap, so keys stay ascending
-        for start, end, mod in sorted(self.modality_schedule):
-            runs[start] = mod
-            runs[end] = "rgb"
-        bounds = list(runs.items())
-        return [
-            t
-            for (t, mod), (_, prev) in zip(bounds[1:], bounds)
-            if t < self.frames and mod != prev
-        ]
-
     def near_switch(self, t: int) -> bool:
-        return any(abs(t - sw) <= self.switch_radius for sw in self.switch_frames())
-
-    def near_switch_mask(self) -> np.ndarray:
-        """``near_switch(t)`` for every frame t, from one ``switch_frames()`` walk."""
-        near = np.zeros(self.frames, dtype=bool)
-        for sw in self.switch_frames():
-            near[max(0, sw - self.switch_radius) : sw + self.switch_radius + 1] = True
-        return near
+        r = self.switch_radius
+        return any(
+            self.scheduled_modality(u) != self.scheduled_modality(u - 1)
+            for u in range(max(1, t - r), min(self.frames - 1, t + r) + 1)
+        )
 
     def gt_boxes(self) -> list[BBox]:
         """Ground-truth path: the same discrete turn model the filter uses."""
@@ -252,10 +249,10 @@ def _box_to_image_rect(b: BBox, sc: Scenario) -> tuple[int, int, int, int] | Non
     return x0, x1, y0, y1
 
 
-def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator, out: np.ndarray):
-    """Render frame ``t`` into ``out``, an ``(image_height, image_width, 3)`` uint8 view."""
+def render_frame(sc: Scenario, nir: bool, invalid: bool, gt: BBox, rng: np.random.Generator, out: np.ndarray):
+    """Render a NIR or RGB frame, or an invalid one, into ``out``, an ``(ih, iw, 3)`` uint8 view."""
     iw, ih = sc.image_width, sc.image_height
-    if sc.is_invalid(t):
+    if invalid:
         # Over-exposed: white except a fixed fraction of dark survivors.
         n_dark = int(round((1.0 - INVALID_WHITE_FRACTION) * iw * ih))
         rows, cols = np.divmod(rng.choice(iw * ih, size=n_dark, replace=False), iw)
@@ -265,7 +262,7 @@ def render_frame(sc: Scenario, t: int, gt: BBox, rng: np.random.Generator, out: 
 
     # Clipped to [0, PIXEL_MAX], the rounded values cast to uint8 exactly.
     rect = _box_to_image_rect(gt, sc)
-    if sc.scheduled_modality(t) == "nir":
+    if nir:
         # One luminance field replicated across channels (channel-collapsed).
         band = rng.normal(NIR_MEAN, PIXEL_NOISE, (ih, iw))
         if rect:
@@ -333,18 +330,17 @@ def generate(sc: Scenario) -> Sequence:
     """
     rng = np.random.default_rng(sc.seed)
     gts = sc.gt_boxes()
-    near_switch = sc.near_switch_mask()
+    nir, invalid, near_switch = (mask.tolist() for mask in sc.frame_masks())
     iw, ih = sc.image_width, sc.image_height
     frames = np.empty((sc.frames, ih, iw, FRAME_CHANNELS), dtype=np.uint8)
     records = []
     for t in range(sc.frames):
-        render_frame(sc, t, gts[t], rng, frames[t])
+        render_frame(sc, nir[t], invalid[t], gts[t], rng, frames[t])
         image = Image(width=iw, height=ih, channels=FRAME_CHANNELS, pixels=frames[t])
-        if not sc.is_invalid(t):
-            near = near_switch[t]
-            sigma_eff = sc.sigma * (sc.switch_noise_boost if near else 1.0)
+        if not invalid[t]:
+            sigma_eff = sc.sigma * (sc.switch_noise_boost if near_switch[t] else 1.0)
             observed, s = stub_tracker(gts[t], sigma_eff, rng)
-            if near:
+            if near_switch[t]:
                 s *= 0.5  # switching uncertainty damps confidence
         else:
             observed, s = _invalid_observation(sc, rng), 0.0
@@ -401,18 +397,6 @@ def classify_sequence(
     return [classify(rec.image, w, rho) for rec in seq.records]
 
 
-def _frame_tags(sc: Scenario) -> list[list[str]]:
-    near_switch = sc.near_switch_mask()
-    tags = []
-    for t in range(sc.frames):
-        tags.append([sc.scheduled_modality(t)])
-        if sc.is_invalid(t):
-            tags[t].append("invalid-window")
-        if near_switch[t]:
-            tags[t].append("switch")
-    return tags
-
-
 def run(
     seq: Sequence,
     config: HarnessConfig | None = None,
@@ -435,10 +419,14 @@ def run(
         boxes = frozen_boxes(inputs)
     else:
         boxes = run_filters([(inputs, session_cfg)])[0]
+    tags = [
+        ["nir" if nir else "rgb"] + ["invalid-window"] * invalid + ["switch"] * near
+        for nir, invalid, near in zip(*(mask.tolist() for mask in sc.frame_masks()))
+    ]
     return TrackRun(
         pred=[BBox(*box) for box in boxes.tolist()],
         gt=[rec.gt for rec in seq.records],
-        tags=_frame_tags(sc),
+        tags=tags,
     )
 
 
@@ -597,14 +585,3 @@ def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
         for preset, pr, sr in zip(MOTION_PRESETS, pr_hits, sr_hits)
     }
 
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return asdict(sc)
-
-
-def scenario_from_dict(d: dict) -> Scenario:
-    d = dict(d)
-    for key in ("initial_box", "velocity"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return Scenario(**d)  # __post_init__ turns the spans into tuples

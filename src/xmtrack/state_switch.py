@@ -20,7 +20,6 @@ The classifier here is inference-only: weights are built in code, by
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -325,29 +324,25 @@ def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
     return scalar_sigmoid((hidden @ w.fuse2_w.T + w.fuse2_b)[0])
 
 
-def is_over_exposed(
-    img: Image, rho: float = DEFAULT_RHO, white_level: int = WHITE_LEVEL
-) -> tuple[bool, float]:
+def is_over_exposed(img: Image, rho: float = DEFAULT_RHO) -> tuple[bool, float]:
     """White-pixel ratio test.  Invalid iff the ratio strictly exceeds rho.
 
-    A pixel is white iff its ``Image.grayscale()`` luma is >= white_level,
+    A pixel is white iff its ``Image.grayscale()`` luma is >= WHITE_LEVEL,
     counted without forming the grayscale image.  On 3-channel frames the
-    luma is (v + 500) // 1000 with v = 299 r + 587 g + 114 b, and for an
-    integer v, gray >= L iff v >= 1000 * ceil(L) - 500.  v is computed as
-    one float32 matrix-vector product; every partial sum is an integer
-    in [0, 255000], below 2**24, so it is exact whatever the summation order.
-    The threshold is clamped to [-1, 2**24], which changes no comparison
-    with such a v and keeps it an exact float32 integer.  1-channel frames
-    compare the pixels themselves.
+    luma is (v + 500) // 1000 with v = 299 r + 587 g + 114 b, so gray >=
+    WHITE_LEVEL iff v >= 1000 * WHITE_LEVEL - 500.  v is computed as one
+    float32 matrix-vector product; every partial sum is an integer in
+    [0, 255000], below 2**24, so it is exact whatever the summation order,
+    and so is the threshold.  1-channel frames compare the pixels themselves.
     """
     n = img.width * img.height
     if n == 0:
         raise ShapeError("is_over_exposed: empty image")
     if img.channels == 1:
-        white = np.count_nonzero(img.pixels >= white_level)
+        white = np.count_nonzero(img.pixels >= WHITE_LEVEL)
     else:
         luma = img.pixels.reshape(n, 3).astype(np.float32) @ _LUMA_WEIGHTS
-        white = np.count_nonzero(luma >= min(max(1000.0 * math.ceil(white_level) - 500.0, -1.0), 2.0**24))
+        white = np.count_nonzero(luma >= 1000 * WHITE_LEVEL - 500)
     white_ratio = float(white) / n
     return white_ratio > rho, white_ratio
 

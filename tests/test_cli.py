@@ -3,6 +3,7 @@
 import json
 import shutil
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from xmtrack.cli import main
 from xmtrack.io import frames_path, load_scenario, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
-from xmtrack.sim import Scenario, scenario_to_dict
+from xmtrack.sim import Scenario
 
 
 @pytest.fixture()
@@ -413,7 +414,7 @@ def test_missing_input_exits_2(tmp_path):
 
 
 def test_negative_switch_radius_exits_2(tmp_path):
-    d = scenario_to_dict(Scenario(name="radius", frames=10))
+    d = asdict(Scenario(name="radius", frames=10))
     d["switch_radius"] = -1
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(d))
@@ -424,7 +425,7 @@ def test_non_positive_scenario_size_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     for key in ("frame_width", "frame_height", "image_width", "image_height"):
         for value in (0, -64):
-            d = scenario_to_dict(Scenario(name="size", frames=10))
+            d = asdict(Scenario(name="size", frames=10))
             d[key] = value
             path.write_text(json.dumps(d))
             assert main(["simulate", str(path), "--out", str(tmp_path / "s.jsonl")]) == 2, key
@@ -464,6 +465,27 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, scenario_file, case, capsy
     assert main(["simulate", str(scenario_file), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_scenario_that_is_not_a_json_object_exits_2_with_one_line(tmp_path, sequence_file, command, capsys):
+    # The pairs of a valid scenario, as a JSON array and not an object.
+    pairs = json.dumps(list(asdict(Scenario(name="pairs", frames=30, seed=7)).items()))
+    out = tmp_path / "out.json"
+    if command == "simulate":
+        bad = tmp_path / "scenario.json"
+        bad.write_text(pairs)
+    else:
+        lines = sequence_file.read_text().splitlines()
+        lines[0] = '{"type": "header", "scenario": %s}' % pairs
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        shutil.copyfile(frames_path(sequence_file), frames_path(bad))
+    capsys.readouterr()
+    assert main([command, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and str(bad) in err
     assert not out.exists()
 
 

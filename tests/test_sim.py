@@ -1,9 +1,11 @@
 """Simulator: determinism, motion geometry, noise statistics, ablations."""
 
+import json
+
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import kalman_oracle as oracle
 from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
@@ -22,8 +24,6 @@ from xmtrack.sim import (
     run,
     run_ablation_suite,
     run_filters,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from xmtrack.state_switch import TriState
 
@@ -238,6 +238,7 @@ def _random_schedule(rng, frames):
 
 
 def test_switch_frames_match_full_scan():
+    """The three masks against per-frame scans, on fixed and random schedules."""
     fixed = [
         (10, []),  # empty schedule
         (1, [(0, 1, "nir")]),  # a single frame
@@ -248,56 +249,48 @@ def test_switch_frames_match_full_scan():
         (12, [(2, 5, "rgb"), (7, 12, "nir")]),
     ]
     rng = np.random.default_rng(10)
+    window_rng = np.random.default_rng(11)  # a stream of its own keeps the schedules as they were
     random_cases = []
     for _ in range(300):
         frames = int(rng.integers(1, 40))
         random_cases.append((frames, _random_schedule(rng, frames)))
     for frames, schedule in fixed + random_cases:
         radius = int(rng.integers(0, 4))
+        windows = [(s, e) for s, e, _ in _random_schedule(window_rng, frames)]
         sc = Scenario(name="sched", frames=frames, modality_schedule=schedule,
-                      switch_radius=radius)
-        expected = scan_switch_frames(sc)
-        assert sc.switch_frames() == expected, (frames, schedule)
-        near = sc.near_switch_mask()
-        assert near.shape == (frames,)
+                      invalid_windows=windows, switch_radius=radius)
+        switches = scan_switch_frames(sc)
+        nir, invalid, near = sc.frame_masks()
+        for mask in (nir, invalid, near):
+            assert (mask.dtype, mask.shape) == (np.dtype(bool), (frames,))
+        assert nir.tolist() == [sc.scheduled_modality(t) == "nir" for t in range(frames)], schedule
+        assert invalid.tolist() == [sc.is_invalid(t) for t in range(frames)], windows
         for t in range(frames):
-            want = any(abs(t - sw) <= radius for sw in expected)
+            want = any(abs(t - sw) <= radius for sw in switches)
             assert sc.near_switch(t) == want == near[t], (frames, schedule, t)
+    # A radius past the int64 range reaches every frame.
+    huge = Scenario(name="sched", frames=12, modality_schedule=[(3, 6, "nir")], switch_radius=2**70)
+    assert huge.frame_masks()[2].all() and all(huge.near_switch(t) for t in range(12))
 
 
-def test_generate_schedule_queries_grow_linearly(monkeypatch):
-    """Count-based complexity guard: doubling T must not quadruple the queries."""
+def test_generate_and_run_build_the_masks_once_and_query_no_frame(monkeypatch):
     calls = []
-    original = Scenario.scheduled_modality
-
-    def counting(self, t):
-        calls.append(t)
-        return original(self, t)
-
-    monkeypatch.setattr(Scenario, "scheduled_modality", counting)
-    counts = {}
-    for frames in (300, 600):
-        sc = Scenario(
-            name="guard",
-            frames=frames,
-            image_width=8,
-            image_height=8,
-            modality_schedule=[
-                (start, min(frames, start + 25), "rgb" if k % 2 == 0 else "nir")
-                for k, start in enumerate(range(0, frames, 25))
-            ],
-            invalid_windows=[(55, 73), (210, 228)],
-        )
-        calls.clear()
-        generate(sc)
-        counts[frames] = len(calls)
-    assert counts[600] / counts[300] <= 2.5, counts
+    for name in ("scheduled_modality", "is_invalid", "near_switch"):
+        monkeypatch.setattr(Scenario, name, lambda self, t, name=name: calls.append(name))
+    original = Scenario.frame_masks
+    monkeypatch.setattr(Scenario, "frame_masks", lambda self: calls.append("frame_masks") or original(self))
+    sc = _straight(frames=60, modality_schedule=[(0, 25, "rgb"), (25, 50, "nir")],
+                   invalid_windows=[(30, 40)])
+    seq = generate(sc)
+    assert calls == ["frame_masks"]
+    run(seq, HarnessConfig(motion="ctp"))
+    assert calls == ["frame_masks"] * 2
 
 
 def test_scenario_dict_roundtrip():
     sc = _straight(frames=25, invalid_windows=[(5, 9)],
                    modality_schedule=[(0, 25, "nir")])
-    back = scenario_from_dict(scenario_to_dict(sc))
+    back = Scenario(**json.loads(json.dumps(asdict(sc))))  # JSON turns every tuple into a list
     assert back == sc
 
 
