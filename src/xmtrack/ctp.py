@@ -25,7 +25,12 @@ is a one-row ``FilterBank`` plus the classifier that decides each frame.
 The innovation covariance S = H P H^T + R/r of every corrected row is
 checked by a Cholesky factorization of the (B, 4, 4) stack, which the gain
 then reuses; a non-finite or non-positive-definite S, or a predicted P that
-overflows, raises ``FilterDegenerateError``.  A non-finite z or r raises
+overflows, raises ``FilterDegenerateError``.  The update calls the LAPACK
+kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve`` directly: at
+B=1 their Python wrappers cost more than the kernels, and the shapes and
+dtype they check are fixed here.  The results are the same bits.  The
+kernel reports a failed factorization as a NaN-filled factor for that row,
+and that NaN is what raises.  A non-finite z or r raises
 ``ValueError``.  Both are raised before any row changes.  The Q multiplier
 min(theta^k, cap_mult) is computed without forming theta^k once it is past
 the cap, so it never overflows on a long blackout.
@@ -41,6 +46,10 @@ from enum import Enum
 from numbers import Real
 
 import numpy as np
+
+# The LAPACK gufuncs themselves, without numpy.linalg's per-call wrapper work.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # backs np.linalg.cholesky
+from numpy.linalg._umath_linalg import solve as _solve  # backs np.linalg.solve
 
 from .state_switch import (
     DEFAULT_RHO,
@@ -226,17 +235,19 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
     """
     if not (np.isfinite(z).all() and ((0.0 < r) & (r < np.inf)).all()):
         raise ValueError("ctp update: observation z must be finite and reliability r finite positive")
-    # H picks the box components out of the state, so H P H^T is a slice of P.
-    with np.errstate(over="ignore"):  # an overflow is reported as degenerate below
-        s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]
-    if not np.isfinite(s_mat).all():
-        raise FilterDegenerateError("ctp update: innovation covariance not finite")
-    try:
-        chol = np.linalg.cholesky(s_mat)
-    except np.linalg.LinAlgError as exc:
-        raise FilterDegenerateError("ctp update: innovation covariance not positive definite") from exc
     innovation = (z - x[:, :OBS_DIM])[:, :, None]
-    white = np.linalg.solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2))
+    # An overflowing S and a failed factorization are reported by the checks
+    # below, not as floating-point warnings (numpy.linalg ignores the same
+    # flags): the kernel fills a row it cannot factor with NaN.
+    with np.errstate(all="ignore"):
+        # H picks the box components out of the state, so H P H^T is a slice of P.
+        s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]
+        if not np.isfinite(s_mat).all():
+            raise FilterDegenerateError("ctp update: innovation covariance not finite")
+        chol = _cholesky_lo(s_mat, signature="d->d")
+        if np.isnan(chol).any():
+            raise FilterDegenerateError("ctp update: innovation covariance not positive definite")
+        white = _solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2), signature="dd->d")
     step = white[:, :, :STATE_DIM].transpose(0, 2, 1) @ white  # A^T [A | w], (B, 8, 9)
     p_new = P - step[:, :, :STATE_DIM]
     return x + step[:, :, STATE_DIM], (p_new + p_new.transpose(0, 2, 1)) / 2.0

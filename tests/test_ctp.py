@@ -179,6 +179,65 @@ def test_degenerate_innovation_covariance_raises():
         ctp_update(x, np.zeros((1, 8, 8)), np.zeros((1, 4, 4)), np.ones(1), np.array([10.0, 10.0, 5.0, 5.0]))
 
 
+def random_filter_stack(rng, rows: int):
+    """x, P, R, r and z of ``rows`` random filters, each a (rows, ...) stack."""
+    filters = [random_filter_row(rng) for _ in range(rows)]
+    x, p, _, r_mat = (np.concatenate(parts) for parts in zip(*filters))
+    return x, p, r_mat, rng.uniform(1e-3, 1.0, size=rows), rng.normal(scale=50.0, size=(rows, 4))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 9])
+def test_update_is_bit_identical_to_the_numpy_linalg_formula(rows):
+    kernels = np.linalg._umath_linalg
+    assert kernels.cholesky_lo.signature == "(m,m)->(m,m)", "numpy moved np.linalg.cholesky's kernel"
+    assert kernels.solve.signature == "(m,m),(m,n)->(m,n)", "numpy moved np.linalg.solve's kernel"
+    rng = np.random.default_rng(rows)
+    for _ in range(20):
+        x, p, r_mat, r, z = random_filter_stack(rng, rows)
+        chol = np.linalg.cholesky(p[:, :4, :4] + r_mat / r[:, None, None])
+        innovation = (z - x[:, :4])[:, :, None]
+        white = np.linalg.solve(chol, np.concatenate((p[:, :4, :], innovation), axis=2))
+        step = white[:, :, :8].transpose(0, 2, 1) @ white
+        p_want = p - step[:, :, :8]
+        got_x, got_p = ctp_update(x, p, r_mat, r, z)
+        np.testing.assert_array_equal(got_x, x + step[:, :, 8])
+        np.testing.assert_array_equal(got_p, (p_want + p_want.transpose(0, 2, 1)) / 2.0)
+
+
+def _indefinite_middle_row(x, p, r_mat, r, z):
+    p[1, :4, :4] = np.diag([1.0, -50.0, 1.0, 1.0])  # S has a negative eigenvalue
+
+
+def _overflowing_noise(x, p, r_mat, r, z):
+    r_mat[2] = 1e308 * np.eye(4)
+    r[2] = 1e-3  # R / r overflows
+
+
+def _nan_observation(x, p, r_mat, r, z):
+    z[0, 3] = np.nan
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, message",
+    [
+        (_indefinite_middle_row, FilterDegenerateError, "not positive definite"),
+        (_overflowing_noise, FilterDegenerateError, "not finite"),
+        (_nan_observation, ValueError, "observation z must be finite"),
+    ],
+)
+def test_update_failure_raises_its_own_error_and_leaves_inputs_alone(corrupt, error, message):
+    inputs = random_filter_stack(np.random.default_rng(7), 3)
+    corrupt(*inputs)
+    before = [a.copy() for a in inputs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape as an error
+        with pytest.raises(error, match=message) as info:
+            ctp_update(*inputs)
+    assert type(info.value) is error  # no LinAlgError, which is a ValueError too
+    for got, want in zip(inputs, before):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_box_state_roundtrip_and_validation():
     b = BBox(12.5, 400.0, 31.0, 17.0)
     np.testing.assert_array_equal(box2state(b)[:4], b.as_array())
