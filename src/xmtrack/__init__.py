@@ -27,6 +27,7 @@ from .state_switch import (
     classify,
     is_over_exposed,
     modality_weight,
+    pixel_statistics,
     separator_switch_weights,
     spatial_branch,
     spectral_branch,

@@ -269,7 +269,11 @@ def render_frame(sc: Scenario, nir: bool, invalid: bool, gt: BBox, rng: np.rando
             x0, x1, y0, y1 = rect
             band[y0:y1, x0:x1] += TARGET_BOOST
         np.clip(band, 0, PIXEL_MAX, out=band)
-        out[...] = np.rint(band, out=band)[:, :, None]
+        # Cast once to a uint8 plane, then write it to each channel through
+        # ``out``'s own strides, so any view works.
+        plane = np.rint(band, out=np.empty(band.shape, dtype=np.uint8), casting="unsafe")
+        for c in range(out.shape[2]):
+            out[:, :, c] = plane
     else:
         chans = [
             rng.normal(mu, PIXEL_NOISE, (ih, iw)) for mu in RGB_CHANNEL_MEANS

@@ -8,9 +8,13 @@ Two mechanisms combine:
 * a pixel-counting over-exposure detector (fraction of near-white pixels
   above a ratio threshold marks the frame Invalid).
 
-The spectral branch reads exact channel means of the uint8 pixels.
-``classify`` builds the float (C, H, W) feature plane only for weights whose
-plan runs the spatial branch's conv.
+``pixel_statistics`` casts the uint8 pixels to float32 once for both the
+white count and the channel sums.  Every partial sum is an integer below
+2**24, which float32 holds exactly: a luma is at most 255000, and the channel
+sums run over blocks of at most 2**16 rows (255 * 2**16 < 2**24), added in
+float64.  So both are exact in any BLAS order, and one division by 255*H*W
+rounds each mean.  ``classify`` builds the float (C, H, W) feature plane only
+for weights whose plan runs the spatial branch's conv.
 
 The classifier here is inference-only: weights are built in code, by
 ``separator_switch_weights``, ``random_switch_weights`` or the
@@ -19,7 +23,6 @@ The classifier here is inference-only: weights are built in code, by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -38,8 +41,14 @@ SPECTRAL_HIDDEN = 8
 FUSION_HIDDEN = 16
 
 WHITE_LEVEL = 250
-# BT.601 luma weights in thousandths, as ``Image.grayscale`` applies them.
-_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0], dtype=np.float32)
+# Luma in thousandths by channel count: BT.601 as ``Image.grayscale`` applies
+# it, and 1000 * p for a 1-channel pixel p.
+_LUMA_WEIGHTS = {1: np.array([1000.0], np.float32), 3: np.array([299.0, 587.0, 114.0], np.float32)}
+# Rows per float32 channel-sum block.  Up to 2**16 would be exact; 2**14 keeps
+# the ones vector at 64 KiB, and a 128x128 frame is still one block.
+_SUM_BLOCK = 1 << 14
+_BLOCK_ONES = np.ones(_SUM_BLOCK, dtype=np.float32)
+_BLOCK_ONES.flags.writeable = False
 DEFAULT_RHO = 0.40
 
 WEIGHT_NAMES = ("conv_w", "conv_b", "spec_w", "spec_b", "fuse1_w", "fuse1_b", "fuse2_w", "fuse2_b")
@@ -117,27 +126,6 @@ class Image:
         """
         plane = self.pixels.reshape(self.height, self.width, self.channels).transpose(2, 0, 1)
         return np.divide(plane, 255.0, out=np.empty(plane.shape, dtype=np.float64))
-
-    def channel_means(self) -> Tensor:
-        """Per-channel mean of ``features()``'s values, shape (C,), correctly rounded.
-
-        The channel sums are a ones vector times the (H*W, C) float64 pixels:
-        every partial sum is an integer below 2**53, so they are exact in any
-        BLAS order, and one division by 255*H*W rounds the exact mean.
-        """
-        n = self.width * self.height
-        if n == 0:
-            raise ShapeError("Image.channel_means: empty image")
-        sums = _ones(n) @ self.pixels.reshape(n, self.channels).astype(np.float64)
-        return sums / (255.0 * n)
-
-
-@functools.lru_cache(maxsize=8)
-def _ones(n: int) -> Tensor:
-    """A read-only ones vector of length n, one per image size."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
 
 
 @dataclass(frozen=True)
@@ -307,15 +295,15 @@ def spatial_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
     return relu(pooled).ravel()
 
 
-def spectral_branch(img: Image, w: SwitchWeights) -> Tensor:
-    """Exact channel means (``Image.channel_means``) -> linear -> relu.
+def spectral_branch(means: Tensor, w: SwitchWeights) -> Tensor:
+    """Channel means (from ``pixel_statistics``) -> linear -> relu.
 
-    ``SwitchWeights`` checked the shapes once; only the image's channel
-    count is checked here.
+    ``SwitchWeights`` checked its own shapes once; only the mean vector's
+    shape is checked here.
     """
-    if img.channels != w.channels:
-        raise ShapeError(f"spectral_branch: {img.channels}-channel image, {w.channels}-channel weights")
-    return np.maximum(img.channel_means() @ w.spec_w.T + w.spec_b, 0.0)
+    if means.shape != (w.channels,):
+        raise ShapeError(f"spectral_branch: means of shape {means.shape}, {w.channels}-channel weights")
+    return np.maximum(means @ w.spec_w.T + w.spec_b, 0.0)
 
 
 def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
@@ -324,26 +312,30 @@ def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
     return scalar_sigmoid((hidden @ w.fuse2_w.T + w.fuse2_b)[0])
 
 
-def is_over_exposed(img: Image, rho: float = DEFAULT_RHO) -> tuple[bool, float]:
-    """White-pixel ratio test.  Invalid iff the ratio strictly exceeds rho.
+def pixel_statistics(img: Image) -> tuple[float, Tensor]:
+    """White-pixel ratio and per-channel means of ``features()``'s values, both exact.
 
     A pixel is white iff its ``Image.grayscale()`` luma is >= WHITE_LEVEL,
-    counted without forming the grayscale image.  On 3-channel frames the
-    luma is (v + 500) // 1000 with v = 299 r + 587 g + 114 b, so gray >=
-    WHITE_LEVEL iff v >= 1000 * WHITE_LEVEL - 500.  v is computed as one
-    float32 matrix-vector product; every partial sum is an integer in
-    [0, 255000], below 2**24, so it is exact whatever the summation order,
-    and so is the threshold.  1-channel frames compare the pixels themselves.
+    counted without forming the grayscale image: gray is (v + 500) // 1000
+    with v the luma in thousandths (1000 p on 1-channel frames), so gray >=
+    WHITE_LEVEL iff v >= 1000 * WHITE_LEVEL - 500.  The channel sums are a
+    ones vector times each block of rows; see the module docstring.
     """
     n = img.width * img.height
     if n == 0:
-        raise ShapeError("is_over_exposed: empty image")
-    if img.channels == 1:
-        white = np.count_nonzero(img.pixels >= WHITE_LEVEL)
-    else:
-        luma = img.pixels.reshape(n, 3).astype(np.float32) @ _LUMA_WEIGHTS
-        white = np.count_nonzero(luma >= 1000 * WHITE_LEVEL - 500)
-    white_ratio = float(white) / n
+        raise ShapeError("pixel_statistics: empty image")
+    rows = img.pixels.reshape(n, img.channels).astype(np.float32)
+    white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= 1000 * WHITE_LEVEL - 500)
+    sums = np.zeros(img.channels)
+    for start in range(0, n, _SUM_BLOCK):
+        block = rows[start : start + _SUM_BLOCK]
+        sums += _BLOCK_ONES[: len(block)] @ block
+    return float(white) / n, sums / (255.0 * n)
+
+
+def is_over_exposed(img: Image, rho: float = DEFAULT_RHO) -> tuple[bool, float]:
+    """White-pixel ratio test (``pixel_statistics``).  Invalid iff the ratio strictly exceeds rho."""
+    white_ratio = pixel_statistics(img)[0]
     return white_ratio > rho, white_ratio
 
 
@@ -358,10 +350,10 @@ def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriState
     ``SwitchWeights``).  The stages are looked up by module name on every
     call, so code that wraps them sees every frame.
     """
-    over, white_ratio = is_over_exposed(img, rho)
+    white_ratio, means = pixel_statistics(img)
     f_spa = spatial_branch(img.features(), w) if w.spatial_zeros is None else w.spatial_zeros
-    m = modality_weight(f_spa, spectral_branch(img, w), w)
-    if over:
+    m = modality_weight(f_spa, spectral_branch(means, w), w)
+    if white_ratio > rho:
         state = TriState.INVALID
     elif m >= 0.5:
         state = TriState.NIR

@@ -21,6 +21,7 @@ from xmtrack.sim import (
     filter_inputs,
     generate,
     preset_config,
+    render_frame,
     run,
     run_ablation_suite,
     run_filters,
@@ -174,6 +175,22 @@ def test_nir_frames_collapse_channels_rgb_frames_do_not():
             assert np.array_equal(hwc[..., 0], hwc[..., 2])
         else:
             assert hwc[..., 0].mean() > hwc[..., 2].mean() + 20.0
+
+
+def test_render_frame_into_a_strided_view_equals_a_contiguous_render():
+    sc = _straight(frames=1)
+    gt = BBox(cx=256.0, cy=256.0, w=30.0, h=30.0)
+    for nir, invalid in ((True, False), (False, False), (False, True)):
+        want = np.zeros((64, 64, 3), np.uint8)
+        render_frame(sc, nir, invalid, gt, np.random.default_rng(11), want)
+        base = np.zeros((64, 128, 3), np.uint8)
+        view = base[:, ::2]
+        assert not view.flags.c_contiguous
+        render_frame(sc, nir, invalid, gt, np.random.default_rng(11), view)
+        assert np.array_equal(view, want) and not np.any(base[:, 1::2])
+        if nir:
+            assert np.array_equal(want[..., 0], want[..., 1])
+            assert np.array_equal(want[..., 0], want[..., 2])
 
 
 def test_run_is_deterministic():

@@ -19,6 +19,7 @@ from xmtrack.state_switch import (
     conv3x3,
     is_over_exposed,
     modality_weight,
+    pixel_statistics,
     random_switch_weights,
     separator_switch_weights,
     spatial_branch,
@@ -94,7 +95,7 @@ def test_spectral_branch_is_relu_linear_of_channel_means():
     img = Image(8, 8, 3, rng.integers(0, 256, 8 * 8 * 3))
     means = img.features().mean(axis=(1, 2))
     expected = relu(w.spec_w @ means + w.spec_b)
-    np.testing.assert_allclose(spectral_branch(img, w), expected, atol=1e-12)
+    np.testing.assert_allclose(spectral_branch(pixel_statistics(img)[1], w), expected, atol=1e-12)
 
 
 def test_modality_weight_is_strictly_inside_unit_interval():
@@ -102,7 +103,7 @@ def test_modality_weight_is_strictly_inside_unit_interval():
     for _ in range(25):
         w = random_switch_weights(rng)
         img = Image(10, 10, 3, rng.integers(0, 256, 10 * 10 * 3))
-        m = modality_weight(spatial_branch(img.features(), w), spectral_branch(img, w), w)
+        m = modality_weight(spatial_branch(img.features(), w), spectral_branch(pixel_statistics(img)[1], w), w)
         assert 0.0 < m < 1.0
 
 
@@ -278,11 +279,38 @@ def test_channel_means_are_the_exact_channel_sums_over_255_hw():
         for width, height in ((7, 5), (64, 64), (33, 17), (160, 120)):
             img = Image(width, height, channels, rng.integers(0, 256, width * height * channels))
             sums = img.pixels.reshape(-1, channels).sum(axis=0, dtype=np.int64)
-            means = img.channel_means()
+            means = pixel_statistics(img)[1]
             assert means.tolist() == (sums / (255 * width * height)).tolist()
             assert np.abs(means - img.features().mean(axis=(1, 2))).max() <= 2.3e-16
     white = Image(5, 3, 3, np.full(45, 255))
-    assert white.channel_means().tolist() == [1.0, 1.0, 1.0]
+    assert pixel_statistics(white)[1].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_pixel_statistics_equal_the_integer_oracle():
+    # Sim frames of all three states, a 1-channel image, a random image of
+    # 77,100 rows (several channel-sum blocks) and all-white images whose
+    # channel sums pass 2**24.  At 500,000 white rows a single float32 sum
+    # over all rows is off by ~2e5; the blocks keep it exact.
+    sc = Scenario(name="stats", frames=12, modality_schedule=[(6, 12, "nir")], invalid_windows=[(3, 5)], seed=6)
+    seq = generate(sc)
+    w = separator_switch_weights()
+    assert {classify(rec.image, w).state for rec in seq.records} == set(TriState)
+    rng = np.random.default_rng(14)
+    images = [rec.image for rec in seq.records] + [
+        Image(40, 32, 1, rng.integers(0, 256, 40 * 32)),
+        Image(300, 257, 3, rng.integers(0, 256, 300 * 257 * 3)),
+        Image(300, 300, 3, np.full(300 * 300 * 3, 255)),
+        Image(1000, 500, 3, np.full(1000 * 500 * 3, 255, dtype=np.uint8)),
+    ]
+    for img in images:
+        n = img.width * img.height
+        want_ratio = float(np.count_nonzero(img.grayscale() >= WHITE_LEVEL)) / n
+        want_means = img.pixels.reshape(n, img.channels).sum(axis=0, dtype=np.int64) / (255.0 * n)
+        ratio, means = pixel_statistics(img)
+        assert ratio == want_ratio, (img.width, img.height, img.channels)
+        assert means.dtype == np.float64 and means.tobytes() == want_means.tobytes(), (img.width, img.height)
+    ratio, means = pixel_statistics(images[-1])
+    assert ratio == 1.0 and means.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_classify_rejects_empty_images_and_mismatched_channels():
@@ -294,7 +322,10 @@ def test_classify_rejects_empty_images_and_mismatched_channels():
             with pytest.raises(ShapeError):
                 classify(img, w)
     with pytest.raises(ShapeError):
-        empty.channel_means()
+        pixel_statistics(empty)
+    for means in (pixel_statistics(mono)[1], np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(ShapeError):
+            spectral_branch(means, plans[0])
 
 
 def test_image_rejects_sizes_that_are_not_non_negative_integers():
@@ -349,7 +380,7 @@ def test_skip_plan_builds_no_feature_plane_and_the_full_plan_one_per_frame(monke
         assert _features_calls(monkeypatch, lambda: _live_session(seq, w)) == want
 
 
-STAGES = ("is_over_exposed", "spatial_branch", "spectral_branch", "modality_weight")
+STAGES = ("pixel_statistics", "spatial_branch", "spectral_branch", "modality_weight")
 
 
 def _stage_calls(monkeypatch, w, seq):
@@ -407,7 +438,7 @@ def test_spatial_skip_gives_m_bit_identical_to_the_full_formula():
         assert w.spatial_zeros is not None
         for rec in seq.records:
             f_spa = spatial_branch(rec.image.features(), w)
-            m = modality_weight(f_spa, spectral_branch(rec.image, w), w)
+            m = modality_weight(f_spa, spectral_branch(pixel_statistics(rec.image)[1], w), w)
             over, _ = is_over_exposed(rec.image)
             state = TriState.INVALID if over else (TriState.NIR if m >= 0.5 else TriState.RGB)
             d = classify(rec.image, w)
