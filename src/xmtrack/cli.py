@@ -66,13 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Unset flags stay None: the preset, then the --config file, supply them.
     for flag, meaning, default in (
-        ("--rho", "over-exposure ratio threshold", DEFAULT_RHO),
-        ("--epsilon", "reliability floor", DEFAULT_EPSILON),
-        ("--theta", "process-noise inflation factor", DEFAULT_THETA),
+        ("--rho", "over-exposure ratio threshold", f"{DEFAULT_RHO:g}"),
+        ("--epsilon", "reliability floor", f"ctp {DEFAULT_EPSILON:g}, kf/ekf 1"),
+        ("--theta", "process-noise inflation factor", f"ctp {DEFAULT_THETA:g}, kf/ekf 1"),
     ):
-        p_trk.add_argument(
-            flag, type=float, default=None, help=f"{meaning} (default {default:g})"
-        )
+        p_trk.add_argument(flag, type=float, default=None, help=f"{meaning} (default {default})")
     p_trk.add_argument(
         "--config",
         default=None,

@@ -4,8 +4,8 @@ State is an 8-vector [cx, cy, w, h, vcx, vcy, vw, vh] in pixels and
 pixels/frame.  Valid frames run a Kalman correction whose observation noise
 is divided by a reliability score r = max(eps, s*|2m-1|) — uncertain
 observations are down-weighted — followed by a prediction.  Invalid frames
-skip the correction, inflate the process noise (compounding 1.5x per
-consecutive invalid frame, capped at 10x) and predict only.  The reported
+skip the correction, inflate the process noise (by default compounding 1.5x
+per consecutive invalid frame, capped at 10x) and predict only.  The reported
 box is the post-prediction state clipped to the frame.
 
 Two motion models: a constant-velocity linear filter and a coordinated-turn
@@ -16,11 +16,15 @@ The math is written once, over a leading batch axis: ``ctp_update`` and
 ``ctp_predict`` take x (B, 8), P (B, 8, 8) and per-row R, r, z or F, Q, and
 ``inflate_Q`` gives one row's Q multiplier.  ``FilterBank`` holds B
 independent rows, each with its own settings from a ``SessionConfig`` (F, R,
-Q_base, epsilon, theta, cap_mult, use_reliability, inflate_on_invalid) and
-its own invalid streak, and ``FilterBank.step`` is the one step policy:
-correction on the rows whose frame is valid, Q inflation on the invalid rows
-that inflate, prediction on all, one clip for every box.  ``TrackerSession``
-is a one-row ``FilterBank`` plus the classifier that decides each frame.
+Q_base, epsilon, theta, cap_mult) and its own invalid streak, and
+``FilterBank.step`` is the one step policy: correction on the rows whose
+frame is valid, Q inflation on the invalid rows, prediction on all, one clip
+for every box.  ``TrackerSession`` is a one-row ``FilterBank`` plus the
+classifier that decides each frame.
+
+A plain filter is this one with epsilon = 1 and theta = 1: s*|2m-1| <= 1
+for s, m in [0, 1], so r is exactly 1, and the Q multiplier is exactly 1 on
+every streak, which leaves Q as it is bit for bit.
 
 The innovation covariance S = H P H^T + R/r of every corrected row is
 checked by a Cholesky factorization of the (B, 4, 4) stack, which the gain
@@ -288,8 +292,6 @@ class SessionConfig:
     epsilon: float = DEFAULT_EPSILON
     rho: float = DEFAULT_RHO
     motion: MotionModel = field(default_factory=MotionModel)
-    use_reliability: bool = True  # False -> r pinned to 1 (plain filter)
-    inflate_on_invalid: bool = True
 
     def __post_init__(self):
         # Checked on every construction, dataclasses.replace included, so a
@@ -312,9 +314,6 @@ class SessionConfig:
                 raise ValueError(f"SessionConfig: needs {rule}")
         if not isinstance(self.motion, MotionModel):
             raise ValueError(f"SessionConfig: motion {self.motion!r} is not a MotionModel")
-        for name in ("use_reliability", "inflate_on_invalid"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"SessionConfig: {name} must be true or false")
 
 
 @dataclass
@@ -335,9 +334,10 @@ class FilterBank:
     """B independent filters stepped in lockstep, one row each.
 
     Row b has its own state (x[b], P[b]), settings (F, R, Q_base, epsilon,
-    theta, cap_mult, use_reliability, inflate_on_invalid, box limits) from
-    ``configs[b]`` and invalid streak, streak[b].  Rows share nothing but
-    the call: a row's boxes are the ones a B=1 bank would give it.
+    theta, cap_mult, box limits) from ``configs[b]`` and invalid streak,
+    streak[b].  Rows share nothing but the call: a row's boxes are the ones
+    a B=1 bank would give it.  ``reliability(s, m, bank.epsilon)`` gives
+    every row's r.
     """
 
     def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
@@ -354,49 +354,34 @@ class FilterBank:
         self.theta = [c.theta for c in configs]
         self.cap_mult = [c.cap_mult for c in configs]
         self.streak = [0] * len(configs)
-        self.use_reliability = np.array([c.use_reliability for c in configs])
-        self.inflating_rows = [b for b, c in enumerate(configs) if c.inflate_on_invalid]
         self.box_min = np.stack([lo for lo, _ in limits])
         self.box_max = np.stack([hi for _, hi in limits])
-
-    def reliability(self, s: Tensor, m: Tensor) -> Tensor:
-        """Per-row r for s and m of shape (..., B); 1 on rows without reliability.
-
-        s and m are checked on every row.
-        """
-        return np.where(self.use_reliability, reliability(s, m, self.epsilon), 1.0)
 
     def step(self, valid: Tensor, z: Tensor | None, r: Tensor | None) -> Tensor:
         """One frame for every row; returns the reported boxes (B, 4).
 
         Valid rows are corrected with z (B, 4) and r (B,), which are read on
         those rows only (None when no row is valid), and reset their streak.
-        The others count one more invalid frame, and those that inflate
-        predict with Q_base scaled by ``inflate_Q`` of their streak.  Every
-        row then predicts.  The bank changes only if the whole step
-        succeeds: bad input raises ValueError, a degenerate covariance
-        FilterDegenerateError.
+        The others count one more invalid frame and, on a step with any
+        invalid row, every row predicts with Q_base scaled by ``inflate_Q``
+        of its streak (1 on a valid row).  The bank changes only if the
+        whole step succeeds: bad input raises ValueError, a degenerate
+        covariance FilterDegenerateError.
         """
         n_valid = np.count_nonzero(valid)
+        scale = None
         if n_valid == len(valid):
             x, p = ctp_update(self.x, self.P, self.R, r, z)
-            streak, inflating = [0] * n_valid, ()
-        elif n_valid:
-            rows = np.flatnonzero(valid)
-            x, p = self.x.copy(), self.P.copy()
-            x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
-            is_valid = valid.tolist()
-            streak = [0 if v else k + 1 for v, k in zip(is_valid, self.streak)]
-            inflating = [b for b in self.inflating_rows if not is_valid[b]]
-        else:  # a blackout on every row: nothing to correct or copy
+            streak = [0] * n_valid
+        else:
             x, p = self.x, self.P
-            streak, inflating = [k + 1 for k in self.streak], self.inflating_rows
-        scale = None
-        if inflating:
-            mult = [1.0] * len(streak)
-            for b in inflating:
-                mult[b] = inflate_Q(self.theta[b], self.cap_mult[b], streak[b])
-            scale = np.array(mult)
+            if n_valid:  # a blackout on every row corrects and copies nothing
+                rows = np.flatnonzero(valid)
+                x, p = x.copy(), p.copy()
+                x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
+            streak = [0 if v else k + 1 for v, k in zip(valid.tolist(), self.streak)]
+            settings = zip(self.theta, self.cap_mult, streak)
+            scale = np.array([inflate_Q(t, c, k) if k else 1.0 for t, c, k in settings])
         self.x, self.P = ctp_predict(x, p, self.F, self.Q_base, scale)
         self.streak = streak
         return np.minimum(np.maximum(self.x[:, :OBS_DIM], self.box_min), self.box_max)
@@ -443,7 +428,7 @@ class TrackerSession:
         else:
             if frame.observed is None:
                 raise ValueError("step: valid frame without an observation")
-            r = self.bank.reliability(frame.s, decision.m)  # checks s and m either way
+            r = reliability(frame.s, decision.m, self.bank.epsilon)
             box = self.bank.step(_ONE_VALID, frame.observed.as_array()[None], r)
         cx, cy, w, h = box[0].tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)

@@ -218,8 +218,8 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
         raise DataError(f"{path}: not a {TRACKRUN_FORMAT} file")
     try:
         pred, gt = ([_box_from(b) for b in payload[k]] for k in ("pred", "gt"))
-        tags = payload.get("tags", [])
-        if not isinstance(tags, list) or not all(
+        tags = payload["tags"]
+        if not (isinstance(tags, list) and len(tags) == len(pred)) or not all(
             isinstance(t, list) and all(isinstance(s, str) for s in t) for t in tags
         ):
             raise DataError("tags must be one list of strings per frame")

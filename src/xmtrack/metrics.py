@@ -82,7 +82,11 @@ def box_array(boxes: list[BBox]) -> np.ndarray:
 
 @dataclass
 class TrackRun:
-    """Aligned predicted and ground-truth boxes plus per-frame tags."""
+    """Aligned predicted and ground-truth boxes plus per-frame tags.
+
+    No frame may carry the tag ``all``: ``tag_breakdown`` reports every
+    frame under that name.
+    """
 
     pred: list[BBox]
     gt: list[BBox]
@@ -99,6 +103,8 @@ class TrackRun:
             self.tags = [[] for _ in self.pred]
         if len(self.tags) != len(self.pred):
             raise ValueError("TrackRun: tags misaligned with frames")
+        if any("all" in tags for tags in self.tags):
+            raise ValueError("TrackRun: 'all' names the all-frames row and is not a frame tag")
 
     def __len__(self) -> int:
         return len(self.pred)
@@ -124,7 +130,7 @@ class MetricRow:
 
 
 def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
-    """PR/SR per tag, plus an 'all' row over every frame.
+    """PR/SR over every frame as the 'all' row, then per tag in sorted order.
 
     Each frame's PR and SR hits are evaluated once; a frame may carry
     several tags and then counts toward each of them.
@@ -149,8 +155,7 @@ def metrics_csv(sequence: str, run: TrackRun) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes a field holding a comma, quote or newline
     writer.writerow(["sequence", "tag", "PR", "SR", "N"])
-    for tag in ["all"] + sorted(t for t in table if t != "all"):
-        row = table[tag]
+    for tag, row in table.items():
         writer.writerow([sequence, tag, f"{row.pr:.4f}", f"{row.sr:.4f}", row.n])
     return out.getvalue()
 

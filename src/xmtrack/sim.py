@@ -18,9 +18,11 @@ observation, motion filter — under one of four motion presets, each a
 ``SessionConfig`` built by ``preset_config``:
 
 * ``off``  raw observations; box frozen during invalid windows
-* ``kf``   constant-velocity filter, fixed observation noise, no inflation
-* ``ekf``  coordinated-turn filter (scenario turn rate), fixed noise
+* ``kf``   constant-velocity filter with epsilon = 1 (r = 1, fixed
+  observation noise) and theta = 1 (no Q inflation)
+* ``ekf``  the same with the coordinated-turn model (scenario turn rate)
 * ``ctp``  coordinated-turn + reliability-weighted noise + Q inflation
+  (the ctp module's default epsilon and theta)
 
 ``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
 the ``off`` track, and ``run_filters`` steps every filtered track as a row of
@@ -43,6 +45,7 @@ from .ctp import (
     MotionModel,
     SessionConfig,
     _is_number,
+    reliability,
     turn_transition,
 )
 from .metrics import TrackRun, box_array, cle, hit_masks
@@ -368,18 +371,16 @@ def preset_config(motion: str, turn_rate: float = 0.0) -> SessionConfig:
     """The filter config of a motion preset, on the ctp module's defaults.
 
     Every preset carries ``turn_rate``, so a config file that sets
-    ``"motion": "ct"`` on kf turns at that rate.  ``off`` builds no filter
-    and reads only rho.
+    ``"motion": "ct"`` on kf turns at that rate.  Every preset but ctp sets
+    epsilon = 1 and theta = 1, which pin r and the Q multiplier to 1; a
+    config file or flag can set them again.  ``off`` builds no filter and
+    reads only rho.
     """
     _check_preset(motion)
     turns = motion in ("ekf", "ctp")
     kind = MotionKind.COORDINATED_TURN if turns else MotionKind.CONSTANT_VELOCITY
-    full = motion == "ctp"
-    return SessionConfig(
-        motion=MotionModel(kind, turn_rate=turn_rate),
-        use_reliability=full,
-        inflate_on_invalid=full,
-    )
+    plain = {} if motion == "ctp" else {"epsilon": 1.0, "theta": 1.0}
+    return SessionConfig(motion=MotionModel(kind, turn_rate=turn_rate), **plain)
 
 
 @dataclass
@@ -556,7 +557,7 @@ def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
         return np.stack([getattr(inp, name) for inp in inputs], axis=1)
 
     valid, observed = per_row("valid"), per_row("observed")
-    r = bank.reliability(per_row("s"), per_row("m"))
+    r = reliability(per_row("s"), per_row("m"), bank.epsilon)
     boxes = np.empty((frames, len(rows), 4))
     boxes[0] = [inp.b0.as_array() for inp in inputs]
     for t in range(1, frames):

@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, determinism, end-to-end pipeline."""
 
 import json
+import re
 import shutil
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xmtrack.cli import main
+from xmtrack.ctp import SessionConfig
 from xmtrack.io import frames_path, load_scenario, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
 from xmtrack.sim import Scenario
@@ -148,6 +151,9 @@ def _track(sequence, out, *extra) -> bytes:
     return out.read_bytes()
 
 
+# The keys a --config file may set: the SessionConfig fields plus turn_rate.
+CONFIG_KEYS = {f.name for f in fields(SessionConfig)} | {"turn_rate"}
+
 # One non-default value per config key; each alone must move the ctp track.
 CONFIG_CHANGES = {
     "p0_diag": [1.0] * 8,
@@ -159,18 +165,52 @@ CONFIG_CHANGES = {
     "rho": 0.99,
     "motion": "cv",
     "turn_rate": 0.0,
-    "use_reliability": False,
-    "inflate_on_invalid": False,
 }
 
 
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("`--config` takes a JSON object with any of", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", listing)) == CONFIG_KEYS
+
+
 def test_track_honors_config_file(tmp_path, turning_sequence):
+    assert set(CONFIG_CHANGES) == CONFIG_KEYS
     base = _track(turning_sequence, tmp_path / "base.json")
     cfg = tmp_path / "filter.json"
     for key, value in CONFIG_CHANGES.items():
         cfg.write_text(json.dumps({key: value}))
         changed = _track(turning_sequence, tmp_path / "run.json", "--config", cfg)
         assert changed != base, key
+
+
+@pytest.mark.parametrize("motion", ["kf", "ekf"])
+def test_theta_epsilon_and_cap_mult_move_the_plain_presets(tmp_path, turning_sequence, motion):
+    # kf and ekf are the ctp filter at epsilon = 1 and theta = 1, so both reach them.
+    def track(*extra):
+        return _track(turning_sequence, tmp_path / "run.json", "--motion", motion, *extra)
+
+    cfg = tmp_path / "filter.json"
+    base = track()
+    for key, value in (("theta", 3.0), ("epsilon", 0.5)):
+        flagged = track(f"--{key}", value)
+        cfg.write_text(json.dumps({key: value}))
+        assert track("--config", cfg) == flagged != base, key
+    # cap_mult caps the inflation, so it acts once theta > 1 and not before.
+    cfg.write_text('{"cap_mult": 2.0}')
+    assert track("--config", cfg) == base
+    assert track("--config", cfg, "--theta", 3.0) != track("--theta", 3.0)
+
+
+@pytest.mark.parametrize("key", ["use_reliability", "inflate_on_invalid"])
+def test_removed_filter_switch_exits_2_naming_the_key(tmp_path, sequence_file, key, capsys):
+    cfg = tmp_path / "filter.json"
+    cfg.write_text(json.dumps({key: False}))
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_flags_beat_config_file(tmp_path, turning_sequence):
@@ -370,6 +410,10 @@ BAD_TRACK_RUNS = {
     "box_of_3_numbers": lambda p: {**p, "gt": [[1.0, 5.0, 5.0]] + p["gt"][1:]},
     "tags_an_empty_object": lambda p: {**p, "tags": {}},
     "tags_an_empty_string": lambda p: {**p, "tags": ""},
+    "tags_an_empty_list": lambda p: {**p, "tags": []},
+    "tags_one_frame_short": lambda p: {**p, "tags": p["tags"][:-1]},
+    "tags_missing": lambda p: {k: v for k, v in p.items() if k != "tags"},
+    "frame_tagged_all": lambda p: {**p, "tags": [["all"]] + p["tags"][1:]},
     "sequence_a_number": lambda p: {**p, "sequence": 5},
     "sequence_null": lambda p: {**p, "sequence": None},
     "not_an_object": lambda p: [p],

@@ -317,15 +317,29 @@ def test_session_replays_golden_trace(fixtures_dir: Path):
 
 
 def test_session_without_reliability_pins_r_to_one():
+    # epsilon = 1 is the plain filter's setting (the kf/ekf presets).
     b0 = BBox(50.0, 50.0, 20.0, 20.0)
     z = BBox(58.0, 47.0, 21.0, 19.0)
     decision = TriStateDecision(TriState.NIR, 0.9, 0.0)
-    plain = TrackerSession(b0, 512, 512, SessionConfig(use_reliability=False))
+    plain = TrackerSession(b0, 512, 512, SessionConfig(epsilon=1.0))
     plain.step(FrameInput(observed=z, s=0.2, decision=decision))
-    manual = TrackerSession(b0, 512, 512, SessionConfig(use_reliability=True))
+    manual = TrackerSession(b0, 512, 512, SessionConfig())
     manual.step(FrameInput(observed=z, s=1.0, decision=TriStateDecision(TriState.RGB, 0.0, 0.0)))
     # s=1, m=0 gives r=1 exactly, so both sessions did the same update
-    np.testing.assert_allclose(plain.bank.x, manual.bank.x, atol=1e-12)
+    np.testing.assert_array_equal(plain.bank.x, manual.bank.x)
+    np.testing.assert_array_equal(plain.bank.P, manual.bank.P)
+
+
+def test_epsilon_one_and_theta_one_are_exactly_one():
+    # The kf/ekf presets rest on these: r and the Q multiplier are 1.0 bit for bit.
+    assert reliability(1.0, 0.0, 1.0) == 1.0 and reliability(1.0, 1.0, 1.0) == 1.0
+    rng = np.random.default_rng(19)
+    grid = np.linspace(0.0, 1.0, 101)
+    for s, m in ((grid[:, None], grid[None, :]), (rng.random(10_000), rng.random(10_000))):
+        assert (reliability(s, m, 1.0) == 1.0).all()
+    for cap in (1.0, 10.0, 1e308):
+        for k in (*range(12), 1751, 10**6):
+            assert inflate_Q(1.0, cap, k) == 1.0, (cap, k)
 
 
 def test_session_valid_frame_requires_observation():
@@ -337,7 +351,8 @@ def test_session_valid_frame_requires_observation():
 
 
 def test_session_inflation_can_be_disabled():
-    cfg = SessionConfig(inflate_on_invalid=False)
+    # theta = 1 is the plain filter's setting (the kf/ekf presets).
+    cfg = SessionConfig(theta=1.0)
     sess = TrackerSession(BBox(100, 100, 30, 30), 512, 512, cfg)
     bank = sess.bank
     x, p = bank.x, bank.P
@@ -369,8 +384,6 @@ def test_session_inflation_can_be_disabled():
         {"rho": -0.01},
         {"rho": 1.01},
         {"rho": "0.4"},
-        {"use_reliability": "false"},
-        {"inflate_on_invalid": 1},
         {"motion": "ct"},
     ],
 )
@@ -450,7 +463,7 @@ def test_step_rejects_non_finite_input_before_changing_state():
 def _bank_configs():
     turn = MotionModel(MotionKind.COORDINATED_TURN, -0.03)
     return [
-        SessionConfig(use_reliability=False, inflate_on_invalid=False),
+        SessionConfig(epsilon=1.0, theta=1.0),
         SessionConfig(motion=turn, theta=2.0, cap_mult=5.0, epsilon=0.2),
         SessionConfig(motion=turn, r_diag=(1.0, 2.0, 3.0, 4.0), q_diag=(0.3,) * 8),
     ]
@@ -474,7 +487,8 @@ def test_bank_rows_match_their_own_single_row_runs():
         saw_all_invalid |= not valid.any()
         z = np.array([bank.x[b, :4] + rng.normal(scale=3.0, size=4) for b in range(len(configs))])
         z[~valid] = np.nan  # never read on invalid rows
-        r = bank.reliability(rng.uniform(0.0, 1.0, len(configs)), rng.uniform(0.0, 1.0, len(configs)))
+        s, m = rng.uniform(0.0, 1.0, (2, len(configs)))
+        r = reliability(s, m, bank.epsilon)
         boxes = bank.step(valid, z, r)
         for b, single in enumerate(singles):
             one = single.step(valid[b:b + 1], z[b:b + 1], r[b:b + 1])
@@ -500,7 +514,7 @@ def test_single_row_bank_is_the_session():
             s, m = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 1.0))
             decision = TriStateDecision(TriState.RGB, m, 0.0)
             box = sess.step(FrameInput(observed=BBox(*z), s=s, decision=decision))
-            want = bank.step(np.array([True]), z[None], np.atleast_1d(bank.reliability(s, m)))
+            want = bank.step(np.array([True]), z[None], reliability(s, m, bank.epsilon))
         assert (box.cx, box.cy, box.w, box.h) == tuple(want[0].tolist())
         np.testing.assert_array_equal(sess.bank.x, bank.x)
         np.testing.assert_array_equal(sess.bank.P, bank.P)
@@ -509,7 +523,7 @@ def test_single_row_bank_is_the_session():
 def test_session_steps_through_the_single_filter_functions(monkeypatch):
     # Code that wraps ctp_update, inflate_Q and ctp_predict (a profiler, a
     # tracer) sees every bank step, a session's included: the bank looks
-    # them up per call, and calls inflate_Q once per invalid row that inflates.
+    # them up per call, and calls inflate_Q once per invalid row.
     import xmtrack.ctp as ctp_module
 
     calls = {"ctp_update": 0, "inflate_Q": 0, "ctp_predict": 0}
@@ -533,12 +547,12 @@ def test_session_steps_through_the_single_filter_functions(monkeypatch):
 
     calls.update(dict.fromkeys(calls, 0))
     configs = _bank_configs()
-    assert [c.inflate_on_invalid for c in configs] == [False, True, True]
+    assert configs[0].theta == 1.0  # a row that never inflates is still asked
     bank = FilterBank([BBox(100.0, 100.0, 30.0, 30.0)] * 3, [(512.0, 512.0)] * 3, configs)
     z = np.array([[100.0, 100.0, 30.0, 30.0]] * 3)
     for valid in ([True, True, True], [False, True, False], [False, False, False], [True, False, True]):
         bank.step(np.array(valid), z, np.ones(3))
-    assert calls == {"ctp_update": 3, "inflate_Q": 0 + 1 + 2 + 1, "ctp_predict": 4}
+    assert calls == {"ctp_update": 3, "inflate_Q": 0 + 2 + 3 + 1, "ctp_predict": 4}
 
 
 def test_bank_row_with_singular_innovation_covariance_raises():

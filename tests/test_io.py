@@ -160,12 +160,12 @@ def test_session_config_defaults_fill_missing_keys(tmp_path):
     cfg = load_session_config(path)
     assert cfg.epsilon == 0.01
     assert cfg.theta == 1.5
-    assert cfg.use_reliability is True
+    assert cfg == SessionConfig(epsilon=0.01)
 
 
 def test_session_config_overlays_only_the_keys_it_sets(tmp_path):
     ct = MotionKind.COORDINATED_TURN
-    base = SessionConfig(theta=2.0, motion=MotionModel(ct, 0.02), use_reliability=False)
+    base = SessionConfig(theta=2.0, epsilon=1.0, motion=MotionModel(ct, 0.02))
     path = tmp_path / "overlay.json"
     path.write_text('{"turn_rate": 0.05, "epsilon": 0.01, "q_diag": [1, 1, 1, 1, 2, 2, 2, 2]}')
     assert load_session_config(path, base) == replace(

@@ -139,6 +139,21 @@ def test_mismatched_lengths_rejected():
         TrackRun(pred=[BBox(1, 1, 1, 1)], gt=[])
 
 
+def test_frame_tag_all_rejected():
+    # 'all' names the all-frames row, so a frame tagged 'all' would replace it.
+    gt = [BBox(0, 0, 10, 10)] * 3
+    pred = [BBox(0, 0, 10, 10), BBox(30, 0, 10, 10), BBox(0, 0, 10, 10)]
+    with pytest.raises(ValueError, match="'all'"):
+        TrackRun(pred=pred, gt=gt, tags=[["all"], ["rgb", "all"], ["rgb"]])
+
+
+def test_metrics_csv_lists_all_first_then_tags_in_sorted_order():
+    box = BBox(0, 0, 10, 10)
+    run = TrackRun(pred=[box] * 3, gt=[box] * 3, tags=[["nir"], ["aaa", "zz"], ["B"]])
+    rows = metrics_csv("s", run).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["all", "B", "aaa", "nir", "zz"]
+
+
 def test_metrics_csv_golden(fixtures_dir):
     run = _load_fixture(fixtures_dir)
     got = metrics_csv("fixture", run)

@@ -348,12 +348,12 @@ def test_preset_configs():
     ct = MotionKind.COORDINATED_TURN
     assert preset_config("ctp", 0.02) == SessionConfig(motion=MotionModel(ct, 0.02))
     assert preset_config("ekf", 0.02) == SessionConfig(
-        motion=MotionModel(ct, 0.02), use_reliability=False, inflate_on_invalid=False
+        motion=MotionModel(ct, 0.02), epsilon=1.0, theta=1.0
     )
     for preset in ("off", "kf"):
         cfg = preset_config(preset, 0.02)
         assert cfg.motion == MotionModel(MotionKind.CONSTANT_VELOCITY, 0.02)
-        assert not cfg.use_reliability and not cfg.inflate_on_invalid
+        assert cfg.epsilon == 1.0 and cfg.theta == 1.0
     with pytest.raises(ValueError):
         preset_config("ukf")
     with pytest.raises(ValueError):
@@ -371,7 +371,7 @@ def test_harness_session_overrides_the_preset():
     tuned = replace(preset_config("ctp"), r_diag=(1.0, 1.0, 1.0, 1.0))
     assert run(seq, HarnessConfig("ctp", tuned), decisions).pred != implicit.pred
     # off reads only rho: a session with every filter setting changed is still off
-    frozen = replace(tuned, theta=3.0, use_reliability=True)
+    frozen = replace(tuned, theta=3.0, epsilon=0.5)
     assert run(seq, HarnessConfig("off", frozen), decisions).pred == run(
         seq, HarnessConfig("off"), decisions
     ).pred
