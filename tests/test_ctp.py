@@ -384,6 +384,8 @@ def test_session_inflation_can_be_disabled():
         {"rho": -0.01},
         {"rho": 1.01},
         {"rho": "0.4"},
+        {"epsilon": True},
+        {"cap_mult": "1"},
         {"motion": "ct"},
     ],
 )
