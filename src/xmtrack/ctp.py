@@ -8,9 +8,9 @@ skip the correction, inflate the process noise (by default compounding 1.5x
 per consecutive invalid frame, capped at 10x) and predict only.  The reported
 box is the post-prediction state clipped to the frame.
 
-Two motion models: a constant-velocity linear filter and a coordinated-turn
-variant with a fixed turn rate (the extended-filter ablation).  With turn
-rate 0 the two coincide.
+Two motion models: a coordinated-turn filter with a fixed turn rate (the
+extended-filter ablation) and a constant-velocity one, which is the same
+filter at turn rate 0.
 
 The math is written once, over a leading batch axis: ``ctp_update`` and
 ``ctp_predict`` take x (B, 8), P (B, 8, 8) and per-row R, r, z or F, Q, and
@@ -35,15 +35,11 @@ B=1 their Python wrappers cost more than the kernels, and the shapes and
 dtype they check are fixed here.  The results are the same bits.  The
 kernel reports a failed factorization as a NaN-filled factor for that row,
 and that NaN is what raises.  A non-finite z or r raises
-``ValueError``.  Both are raised before any row changes.  The Q multiplier
-min(theta^k, cap_mult) is computed without forming theta^k once it is past
-the cap, so it never overflows on a long blackout.
+``ValueError``.  Both are raised before any row changes.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -128,13 +124,6 @@ def box2state(b: BBox) -> Tensor:
     return np.array([b.cx, b.cy, b.w, b.h, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
 
 
-def box_limits(width: float, height: float) -> tuple[Tensor, Tensor]:
-    """Bounds on a reported [cx, cy, w, h]: center in the frame, size in [1, frame dim]."""
-    if not (width > 0 and height > 0):
-        raise ValueError(f"box_limits: non-positive frame {width}x{height}")
-    return np.array([0.0, 0.0, 1.0, 1.0]), np.array([width, height, width, height], dtype=np.float64)
-
-
 def _in_unit_interval(v) -> bool:
     """Every entry of v lies in [0, 1] (NaN does not); plain floats skip numpy."""
     if isinstance(v, (float, int)):
@@ -157,23 +146,17 @@ def reliability(s, m, epsilon=DEFAULT_EPSILON):
     return np.maximum(epsilon, s * abs(2.0 * m - 1.0))
 
 
-def cv_transition() -> Tensor:
-    f = np.eye(STATE_DIM)
-    for i in range(4):
-        f[i, i + 4] = 1.0
-    return f
-
-
 def turn_transition(omega: float) -> Tensor:
     """Coordinated-turn transition over one frame on (cx, cy, vcx, vcy); linear on w/h.
 
     ``omega`` is the turn per frame in radians.  Uses 2*sin^2(omega/2) for
-    the versine so small turn rates stay accurate;
-    omega -> 0 reduces exactly to the constant-velocity matrix.  Since the
-    turn rate is a fixed parameter (not part of the state), the map is linear
-    and its Jacobian is this same matrix.
+    the versine so small turn rates stay accurate; below 1e-12 it is the
+    constant-velocity matrix, which adds each rate to its box entry.  Since
+    the turn rate is a fixed parameter (not part of the state), the map is
+    linear and its Jacobian is this same matrix.
     """
-    f = cv_transition()
+    f = np.eye(STATE_DIM)
+    f[range(OBS_DIM), range(OBS_DIM, STATE_DIM)] = 1.0
     if abs(omega) < 1e-12:
         return f
     sin_t = np.sin(omega)
@@ -191,38 +174,16 @@ def turn_transition(omega: float) -> Tensor:
     return f
 
 
-@functools.lru_cache(maxsize=64)
-def transition_matrix(model: MotionModel) -> Tensor:
-    """F of ``model``, built once per model and returned read-only.
-
-    ``MotionModel`` is frozen and hashable, so every step of a session reuses
-    one matrix instead of building it again.
-    """
-    if model.kind == MotionKind.COORDINATED_TURN:
-        f = turn_transition(model.turn_rate)
-    else:
-        f = cv_transition()
-    f.flags.writeable = False
-    return f
-
-
-# Rounding of streak * log(theta) is ~1e-13 even at the float range's edge.
-_LOG_CAP_MARGIN = 1e-9
-
-
 def inflate_Q(theta: float, cap_mult: float, streak: int) -> float:
     """Q multiplier after ``streak`` consecutive invalid frames: min(theta**streak, cap_mult).
 
     The cap stops covariance blow-up on long streaks; a valid frame resets
-    the streak.  theta >= 1, so theta**k only grows with k: once
-    streak * log(theta) clears log(cap_mult) by a margin far above its
-    rounding the cap holds, and the power (which overflows from 1.5**1751
-    on) is never taken.  Below the cap the multiplier is theta**streak
-    itself, bit for bit.
+    the streak.  theta >= 1, so a power past the float range is past the cap.
     """
-    if streak * math.log(theta) > math.log(cap_mult) + _LOG_CAP_MARGIN:
+    try:
+        return min(theta**streak, cap_mult)
+    except OverflowError:
         return cap_mult
-    return min(theta**streak, cap_mult)
 
 
 def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
@@ -304,6 +265,8 @@ class SessionConfig:
         for name in ("theta", "cap_mult", "epsilon", "rho"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"SessionConfig: {name} must be a finite number")
+            # An int theta**k or cap_mult past the float range would make an object array.
+            setattr(self, name, float(getattr(self, name)))
         for ok, rule in (
             (self.theta >= 1.0, "theta >= 1"),
             (self.cap_mult >= 1.0, "cap_mult >= 1"),
@@ -333,29 +296,37 @@ class FrameInput:
 class FilterBank:
     """B independent filters stepped in lockstep, one row each.
 
-    Row b has its own state (x[b], P[b]), settings (F, R, Q_base, epsilon,
-    theta, cap_mult, box limits) from ``configs[b]`` and invalid streak,
-    streak[b].  Rows share nothing but the call: a row's boxes are the ones
-    a B=1 bank would give it.  ``reliability(s, m, bank.epsilon)`` gives
-    every row's r.
+    Row b has its own state (x[b], P[b]), settings from ``configs[b]`` and
+    invalid streak, streak[b].  This is where a config becomes matrices: R,
+    Q_base and P's start are its diagonals, and F is
+    ``turn_transition(turn_rate)`` for a coordinated-turn row and
+    ``turn_transition(0.0)`` for a constant-velocity one.  A reported
+    [cx, cy, w, h] is clipped to [0, 0, 1, 1] below and [W, H, W, H] above,
+    for a ``frame_size`` of (W, H): center in the frame, size in [1, frame
+    dim].  Rows share nothing but the call: a row's boxes are the ones a B=1
+    bank would give it.  ``reliability(s, m, bank.epsilon)`` gives every
+    row's r.
     """
 
     def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
         if not len(b0) == len(frame_size) == len(configs) > 0:
             raise ValueError("FilterBank: need one initial box, frame size and config per row")
-        limits = [box_limits(width, height) for width, height in frame_size]
+        size = np.array(frame_size, dtype=np.float64)
+        if size.shape != (len(configs), 2) or not (size > 0).all():
+            raise ValueError(f"FilterBank: frame sizes {frame_size} are not positive (width, height) pairs")
         self.x = np.stack([box2state(b) for b in b0])
         self.P = np.stack([np.diag(c.p0_diag) for c in configs])
-        self.F = np.stack([transition_matrix(c.motion) for c in configs])
+        rates = [c.motion.turn_rate if c.motion.kind == MotionKind.COORDINATED_TURN else 0.0 for c in configs]
+        self.F = np.stack([turn_transition(rate) for rate in rates])
         self.R = np.stack([np.diag(c.r_diag) for c in configs])
         self.Q_base = np.stack([np.diag(c.q_diag) for c in configs])
         self.epsilon = np.array([c.epsilon for c in configs])
-        # Python numbers: inflate_Q takes exact scalar powers of them.
+        # Python floats: inflate_Q takes exact scalar powers of them.
         self.theta = [c.theta for c in configs]
         self.cap_mult = [c.cap_mult for c in configs]
         self.streak = [0] * len(configs)
-        self.box_min = np.stack([lo for lo, _ in limits])
-        self.box_max = np.stack([hi for _, hi in limits])
+        self.box_min = np.tile([0.0, 0.0, 1.0, 1.0], (len(configs), 1))
+        self.box_max = np.tile(size, 2)
 
     def step(self, valid: Tensor, z: Tensor | None, r: Tensor | None) -> Tensor:
         """One frame for every row; returns the reported boxes (B, 4).

@@ -409,8 +409,9 @@ def run(
 ) -> TrackRun:
     """Track one generated sequence end to end.
 
-    ``decisions`` may be precomputed (e.g. shared across ablation presets);
-    otherwise each frame is classified with the built-in separator weights.
+    ``decisions`` may be given, e.g. from ``classify_sequence`` for a caller
+    that also reads them; otherwise each frame is classified with the
+    built-in separator weights.
     ``off`` reports ``frozen_boxes``; every other preset is one row of
     ``run_filters``.
     """

@@ -18,14 +18,12 @@ from xmtrack.cli import main
 from xmtrack.ctp import (
     BBox,
     FilterBank,
-    MotionKind,
-    MotionModel,
     SessionConfig,
     ctp_predict,
     ctp_update,
     inflate_Q,
     reliability,
-    transition_matrix,
+    turn_transition,
 )
 from xmtrack.io import save_scenario
 from xmtrack.losses import EpochSchedule, modality_loss, tracking_loss
@@ -58,7 +56,7 @@ def test_criterion_01_kalman_oracle_equivalence():
         omega = float(rng.uniform(-0.1, 0.1))
         trials.append((x, p, q, r_mat, z, rel, omega))
     x, p, q, r_mat, z, rel, omega = (np.array(col) for col in zip(*trials))
-    f = np.stack([transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, w)) for w in omega.tolist()])
+    f = np.stack([turn_transition(w) for w in omega.tolist()])
     got_ux, got_up = ctp_update(x, p, r_mat, rel, z)
     got_px, got_pp = ctp_predict(x, p, f, q)
     worst = 0.0

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import sys
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -442,6 +443,20 @@ def test_degenerate_filter_exits_2_with_one_line(tmp_path, turning_sequence, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "filter degenerated" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", [2, 2.0])
+def test_inflation_at_the_float_maximum_cap_tracks_through_a_long_blackout(tmp_path, theta, capsys):
+    # theta**k leaves the float range on the blackout's 1,024th frame, with the cap still above
+    # it; an int theta gives exact ints there, which made the Q multipliers an object array.
+    sc = Scenario(name="long-blackout", frames=1100, image_width=16, image_height=16, invalid_windows=[(5, 1100)])
+    save_scenario(tmp_path / "scenario.json", sc)
+    seq = tmp_path / "seq.jsonl"
+    assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(seq)]) == 0
+    config = tmp_path / "filter.json"
+    config.write_text(json.dumps({"theta": theta, "cap_mult": sys.float_info.max, "q_diag": [1e-300] * 8}))
+    assert main(["track", str(seq), "--out", str(tmp_path / "run.json"), "--config", str(config)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,6 +1,7 @@
 """Filter machinery against the naive textbook oracle and the golden trace."""
 
 import json
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,13 +20,10 @@ from xmtrack.ctp import (
     SessionConfig,
     TrackerSession,
     box2state,
-    box_limits,
     ctp_predict,
     ctp_update,
-    cv_transition,
     inflate_Q,
     reliability,
-    transition_matrix,
     turn_transition,
 )
 from xmtrack.state_switch import TriState, TriStateDecision
@@ -64,7 +62,7 @@ def test_predict_matches_textbook_oracle():
     for _ in range(50):
         x, p, q, _ = random_filter_row(rng)
         omega = float(rng.uniform(-0.1, 0.1))
-        f = transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, omega))
+        f = turn_transition(omega)
         got_x, got_p = ctp_predict(x, p, f[None], q)
         want_x, want_p = oracle.predict(x[0], p[0], oracle.turn_matrix(omega), q[0])
         np.testing.assert_allclose(got_x[0], want_x, atol=1e-9)
@@ -110,9 +108,13 @@ def test_q_inflation_schedule_and_reset():
     np.testing.assert_array_equal(bank.P, ctp_predict(x, p, bank.F, bank.Q_base)[1])
 
 
+# Constant velocity: each box entry [cx, cy, w, h] moves by its rate per frame.
+CV_MATRIX = np.block([[np.eye(4), np.eye(4)], [np.zeros((4, 4)), np.eye(4)]])
+
+
 def test_turn_transition_at_zero_rate_is_cv():
-    np.testing.assert_array_equal(turn_transition(0.0), cv_transition())
-    np.testing.assert_array_equal(turn_transition(1e-15), cv_transition())
+    np.testing.assert_array_equal(turn_transition(0.0), CV_MATRIX)
+    np.testing.assert_array_equal(turn_transition(1e-15), CV_MATRIX)
 
 
 def test_turn_transition_preserves_speed():
@@ -126,10 +128,14 @@ def test_turn_transition_preserves_speed():
 
 
 def test_transition_matrix_dispatch():
-    cv_model = MotionModel(MotionKind.CONSTANT_VELOCITY, turn_rate=0.5)
-    np.testing.assert_array_equal(transition_matrix(cv_model), cv_transition())
-    turn_model = MotionModel(MotionKind.COORDINATED_TURN, turn_rate=0.05)
-    np.testing.assert_array_equal(transition_matrix(turn_model), turn_transition(0.05))
+    # A constant-velocity row ignores its turn rate; a coordinated-turn row turns.
+    configs = [
+        SessionConfig(motion=MotionModel(MotionKind.CONSTANT_VELOCITY, turn_rate=0.5)),
+        SessionConfig(motion=MotionModel(MotionKind.COORDINATED_TURN, turn_rate=0.05)),
+    ]
+    bank = FilterBank([BBox(100, 100, 30, 30)] * 2, [(512.0, 512.0)] * 2, configs)
+    np.testing.assert_array_equal(bank.F[0], CV_MATRIX)
+    np.testing.assert_array_equal(bank.F[1], turn_transition(0.05))
 
 
 def test_covariance_stays_symmetric_psd_over_random_schedule():
@@ -137,7 +143,7 @@ def test_covariance_stays_symmetric_psd_over_random_schedule():
     # prediction keeps the last multiplier.
     rng = np.random.default_rng(4)
     x, p, r_mat, q_base = default_filter_row(BBox(256, 256, 30, 30))
-    f = transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, 0.02))[None]
+    f = turn_transition(0.02)[None]
     streak, mult = 0, 1.0
     for _ in range(1000):
         choice = rng.random()
@@ -248,11 +254,11 @@ def test_box_state_roundtrip_and_validation():
 
 
 def test_clip_box_limits():
-    lo, hi = box_limits(512.0, 256.0)
-    np.testing.assert_array_equal(lo, [0.0, 0.0, 1.0, 1.0])
-    np.testing.assert_array_equal(hi, [512.0, 256.0, 512.0, 256.0])
+    bank = FilterBank([BBox(10.0, 10.0, 5.0, 5.0)], [(512.0, 256.0)], [SessionConfig()])
+    np.testing.assert_array_equal(bank.box_min, [[0.0, 0.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(bank.box_max, [[512.0, 256.0, 512.0, 256.0]])
     with pytest.raises(ValueError):
-        box_limits(0.0, 512.0)
+        FilterBank([BBox(10.0, 10.0, 5.0, 5.0)], [(0.0, 512.0)], [SessionConfig()])
     # A state past every bound, reported by a session and by a bank row
     # that coast it through one invalid frame at zero velocity.
     outside = np.array([-20.0, 600.0, 0.2, 1000.0, 0.0, 0.0, 0.0, 0.0])
@@ -400,6 +406,10 @@ def test_session_config_accepts_range_edges_and_lists():
     cfg = SessionConfig(theta=1.0, cap_mult=1.0, epsilon=1.0, rho=0.0, q_diag=[0.5] * 8)
     assert cfg.q_diag == (0.5,) * 8
     assert SessionConfig(rho=1, epsilon=1e-12).rho == 1
+    # Ints are stored as floats: an int theta**k or cap past the float range
+    # would make the Q multipliers an object array.
+    cfg = SessionConfig(theta=2, cap_mult=10**300)
+    assert (type(cfg.theta), type(cfg.cap_mult), cfg.theta, cfg.cap_mult) == (float, float, 2.0, 1e300)
 
 
 def test_motion_model_rejects_bad_values():
@@ -414,6 +424,12 @@ def test_inflate_Q_is_the_plain_power_below_the_cap():
             plain = theta**k if k * np.log(theta) < 700.0 else float("inf")
             want = plain if plain < cap else cap
             assert inflate_Q(theta, cap, k) == want, (theta, cap, k)
+
+
+@pytest.mark.parametrize("theta, streak", [(2.0, 1024), (4.0, 512), (1.5, 1751), (1e300, 2)])
+def test_inflate_Q_gives_the_cap_where_the_power_overflows(theta, streak):
+    # Each theta**streak is past the float range (2**1024 the first), with the cap at its top.
+    assert inflate_Q(theta, sys.float_info.max, streak) == sys.float_info.max
 
 
 def test_inflation_survives_a_streak_past_the_overflow_point():
@@ -606,16 +622,6 @@ def test_bank_rejects_misshapen_setup():
         FilterBank([], [], [])
     with pytest.raises(ValueError):
         FilterBank([BBox(1, 1, 1, 1)], [(0.0, 512.0)], [cfg])
-
-
-def test_transition_matrix_is_built_once_and_read_only():
-    model = MotionModel(MotionKind.COORDINATED_TURN, 0.05)
-    f = transition_matrix(model)
-    assert transition_matrix(MotionModel(MotionKind.COORDINATED_TURN, 0.05)) is f
-    assert not f.flags.writeable
-    with pytest.raises(ValueError):
-        f[0, 4] = 2.0
-    np.testing.assert_array_equal(f, turn_transition(0.05))
 
 
 def test_covariance_stays_symmetric_psd_at_the_reliability_floor_and_past_the_cap():
