@@ -33,13 +33,18 @@ overflows, raises ``FilterDegenerateError``.  The update calls the LAPACK
 kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve`` directly: at
 B=1 their Python wrappers cost more than the kernels, and the shapes and
 dtype they check are fixed here.  The results are the same bits.  The
-kernel reports a failed factorization as a NaN-filled factor for that row,
-and that NaN is what raises.  A non-finite z or r raises
-``ValueError``.  Both are raised before any row changes.
+kernel reports a failed factorization by filling that row's whole factor
+with NaN, so its first entry, chol[b, 0, 0], is what the check reads and what
+raises.  A non-finite z or r raises ``ValueError``.  Both are raised before
+any row changes.  The guards on r, z and the factor's first entries read
+those few values as Python floats (``math.isfinite``, ``math.isnan``, a
+chained compare): at B <= 9 a numpy reduction's call costs more than its
+work.  NaN fails each of these predicates.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,7 +203,9 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
     This is the only place S and K are formed.  Inputs are checked before
     anything is computed.
     """
-    if not (np.isfinite(z).all() and ((0.0 < r) & (r < np.inf)).all()):
+    if not (
+        all(0.0 < v < math.inf for v in r.tolist()) and all(math.isfinite(v) for v in z.ravel().tolist())
+    ):
         raise ValueError("ctp update: observation z must be finite and reliability r finite positive")
     innovation = (z - x[:, :OBS_DIM])[:, :, None]
     # An overflowing S and a failed factorization are reported by the checks
@@ -210,7 +217,8 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
         if not np.isfinite(s_mat).all():
             raise FilterDegenerateError("ctp update: innovation covariance not finite")
         chol = _cholesky_lo(s_mat, signature="d->d")
-        if np.isnan(chol).any():
+        # The kernel NaN-fills the whole factor of a row it cannot factor.
+        if any(map(math.isnan, chol[:, 0, 0].tolist())):
             raise FilterDegenerateError("ctp update: innovation covariance not positive definite")
         white = _solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2), signature="dd->d")
     step = white[:, :, :STATE_DIM].transpose(0, 2, 1) @ white  # A^T [A | w], (B, 8, 9)
@@ -400,6 +408,7 @@ class TrackerSession:
             if frame.observed is None:
                 raise ValueError("step: valid frame without an observation")
             r = reliability(frame.s, decision.m, self.bank.epsilon)
-            box = self.bank.step(_ONE_VALID, frame.observed.as_array()[None], r)
+            o = frame.observed
+            box = self.bank.step(_ONE_VALID, np.array([[o.cx, o.cy, o.w, o.h]], dtype=np.float64), r)
         cx, cy, w, h = box[0].tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)

@@ -104,7 +104,10 @@ def _finite(v, what: str) -> float:
 def _box_from(v) -> BBox:
     if not (isinstance(v, list) and len(v) == 4):
         raise DataError(f"bad box value {v!r}: not a list of 4 numbers")
-    return BBox(*(_finite(x, "box") for x in v))
+    box = BBox(*(_finite(x, "box") for x in v))
+    if box.w < 0 or box.h < 0:
+        raise DataError(f"negative box dimensions in {v!r}")
+    return box
 
 
 def frames_path(path: str | Path) -> Path:
@@ -164,8 +167,9 @@ def load_sequence(path: str | Path) -> Sequence:
     ``(frames, image_height, image_width, 3)`` from the header's scenario;
     each frame's image is a view of that array and its ``gt`` the
     scenario's ``gt_boxes()``.  A malformed frame line names file:line:
-    ``observed`` must be a list of 4 finite numbers and the confidence
-    ``s`` a number in [0, 1].  Other keys on a line are ignored.
+    ``observed`` must be a list of 4 finite numbers with w and h not
+    negative, and the confidence ``s`` a number in [0, 1].  Other keys on a
+    line are ignored.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -226,8 +230,6 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
         name = payload.get("sequence", "unknown")
         if not isinstance(name, str):
             raise DataError(f"sequence name {name!r} is not a string")
-        if any(b.w < 0 or b.h < 0 for b in pred + gt):
-            raise DataError("negative box dimensions")
         run = TrackRun(pred=pred, gt=gt, tags=[list(t) for t in tags])
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid track run: {exc}") from exc

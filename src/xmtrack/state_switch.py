@@ -13,8 +13,11 @@ white count and the channel sums.  Every partial sum is an integer below
 2**24, which float32 holds exactly: a luma is at most 255000, and the channel
 sums run over blocks of at most 2**16 rows (255 * 2**16 < 2**24), added in
 float64.  So both are exact in any BLAS order, and one division by 255*H*W
-rounds each mean.  ``classify`` builds the float (C, H, W) feature plane only
-for weights whose plan runs the spatial branch's conv.
+rounds each mean.  The white count is taken only when some pixel value
+reaches WHITE_LEVEL: a luma in thousandths is at most 1000 times the
+largest channel, so below that no pixel can be white and the ratio is 0.
+``classify`` builds the float (C, H, W) feature plane only for weights whose
+plan runs the spatial branch's conv.
 
 The classifier here is inference-only: weights are built in code, by
 ``separator_switch_weights``, ``random_switch_weights`` or the
@@ -41,8 +44,8 @@ SPECTRAL_HIDDEN = 8
 FUSION_HIDDEN = 16
 
 WHITE_LEVEL = 250
-# Luma in thousandths by channel count: BT.601 as ``Image.grayscale`` applies
-# it, and 1000 * p for a 1-channel pixel p.
+# Luma in thousandths by channel count: the BT.601 sum 299 r + 587 g + 114 b
+# for a 3-channel pixel, and 1000 * p for a 1-channel pixel p.
 _LUMA_WEIGHTS = {1: np.array([1000.0], np.float32), 3: np.array([299.0, 587.0, 114.0], np.float32)}
 # Rows per float32 channel-sum block.  Up to 2**16 would be exact; 2**14 keeps
 # the ones vector at 64 KiB, and a 128x128 frame is still one block.
@@ -103,18 +106,6 @@ class Image:
                 f"Image: {self.pixels.size} pixel values for "
                 f"{self.width}x{self.height}x{self.channels} (need {want})"
             )
-
-    def grayscale(self) -> np.ndarray:
-        """Integer BT.601 luma, shape (H, W), values 0..255.
-
-        Integer arithmetic with half-up rounding so results are identical
-        across platforms.
-        """
-        if self.channels == 1:
-            return self.pixels.reshape(self.height, self.width).astype(np.int64)
-        hwc = self.pixels.reshape(self.height, self.width, 3).astype(np.int64)
-        r, g, b = hwc[..., 0], hwc[..., 1], hwc[..., 2]
-        return (299 * r + 587 * g + 114 * b + 500) // 1000
 
     def features(self) -> Tensor:
         """Pixels as a C-contiguous float64 (C, H, W) plane scaled to [0, 1].
@@ -315,17 +306,22 @@ def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
 def pixel_statistics(img: Image) -> tuple[float, Tensor]:
     """White-pixel ratio and per-channel means of ``features()``'s values, both exact.
 
-    A pixel is white iff its ``Image.grayscale()`` luma is >= WHITE_LEVEL,
-    counted without forming the grayscale image: gray is (v + 500) // 1000
-    with v the luma in thousandths (1000 p on 1-channel frames), so gray >=
-    WHITE_LEVEL iff v >= 1000 * WHITE_LEVEL - 500.  The channel sums are a
-    ones vector times each block of rows; see the module docstring.
+    A pixel is white iff its gray level is >= WHITE_LEVEL, counted without
+    forming a gray image.  The gray level is the integer BT.601 luma rounded
+    half up, (v + 500) // 1000 with v = 299 r + 587 g + 114 b the luma in
+    thousandths (v = 1000 p on 1-channel frames), so a pixel is white iff
+    v >= 1000 * WHITE_LEVEL - 500.  A frame whose largest pixel value is
+    below WHITE_LEVEL has v <= 1000 * (WHITE_LEVEL - 1) everywhere and skips
+    the count.  The channel sums are a ones vector times each block of rows;
+    see the module docstring.
     """
     n = img.width * img.height
     if n == 0:
         raise ShapeError("pixel_statistics: empty image")
     rows = img.pixels.reshape(n, img.channels).astype(np.float32)
-    white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= 1000 * WHITE_LEVEL - 500)
+    white = 0
+    if img.pixels.max() >= WHITE_LEVEL:  # else every luma is at most 1000 * (WHITE_LEVEL - 1)
+        white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= 1000 * WHITE_LEVEL - 500)
     sums = np.zeros(img.channels)
     for start in range(0, n, _SUM_BLOCK):
         block = rows[start : start + _SUM_BLOCK]

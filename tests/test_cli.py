@@ -300,6 +300,8 @@ BAD_FRAMES = {
     "observed_5_numbers": lambda f: f.update(observed=f["observed"] + [1.0]),
     "observed_coordinate_a_numeric_string": lambda f: f["observed"].__setitem__(0, "9999"),
     "observed_coordinate_false": lambda f: f["observed"].__setitem__(2, False),
+    "observed_negative_width": lambda f: f["observed"].__setitem__(2, -5.0),
+    "observed_negative_height": lambda f: f["observed"].__setitem__(3, -5.0),
 }
 
 

@@ -77,6 +77,29 @@ def test_reliability_values_and_floor():
     assert reliability(0.0, 1.0) == 1e-3  # zero confidence floors too
 
 
+def test_update_guard_rejects_each_bad_z_or_r_entry_of_a_stack():
+    message = "ctp update: observation z must be finite and reliability r finite positive"
+    inputs = random_filter_stack(np.random.default_rng(8), 3)
+    cases = [(4, (row, col), v) for row in range(3) for col in range(4) for v in (np.nan, np.inf, -np.inf)]
+    cases += [(3, row, v) for row in range(3) for v in (0.0, -0.0, -0.5, np.inf, np.nan)]
+    for arg, index, value in cases:
+        bad = [a.copy() for a in inputs]
+        bad[arg][index] = value
+        before = [a.copy() for a in bad]
+        with pytest.raises(ValueError) as info:
+            ctp_update(*bad)
+        assert type(info.value) is ValueError and str(info.value) == message, (arg, index, value)
+        for got, want in zip(bad, before):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_subnormal_reliability_passes_the_guard_and_overflows_s():
+    x, p, r_mat, r, z = random_filter_stack(np.random.default_rng(9), 3)
+    r[1] = 5e-324  # positive and finite, so the guard lets it through; R / r is inf
+    with pytest.raises(FilterDegenerateError, match="not finite"):
+        ctp_update(x, p, r_mat, r, z)
+
+
 def test_reliability_rejects_out_of_range_inputs():
     with pytest.raises(ValueError):
         reliability(1.5, 0.5)
@@ -197,6 +220,12 @@ def test_update_is_bit_identical_to_the_numpy_linalg_formula(rows):
     kernels = np.linalg._umath_linalg
     assert kernels.cholesky_lo.signature == "(m,m)->(m,m)", "numpy moved np.linalg.cholesky's kernel"
     assert kernels.solve.signature == "(m,m),(m,n)->(m,n)", "numpy moved np.linalg.solve's kernel"
+    # ctp_update reads only chol[:, 0, 0]: a row the kernel cannot factor,
+    # wherever its pivot fails, comes back NaN in every entry.
+    s_mat = np.stack([np.eye(4), np.diag([1.0, -50.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, -1.0])])
+    with np.errstate(invalid="ignore"):
+        factor = kernels.cholesky_lo(s_mat, signature="d->d")
+    assert not np.isnan(factor[0]).any() and np.isnan(factor[1:]).all()
     rng = np.random.default_rng(rows)
     for _ in range(20):
         x, p, r_mat, r, z = random_filter_stack(rng, rows)

@@ -101,7 +101,13 @@ def test_generated_bytes_are_pinned_and_records_view_one_stack(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("observed", [1.0, float("nan"), 3.0, 4.0]), ("s", float("nan")), ("s", "high")],
+    [
+        ("observed", [1.0, float("nan"), 3.0, 4.0]),
+        ("s", float("nan")),
+        ("s", "high"),
+        ("observed", [1.0, 2.0, -5.0, 4.0]),
+        ("observed", [1.0, 2.0, 3.0, -0.5]),
+    ],
 )
 def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
     sc = Scenario(name="nan", frames=4, seed=2)

@@ -8,6 +8,7 @@ import pytest
 from dataclasses import asdict, replace
 
 import kalman_oracle as oracle
+from pixel_oracle import grayscale
 from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
 from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
 from xmtrack.sim import (
@@ -140,7 +141,7 @@ def test_invalid_windows_mark_frames_and_whiten_pixels():
     for t, rec in enumerate(seq.records):
         in_window = 10 <= t < 18
         assert sc.is_invalid(t) == in_window
-        white = np.count_nonzero(rec.image.grayscale() >= 250) / (64 * 64)
+        white = np.count_nonzero(grayscale(rec.image) >= 250) / (64 * 64)
         if in_window:
             assert white > 0.4
         else:

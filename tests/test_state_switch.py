@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pixel_oracle import grayscale
 from test_core import naive_max_pool
 from xmtrack.core import ShapeError, relu, sigmoid
 from xmtrack.ctp import FrameInput, TrackerSession
@@ -110,7 +111,7 @@ def test_modality_weight_is_strictly_inside_unit_interval():
 def test_grayscale_is_integer_bt601_half_up():
     # (249, 250, 250) rounds up to 250; (249, 249, 250) stays at 249
     img = Image(2, 1, 3, np.array([249, 250, 250, 249, 249, 250], dtype=np.uint8))
-    gray = img.grayscale()
+    gray = grayscale(img)
     assert gray[0, 0] == 250
     assert gray[0, 1] == 249
 
@@ -194,7 +195,7 @@ def test_classify_respects_rho_override():
 def naive_classify(img, w, rho=0.40):
     """Tri-state decision from the loop oracles: (state, m)."""
     f_in = img.features()
-    white_ratio = np.count_nonzero(img.grayscale() >= 250) / (img.width * img.height)
+    white_ratio = np.count_nonzero(grayscale(img) >= 250) / (img.width * img.height)
     conv = relu(naive_conv3x3(f_in, w.conv_w, w.conv_b))
     f_spa = naive_max_pool(conv, POOL_HW).ravel()
     f_spe = relu(w.spec_w @ f_in.mean(axis=(1, 2)) + w.spec_b)
@@ -257,7 +258,7 @@ def test_white_ratio_matches_the_grayscale_oracle():
     mono = Image(width=40, height=32, channels=1, pixels=rng.integers(0, 256, 40 * 32))
     ramp = Image(width=256, height=1, channels=1, pixels=np.arange(256))
     for img in (color, mono, ramp):
-        gray = img.grayscale()
+        gray = grayscale(img)
         want = float(np.count_nonzero(gray >= WHITE_LEVEL)) / gray.size
         assert 0.0 < want < 1.0
         assert is_over_exposed(img)[1] == want, img.channels
@@ -302,9 +303,27 @@ def test_pixel_statistics_equal_the_integer_oracle():
         Image(300, 300, 3, np.full(300 * 300 * 3, 255)),
         Image(1000, 500, 3, np.full(1000 * 500 * 3, 255, dtype=np.uint8)),
     ]
-    for img in images:
+    # At the white bound: a frame whose largest value is 249 skips the luma
+    # count (ratio 0); one pixel at 250 makes the ratio exactly 1/n; one
+    # pixel at (250, 249, 249) has luma 249,299 thousandths, so it takes the
+    # full path and is still not white.
+    below = rng.integers(0, 250, 20 * 16 * 3, dtype=np.uint8)
+    below[:3] = 249
+    bound = []  # (image, its largest value, its white ratio)
+    for channels in (1, 3):
+        n_values = 20 * 16 * channels
+        one_white = below[:n_values].copy()
+        one_white[-channels:] = 250
+        bound.append((Image(20, 16, channels, below[:n_values]), 249, 0.0))
+        bound.append((Image(20, 16, channels, one_white), 250, 1 / 320))
+    not_white = below.copy()
+    not_white[-3:] = (250, 249, 249)
+    bound.append((Image(20, 16, 3, not_white), 250, 0.0))
+    for img, top, ratio in bound:
+        assert img.pixels.max() == top and pixel_statistics(img)[0] == ratio
+    for img in images + [img for img, _, _ in bound]:
         n = img.width * img.height
-        want_ratio = float(np.count_nonzero(img.grayscale() >= WHITE_LEVEL)) / n
+        want_ratio = float(np.count_nonzero(grayscale(img) >= WHITE_LEVEL)) / n
         want_means = img.pixels.reshape(n, img.channels).sum(axis=0, dtype=np.int64) / (255.0 * n)
         ratio, means = pixel_statistics(img)
         assert ratio == want_ratio, (img.width, img.height, img.channels)
