@@ -12,7 +12,6 @@ from .core import (
     ShapeError,
     Tensor,
     adaptive_max_pool,
-    cosine_similarity,
     grad_check,
     linear,
     relu,
@@ -35,7 +34,6 @@ from .state_switch import (
 from .adapter import (
     AdapterLayerWeights,
     AdapterStack,
-    adapt,
     adapter_pair,
     apply_stack,
     layer_gate,
@@ -57,11 +55,6 @@ from .ctp import (
 from .losses import (
     EpochSchedule,
     decayed_ce_weight,
-    l1_loss,
-    modality_loss,
-    siou_loss,
-    template_sim_loss,
-    total_loss,
     tracking_loss,
 )
 from .metrics import (

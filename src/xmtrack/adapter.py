@@ -167,14 +167,14 @@ def adapter_pair(
     f_sr = as_tensor(f_sr)
     f_dyn = as_tensor(f_dyn)
     if f_sr.ndim != 2 or f_dyn.ndim != 2:
-        raise ShapeError("adapt: features must be (tokens, dim) matrices")
+        raise ShapeError("adapter_pair: features must be (tokens, dim) matrices")
     if f_sr.shape[1] != w.dim or f_dyn.shape[1] != w.dim:
         raise ShapeError(
-            f"adapt: feature dim mismatch, f_sr {f_sr.shape}, f_dyn {f_dyn.shape}, "
+            f"adapter_pair: feature dim mismatch, f_sr {f_sr.shape}, f_dyn {f_dyn.shape}, "
             f"weights expect dim {w.dim}"
         )
     if not 0.0 <= m <= 1.0:
-        raise ValueError(f"adapt: modality weight {m} outside [0, 1]")
+        raise ValueError(f"adapter_pair: modality weight {m} outside [0, 1]")
 
     hidden, active, logits, probs = _gate_head(f_sr, w)
     g = float(probs.value[0])
@@ -220,15 +220,6 @@ def adapter_pair(
     return GradPair(f_sr + c * (f_ref - f_sr), grad_fn)
 
 
-def adapt(
-    f_sr: Tensor,
-    f_dyn: Tensor,
-    m: float,
-    state: TriState,
-    w: AdapterLayerWeights,
-) -> Tensor:
-    return adapter_pair(f_sr, f_dyn, m, state, w).value
-
 
 def apply_stack(
     f_sr: Tensor,
@@ -240,5 +231,5 @@ def apply_stack(
     """Run every layer's adapter in sequence (each with its own gate)."""
     out = f_sr
     for layer in stack.layers:
-        out = adapt(out, f_dyn, m, state, layer)
+        out = adapter_pair(out, f_dyn, m, state, layer).value
     return out

@@ -132,18 +132,6 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return np.stack([by_row[:, :, c0:c1].max(axis=2) for c0, c1 in cols], axis=2)
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> float:
-    """a.b / (|a| |b|), flattening both inputs; zero norms are rejected."""
-    a = as_tensor(a).ravel()
-    b = as_tensor(b).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: lengths differ, {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine_similarity: zero-norm input")
-    return float(a @ b / (na * nb))
-
 
 # ---------------------------------------------------------------------------
 # backward closures
@@ -222,12 +210,20 @@ def attention_pair(q: Tensor, k: Tensor, v: Tensor) -> GradPair:
 
 
 def cosine_pair(a: Tensor, b: Tensor) -> GradPair:
-    """Cosine similarity with gradients w.r.t. both (flattened) vectors."""
+    """a.b / (|a| |b|) of the flattened inputs, with gradients w.r.t. both.
+
+    A zero, NaN or overflowing norm is a ``DegenerateInputError``.
+    """
     a = as_tensor(a).ravel()
     b = as_tensor(b).ravel()
-    c = cosine_similarity(a, b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"cosine_pair: lengths differ, {a.shape} vs {b.shape}")
+    with np.errstate(over="ignore"):
+        na = np.linalg.norm(a)
+        nb = np.linalg.norm(b)
+    if not (0.0 < na < np.inf and 0.0 < nb < np.inf):
+        raise DegenerateInputError(f"cosine_pair: norms {na}, {nb} not in (0, inf)")
+    c = float(a @ b / (na * nb))
 
     def grad_fn(up: Tensor) -> tuple[Tensor, Tensor]:
         u = float(up)

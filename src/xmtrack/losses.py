@@ -11,9 +11,9 @@ Three components sum into the total objective:
 End-to-end training is out of scope; the losses exist standalone so their
 values and gradients can be verified.  Each loss ``*_pair`` is a
 ``core.GradPair`` with a 0-d value and hand-derived gradients, one per
-differentiable input; each ``*_loss`` is its pair's value as a float.  The
-SIoU gradient's singular set (coincident centers, axis-aligned centers,
-equal dimensions, edge ties) is documented on ``siou_pair``.
+differentiable input.  The SIoU gradient's singular set (coincident
+centers, axis-aligned centers, equal dimensions, edge ties) is documented on
+``siou_pair``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import GradPair, Tensor, as_tensor, cosine_pair
 from .ctp import BBox
+from .state_switch import _is_int
 
 LAMBDA_L1 = 5.0
 LAMBDA_SIOU = 2.0
@@ -43,6 +44,8 @@ class EpochSchedule:
     N: int
 
     def __post_init__(self):
+        if not (_is_int(self.C) and _is_int(self.N)):
+            raise ValueError(f"EpochSchedule: epochs C={self.C!r}, N={self.N!r} must be ints")
         if self.N <= 0:
             raise ValueError(f"EpochSchedule: total epochs must be positive, got {self.N}")
         if not 0 <= self.C <= self.N:
@@ -55,23 +58,19 @@ def decayed_ce_weight(sched: EpochSchedule) -> float:
 
 def _check_boxes(who: str, *boxes: BBox):
     for b in boxes:
-        if not (b.w > 0 and b.h > 0):
-            raise ValueError(f"{who}: degenerate box w={b.w}, h={b.h}")
+        if not (all(map(math.isfinite, (b.cx, b.cy, b.w, b.h))) and b.w > 0 and b.h > 0):
+            raise ValueError(f"{who}: degenerate box {b}")
 
 
 def l1_pair(pred: BBox, gt: BBox) -> GradPair:
     """Mean absolute difference of the box coordinates; subgradient 0 at ties."""
-    _check_boxes("l1_loss", pred, gt)
+    _check_boxes("l1_pair", pred, gt)
     diff = pred.as_array() - gt.as_array()
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:
         return (float(up) * (np.sign(diff) / 4.0),)
 
     return GradPair(as_tensor(np.mean(np.abs(diff))), grad_fn)
-
-
-def l1_loss(pred: BBox, gt: BBox) -> float:
-    return float(l1_pair(pred, gt).value)
 
 
 def siou_pair(pred: BBox, gt: BBox) -> GradPair:
@@ -84,7 +83,7 @@ def siou_pair(pred: BBox, gt: BBox) -> GradPair:
     Singular set (gradient only): coincident centers (sigma = 0), dx = 0,
     dy = 0, equal widths/heights, and intersection/enclosure edge ties.
     """
-    _check_boxes("siou_loss", pred, gt)
+    _check_boxes("siou_pair", pred, gt)
     px, py, pw, ph = pred.cx, pred.cy, pred.w, pred.h
     gx, gy, gw, gh = gt.cx, gt.cy, gt.w, gt.h
     grad = np.zeros(4)
@@ -186,15 +185,11 @@ def siou_pair(pred: BBox, gt: BBox) -> GradPair:
     return GradPair(as_tensor(loss), grad_fn)
 
 
-def siou_loss(pred: BBox, gt: BBox) -> float:
-    return float(siou_pair(pred, gt).value)
-
-
 def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) -> float:
     """lambda_1 * L1 + lambda_2 * SIoU + lambda_3 * ((N-C)/N) * CE."""
     return (
-        LAMBDA_L1 * l1_loss(pred, gt)
-        + LAMBDA_SIOU * siou_loss(pred, gt)
+        LAMBDA_L1 * float(l1_pair(pred, gt).value)
+        + LAMBDA_SIOU * float(siou_pair(pred, gt).value)
         + LAMBDA_CE * decayed_ce_weight(sched) * ce_term
     )
 
@@ -212,10 +207,10 @@ def modality_pair(m: float, m_hat: float) -> GradPair:
     gradient is zero in the clamped tails; a non-finite one is rejected.
     """
     if not (0.0 <= m <= 1.0):
-        raise ValueError(f"modality_loss: target m={m} outside [0, 1]")
+        raise ValueError(f"modality_pair: target m={m} outside [0, 1]")
     m_hat = float(m_hat)
     if not math.isfinite(m_hat):
-        raise ValueError(f"modality_loss: prediction m_hat={m_hat} is not finite")
+        raise ValueError(f"modality_pair: prediction m_hat={m_hat} is not finite")
     clamped = m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP
     grad = 0.0 if clamped else ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
 
@@ -223,10 +218,6 @@ def modality_pair(m: float, m_hat: float) -> GradPair:
         return (as_tensor(float(up) * grad),)
 
     return GradPair(as_tensor(ALPHA_MODALITY * bce(m, m_hat)), grad_fn)
-
-
-def modality_loss(m: float, m_hat: float) -> float:
-    return float(modality_pair(m, m_hat).value)
 
 
 def template_sim_pair(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> GradPair:
@@ -239,11 +230,3 @@ def template_sim_pair(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> GradPai
 
     return GradPair(as_tensor(weight * (1.0 - float(cos.value))), grad_fn)
 
-
-def template_sim_loss(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> float:
-    return float(template_sim_pair(f, f_hat, sched).value)
-
-
-def total_loss(tracking_term: float, modality_term: float, template_term: float) -> float:
-    """Plain sum of the three components — no hidden scaling."""
-    return tracking_term + modality_term + template_term

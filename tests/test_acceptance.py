@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import kalman_oracle as oracle
-from xmtrack.adapter import AdapterLayerWeights, adapt, layer_gate, random_adapter_weights
+from xmtrack.adapter import AdapterLayerWeights, adapter_pair, layer_gate, random_adapter_weights
 from xmtrack.cli import main
 from xmtrack.ctp import (
     BBox,
@@ -26,7 +26,7 @@ from xmtrack.ctp import (
     turn_transition,
 )
 from xmtrack.io import save_scenario
-from xmtrack.losses import EpochSchedule, modality_loss, tracking_loss
+from xmtrack.losses import EpochSchedule, modality_pair, tracking_loss
 from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
 from xmtrack.sim import HarnessConfig, Scenario, classify_sequence, generate, run, run_ablation_suite
 from xmtrack.state_switch import Image, TriState, is_over_exposed
@@ -189,7 +189,7 @@ def test_criterion_07_adapter_bypass_identity():
         w = random_adapter_weights(rng, d=d)
         f_sr = rng.normal(size=(int(rng.integers(1, 9)), d))
         f_dyn = rng.normal(size=(int(rng.integers(1, 5)), d))
-        out = adapt(f_sr, f_dyn, float(rng.random()), TriState.RGB, w)
+        out = adapter_pair(f_sr, f_dyn, float(rng.random()), TriState.RGB, w).value
         bit_identical = bit_identical and out.tobytes() == f_sr.tobytes()
 
     d = 8
@@ -202,7 +202,7 @@ def test_criterion_07_adapter_bypass_identity():
     f_sr = rng.normal(size=(5, d))
     f_dyn = rng.normal(size=(3, d))
     gate_open = layer_gate(f_sr, w_open) == 1.0
-    out = adapt(f_sr, f_dyn, 0.0, TriState.NIR, w_open)
+    out = adapter_pair(f_sr, f_dyn, 0.0, TriState.NIR, w_open).value
     nir_identity = bool(np.max(np.abs(out - f_sr)) <= 1e-12)
     _report(
         7,
@@ -254,7 +254,7 @@ def test_criterion_10_loss_coefficients():
     gt = BBox(100.0, 100.0, 30.0, 30.0)
     start = tracking_loss(gt, gt, ce_term=1.0, sched=EpochSchedule(C=0, N=40))
     end = tracking_loss(gt, gt, ce_term=1.0, sched=EpochSchedule(C=40, N=40))
-    mod = modality_loss(1.0, 0.5)
+    mod = float(modality_pair(1.0, 0.5).value)
     _report(
         10,
         start == 2.0 and end == 0.0 and abs(mod - 2.0 * math.log(2.0)) < 1e-12,

@@ -6,7 +6,6 @@ import pytest
 from xmtrack.adapter import (
     WEIGHT_NAMES,
     AdapterLayerWeights,
-    adapt,
     adapter_pair,
     apply_stack,
     gate_hidden_dim,
@@ -39,7 +38,7 @@ def test_rgb_bypass_is_bit_identical():
         f_sr = rng.normal(size=(int(rng.integers(1, 9)), d))
         f_dyn = rng.normal(size=(int(rng.integers(1, 5)), d))
         m = float(rng.random())
-        out = adapt(f_sr, f_dyn, m, TriState.RGB, w)
+        out = adapter_pair(f_sr, f_dyn, m, TriState.RGB, w).value
         assert out.tobytes() == f_sr.tobytes()
 
 
@@ -48,7 +47,7 @@ def test_invalid_state_also_bypasses():
     w = random_adapter_weights(rng, d=6)
     f_sr = rng.normal(size=(4, 6))
     f_dyn = rng.normal(size=(2, 6))
-    out = adapt(f_sr, f_dyn, 0.9, TriState.INVALID, w)
+    out = adapter_pair(f_sr, f_dyn, 0.9, TriState.INVALID, w).value
     assert out.tobytes() == f_sr.tobytes()
 
 
@@ -66,7 +65,7 @@ def test_nir_zero_modality_weight_keeps_input():
     f_sr = rng.normal(size=(5, d))
     f_dyn = rng.normal(size=(3, d))
     assert layer_gate(f_sr, w) == 1.0
-    out = adapt(f_sr, f_dyn, 0.0, TriState.NIR, w)
+    out = adapter_pair(f_sr, f_dyn, 0.0, TriState.NIR, w).value
     np.testing.assert_allclose(out, f_sr, atol=1e-12)
 
 
@@ -86,7 +85,7 @@ def test_blend_stays_between_input_and_reference():
         f_sr = rng.normal(size=(3, 6))
         f_dyn = rng.normal(size=(2, 6))
         m = float(rng.random())
-        out = adapt(f_sr, f_dyn, m, TriState.NIR, w)
+        out = adapter_pair(f_sr, f_dyn, m, TriState.NIR, w).value
         f_ref = _reference(f_sr, f_dyn, w)
         lo = np.minimum(f_sr, f_ref) - 1e-12
         hi = np.maximum(f_sr, f_ref) + 1e-12
@@ -169,11 +168,13 @@ def test_grad_fn_returns_one_gradient_per_input_in_order(state):
 
 def test_layer_weights_reject_a_0d_q_w():
     w = random_adapter_weights(np.random.default_rng(10), d=8)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="q_w must be"):
         AdapterLayerWeights(
             q_w=np.array(1.0), k_w=w.k_w, v_w=w.v_w, gate_w1=w.gate_w1,
             gate_b1=w.gate_b1, gate_w2=w.gate_w2, gate_b2=w.gate_b2,
         )
+    with pytest.raises(ShapeError, match="adapter_pair: feature dim mismatch"):
+        adapter_pair(np.ones((3, 7)), np.ones((2, 8)), 0.5, TriState.NIR, w)
 
 
 def test_layer_weights_reject_a_nan_entry():
@@ -198,7 +199,7 @@ def test_apply_stack_composes_layers_in_order():
     m = 0.8
     manual = f_sr
     for layer in stack.layers:
-        manual = adapt(manual, f_dyn, m, TriState.NIR, layer)
+        manual = adapter_pair(manual, f_dyn, m, TriState.NIR, layer).value
     np.testing.assert_array_equal(
         apply_stack(f_sr, f_dyn, m, TriState.NIR, stack), manual
     )

@@ -13,7 +13,6 @@ from xmtrack.core import (
     adaptive_max_pool,
     attention_pair,
     cosine_pair,
-    cosine_similarity,
     grad_check,
     linear,
     linear_pair,
@@ -144,14 +143,17 @@ def test_attention_rejects_nonconforming_operands():
 
 
 def test_cosine_similarity_reference_points():
-    assert abs(cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0]))) < 1e-15
-    assert abs(cosine_similarity(np.array([2.0, 0.0]), np.array([5.0, 0.0])) - 1.0) < 1e-15
-    assert abs(cosine_similarity(np.array([1.0, 1.0]), np.array([-1.0, -1.0])) + 1.0) < 1e-15
+    assert abs(cosine_pair(np.array([1.0, 0.0]), np.array([0.0, 1.0])).value) < 1e-15
+    assert abs(cosine_pair(np.array([2.0, 0.0]), np.array([5.0, 0.0])).value - 1.0) < 1e-15
+    assert abs(cosine_pair(np.array([1.0, 1.0]), np.array([-1.0, -1.0])).value + 1.0) < 1e-15
 
 
 def test_cosine_similarity_rejects_zero_vector():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity(np.zeros(3), np.ones(3))
+    # a NaN entry gives a NaN norm and 1e200 entries overflow it; neither may warn
+    for bad in (np.zeros(3), np.array([1.0, np.nan, 1.0]), np.full(3, 1e200)):
+        for a, b in ((bad, np.ones(3)), (np.ones(3), bad)):
+            with pytest.raises(DegenerateInputError, match="cosine_pair: norms"):
+                cosine_pair(a, b)
 
 
 def test_grad_pairs_map_zero_upstream_to_zero_grads():

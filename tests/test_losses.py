@@ -10,15 +10,10 @@ from xmtrack.losses import (
     EpochSchedule,
     bce,
     decayed_ce_weight,
-    l1_loss,
     l1_pair,
-    modality_loss,
     modality_pair,
-    siou_loss,
     siou_pair,
-    template_sim_loss,
     template_sim_pair,
-    total_loss,
     tracking_loss,
 )
 
@@ -38,9 +33,9 @@ def central_diff_box(fn, box, i, h=1e-6):
 
 
 def test_l1_zero_at_match_and_quarter_per_unit_offset():
-    assert l1_loss(GT, GT) == 0.0
-    assert l1_loss(BBox(101.0, 100.0, 30.0, 30.0), GT) == 0.25
-    assert l1_loss(BBox(101.0, 99.0, 31.0, 29.0), GT) == 1.0
+    assert l1_pair(GT, GT).value == 0.0
+    assert l1_pair(BBox(101.0, 100.0, 30.0, 30.0), GT).value == 0.25
+    assert l1_pair(BBox(101.0, 99.0, 31.0, 29.0), GT).value == 1.0
 
 
 def test_l1_grad_is_quarter_sign():
@@ -53,35 +48,38 @@ def test_l1_grad_matches_central_difference():
     pred = BBox(91.0, 112.0, 26.5, 41.0)
     (grad,) = l1_pair(pred, GT).grad_fn(1.0)
     for i in range(4):
-        num = central_diff_box(lambda b: l1_loss(b, GT), pred, i)
+        num = central_diff_box(lambda b: l1_pair(b, GT).value, pred, i)
         assert abs(grad[i] - num) < 1e-8
 
 
-@pytest.mark.parametrize("w", [0.0, -5.0, float("nan")])
+@pytest.mark.parametrize("w", [0.0, -5.0, float("nan"), float("inf")])
 def test_l1_rejects_a_degenerate_box_on_either_side(w):
     bad = BBox(1.0, 1.0, w, 1.0)
-    for pred, gt in ((bad, GT), (GT, bad), (BBox(1.0, 1.0, 1.0, w), GT)):
-        with pytest.raises(ValueError):
-            l1_loss(pred, gt)
-        with pytest.raises(ValueError):
-            siou_loss(pred, gt)
+    no_center = BBox(float("nan"), 1.0, 2.0, 2.0)
+    for pred, gt in ((bad, GT), (GT, bad), (BBox(1.0, 1.0, 1.0, w), GT), (no_center, GT)):
+        with pytest.raises(ValueError, match="l1_pair: degenerate box"):
+            l1_pair(pred, gt)
+        with pytest.raises(ValueError, match="siou_pair: degenerate box"):
+            siou_pair(pred, gt)
 
 
 # --- SIoU -----------------------------------------------------------------
 
 
 def test_siou_zero_on_exact_match():
-    assert siou_loss(GT, GT) == 0.0
+    assert siou_pair(GT, GT).value == 0.0
 
 
 def test_siou_disjoint_boxes_exceed_one():
     far = BBox(400.0, 400.0, 30.0, 30.0)
-    loss = siou_loss(far, GT)
+    loss = siou_pair(far, GT).value
     assert 1.0 < loss <= 3.0  # 1 - IoU contributes its full 1
 
 
 def test_siou_grows_with_separation():
-    losses = [siou_loss(BBox(100.0 + dx, 100.0, 30.0, 30.0), GT) for dx in (0, 5, 15, 40, 80)]
+    losses = [
+        siou_pair(BBox(100.0 + dx, 100.0, 30.0, 30.0), GT).value for dx in (0, 5, 15, 40, 80)
+    ]
     assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
@@ -103,7 +101,7 @@ def test_siou_grad_matches_central_difference_generic_points():
             continue
         (grad,) = siou_pair(pred, GT).grad_fn(1.0)
         for i in range(4):
-            num = central_diff_box(lambda b: siou_loss(b, GT), pred, i)
+            num = central_diff_box(lambda b: siou_pair(b, GT).value, pred, i)
             denom = max(1e-8, abs(num))
             assert abs(grad[i] - num) / denom < 1e-4
         checked += 1
@@ -132,8 +130,8 @@ def test_tracking_loss_is_weighted_sum():
     sched = EpochSchedule(C=3, N=12)
     ce = 0.37
     expected = (
-        5.0 * l1_loss(pred, GT)
-        + 2.0 * siou_loss(pred, GT)
+        5.0 * l1_pair(pred, GT).value
+        + 2.0 * siou_pair(pred, GT).value
         + 2.0 * (1.0 - 3.0 / 12.0) * ce
     )
     assert math.isclose(tracking_loss(pred, GT, ce, sched), expected, rel_tol=1e-12)
@@ -146,6 +144,9 @@ def test_epoch_schedule_validation():
         EpochSchedule(C=-1, N=10)
     with pytest.raises(ValueError):
         EpochSchedule(C=11, N=10)
+    for c, n in ((0, float("inf")), (0.5, 2), (1, 2.5), (True, 2), (0, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            EpochSchedule(C=c, N=n)
 
 
 # --- modality loss ----------------------------------------------------------
@@ -163,29 +164,29 @@ def test_bce_clamps_instead_of_diverging():
 
 
 def test_modality_loss_doubled_bce():
-    assert abs(modality_loss(1.0, 0.5) - 2.0 * math.log(2.0)) < 1e-12
-    assert abs(modality_loss(0.0, 0.5) - 2.0 * math.log(2.0)) < 1e-12
-    assert modality_loss(1.0, 1.0) == pytest.approx(0.0, abs=1e-6)
+    assert abs(modality_pair(1.0, 0.5).value - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(modality_pair(0.0, 0.5).value - 2.0 * math.log(2.0)) < 1e-12
+    assert modality_pair(1.0, 1.0).value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_modality_loss_grad_matches_central_difference():
     for m, m_hat in ((1.0, 0.3), (0.0, 0.7), (1.0, 0.92), (0.0, 0.08)):
         h = 1e-7
-        num = (modality_loss(m, m_hat + h) - modality_loss(m, m_hat - h)) / (2 * h)
+        num = (modality_pair(m, m_hat + h).value - modality_pair(m, m_hat - h).value) / (2 * h)
         (grad,) = modality_pair(m, m_hat).grad_fn(1.0)
         assert abs(float(grad) - num) < 1e-5
 
 
 @pytest.mark.parametrize("m_hat", [float("nan"), float("inf"), float("-inf")])
 def test_modality_loss_rejects_a_non_finite_prediction(m_hat):
-    with pytest.raises(ValueError):
-        modality_loss(1.0, m_hat)
+    with pytest.raises(ValueError, match="modality_pair: prediction"):
+        modality_pair(1.0, m_hat)
 
 
 def test_modality_loss_clamps_a_finite_prediction_outside_the_unit_interval():
-    assert modality_loss(1.0, 1.5) == modality_loss(1.0, 1.0)
-    assert modality_loss(1.0, -0.5) == modality_loss(1.0, 0.0)
-    assert np.isfinite(modality_loss(1.0, -0.5))
+    assert modality_pair(1.0, 1.5).value == modality_pair(1.0, 1.0).value
+    assert modality_pair(1.0, -0.5).value == modality_pair(1.0, 0.0).value
+    assert np.isfinite(modality_pair(1.0, -0.5).value)
     for m_hat in (1.5, -0.5):
         (grad,) = modality_pair(1.0, m_hat).grad_fn(1.0)
         assert float(grad) == 0.0
@@ -199,18 +200,18 @@ def test_template_loss_cosine_reference_point():
     f_hat = np.array([1.0, 1.0])
     sched = EpochSchedule(C=0, N=10)
     expected = 2.0 * (1.0 - 1.0 / math.sqrt(2.0))
-    assert math.isclose(template_sim_loss(f, f_hat, sched), expected, rel_tol=1e-12)
+    assert math.isclose(template_sim_pair(f, f_hat, sched).value, expected, rel_tol=1e-12)
 
 
 def test_template_loss_vanishes_at_schedule_end():
     rng = np.random.default_rng(1)
     f, f_hat = rng.normal(size=6), rng.normal(size=6)
-    assert template_sim_loss(f, f_hat, EpochSchedule(C=8, N=8)) == 0.0
+    assert template_sim_pair(f, f_hat, EpochSchedule(C=8, N=8)).value == 0.0
 
 
 def test_template_loss_zero_for_parallel_features():
     f = np.array([2.0, -1.0, 0.5])
-    assert template_sim_loss(f, 3.0 * f, EpochSchedule(C=0, N=4)) == pytest.approx(
+    assert template_sim_pair(f, 3.0 * f, EpochSchedule(C=0, N=4)).value == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -224,9 +225,9 @@ def test_template_loss_grad_matches_central_difference():
     for i in range(5):
         for vec, grad in ((f, gf), (f_hat, gf_hat)):
             vec[i] += h
-            up = template_sim_loss(f, f_hat, sched)
+            up = template_sim_pair(f, f_hat, sched).value
             vec[i] -= 2 * h
-            dn = template_sim_loss(f, f_hat, sched)
+            dn = template_sim_pair(f, f_hat, sched).value
             vec[i] += h
             assert abs(grad[i] - (up - dn) / (2 * h)) < 1e-7
 
@@ -240,20 +241,12 @@ def test_loss_pairs_are_scalars_whose_grads_scale_with_the_upstream():
     pred = BBox(91.0, 112.0, 26.5, 41.0)
     sched = EpochSchedule(C=1, N=4)
     cases = [
-        (l1_pair(pred, GT), l1_loss(pred, GT)),
-        (siou_pair(pred, GT), siou_loss(pred, GT)),
-        (modality_pair(0.0, 0.7), modality_loss(0.0, 0.7)),
-        (template_sim_pair(f, f_hat, sched), template_sim_loss(f, f_hat, sched)),
+        l1_pair(pred, GT),
+        siou_pair(pred, GT),
+        modality_pair(0.0, 0.7),
+        template_sim_pair(f, f_hat, sched),
     ]
-    for pair, value in cases:
-        assert np.shape(pair.value) == () and float(pair.value) == value
+    for pair in cases:
+        assert np.shape(pair.value) == ()
         for g1, g3 in zip(pair.grad_fn(1.0), pair.grad_fn(np.asarray(-3.0))):
             np.testing.assert_allclose(g3, -3.0 * np.asarray(g1), rtol=1e-15)
-
-
-# --- total -------------------------------------------------------------------
-
-
-def test_total_loss_is_plain_sum():
-    assert total_loss(1.25, 0.5, 0.125) == 1.875
-    assert total_loss(0.0, 0.0, 0.0) == 0.0
