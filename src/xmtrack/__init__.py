@@ -13,10 +13,7 @@ from .core import (
     Tensor,
     adaptive_max_pool,
     grad_check,
-    linear,
     relu,
-    sigmoid,
-    softmax,
 )
 from .state_switch import (
     Image,
@@ -36,7 +33,6 @@ from .adapter import (
     AdapterStack,
     adapter_pair,
     apply_stack,
-    layer_gate,
 )
 from .ctp import (
     BBox,
@@ -61,8 +57,6 @@ from .metrics import (
     TrackRun,
     cle,
     iou,
-    precision_rate,
-    success_rate,
     tag_breakdown,
 )
 from .sim import (

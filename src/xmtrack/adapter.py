@@ -121,22 +121,6 @@ def random_adapter_stack(
     return AdapterStack([random_adapter_weights(rng, d) for _ in range(layers)])
 
 
-def _gate_head(f_sr: Tensor, w: AdapterLayerWeights) -> list[GradPair]:
-    """Token mean -> linear -> relu -> linear -> softmax, as a chain of pairs."""
-    hidden = linear_pair(f_sr.mean(axis=0), w.gate_w1, w.gate_b1)
-    active = relu_pair(hidden.value)
-    logits = linear_pair(active.value, w.gate_w2, w.gate_b2)
-    return [hidden, active, logits, softmax_pair(logits.value)]
-
-
-def layer_gate(f_sr: Tensor, w: AdapterLayerWeights) -> float:
-    """Scalar gate in (0,1): mean over tokens -> MLP -> 2-logit softmax[0]."""
-    f_sr = as_tensor(f_sr)
-    if f_sr.ndim != 2 or f_sr.shape[0] < 1:
-        raise ShapeError(f"layer_gate: expected (T, d) with T >= 1, got {f_sr.shape}")
-    return float(_gate_head(f_sr, w)[-1].value[0])
-
-
 def adapter_pair(
     f_sr: Tensor,
     f_dyn: Tensor,
@@ -166,8 +150,11 @@ def adapter_pair(
 
     f_sr = as_tensor(f_sr)
     f_dyn = as_tensor(f_dyn)
-    if f_sr.ndim != 2 or f_dyn.ndim != 2:
-        raise ShapeError("adapter_pair: features must be (tokens, dim) matrices")
+    if f_sr.ndim != 2 or f_dyn.ndim != 2 or min(len(f_sr), len(f_dyn)) < 1:
+        raise ShapeError(
+            f"adapter_pair: features must be (tokens, dim) matrices with at least one token, "
+            f"got f_sr {f_sr.shape}, f_dyn {f_dyn.shape}"
+        )
     if f_sr.shape[1] != w.dim or f_dyn.shape[1] != w.dim:
         raise ShapeError(
             f"adapter_pair: feature dim mismatch, f_sr {f_sr.shape}, f_dyn {f_dyn.shape}, "
@@ -176,7 +163,11 @@ def adapter_pair(
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"adapter_pair: modality weight {m} outside [0, 1]")
 
-    hidden, active, logits, probs = _gate_head(f_sr, w)
+    # gate head: token mean -> linear -> relu -> linear -> softmax, g = probs[0]
+    hidden = linear_pair(f_sr.mean(axis=0), w.gate_w1, w.gate_b1)
+    active = relu_pair(hidden.value)
+    logits = linear_pair(active.value, w.gate_w2, w.gate_b2)
+    probs = softmax_pair(logits.value)
     g = float(probs.value[0])
 
     # cross attention against the dynamic template

@@ -2,12 +2,14 @@
 
 Everything operates on plain float64 numpy arrays (aliased ``Tensor``).  The
 operator set is the minimum the rest of the toolkit needs: affine maps,
-relu/sigmoid, numerically stable softmax, adaptive max pooling, single-head
-scaled dot-product attention and cosine similarity.  Each
-differentiable op returns a ``GradPair``, its value with a hand-derived
-vector-Jacobian product; ``adapter.adapter_pair`` composes these into one
-more pair, and the losses are pairs too.  ``grad_check`` is the one harness
-that ties any pair's forward and backward together via central differences.
+relu/sigmoid, numerically stable softmax, single-head scaled dot-product
+attention and cosine similarity, each a ``*_pair`` that returns a
+``GradPair``, its value with a hand-derived vector-Jacobian product;
+``adapter.adapter_pair`` composes these into one more pair, and the losses
+are pairs too.  The tri-state switch runs without gradients, so ``relu``,
+``scalar_sigmoid`` and ``adaptive_max_pool`` are plain forward functions.
+``grad_check`` is the one harness that ties any pair's forward and backward
+together via central differences.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.
@@ -51,57 +53,20 @@ class GradPair:
 
 
 # ---------------------------------------------------------------------------
-# forward ops
+# forward-only ops, for inference code that needs no gradient
 # ---------------------------------------------------------------------------
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map y = x W^T + b.
-
-    ``w`` has shape (out, in); ``x`` is a single vector (in,) or a stack of
-    row vectors (T, in).
-    """
-    x = as_tensor(x)
-    w = as_tensor(w)
-    b = as_tensor(b)
-    if w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise ShapeError(
-            f"linear: x {x.shape}, w {w.shape}, b {b.shape} do not conform"
-        )
-    return x @ w.T + b
 
 
 def relu(x: Tensor) -> Tensor:
     return np.maximum(as_tensor(x), 0.0)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, split by sign so exp never overflows."""
-    x = as_tensor(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def scalar_sigmoid(x: float) -> float:
-    """``sigmoid`` of one float, bit for bit: same split by sign, same ``np.exp``."""
+    """``sigmoid_pair``'s value at one float, bit for bit: same split by sign, same ``np.exp``."""
     if x >= 0.0:
         return float(1.0 / (1.0 + np.exp(-x)))
     ex = np.exp(x)
     return float(ex / (1.0 + ex))
-
-
-def softmax(v: Tensor) -> Tensor:
-    """Stable softmax along the last axis (max subtraction before exponentiation)."""
-    v = as_tensor(v)
-    if v.size == 0 or v.shape[-1] == 0:
-        raise ShapeError("softmax: empty axis")
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _pool_windows(n_in: int, n_out: int) -> list[tuple[int, int]]:
@@ -134,13 +99,22 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward closures
+# differentiable ops: value plus backward closure
 # ---------------------------------------------------------------------------
 
 
 def linear_pair(x: Tensor, w: Tensor, b: Tensor) -> GradPair:
+    """Affine map y = x W^T + b.
+
+    ``w`` has shape (out, in); ``x`` is a single vector (in,) or a stack of
+    row vectors (T, in).
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    value = linear(x, w, b)
+    if w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ShapeError(
+            f"linear_pair: x {x.shape}, w {w.shape}, b {b.shape} do not conform"
+        )
+    value = x @ w.T + b
 
     def grad_fn(up: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         up = as_tensor(up)
@@ -163,7 +137,13 @@ def relu_pair(x: Tensor) -> GradPair:
 
 
 def sigmoid_pair(x: Tensor) -> GradPair:
-    s = sigmoid(x)
+    """Logistic function, split by sign so exp never overflows."""
+    x = as_tensor(x)
+    s = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:
         return (as_tensor(up) * s * (1.0 - s),)
@@ -172,7 +152,12 @@ def sigmoid_pair(x: Tensor) -> GradPair:
 
 
 def softmax_pair(x: Tensor) -> GradPair:
-    y = softmax(x)
+    """Stable softmax along the last axis (max subtraction before exponentiation)."""
+    x = as_tensor(x)
+    if x.size == 0 or x.shape[-1] == 0:
+        raise ShapeError("softmax_pair: empty axis")
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:
         up = as_tensor(up)

@@ -319,9 +319,12 @@ class FilterBank:
     def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
         if not len(b0) == len(frame_size) == len(configs) > 0:
             raise ValueError("FilterBank: need one initial box, frame size and config per row")
-        size = np.array(frame_size, dtype=np.float64)
-        if size.shape != (len(configs), 2) or not (size > 0).all():
-            raise ValueError(f"FilterBank: frame sizes {frame_size} are not positive (width, height) pairs")
+        try:
+            size = np.array(frame_size, dtype=np.float64)
+        except OverflowError:  # an int past the float range
+            size = np.full((len(configs), 2), np.inf)
+        if size.shape != (len(configs), 2) or not ((size > 0) & (size < np.inf)).all():
+            raise ValueError(f"FilterBank: frame sizes {frame_size} are not finite, positive (width, height) pairs")
         self.x = np.stack([box2state(b) for b in b0])
         self.P = np.stack([np.diag(c.p0_diag) for c in configs])
         rates = [c.motion.turn_rate if c.motion.kind == MotionKind.COORDINATED_TURN else 0.0 for c in configs]

@@ -2,11 +2,12 @@
 
 Three components sum into the total objective:
 
-* tracking loss: 5 * L1 + 2 * SIoU + 2 * ((N-C)/N) * CE, where the CE value
-  arrives as an externally computed scalar and only its decayed weight is
-  applied here;
-* modality loss: 2 * binary cross-entropy on the predicted modality weight;
-* template similarity loss: 2 * ((N-C)/N) * (1 - cosine similarity).
+* ``tracking_loss``: 5 * L1 + 2 * SIoU + 2 * ((N-C)/N) * CE, where the CE
+  value arrives as an externally computed scalar and only its decayed
+  weight is applied here;
+* ``modality_pair``: 2 * binary cross-entropy on the predicted modality
+  weight;
+* ``template_sim_pair``: 2 * ((N-C)/N) * (1 - cosine similarity).
 
 End-to-end training is out of scope; the losses exist standalone so their
 values and gradients can be verified.  Each loss ``*_pair`` is a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -186,7 +188,12 @@ def siou_pair(pred: BBox, gt: BBox) -> GradPair:
 
 
 def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) -> float:
-    """lambda_1 * L1 + lambda_2 * SIoU + lambda_3 * ((N-C)/N) * CE."""
+    """lambda_1 * L1 + lambda_2 * SIoU + lambda_3 * ((N-C)/N) * CE.
+
+    ``ce_term`` is a cross-entropy, so a finite, non-negative real number.
+    """
+    if isinstance(ce_term, bool) or not isinstance(ce_term, Real) or not 0.0 <= ce_term < math.inf:
+        raise ValueError(f"tracking_loss: ce_term={ce_term!r} is not a finite, non-negative number")
     return (
         LAMBDA_L1 * float(l1_pair(pred, gt).value)
         + LAMBDA_SIOU * float(siou_pair(pred, gt).value)
@@ -194,17 +201,12 @@ def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) ->
     )
 
 
-def bce(target: float, prob: float) -> float:
-    """Binary cross-entropy with the probability clamped to [1e-7, 1 - 1e-7]."""
-    p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
-
-
 def modality_pair(m: float, m_hat: float) -> GradPair:
     """alpha * BCE(true modality, predicted modality weight), with d/d m_hat.
 
-    A finite ``m_hat`` outside [0, 1] clamps like any probability, and the
-    gradient is zero in the clamped tails; a non-finite one is rejected.
+    BCE clamps the probability to [1e-7, 1 - 1e-7].  A finite ``m_hat``
+    outside [0, 1] clamps like any probability, and the gradient is zero in
+    the clamped tails; a non-finite one is rejected.
     """
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modality_pair: target m={m} outside [0, 1]")
@@ -213,11 +215,13 @@ def modality_pair(m: float, m_hat: float) -> GradPair:
         raise ValueError(f"modality_pair: prediction m_hat={m_hat} is not finite")
     clamped = m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP
     grad = 0.0 if clamped else ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
+    p = min(max(m_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    bce = -(m * math.log(p) + (1.0 - m) * math.log(1.0 - p))
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:
         return (as_tensor(float(up) * grad),)
 
-    return GradPair(as_tensor(ALPHA_MODALITY * bce(m, m_hat)), grad_fn)
+    return GradPair(as_tensor(ALPHA_MODALITY * bce), grad_fn)
 
 
 def template_sim_pair(f: Tensor, f_hat: Tensor, sched: EpochSchedule) -> GradPair:

@@ -7,9 +7,10 @@ exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
 The rates are array expressions: ``cle_array`` and ``iou_array`` score
 ``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, each in its scalar
 twin's operation order, so a frame scores the same bits either way.
-``hit_masks`` is the one place that applies both thresholds to them; PR/SR,
-``tag_breakdown`` and the ablation count its hits.  The scalar ``cle`` and
-``iou`` stay as the per-box API and the tests' oracle.
+``hit_masks`` is the one place that applies both thresholds to them;
+``tag_breakdown`` and the ablation count its hits.  A run's overall PR/SR is
+``tag_breakdown(run)["all"]``.  The scalar ``cle`` and ``iou`` stay as the
+per-box API and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -108,18 +109,6 @@ class TrackRun:
 
     def __len__(self) -> int:
         return len(self.pred)
-
-
-def precision_rate(run: TrackRun) -> float:
-    """Percentage of the run's frames that ``hit_masks`` counts as PR hits."""
-    pr_hits, _ = hit_masks(box_array(run.pred), box_array(run.gt))
-    return 100.0 * int(np.count_nonzero(pr_hits)) / len(run)
-
-
-def success_rate(run: TrackRun) -> float:
-    """Percentage of the run's frames that ``hit_masks`` counts as SR hits."""
-    _, sr_hits = hit_masks(box_array(run.pred), box_array(run.gt))
-    return 100.0 * int(np.count_nonzero(sr_hits)) / len(run)
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ INVALID_WHITE_FRACTION = 0.94
 TARGET_BOOST = 40.0
 
 MODALITIES = ("rgb", "nir")
-# Far beyond any frame and far inside the float range: a scenario whose path
-# and observation noise stay below it renders and observes finite boxes.
+# Far beyond any frame and far inside the float range: a scenario whose frame,
+# path and observation noise stay below it renders and observes finite boxes.
 MAX_COORD = 1e9
 # Largest rendered image, 4096 x 4096 pixels.
 MAX_IMAGE_PIXELS = 1 << 24
@@ -136,6 +136,7 @@ class Scenario:
         path = max(abs(cx), abs(cy), w, h) + math.hypot(*self.velocity) * min(self.frames, MAX_COORD)
         for ok, rule in (
             (w > 0 and h > 0, "a positive initial_box width and height"),
+            (max(self.frame_width, self.frame_height) <= MAX_COORD, f"frame sizes <= {MAX_COORD:g} px"),
             (self.image_width * self.image_height <= MAX_IMAGE_PIXELS, f"<= {MAX_IMAGE_PIXELS} image pixels"),
             (self.sigma >= 0, "sigma >= 0"),
             (self.switch_noise_boost >= 1.0, "switch_noise_boost >= 1"),

@@ -20,8 +20,8 @@ largest channel, so below that no pixel can be white and the ratio is 0.
 plan runs the spatial branch's conv.
 
 The classifier here is inference-only: weights are built in code, by
-``separator_switch_weights``, ``random_switch_weights`` or the
-``SwitchWeights`` constructor; training is out of scope.
+``separator_switch_weights`` or the ``SwitchWeights`` constructor; training
+is out of scope.
 """
 
 from __future__ import annotations
@@ -186,26 +186,6 @@ class SwitchWeights:
     @property
     def channels(self) -> int:
         return self.conv_w.shape[0]
-
-
-def random_switch_weights(rng: np.random.Generator) -> SwitchWeights:
-    """Seeded random initializer (scale 0.1) for property tests."""
-    c = FRAME_CHANNELS
-    fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
-
-    def init(*shape):
-        return 0.1 * rng.standard_normal(shape)
-
-    return SwitchWeights(
-        conv_w=init(c, c, 3, 3),
-        conv_b=init(c),
-        spec_w=init(SPECTRAL_HIDDEN, c),
-        spec_b=init(SPECTRAL_HIDDEN),
-        fuse1_w=init(FUSION_HIDDEN, fused_in),
-        fuse1_b=init(FUSION_HIDDEN),
-        fuse2_w=init(1, FUSION_HIDDEN),
-        fuse2_b=init(1),
-    )
 
 
 def separator_switch_weights() -> SwitchWeights:

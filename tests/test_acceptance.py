@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+import gate_oracle
 import kalman_oracle as oracle
-from xmtrack.adapter import AdapterLayerWeights, adapter_pair, layer_gate, random_adapter_weights
+from xmtrack.adapter import AdapterLayerWeights, adapter_pair, random_adapter_weights
 from xmtrack.cli import main
 from xmtrack.ctp import (
     BBox,
@@ -27,7 +28,7 @@ from xmtrack.ctp import (
 )
 from xmtrack.io import save_scenario
 from xmtrack.losses import EpochSchedule, modality_pair, tracking_loss
-from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
+from xmtrack.metrics import TrackRun, cle, iou, tag_breakdown
 from xmtrack.sim import HarnessConfig, Scenario, classify_sequence, generate, run, run_ablation_suite
 from xmtrack.state_switch import Image, TriState, is_over_exposed
 from xmtrack.verify import GRAD_TOL, gradient_report
@@ -201,7 +202,7 @@ def test_criterion_07_adapter_bypass_identity():
     )
     f_sr = rng.normal(size=(5, d))
     f_dyn = rng.normal(size=(3, d))
-    gate_open = layer_gate(f_sr, w_open) == 1.0
+    gate_open = gate_oracle.gate(f_sr, w_open) == 1.0
     out = adapter_pair(f_sr, f_dyn, 0.0, TriState.NIR, w_open).value
     nir_identity = bool(np.max(np.abs(out - f_sr)) <= 1e-12)
     _report(
@@ -238,8 +239,8 @@ def test_criterion_09_metrics_exactness(fixtures_dir: Path):
         gt=[BBox(*g) for g in data["gt"]],
         tags=data["tags"],
     )
-    pr = precision_rate(run_)
-    sr = success_rate(run_)
+    row = tag_breakdown(run_)["all"]
+    pr, sr = row.pr, row.sr
     boundary_iou = iou(run_.pred[3], run_.gt[3])
     boundary_cle = cle(run_.pred[4], run_.gt[4])
     _report(

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import gate_oracle
 from xmtrack.adapter import (
     WEIGHT_NAMES,
     AdapterLayerWeights,
     adapter_pair,
     apply_stack,
     gate_hidden_dim,
-    layer_gate,
     random_adapter_stack,
     random_adapter_weights,
 )
@@ -64,18 +64,23 @@ def test_nir_zero_modality_weight_keeps_input():
     )
     f_sr = rng.normal(size=(5, d))
     f_dyn = rng.normal(size=(3, d))
-    assert layer_gate(f_sr, w) == 1.0
+    assert gate_oracle.gate(f_sr, w) == 1.0
     out = adapter_pair(f_sr, f_dyn, 0.0, TriState.NIR, w).value
     np.testing.assert_allclose(out, f_sr, atol=1e-12)
 
 
 def test_gate_is_a_probability():
     rng = np.random.default_rng(3)
+    dyn_rng = np.random.default_rng(30)  # its own stream, so rng alone picks the gate cases
     for _ in range(20):
         w = random_adapter_weights(rng, d=8)
         f_sr = rng.normal(size=(4, 8))
-        g = layer_gate(f_sr, w)
+        g = gate_oracle.gate(f_sr, w)
         assert 0.0 < g < 1.0
+        # the adapter blends with this gate: at m = 1, out = f_sr + g * (f_ref - f_sr)
+        f_dyn = dyn_rng.normal(size=(2, 8))
+        out = adapter_pair(f_sr, f_dyn, 1.0, TriState.NIR, w).value
+        np.testing.assert_allclose(out, f_sr + g * (_reference(f_sr, f_dyn, w) - f_sr), atol=1e-12)
 
 
 def test_blend_stays_between_input_and_reference():
@@ -123,7 +128,7 @@ def test_hand_computed_gradients_on_scalar_toy():
     f_dyn = np.array([[y]])
     pair = adapter_pair(f_sr, f_dyn, m, TriState.NIR, w)
     g = 0.5
-    assert abs(layer_gate(f_sr, w) - g) < 1e-15
+    assert abs(gate_oracle.gate(f_sr, w) - g) < 1e-15
     assert abs(pair.value[0, 0] - (x + g * m * (c * y - x))) < 1e-12
 
     d_f_sr, d_f_dyn, d_q_w, d_k_w, d_v_w, _, _, d_gate_w2, _ = pair.grad_fn(np.ones((1, 1)))
@@ -175,6 +180,9 @@ def test_layer_weights_reject_a_0d_q_w():
         )
     with pytest.raises(ShapeError, match="adapter_pair: feature dim mismatch"):
         adapter_pair(np.ones((3, 7)), np.ones((2, 8)), 0.5, TriState.NIR, w)
+    for f_sr, f_dyn in ((np.ones((0, 8)), np.ones((2, 8))), (np.ones((3, 8)), np.ones((0, 8)))):
+        with pytest.raises(ShapeError, match="at least one token"):
+            adapter_pair(f_sr, f_dyn, 0.5, TriState.NIR, w)
 
 
 def test_layer_weights_reject_a_nan_entry():

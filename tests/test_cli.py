@@ -175,6 +175,14 @@ def test_readme_lists_every_config_key():
     assert set(re.findall(r"`(\w+)`", listing)) == CONFIG_KEYS
 
 
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("MetricRow(pr=")
+
+
 def test_track_honors_config_file(tmp_path, turning_sequence):
     assert set(CONFIG_CHANGES) == CONFIG_KEYS
     base = _track(turning_sequence, tmp_path / "base.json")
@@ -513,6 +521,9 @@ BAD_SCENARIOS = {
     "image_past_the_pixel_cap": ({"image_width": 10**30}, []),
     "frame_stack_past_the_byte_cap": ({"frames": 2**40, "velocity": [0.0, 0.0]}, []),
     "sigma_past_the_float_range": ({"sigma": 10**400}, []),
+    "frame_width_past_the_float_range": ({"frame_width": 10**400}, []),
+    "frame_height_past_the_float_range": ({"frame_height": 10**400}, []),
+    "frame_width_past_max_coord": ({"frame_width": 10**310}, []),
 }
 
 
@@ -545,6 +556,25 @@ def test_scenario_that_is_not_a_json_object_exits_2_with_one_line(tmp_path, sequ
         shutil.copyfile(frames_path(sequence_file), frames_path(bad))
     capsys.readouterr()
     assert main([command, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["frame_width", "frame_height"])
+def test_sequence_header_with_a_frame_size_past_the_float_range_exits_2_with_one_line(
+    tmp_path, sequence_file, field, capsys
+):
+    lines = sequence_file.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["scenario"][field] = 10**310
+    lines[0] = json.dumps(header)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(frames_path(sequence_file), frames_path(bad))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["track", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and str(bad) in err
     assert not out.exists()

@@ -649,8 +649,11 @@ def test_bank_rejects_misshapen_setup():
         FilterBank([BBox(1, 1, 1, 1)], [(512.0, 512.0)], [cfg, cfg])
     with pytest.raises(ValueError):
         FilterBank([], [], [])
-    with pytest.raises(ValueError):
-        FilterBank([BBox(1, 1, 1, 1)], [(0.0, 512.0)], [cfg])
+    for size in ((0.0, 512.0), (np.inf, 512.0), (512.0, np.nan), (10**310, 512)):
+        with pytest.raises(ValueError, match="not finite, positive"):
+            FilterBank([BBox(1, 1, 1, 1)], [size], [cfg])
+    with pytest.raises(ValueError, match="not finite, positive"):
+        TrackerSession(BBox(1, 1, 1, 1), np.inf, 512.0)
 
 
 def test_covariance_stays_symmetric_psd_at_the_reliability_floor_and_past_the_cap():

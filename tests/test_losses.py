@@ -7,8 +7,8 @@ import pytest
 
 from xmtrack.ctp import BBox
 from xmtrack.losses import (
+    ALPHA_MODALITY,
     EpochSchedule,
-    bce,
     decayed_ce_weight,
     l1_pair,
     modality_pair,
@@ -137,6 +137,22 @@ def test_tracking_loss_is_weighted_sum():
     assert math.isclose(tracking_loss(pred, GT, ce, sched), expected, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ce_term, sched",
+    [
+        (float("nan"), EpochSchedule(C=0, N=4)),
+        (float("inf"), EpochSchedule(C=4, N=4)),  # weight 0: 0 * inf is NaN
+        (-3.0, EpochSchedule(C=0, N=4)),
+        (True, EpochSchedule(C=0, N=4)),
+    ],
+    ids=["nan", "inf", "negative", "bool"],
+)
+def test_tracking_loss_rejects_a_ce_term_that_is_not_a_finite_non_negative_number(ce_term, sched):
+    box = BBox(10.0, 10.0, 5.0, 5.0)
+    with pytest.raises(ValueError, match="tracking_loss: ce_term"):
+        tracking_loss(box, box, ce_term, sched)
+
+
 def test_epoch_schedule_validation():
     with pytest.raises(ValueError):
         EpochSchedule(C=5, N=0)
@@ -152,15 +168,19 @@ def test_epoch_schedule_validation():
 # --- modality loss ----------------------------------------------------------
 
 
+def _bce(target, prob):
+    return float(modality_pair(target, prob).value) / ALPHA_MODALITY
+
+
 def test_bce_reference_values():
-    assert math.isclose(bce(1.0, 0.5), math.log(2.0), rel_tol=1e-12)
-    assert math.isclose(bce(0.0, 0.5), math.log(2.0), rel_tol=1e-12)
-    assert math.isclose(bce(1.0, 0.9), -math.log(0.9), rel_tol=1e-12)
+    assert math.isclose(_bce(1.0, 0.5), math.log(2.0), rel_tol=1e-12)
+    assert math.isclose(_bce(0.0, 0.5), math.log(2.0), rel_tol=1e-12)
+    assert math.isclose(_bce(1.0, 0.9), -math.log(0.9), rel_tol=1e-12)
 
 
 def test_bce_clamps_instead_of_diverging():
-    assert np.isfinite(bce(1.0, 0.0))
-    assert np.isfinite(bce(0.0, 1.0))
+    assert np.isfinite(_bce(1.0, 0.0))
+    assert np.isfinite(_bce(0.0, 1.0))
 
 
 def test_modality_loss_doubled_bce():

@@ -20,10 +20,13 @@ from xmtrack.metrics import (
     iou_array,
     metrics_csv,
     metrics_summary,
-    precision_rate,
-    success_rate,
     tag_breakdown,
 )
+
+
+def _all(run: TrackRun) -> MetricRow:
+    """PR/SR over every frame of the run."""
+    return tag_breakdown(run)["all"]
 
 
 def test_cle_is_euclidean_center_distance():
@@ -67,8 +70,8 @@ def _load_fixture(fixtures_dir: Path) -> TrackRun:
 
 def test_ten_frame_fixture_hand_counts(fixtures_dir):
     run = _load_fixture(fixtures_dir)
-    assert precision_rate(run) == 70.0
-    assert success_rate(run) == 60.0
+    assert _all(run).pr == 70.0
+    assert _all(run).sr == 60.0
 
 
 def test_fixture_boundary_frames_are_exact_and_excluded(fixtures_dir):
@@ -78,20 +81,20 @@ def test_fixture_boundary_frames_are_exact_and_excluded(fixtures_dir):
     # frame 4: CLE is exactly 20 -> misses PR
     assert cle(run.pred[4], run.gt[4]) == 20.0
     single_iou = TrackRun(pred=[run.pred[3]], gt=[run.gt[3]])
-    assert success_rate(single_iou) == 0.0
-    assert precision_rate(single_iou) == 100.0
+    assert _all(single_iou).sr == 0.0
+    assert _all(single_iou).pr == 100.0
     single_cle = TrackRun(pred=[run.pred[4]], gt=[run.gt[4]])
-    assert precision_rate(single_cle) == 0.0
+    assert _all(single_cle).pr == 0.0
 
 
 def test_strictness_on_all_boundary_runs():
     # every frame exactly on the threshold counts as a miss
     pred = [BBox(112.0, 116.0, 30.0, 30.0)] * 5  # CLE 20 each
     gt = [BBox(100.0, 100.0, 30.0, 30.0)] * 5
-    assert precision_rate(TrackRun(pred=pred, gt=gt)) == 0.0
+    assert _all(TrackRun(pred=pred, gt=gt)).pr == 0.0
     half = [BBox(10.0, 10.0, 2.0, 1.0)] * 5  # contained, IoU exactly 0.5
     full = [BBox(10.0, 10.0, 2.0, 2.0)] * 5
-    assert success_rate(TrackRun(pred=half, gt=full)) == 0.0
+    assert _all(TrackRun(pred=half, gt=full)).sr == 0.0
 
 
 def test_rates_invariant_under_frame_reordering(fixtures_dir):
@@ -105,14 +108,14 @@ def test_rates_invariant_under_frame_reordering(fixtures_dir):
             gt=[run.gt[i] for i in order],
             tags=[run.tags[i] for i in order],
         )
-        assert precision_rate(shuffled) == precision_rate(run)
-        assert success_rate(shuffled) == success_rate(run)
+        assert _all(shuffled).pr == _all(run).pr
+        assert _all(shuffled).sr == _all(run).sr
 
 
 def test_rates_live_in_percent_range(fixtures_dir):
     run = _load_fixture(fixtures_dir)
-    assert 0.0 <= precision_rate(run) <= 100.0
-    assert 0.0 <= success_rate(run) <= 100.0
+    assert 0.0 <= _all(run).pr <= 100.0
+    assert 0.0 <= _all(run).sr <= 100.0
 
 
 def test_tag_breakdown_partitions_the_all_row(fixtures_dir):
@@ -131,7 +134,7 @@ def test_tag_breakdown_partitions_the_all_row(fixtures_dir):
 
 def test_empty_run_rejected():
     with pytest.raises(ValueError):
-        precision_rate(TrackRun(pred=[], gt=[]))
+        tag_breakdown(TrackRun(pred=[], gt=[]))
 
 
 def test_mismatched_lengths_rejected():
@@ -244,8 +247,8 @@ def test_array_rates_count_the_scalar_oracle_hits():
     assert np.count_nonzero(cle_array(pred, gt) < 20.0) == pr_hits
     assert np.count_nonzero(iou_array(pred, gt) > 0.5) == sr_hits
     run = TrackRun(pred=[p for p, _ in pairs], gt=[g for _, g in pairs])
-    assert precision_rate(run) == 100.0 * pr_hits / len(pairs)
-    assert success_rate(run) == 100.0 * sr_hits / len(pairs)
+    assert _all(run).pr == 100.0 * pr_hits / len(pairs)
+    assert _all(run).sr == 100.0 * sr_hits / len(pairs)
     # (rows, T, 4) tracks against one (T, 4) ground truth, as the ablation scores them
     tracks = np.stack([pred, gt, pred[::-1]])
     want = [sum(cle(BBox(*p), BBox(*g)) < 20.0 for p, g in zip(t.tolist(), gt.tolist())) for t in tracks]
@@ -277,4 +280,4 @@ def test_array_iou_rejects_negative_dimensions(side):
     with pytest.raises(ValueError):
         iou_array(bad, pred)
     with pytest.raises(ValueError):
-        success_rate(TrackRun(pred=[BBox(*b) for b in pred.tolist()], gt=[BBox(*b) for b in bad.tolist()]))
+        tag_breakdown(TrackRun(pred=[BBox(*b) for b in pred.tolist()], gt=[BBox(*b) for b in bad.tolist()]))

@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import kalman_oracle as oracle
 from pixel_oracle import grayscale
 from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
-from xmtrack.metrics import TrackRun, cle, iou, precision_rate, success_rate
+from xmtrack.metrics import TrackRun, cle, iou, tag_breakdown
 from xmtrack.sim import (
     FILTER_PRESETS,
     MAX_STACK_BYTES,
@@ -434,11 +434,11 @@ def test_lockstep_ablation_matches_one_session_per_track(seed):
         for j, want in enumerate(tracks[preset]):
             np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
     pooled = {
-        preset: TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt)
+        preset: tag_breakdown(TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt))["all"]
         for preset, trs in tracks.items()
     }
     assert run_ablation_suite(seed) == {
-        preset: {"PR": precision_rate(tr), "SR": success_rate(tr)} for preset, tr in pooled.items()
+        preset: {"PR": row.pr, "SR": row.sr} for preset, row in pooled.items()
     }
 
 
@@ -507,6 +507,6 @@ def test_filters_track_well_on_clean_straight_path():
     seq = generate(_straight(frames=60, seed=9))
     for preset in ("kf", "ekf", "ctp"):
         tr = run(seq, HarnessConfig(motion=preset))
-        assert success_rate(tr) > 90.0
+        assert tag_breakdown(tr)["all"].sr > 90.0
         late = [cle(p, g) for p, g in zip(tr.pred[20:], tr.gt[20:])]
         assert np.median(late) < 8.0

@@ -7,11 +7,14 @@ import pytest
 
 from pixel_oracle import grayscale
 from test_core import naive_max_pool
-from xmtrack.core import ShapeError, relu, sigmoid
+from xmtrack.core import ShapeError, relu, sigmoid_pair
 from xmtrack.ctp import FrameInput, TrackerSession
 from xmtrack.sim import Scenario, classify_sequence, generate
 from xmtrack.state_switch import (
+    FRAME_CHANNELS,
+    FUSION_HIDDEN,
     POOL_HW,
+    SPECTRAL_HIDDEN,
     WHITE_LEVEL,
     Image,
     SwitchWeights,
@@ -21,11 +24,30 @@ from xmtrack.state_switch import (
     is_over_exposed,
     modality_weight,
     pixel_statistics,
-    random_switch_weights,
     separator_switch_weights,
     spatial_branch,
     spectral_branch,
 )
+
+
+def random_switch_weights(rng: np.random.Generator) -> SwitchWeights:
+    """Seeded random initializer (scale 0.1) for property tests."""
+    c = FRAME_CHANNELS
+    fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
+
+    def init(*shape):
+        return 0.1 * rng.standard_normal(shape)
+
+    return SwitchWeights(
+        conv_w=init(c, c, 3, 3),
+        conv_b=init(c),
+        spec_w=init(SPECTRAL_HIDDEN, c),
+        spec_b=init(SPECTRAL_HIDDEN),
+        fuse1_w=init(FUSION_HIDDEN, fused_in),
+        fuse1_b=init(FUSION_HIDDEN),
+        fuse2_w=init(1, FUSION_HIDDEN),
+        fuse2_b=init(1),
+    )
 
 
 def naive_conv3x3(x, w, b):
@@ -200,7 +222,7 @@ def naive_classify(img, w, rho=0.40):
     f_spa = naive_max_pool(conv, POOL_HW).ravel()
     f_spe = relu(w.spec_w @ f_in.mean(axis=(1, 2)) + w.spec_b)
     hidden = relu(w.fuse1_w @ np.concatenate([f_spa, f_spe]) + w.fuse1_b)
-    m = float(sigmoid(w.fuse2_w @ hidden + w.fuse2_b)[0])
+    m = float(sigmoid_pair(w.fuse2_w @ hidden + w.fuse2_b).value[0])
     if white_ratio > rho:
         return TriState.INVALID, m
     return (TriState.NIR if m >= 0.5 else TriState.RGB), m
