@@ -408,10 +408,12 @@ class TrackerSession:
         if decision.state == TriState.INVALID:
             box = self.bank.step(_ONE_INVALID, None, None)
         else:
-            if frame.observed is None:
-                raise ValueError("step: valid frame without an observation")
-            r = reliability(frame.s, decision.m, self.bank.epsilon)
             o = frame.observed
+            if o is None:
+                raise ValueError("step: valid frame without an observation")
+            if o.w < 0 or o.h < 0:
+                raise ValueError(f"step: observed box has a negative size, w={o.w}, h={o.h}")
+            r = reliability(frame.s, decision.m, self.bank.epsilon)
             box = self.bank.step(_ONE_VALID, np.array([[o.cx, o.cy, o.w, o.h]], dtype=np.float64), r)
         cx, cy, w, h = box[0].tolist()
         return BBox(cx=cx, cy=cy, w=w, h=h)

@@ -24,9 +24,11 @@ observation, motion filter — under one of four motion presets, each a
 * ``ctp``  coordinated-turn + reliability-weighted noise + Q inflation
   (the ctp module's default epsilon and theta)
 
-``run`` and the ablation suite replay whole sequences: ``frozen_boxes`` is
-the ``off`` track, and ``run_filters`` steps every filtered track as a row of
-one ``FilterBank``.  The suite scores its tracks as arrays with
+``run`` and the ablation suite replay whole sequences.  ``classify_sequence``
+decides the whole frame stack at once (``state_switch.classify_stack``), with
+the bits a frame-by-frame ``classify`` gives; ``frozen_boxes`` is the ``off``
+track, and ``run_filters`` steps every filtered track as a row of one
+``FilterBank``.  The suite scores its tracks as arrays with
 ``metrics.hit_masks``.  ``TrackerSession``, a one-row ``FilterBank`` plus
 the classifier, is the live per-frame API.
 """
@@ -57,7 +59,7 @@ from .state_switch import (
     TriState,
     TriStateDecision,
     _is_int,
-    classify,
+    classify_stack,
     separator_switch_weights,
 )
 
@@ -398,9 +400,12 @@ def classify_sequence(
     weights: SwitchWeights | None = None,
     rho: float = DEFAULT_RHO,
 ) -> list[TriStateDecision]:
-    """Tri-state decision per frame (weights default to the built-in separator)."""
-    w = weights or separator_switch_weights()
-    return [classify(rec.image, w, rho) for rec in seq.records]
+    """Tri-state decision per frame (weights default to the built-in separator).
+
+    ``classify_stack`` decides the whole ``(T, H, W, 3)`` frame stack at
+    once, with the bits ``classify`` gives each frame.
+    """
+    return classify_stack(seq.frames, weights or separator_switch_weights(), rho)
 
 
 def run(

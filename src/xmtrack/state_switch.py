@@ -8,16 +8,25 @@ Two mechanisms combine:
 * a pixel-counting over-exposure detector (fraction of near-white pixels
   above a ratio threshold marks the frame Invalid).
 
-``pixel_statistics`` casts the uint8 pixels to float32 once for both the
-white count and the channel sums.  Every partial sum is an integer below
-2**24, which float32 holds exactly: a luma is at most 255000, and the channel
-sums run over blocks of at most 2**16 rows (255 * 2**16 < 2**24), added in
-float64.  So both are exact in any BLAS order, and one division by 255*H*W
-rounds each mean.  The white count is taken only when some pixel value
-reaches WHITE_LEVEL: a luma in thousandths is at most 1000 times the
-largest channel, so below that no pixel can be white and the ratio is 0.
-``classify`` builds the float (C, H, W) feature plane only for weights whose
-plan runs the spatial branch's conv.
+``classify`` decides one frame, and ``classify_stack`` every frame of a
+``(T, H, W, C)`` uint8 stack with the same bits.  Both take their pixel
+statistics exactly.  ``pixel_statistics`` casts one frame's pixels to
+float32 once for both the white count and the channel sums.  Every partial
+sum is an integer below 2**24, which float32 holds exactly: a luma is at
+most 255000, and the channel sums run over blocks of at most 2**16 rows
+(255 * 2**16 < 2**24), added in float64.  ``stack_statistics`` never casts
+the stack: its channel sums are integer column sums, then their uint64 sums.
+Either way one division by 255*H*W rounds each mean.  The white count is
+taken only when some pixel value of the frame reaches WHITE_LEVEL: a luma
+in thousandths is at most 1000 times the largest channel, so below that no
+pixel can be white and the ratio is 0.  The float (C, H, W) feature plane
+is built only for weights whose plan runs the spatial branch's conv.
+
+``spectral_branch`` and ``modality_weight`` take one frame's 1-D vectors or
+(T, 1, k) stacks of them.  numpy runs a (T, 1, k) @ (k, n) product as one
+gemv per frame, the same kernel call that one frame's (k,) @ (k, n) makes,
+so a stack gives every frame's m bit for bit; a (T, k) @ (k, n) gemm sums
+in another order and does not.
 
 The classifier here is inference-only: weights are built in code, by
 ``separator_switch_weights`` or the ``SwitchWeights`` constructor; training
@@ -32,7 +41,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import ShapeError, Tensor, adaptive_max_pool, as_tensor, relu, scalar_sigmoid
+from .core import ShapeError, Tensor, adaptive_max_pool, as_tensor, relu, scalar_sigmoid, sigmoid_pair
 
 # The built-in weights classify 3-channel frames, the layout sim renders.
 FRAME_CHANNELS = 3
@@ -44,6 +53,8 @@ SPECTRAL_HIDDEN = 8
 FUSION_HIDDEN = 16
 
 WHITE_LEVEL = 250
+# A pixel is white iff its luma in thousandths reaches this (see pixel_statistics).
+_WHITE_LUMA = 1000 * WHITE_LEVEL - 500
 # Luma in thousandths by channel count: the BT.601 sum 299 r + 587 g + 114 b
 # for a 3-channel pixel, and 1000 * p for a 1-channel pixel p.
 _LUMA_WEIGHTS = {1: np.array([1000.0], np.float32), 3: np.array([299.0, 587.0, 114.0], np.float32)}
@@ -52,6 +63,8 @@ _LUMA_WEIGHTS = {1: np.array([1000.0], np.float32), 3: np.array([299.0, 587.0, 1
 _SUM_BLOCK = 1 << 14
 _BLOCK_ONES = np.ones(_SUM_BLOCK, dtype=np.float32)
 _BLOCK_ONES.flags.writeable = False
+# Frames of at most this many rows have uint16 column sums: 255 * 257 = 2**16 - 1.
+_U16_COLUMN_ROWS = 257
 DEFAULT_RHO = 0.40
 
 WEIGHT_NAMES = ("conv_w", "conv_b", "spec_w", "spec_b", "fuse1_w", "fuse1_b", "fuse2_w", "fuse2_b")
@@ -269,18 +282,28 @@ def spatial_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
 def spectral_branch(means: Tensor, w: SwitchWeights) -> Tensor:
     """Channel means (from ``pixel_statistics``) -> linear -> relu.
 
-    ``SwitchWeights`` checked its own shapes once; only the mean vector's
-    shape is checked here.
+    ``means`` is one frame's (C,) vector or a (T, 1, C) stack of them (see
+    the module docstring).  ``SwitchWeights`` checked its own shapes once;
+    only the means' shape is checked here.
     """
-    if means.shape != (w.channels,):
-        raise ShapeError(f"spectral_branch: means of shape {means.shape}, {w.channels}-channel weights")
+    if means.shape != (w.channels,) and (means.ndim != 3 or means.shape[1:] != (1, w.channels)):
+        if means.ndim == 1 or (means.ndim == 3 and means.shape[1] == 1):
+            raise ShapeError(f"spectral_branch: {means.shape[-1]}-channel means, {w.channels}-channel weights")
+        raise ShapeError(f"spectral_branch: means of shape {means.shape}, need (C,) or (T, 1, C)")
     return np.maximum(means @ w.spec_w.T + w.spec_b, 0.0)
 
 
-def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float:
-    """Fuse the two 1-D branch vectors into a scalar modality weight in [0, 1]."""
-    hidden = np.maximum(np.concatenate((f_spa, f_spe)) @ w.fuse1_w.T + w.fuse1_b, 0.0)
-    return scalar_sigmoid((hidden @ w.fuse2_w.T + w.fuse2_b)[0])
+def modality_weight(f_spa: Tensor, f_spe: Tensor, w: SwitchWeights) -> float | Tensor:
+    """Fuse the two branch vectors into the modality weight m in [0, 1].
+
+    One frame's 1-D vectors give m as a float; (T, 1, k) stacks give the
+    (T,) array of every frame's m, bit for bit (see the module docstring).
+    """
+    hidden = np.maximum(np.concatenate((f_spa, f_spe), axis=-1) @ w.fuse1_w.T + w.fuse1_b, 0.0)
+    logit = hidden @ w.fuse2_w.T + w.fuse2_b
+    if logit.ndim == 1:
+        return scalar_sigmoid(logit[0])
+    return sigmoid_pair(logit[..., 0, 0]).value
 
 
 def pixel_statistics(img: Image) -> tuple[float, Tensor]:
@@ -301,7 +324,7 @@ def pixel_statistics(img: Image) -> tuple[float, Tensor]:
     rows = img.pixels.reshape(n, img.channels).astype(np.float32)
     white = 0
     if img.pixels.max() >= WHITE_LEVEL:  # else every luma is at most 1000 * (WHITE_LEVEL - 1)
-        white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= 1000 * WHITE_LEVEL - 500)
+        white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= _WHITE_LUMA)
     sums = np.zeros(img.channels)
     for start in range(0, n, _SUM_BLOCK):
         block = rows[start : start + _SUM_BLOCK]
@@ -309,8 +332,41 @@ def pixel_statistics(img: Image) -> tuple[float, Tensor]:
     return float(white) / n, sums / (255.0 * n)
 
 
+def stack_statistics(frames: np.ndarray) -> tuple[Tensor, Tensor]:
+    """``pixel_statistics`` of every frame of a (T, H, W, C) uint8 stack, bit for bit.
+
+    Returns the (T,) white ratios and the (T, C) channel means.  The
+    channel sums stay integers: each column's sum over the rows (uint16 on
+    frames of at most _U16_COLUMN_ROWS rows, else uint64), then the uint64
+    sum of each channel's column sums.  The white count runs only on frames
+    whose largest value reaches WHITE_LEVEL, each on float32 blocks of at
+    most _SUM_BLOCK pixels, so no float copy of the stack, or of a whole
+    large frame, is made.
+    """
+    if frames.ndim != 4 or frames.dtype != np.uint8 or frames.shape[3] not in (1, 3):
+        raise ShapeError(
+            f"stack_statistics: need a (T, H, W, 1 or 3) uint8 stack, got {frames.dtype} {frames.shape}"
+        )
+    t, h, wd, c = frames.shape
+    n = h * wd
+    if n == 0:
+        raise ShapeError("stack_statistics: empty frames")
+    cols = frames.sum(axis=1, dtype=np.uint16 if h <= _U16_COLUMN_ROWS else np.uint64)
+    # Summed along a contiguous axis: a sum over the strided width axis is ~5x slower.
+    sums = np.ascontiguousarray(cols.transpose(0, 2, 1)).sum(axis=2, dtype=np.uint64)
+    white = np.zeros(t, dtype=np.int64)
+    for i in np.flatnonzero(frames.max(axis=(1, 2, 3)) >= WHITE_LEVEL).tolist():
+        rows = frames[i].reshape(n, c)
+        for start in range(0, n, _SUM_BLOCK):
+            block = rows[start : start + _SUM_BLOCK].astype(np.float32)
+            white[i] += np.count_nonzero(block @ _LUMA_WEIGHTS[c] >= _WHITE_LUMA)
+    return white / n, sums / (255.0 * n)
+
+
 def is_over_exposed(img: Image, rho: float = DEFAULT_RHO) -> tuple[bool, float]:
     """White-pixel ratio test (``pixel_statistics``).  Invalid iff the ratio strictly exceeds rho."""
+    if not 0.0 <= rho <= 1.0:  # NaN fails both compares
+        raise ValueError(f"is_over_exposed: rho must be a number in [0, 1], got {rho!r}")
     white_ratio = pixel_statistics(img)[0]
     return white_ratio > rho, white_ratio
 
@@ -326,6 +382,8 @@ def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriState
     ``SwitchWeights``).  The stages are looked up by module name on every
     call, so code that wraps them sees every frame.
     """
+    if not 0.0 <= rho <= 1.0:  # NaN fails both compares
+        raise ValueError(f"classify: rho must be a number in [0, 1], got {rho!r}")
     white_ratio, means = pixel_statistics(img)
     f_spa = spatial_branch(img.features(), w) if w.spatial_zeros is None else w.spatial_zeros
     m = modality_weight(f_spa, spectral_branch(means, w), w)
@@ -336,3 +394,34 @@ def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriState
     else:
         state = TriState.RGB
     return TriStateDecision(state=state, m=m, white_ratio=white_ratio)
+
+
+def classify_stack(frames: np.ndarray, w: SwitchWeights, rho: float = DEFAULT_RHO) -> list[TriStateDecision]:
+    """``classify`` of every frame of a (T, H, W, C) uint8 stack, bit for bit.
+
+    ``stack_statistics`` takes every frame's pixel statistics in one pass,
+    and ``spectral_branch`` and ``modality_weight`` each run once, on
+    (T, 1, k) stacks.  When ``w``'s plan runs the spatial branch, it runs
+    frame by frame on each frame's ``Image.features`` plane.  Errors come
+    in ``classify``'s order, and weights of another channel count raise
+    ``classify``'s ``ShapeError``.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"classify_stack: rho must be a number in [0, 1], got {rho!r}")
+    white_ratio, means = stack_statistics(frames)
+    t, h, wd, c = frames.shape
+    if t == 0:
+        return []
+    if w.spatial_zeros is None:
+        f_spa = np.stack([spatial_branch(Image(wd, h, c, frame).features(), w) for frame in frames])
+    else:
+        f_spa = np.broadcast_to(w.spatial_zeros, (t, w.spatial_zeros.size))
+    m = modality_weight(f_spa[:, None, :], spectral_branch(means[:, None, :], w), w)
+    return [
+        TriStateDecision(
+            state=TriState.INVALID if ratio > rho else TriState.NIR if mi >= 0.5 else TriState.RGB,
+            m=mi,
+            white_ratio=ratio,
+        )
+        for mi, ratio in zip(m.tolist(), white_ratio.tolist())
+    ]

@@ -239,6 +239,21 @@ def test_update_is_bit_identical_to_the_numpy_linalg_formula(rows):
         np.testing.assert_array_equal(got_p, (p_want + p_want.transpose(0, 2, 1)) / 2.0)
 
 
+@pytest.mark.parametrize("k, n", [(3, 8), (56, 16), (16, 1)])
+def test_stacked_gemv_is_the_per_frame_gemv_bit_for_bit(k, n):
+    # state_switch.classify_stack runs each switch MLP layer (3 -> 8,
+    # 56 -> 16, 16 -> 1) as a (T, 1, k) @ W.T stack and relies on numpy
+    # making, per frame, the kernel call that one (k,) @ W.T makes.
+    rng = np.random.default_rng(k)
+    weights = 0.1 * rng.standard_normal((n, k))
+    stack = rng.uniform(0.0, 1.0, size=(50, k))
+    per_frame = np.stack([x @ weights.T for x in stack])
+    stacked = (stack[:, None, :] @ weights.T)[:, 0, :]
+    assert per_frame.tobytes() == stacked.tobytes(), (
+        f"numpy {np.__version__} no longer runs a (T, 1, k) @ (k, n) stack as per-frame gemv calls"
+    )
+
+
 def _indefinite_middle_row(x, p, r_mat, r, z):
     p[1, :4, :4] = np.diag([1.0, -50.0, 1.0, 1.0])  # S has a negative eigenvalue
 
@@ -507,6 +522,19 @@ def test_step_rejects_non_finite_input_before_changing_state():
             ctp_update(x, p, r_mat, np.array([r]), np.array(z))
 
 
+def test_step_rejects_a_negative_observed_size_before_changing_state():
+    # io rejects such a box in a sequence file and box2state as b0.
+    rgb = TriStateDecision(TriState.RGB, 0.1, 0.0)
+    for observed in (BBox(100.0, 100.0, -30.0, -30.0), BBox(100.0, 100.0, 30.0, -1e-9)):
+        sess = TrackerSession(BBox(100.0, 100.0, 30.0, 30.0), 512.0, 512.0)
+        x, p = sess.bank.x.copy(), sess.bank.P.copy()
+        with pytest.raises(ValueError, match="step: observed box has a negative size"):
+            sess.step(FrameInput(observed=observed, s=0.9, decision=rgb))
+        np.testing.assert_array_equal(sess.bank.x, x)
+        np.testing.assert_array_equal(sess.bank.P, p)
+        assert sess.bank.streak == [0]
+
+
 def _bank_configs():
     turn = MotionModel(MotionKind.COORDINATED_TURN, -0.03)
     return [
@@ -558,6 +586,7 @@ def test_single_row_bank_is_the_session():
             want = bank.step(np.array([False]), np.zeros((1, 4)), np.ones(1))
         else:
             z = bank.x[0, :4] + rng.normal(scale=2.0, size=4)
+            z[2:] = np.abs(z[2:])  # coasting drives h below 0; step rejects a negative size
             s, m = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 1.0))
             decision = TriStateDecision(TriState.RGB, m, 0.0)
             box = sess.step(FrameInput(observed=BBox(*z), s=s, decision=decision))

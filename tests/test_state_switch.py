@@ -1,6 +1,7 @@
 """Tri-state classifier: conv oracle, branch arithmetic, exposure boundary."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pixel_oracle import grayscale
 from test_core import naive_max_pool
 from xmtrack.core import ShapeError, relu, sigmoid_pair
 from xmtrack.ctp import FrameInput, TrackerSession
-from xmtrack.sim import Scenario, classify_sequence, generate
+from xmtrack.sim import MAX_IMAGE_PIXELS, Scenario, classify_sequence, generate
 from xmtrack.state_switch import (
     FRAME_CHANNELS,
     FUSION_HIDDEN,
@@ -20,6 +21,7 @@ from xmtrack.state_switch import (
     SwitchWeights,
     TriState,
     classify,
+    classify_stack,
     conv3x3,
     is_over_exposed,
     modality_weight,
@@ -27,12 +29,12 @@ from xmtrack.state_switch import (
     separator_switch_weights,
     spatial_branch,
     spectral_branch,
+    stack_statistics,
 )
 
 
-def random_switch_weights(rng: np.random.Generator) -> SwitchWeights:
-    """Seeded random initializer (scale 0.1) for property tests."""
-    c = FRAME_CHANNELS
+def random_switch_weights(rng: np.random.Generator, c: int = FRAME_CHANNELS) -> SwitchWeights:
+    """Seeded random initializer (scale 0.1) for property tests, for ``c``-channel frames."""
     fused_in = c * POOL_HW[0] * POOL_HW[1] + SPECTRAL_HIDDEN
 
     def init(*shape):
@@ -508,3 +510,104 @@ def test_switch_weights_are_read_only_copies():
             arr[...] = 0.0
         source[name][...] = 0.0  # the caller's array is not the weights'
         assert np.any(arr), name
+
+
+def _per_frame(frames, w, rho=0.40):
+    t, h, wd, c = frames.shape
+    return [classify(Image(wd, h, c, frame), w, rho) for frame in frames]
+
+
+def test_classify_sequence_equals_per_frame_classify_exactly():
+    sc = Scenario(
+        name="stack",
+        frames=30,
+        modality_schedule=[(0, 10, "rgb"), (10, 20, "nir"), (20, 30, "rgb")],
+        invalid_windows=[(4, 8), (15, 17)],
+        seed=9,
+    )
+    seq = generate(sc)
+    rng = np.random.default_rng(10)
+    plans = [separator_switch_weights(), random_switch_weights(rng)]
+    plans.append(_without_spatial_columns(random_switch_weights(rng)))
+    assert plans[1].spatial_zeros is None and plans[2].spatial_zeros is not None
+    for w in plans:
+        for rho in (0.0, 0.40, 0.9, 1.0):
+            stack = classify_sequence(seq, w, rho)
+            assert stack == [classify(rec.image, w, rho) for rec in seq.records]
+    assert {d.state for d in classify_sequence(seq)} == set(TriState)
+
+
+def test_classify_stack_equals_per_frame_classify_at_odd_sizes():
+    rng = np.random.default_rng(11)
+    skip = _without_spatial_columns(random_switch_weights(rng))
+    full = random_switch_weights(rng)
+    # 1x1 frames, white or not; the full plan's 4x4 pool cannot take them.
+    tiny = np.array([[[[255, 255, 255]]], [[[251, 250, 3]]], [[[7, 8, 9]]]], dtype=np.uint8)
+    for w in (separator_switch_weights(), skip):
+        assert classify_stack(tiny, w) == _per_frame(tiny, w)
+    with pytest.raises(ShapeError) as stacked:
+        classify_stack(tiny, full)
+    with pytest.raises(ShapeError) as single:
+        classify(Image(1, 1, 3, tiny[0]), full)
+    assert str(stacked.value) == str(single.value)
+    # 263 x 67 pixels: more rows than a uint16 column sum takes, and a
+    # value count that neither that nor the white-count block divides.
+    odd = rng.integers(200, 256, size=(3, 263, 67, 3), dtype=np.uint8)
+    odd[1] = rng.integers(0, 250, size=odd.shape[1:])
+    for w in (separator_switch_weights(), skip, full):
+        for rho in (0.1, 0.5):
+            assert classify_stack(odd, w, rho) == _per_frame(odd, w, rho)
+    mono = rng.integers(0, 256, size=(2, 5, 7, 1), dtype=np.uint8)
+    ratios, means = stack_statistics(mono)
+    for frame, ratio, row in zip(mono, ratios, means):
+        want_ratio, want_means = pixel_statistics(Image(7, 5, 1, frame))
+        assert ratio == want_ratio and row.tobytes() == want_means.tobytes()
+
+
+def test_classify_stack_is_exact_on_a_white_frame_at_the_largest_size():
+    # Each channel sum is 255 * 4096**2 = 4,278,190,080, just under 2**32:
+    # a narrower accumulator wraps.  The means are then exactly 1, as on
+    # any all-white frame, so a small one gives the expected decision.
+    side = math.isqrt(MAX_IMAGE_PIXELS)
+    white = np.full((1, side, side, 3), 255, dtype=np.uint8)
+    ratios, means = stack_statistics(white)
+    assert ratios.tolist() == [1.0] and means.tolist() == [[1.0, 1.0, 1.0]]
+    small = Image(8, 8, 3, np.full(8 * 8 * 3, 255, dtype=np.uint8))
+    w = separator_switch_weights()
+    assert classify_stack(white, w) == [classify(small, w)]
+
+
+def test_classify_sequence_raises_classify_s_error_for_weights_of_another_channel_count():
+    seq = _stage_sequence()
+    rng = np.random.default_rng(12)
+    for w in (random_switch_weights(rng, c=1), _without_spatial_columns(random_switch_weights(rng, c=1))):
+        with pytest.raises(ShapeError) as stacked:
+            classify_sequence(seq, w)
+        with pytest.raises(ShapeError) as single:
+            classify(seq.records[0].image, w)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_classify_stack_rejects_stacks_that_are_not_uint8_frames():
+    w = separator_switch_weights()
+    for frames in (np.zeros((2, 4, 4, 3)), np.zeros((2, 4, 4, 2), np.uint8), np.zeros((4, 4, 3), np.uint8),
+                   np.zeros((2, 0, 4, 3), np.uint8)):
+        with pytest.raises(ShapeError):
+            classify_stack(frames, w)
+    assert classify_stack(np.zeros((0, 4, 4, 3), np.uint8), w) == []
+
+
+@pytest.mark.parametrize("rho", [float("nan"), -1.0, 1.5, float("inf"), -float("inf")])
+def test_classifier_entry_points_reject_a_rho_outside_0_1(rho):
+    w = separator_switch_weights()
+    white = Image(8, 8, 3, np.full(8 * 8 * 3, 255, dtype=np.uint8))
+    seq = _stage_sequence()
+    for name, call in (
+        ("classify", lambda: classify(white, w, rho)),
+        ("is_over_exposed", lambda: is_over_exposed(white, rho)),
+        ("classify_stack", lambda: classify_sequence(seq, rho=rho)),
+    ):
+        with pytest.raises(ValueError, match=f"{name}: rho must be"):
+            call()
+    for edge in (0.0, 1.0):
+        assert classify(white, w, edge).state == (TriState.INVALID if edge < 1.0 else TriState.NIR)
