@@ -9,7 +9,8 @@ attention and cosine similarity, each a ``*_pair`` that returns a
 are pairs too.  The tri-state switch runs without gradients, so ``relu``,
 ``scalar_sigmoid`` and ``adaptive_max_pool`` are plain forward functions.
 ``grad_check`` is the one harness that ties any pair's forward and backward
-together via central differences.
+together via central differences.  ``is_int`` and ``is_number`` are the one
+number rule that every module's input checks apply.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.
@@ -17,7 +18,9 @@ closures are written out by hand.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +35,16 @@ class ShapeError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input is outside the operation's domain (e.g. zero-norm vector)."""
+
+
+def is_int(v) -> bool:
+    """An integer and not a bool; a plain int skips the slower ``Integral`` check."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
+def is_number(v) -> bool:
+    """A real, non-bool number finite as a float (an int past the float range is not)."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def as_tensor(x) -> Tensor:
@@ -104,23 +117,17 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
 
 
 def linear_pair(x: Tensor, w: Tensor, b: Tensor) -> GradPair:
-    """Affine map y = x W^T + b.
-
-    ``w`` has shape (out, in); ``x`` is a single vector (in,) or a stack of
-    row vectors (T, in).
-    """
+    """Affine map y = x W^T + b of one vector ``x`` (in,); ``w`` has shape (out, in)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != (w.shape[0],):
+    if x.ndim != 1 or w.ndim != 2 or x.shape[0] != w.shape[1] or b.shape != (w.shape[0],):
         raise ShapeError(
-            f"linear_pair: x {x.shape}, w {w.shape}, b {b.shape} do not conform"
+            f"linear_pair: x {x.shape}, w {w.shape}, b {b.shape} do not conform (x is one vector)"
         )
     value = x @ w.T + b
 
     def grad_fn(up: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         up = as_tensor(up)
-        if x.ndim == 1:
-            return w.T @ up, np.outer(up, x), up.copy()
-        return up @ w, up.T @ x, up.sum(axis=0)
+        return w.T @ up, np.outer(up, x), up.copy()
 
     return GradPair(value, grad_fn)
 

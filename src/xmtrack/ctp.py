@@ -45,10 +45,8 @@ work.  NaN fails each of these predicates.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
@@ -64,7 +62,7 @@ from .state_switch import (
     TriStateDecision,
     classify,
 )
-from .core import Tensor
+from .core import Tensor, is_number
 
 STATE_DIM = 8
 OBS_DIM = 4
@@ -105,11 +103,6 @@ class MotionKind(str, Enum):
     COORDINATED_TURN = "ct"
 
 
-def _is_number(v) -> bool:
-    """A real, non-bool number finite as a float (an int past the float range is not)."""
-    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class MotionModel:
     kind: MotionKind = MotionKind.CONSTANT_VELOCITY
@@ -118,7 +111,7 @@ class MotionModel:
     def __post_init__(self):
         if not isinstance(self.kind, MotionKind):
             raise ValueError(f"MotionModel: kind {self.kind!r} is not a MotionKind")
-        if not _is_number(self.turn_rate):
+        if not is_number(self.turn_rate):
             raise ValueError(f"MotionModel: turn_rate {self.turn_rate!r} is not a finite number")
 
 
@@ -267,11 +260,11 @@ class SessionConfig:
         # bad value fails here and not as a broadcast error mid-sequence.
         for name, n in (("p0_diag", STATE_DIM), ("q_diag", STATE_DIM), ("r_diag", OBS_DIM)):
             diag = tuple(getattr(self, name))
-            if len(diag) != n or not all(_is_number(v) and v > 0 for v in diag):
+            if len(diag) != n or not all(is_number(v) and v > 0 for v in diag):
                 raise ValueError(f"SessionConfig: {name} needs {n} finite positive entries")
             setattr(self, name, tuple(map(float, diag)))  # a big int would make an object array
         for name in ("theta", "cap_mult", "epsilon", "rho"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ValueError(f"SessionConfig: {name} must be a finite number")
             # An int theta**k or cap_mult past the float range would make an object array.
             setattr(self, name, float(getattr(self, name)))

@@ -217,20 +217,16 @@ def save_trackrun(path: str | Path, sequence_name: str, run: TrackRun):
 
 
 def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
+    """A track-run file's sequence name and run; a missing key or a bad value is a DataError."""
     payload = _load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != TRACKRUN_FORMAT:
         raise DataError(f"{path}: not a {TRACKRUN_FORMAT} file")
     try:
         pred, gt = ([_box_from(b) for b in payload[k]] for k in ("pred", "gt"))
-        tags = payload["tags"]
-        if not (isinstance(tags, list) and len(tags) == len(pred)) or not all(
-            isinstance(t, list) and all(isinstance(s, str) for s in t) for t in tags
-        ):
-            raise DataError("tags must be one list of strings per frame")
-        name = payload.get("sequence", "unknown")
+        name = payload["sequence"]
         if not isinstance(name, str):
             raise DataError(f"sequence name {name!r} is not a string")
-        run = TrackRun(pred=pred, gt=gt, tags=[list(t) for t in tags])
+        run = TrackRun(pred=pred, gt=gt, tags=payload["tags"])
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid track run: {exc}") from exc
     return name, run

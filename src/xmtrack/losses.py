@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .core import GradPair, Tensor, as_tensor, cosine_pair
+from .core import GradPair, Tensor, as_tensor, cosine_pair, is_int, is_number
 from .ctp import BBox
-from .state_switch import _is_int
 
 LAMBDA_L1 = 5.0
 LAMBDA_SIOU = 2.0
@@ -46,7 +44,7 @@ class EpochSchedule:
     N: int
 
     def __post_init__(self):
-        if not (_is_int(self.C) and _is_int(self.N)):
+        if not (is_int(self.C) and is_int(self.N)):
             raise ValueError(f"EpochSchedule: epochs C={self.C!r}, N={self.N!r} must be ints")
         if self.N <= 0:
             raise ValueError(f"EpochSchedule: total epochs must be positive, got {self.N}")
@@ -190,9 +188,10 @@ def siou_pair(pred: BBox, gt: BBox) -> GradPair:
 def tracking_loss(pred: BBox, gt: BBox, ce_term: float, sched: EpochSchedule) -> float:
     """lambda_1 * L1 + lambda_2 * SIoU + lambda_3 * ((N-C)/N) * CE.
 
-    ``ce_term`` is a cross-entropy, so a finite, non-negative real number.
+    ``ce_term`` is a cross-entropy, so a finite (``core.is_number``),
+    non-negative number.
     """
-    if isinstance(ce_term, bool) or not isinstance(ce_term, Real) or not 0.0 <= ce_term < math.inf:
+    if not (is_number(ce_term) and ce_term >= 0.0):
         raise ValueError(f"tracking_loss: ce_term={ce_term!r} is not a finite, non-negative number")
     return (
         LAMBDA_L1 * float(l1_pair(pred, gt).value)
@@ -206,13 +205,14 @@ def modality_pair(m: float, m_hat: float) -> GradPair:
 
     BCE clamps the probability to [1e-7, 1 - 1e-7].  A finite ``m_hat``
     outside [0, 1] clamps like any probability, and the gradient is zero in
-    the clamped tails; a non-finite one is rejected.
+    the clamped tails; an ``m_hat`` that is not a finite number
+    (``core.is_number``) is rejected.
     """
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modality_pair: target m={m} outside [0, 1]")
+    if not is_number(m_hat):
+        raise ValueError(f"modality_pair: prediction m_hat={m_hat!r} is not a finite number")
     m_hat = float(m_hat)
-    if not math.isfinite(m_hat):
-        raise ValueError(f"modality_pair: prediction m_hat={m_hat} is not finite")
     clamped = m_hat < PROB_CLAMP or m_hat > 1.0 - PROB_CLAMP
     grad = 0.0 if clamped else ALPHA_MODALITY * (-m / m_hat + (1.0 - m) / (1.0 - m_hat))
     p = min(max(m_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +83,16 @@ def box_array(boxes: list[BBox]) -> np.ndarray:
 
 @dataclass
 class TrackRun:
-    """Aligned predicted and ground-truth boxes plus per-frame tags.
+    """Aligned predicted and ground-truth boxes plus each frame's tags.
 
-    No frame may carry the tag ``all``: ``tag_breakdown`` reports every
-    frame under that name.
+    ``tags`` holds one list of strings per frame, an empty list for an
+    untagged frame.  No frame may carry the tag ``all``: ``tag_breakdown``
+    reports every frame under that name.
     """
 
     pred: list[BBox]
     gt: list[BBox]
-    tags: list[list[str]] = field(default_factory=list)
+    tags: list[list[str]]
 
     def __post_init__(self):
         if not self.pred:
@@ -100,10 +101,10 @@ class TrackRun:
             raise ValueError(
                 f"TrackRun: {len(self.pred)} predictions vs {len(self.gt)} ground truths"
             )
-        if not self.tags:
-            self.tags = [[] for _ in self.pred]
-        if len(self.tags) != len(self.pred):
-            raise ValueError("TrackRun: tags misaligned with frames")
+        if not (isinstance(self.tags, list) and len(self.tags) == len(self.pred)) or not all(
+            isinstance(tags, list) and all(isinstance(t, str) for t in tags) for tags in self.tags
+        ):
+            raise ValueError("TrackRun: tags must be one list of strings per frame")
         if any("all" in tags for tags in self.tags):
             raise ValueError("TrackRun: 'all' names the all-frames row and is not a frame tag")
 

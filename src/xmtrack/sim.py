@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import is_int, is_number
 from .ctp import (
     BBox,
     FilterBank,
     MotionKind,
     MotionModel,
     SessionConfig,
-    _is_number,
     reliability,
     turn_transition,
 )
@@ -58,7 +58,6 @@ from .state_switch import (
     SwitchWeights,
     TriState,
     TriStateDecision,
-    _is_int,
     classify_stack,
     separator_switch_weights,
 )
@@ -122,15 +121,15 @@ class Scenario:
         for name in ("frames", "frame_width", "frame_height", "image_width", "image_height",
                      "switch_radius", "seed"):
             low = 0 if name in ("switch_radius", "seed") else 1
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= low):
+            if not (is_int(getattr(self, name)) and getattr(self, name) >= low):
                 raise ValueError(f"Scenario: {name} must be an integer >= {low}")
         for name, n in (("initial_box", 4), ("velocity", 2)):
             values = tuple(getattr(self, name))
-            if len(values) != n or not all(_is_number(v) for v in values):
+            if len(values) != n or not all(is_number(v) for v in values):
                 raise ValueError(f"Scenario: {name} needs {n} finite numbers")
             setattr(self, name, values)
         for name in ("turn_rate", "sigma", "switch_noise_boost"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ValueError(f"Scenario: {name} must be a finite number")
         cx, cy, w, h = self.initial_box
         # min(): a frame count past MAX_COORD fails the path rule whenever the
@@ -154,7 +153,7 @@ class Scenario:
             if not ok:
                 raise ValueError(f"Scenario: needs {rule}")
         for window in [*self.modality_schedule, *self.invalid_windows]:
-            if not all(_is_int(v) for v in window[:2]):
+            if not all(is_int(v) for v in window[:2]):
                 raise ValueError(f"Scenario: window bounds {window} must be integers")
         self.modality_schedule = [
             (int(s), int(e), str(m)) for s, e, m in self.modality_schedule

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
-from .core import ShapeError, Tensor, adaptive_max_pool, as_tensor, relu, scalar_sigmoid, sigmoid_pair
+from .core import (
+    ShapeError, Tensor, adaptive_max_pool, as_tensor, is_int, relu, scalar_sigmoid, sigmoid_pair,
+)
 
 # The built-in weights classify 3-channel frames, the layout sim renders.
 FRAME_CHANNELS = 3
@@ -83,11 +84,6 @@ class TriStateDecision:
     white_ratio: float
 
 
-def _is_int(v) -> bool:
-    """An integer and not a bool; a plain int skips the slower ``Integral`` check."""
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
-
-
 @dataclass
 class Image:
     """8-bit image, pixels row-major (then channel-interleaved if 3-channel)."""
@@ -100,9 +96,9 @@ class Image:
     def __post_init__(self):
         for name in ("width", "height"):
             v = getattr(self, name)
-            if not (_is_int(v) and v >= 0):
+            if not (is_int(v) and v >= 0):
                 raise ShapeError(f"Image: {name} must be a non-negative integer, got {v!r}")
-        if not _is_int(self.channels) or self.channels not in (1, 3):
+        if not is_int(self.channels) or self.channels not in (1, 3):
             raise ShapeError(f"Image: channels must be 1 or 3, got {self.channels!r}")
         pixels = np.asarray(self.pixels)
         if pixels.dtype != np.uint8:

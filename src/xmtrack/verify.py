@@ -127,7 +127,7 @@ def check_siou(seed: int) -> float:
 def check_bce(seed: int) -> float:
     rng = np.random.default_rng(seed)
     m_hat = rng.uniform(0.1, 0.9)
-    return grad_check(lambda p: modality_pair(0.3, p), [m_hat], rng.standard_normal())
+    return grad_check(lambda p: modality_pair(0.3, float(p)), [m_hat], rng.standard_normal())
 
 
 def check_cosine_loss(seed: int) -> float:

@@ -427,6 +427,7 @@ BAD_TRACK_RUNS = {
     "frame_tagged_all": lambda p: {**p, "tags": [["all"]] + p["tags"][1:]},
     "sequence_a_number": lambda p: {**p, "sequence": 5},
     "sequence_null": lambda p: {**p, "sequence": None},
+    "sequence_missing": lambda p: {k: v for k, v in p.items() if k != "sequence"},
     "not_an_object": lambda p: [p],
 }
 

@@ -30,7 +30,14 @@ def test_linear_matches_manual_affine():
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(4, 3))  # (out, in) layout
     b = rng.normal(size=4)
-    np.testing.assert_allclose(linear_pair(x, w, b).value, x @ w.T + b, atol=1e-12)
+    for row in x:
+        np.testing.assert_allclose(linear_pair(row, w, b).value, row @ w.T + b, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), ()])
+def test_linear_takes_one_vector(shape):
+    with pytest.raises(ShapeError, match="linear_pair"):
+        linear_pair(np.ones(shape), np.ones((4, 3)), np.ones(4))
 
 
 def test_relu_zeroes_negatives_only():
@@ -159,7 +166,7 @@ def test_grad_pairs_map_zero_upstream_to_zero_grads():
     w = rng.normal(size=(5, 4))
     b = rng.normal(size=5)
     cases = [
-        linear_pair(x, w, b),
+        *(linear_pair(row, w, b) for row in x),
         relu_pair(x + 0.1),
         sigmoid_pair(x),
         softmax_pair(x),
@@ -182,7 +189,8 @@ def test_grad_check_accepts_correct_linear_gradient():
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
     coef = rng.normal(size=(2, 4))
-    assert grad_check(linear_pair, [x, w, b], coef) < 1e-6
+    for row, c in zip(x, coef):
+        assert grad_check(linear_pair, [row, w, b], c) < 1e-6
 
 
 def test_grad_check_flags_corrupted_gradient():

@@ -144,8 +144,9 @@ def test_tracking_loss_is_weighted_sum():
         (float("inf"), EpochSchedule(C=4, N=4)),  # weight 0: 0 * inf is NaN
         (-3.0, EpochSchedule(C=0, N=4)),
         (True, EpochSchedule(C=0, N=4)),
+        (10**400, EpochSchedule(C=0, N=4)),  # an int past the float range
     ],
-    ids=["nan", "inf", "negative", "bool"],
+    ids=["nan", "inf", "negative", "bool", "int_past_the_float_range"],
 )
 def test_tracking_loss_rejects_a_ce_term_that_is_not_a_finite_non_negative_number(ce_term, sched):
     box = BBox(10.0, 10.0, 5.0, 5.0)
@@ -197,7 +198,11 @@ def test_modality_loss_grad_matches_central_difference():
         assert abs(float(grad) - num) < 1e-5
 
 
-@pytest.mark.parametrize("m_hat", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "m_hat",
+    [float("nan"), float("inf"), float("-inf"), 10**400, True],
+    ids=["nan", "inf", "-inf", "int_past_the_float_range", "bool"],
+)
 def test_modality_loss_rejects_a_non_finite_prediction(m_hat):
     with pytest.raises(ValueError, match="modality_pair: prediction"):
         modality_pair(1.0, m_hat)

@@ -80,10 +80,10 @@ def test_fixture_boundary_frames_are_exact_and_excluded(fixtures_dir):
     assert iou(run.pred[3], run.gt[3]) == 0.5
     # frame 4: CLE is exactly 20 -> misses PR
     assert cle(run.pred[4], run.gt[4]) == 20.0
-    single_iou = TrackRun(pred=[run.pred[3]], gt=[run.gt[3]])
+    single_iou = TrackRun(pred=[run.pred[3]], gt=[run.gt[3]], tags=[[]])
     assert _all(single_iou).sr == 0.0
     assert _all(single_iou).pr == 100.0
-    single_cle = TrackRun(pred=[run.pred[4]], gt=[run.gt[4]])
+    single_cle = TrackRun(pred=[run.pred[4]], gt=[run.gt[4]], tags=[[]])
     assert _all(single_cle).pr == 0.0
 
 
@@ -91,10 +91,10 @@ def test_strictness_on_all_boundary_runs():
     # every frame exactly on the threshold counts as a miss
     pred = [BBox(112.0, 116.0, 30.0, 30.0)] * 5  # CLE 20 each
     gt = [BBox(100.0, 100.0, 30.0, 30.0)] * 5
-    assert _all(TrackRun(pred=pred, gt=gt)).pr == 0.0
+    assert _all(TrackRun(pred=pred, gt=gt, tags=[[]] * 5)).pr == 0.0
     half = [BBox(10.0, 10.0, 2.0, 1.0)] * 5  # contained, IoU exactly 0.5
     full = [BBox(10.0, 10.0, 2.0, 2.0)] * 5
-    assert _all(TrackRun(pred=half, gt=full)).sr == 0.0
+    assert _all(TrackRun(pred=half, gt=full, tags=[[]] * 5)).sr == 0.0
 
 
 def test_rates_invariant_under_frame_reordering(fixtures_dir):
@@ -134,12 +134,25 @@ def test_tag_breakdown_partitions_the_all_row(fixtures_dir):
 
 def test_empty_run_rejected():
     with pytest.raises(ValueError):
-        tag_breakdown(TrackRun(pred=[], gt=[]))
+        tag_breakdown(TrackRun(pred=[], gt=[], tags=[]))
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
-        TrackRun(pred=[BBox(1, 1, 1, 1)], gt=[])
+        TrackRun(pred=[BBox(1, 1, 1, 1)], gt=[], tags=[[]])
+
+
+@pytest.mark.parametrize(
+    "tags",
+    [[], [[]], [[], [], [], []], [[], "rgb", []], [[], [1], []], ([], [], [])],
+    ids=["none", "one_frame_short", "one_frame_long", "a_string", "a_number", "a_tuple"],
+)
+def test_tags_must_be_one_list_of_strings_per_frame(tags):
+    box = BBox(0, 0, 10, 10)
+    with pytest.raises(ValueError, match="one list of strings per frame"):
+        TrackRun(pred=[box] * 3, gt=[box] * 3, tags=tags)
+    with pytest.raises(TypeError):
+        TrackRun(pred=[box] * 3, gt=[box] * 3)  # tags are required
 
 
 def test_frame_tag_all_rejected():
@@ -246,7 +259,7 @@ def test_array_rates_count_the_scalar_oracle_hits():
     assert 0 < sr_hits < pr_hits < len(pairs)
     assert np.count_nonzero(cle_array(pred, gt) < 20.0) == pr_hits
     assert np.count_nonzero(iou_array(pred, gt) > 0.5) == sr_hits
-    run = TrackRun(pred=[p for p, _ in pairs], gt=[g for _, g in pairs])
+    run = TrackRun(pred=[p for p, _ in pairs], gt=[g for _, g in pairs], tags=[[] for _ in pairs])
     assert _all(run).pr == 100.0 * pr_hits / len(pairs)
     assert _all(run).sr == 100.0 * sr_hits / len(pairs)
     # (rows, T, 4) tracks against one (T, 4) ground truth, as the ablation scores them
@@ -280,4 +293,10 @@ def test_array_iou_rejects_negative_dimensions(side):
     with pytest.raises(ValueError):
         iou_array(bad, pred)
     with pytest.raises(ValueError):
-        tag_breakdown(TrackRun(pred=[BBox(*b) for b in pred.tolist()], gt=[BBox(*b) for b in bad.tolist()]))
+        tag_breakdown(
+            TrackRun(
+                pred=[BBox(*b) for b in pred.tolist()],
+                gt=[BBox(*b) for b in bad.tolist()],
+                tags=[[] for _ in bad],
+            )
+        )

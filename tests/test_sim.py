@@ -434,7 +434,9 @@ def test_lockstep_ablation_matches_one_session_per_track(seed):
         for j, want in enumerate(tracks[preset]):
             np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
     pooled = {
-        preset: tag_breakdown(TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt))["all"]
+        preset: tag_breakdown(
+            TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt, tags=[[] for _ in gt])
+        )["all"]
         for preset, trs in tracks.items()
     }
     assert run_ablation_suite(seed) == {
