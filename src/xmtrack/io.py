@@ -3,12 +3,14 @@
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
 order) except a sequence's pixels: its ``(T, H, W, 3)`` uint8 frame stack
 ``Sequence.frames`` is written as is to one ``.npy`` array (numpy's own
-format) beside the sequence's JSONL, and loading it back gives the stack
-that every frame's image views.  A sequence keeps only what its
-scenario cannot reproduce: the header's scenario scripts the modality
-schedule, the invalid windows and the ground-truth path, and each frame line
-holds the stub tracker's observed box and confidence.  All writers are
-byte-deterministic given identical inputs.
+format) beside the sequence's JSONL, and loading it back gives that stack.
+A sequence keeps only what its scenario cannot reproduce: the header's
+scenario scripts the modality schedule, the invalid windows and the
+ground-truth path, and each frame line holds the stub tracker's observed box
+and confidence.  Sequences are written from and read into their columns
+(``Sequence.gt``, ``observed`` and ``s``), with no per-frame object; the
+per-frame ``Sequence.records`` view is built only if a caller reads it.  All
+writers are byte-deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .ctp import BBox, MotionKind, SessionConfig
 from .metrics import TrackRun
-from .sim import FrameRecord, Scenario, Sequence
-from .state_switch import FRAME_CHANNELS, Image
+from .sim import Scenario, Sequence
+from .state_switch import FRAME_CHANNELS
 
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
 
@@ -101,11 +103,12 @@ def _finite(v, what: str) -> float:
     return x
 
 
-def _box_from(v) -> BBox:
+def _box_values(v) -> list[float]:
+    """``[cx, cy, w, h]`` from a JSON list of 4 finite numbers with w and h not negative."""
     if not (isinstance(v, list) and len(v) == 4):
         raise DataError(f"bad box value {v!r}: not a list of 4 numbers")
-    box = BBox(*(_finite(x, "box") for x in v))
-    if box.w < 0 or box.h < 0:
+    box = [_finite(x, "box") for x in v]
+    if box[2] < 0 or box[3] < 0:
         raise DataError(f"negative box dimensions in {v!r}")
     return box
 
@@ -126,7 +129,10 @@ def save_sequence(path: str | Path, seq: Sequence):
     """
     np.save(frames_path(path), seq.frames)
     lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
-    lines += [_dump({"observed": _box_list(rec.observed), "s": rec.s}) for rec in seq.records]
+    lines += [
+        _dump({"observed": observed, "s": s})
+        for observed, s in zip(seq.observed.tolist(), seq.s.tolist())
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -149,14 +155,14 @@ def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
     return frames
 
 
-def _frame_record(d, image: Image, gt: BBox) -> FrameRecord:
-    """A frame from its line ``d``, its pixels ``image`` and its scenario's ``gt``."""
+def _frame_values(d) -> tuple[list[float], float]:
+    """A frame line's observed box and confidence."""
     if not isinstance(d, dict):
         raise DataError("expected a frame record")
     s = _finite(d["s"], "confidence")
     if not 0.0 <= s <= 1.0:
         raise DataError(f"confidence s={s} outside [0, 1]")
-    return FrameRecord(image=image, gt=gt, observed=_box_from(d["observed"]), s=s)
+    return _box_values(d["observed"]), s
 
 
 def load_sequence(path: str | Path) -> Sequence:
@@ -164,12 +170,13 @@ def load_sequence(path: str | Path) -> Sequence:
 
     The JSONL must hold one frame line per scenario frame, and the
     ``.npy`` beside it (``frames_path``) one uint8 array of shape
-    ``(frames, image_height, image_width, 3)`` from the header's scenario;
-    each frame's image is a view of that array and its ``gt`` the
-    scenario's ``gt_boxes()``.  A malformed frame line names file:line:
-    ``observed`` must be a list of 4 finite numbers with w and h not
-    negative, and the confidence ``s`` a number in [0, 1].  Other keys on a
-    line are ignored.
+    ``(frames, image_height, image_width, 3)`` from the header's scenario.
+    The lines fill the ``observed`` and ``s`` columns, that array is
+    ``frames``, and ``gt`` is the scenario's ``gt_path()``; no per-frame
+    object is built (``Sequence.records`` builds its view when read).  A
+    malformed frame line names file:line: ``observed`` must be a list of 4
+    finite numbers with w and h not negative, and the confidence ``s`` a
+    number in [0, 1].  Other keys on a line are ignored.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -187,17 +194,18 @@ def load_sequence(path: str | Path) -> Sequence:
     if len(body) != scenario.frames:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
     frames = _load_frames(path, scenario)
-    records = []
-    for (lineno, line), pixels, gt in zip(body, frames, scenario.gt_boxes()):
-        image = Image(scenario.image_width, scenario.image_height, FRAME_CHANNELS, pixels)
+    observed, s = [], []
+    for lineno, line in body:
         d = _parse_json(line, f"{path}:{lineno}")
         try:
-            records.append(_frame_record(d, image, gt))
+            box, conf = _frame_values(d)
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: frame record missing {exc}") from exc
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return Sequence(scenario=scenario, frames=frames, records=records)
+        observed.append(box)
+        s.append(conf)
+    return Sequence(scenario, frames, scenario.gt_path(), np.array(observed), np.array(s))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
     if not isinstance(payload, dict) or payload.get("format") != TRACKRUN_FORMAT:
         raise DataError(f"{path}: not a {TRACKRUN_FORMAT} file")
     try:
-        pred, gt = ([_box_from(b) for b in payload[k]] for k in ("pred", "gt"))
+        pred, gt = ([BBox(*_box_values(b)) for b in payload[k]] for k in ("pred", "gt"))
         name = payload["sequence"]
         if not isinstance(name, str):
             raise DataError(f"sequence name {name!r} is not a string")

@@ -206,10 +206,11 @@ def modality_pair(m: float, m_hat: float) -> GradPair:
     BCE clamps the probability to [1e-7, 1 - 1e-7].  A finite ``m_hat``
     outside [0, 1] clamps like any probability, and the gradient is zero in
     the clamped tails; an ``m_hat`` that is not a finite number
-    (``core.is_number``) is rejected.
+    (``core.is_number``) is rejected, and so is a target ``m`` that is not
+    a finite number in [0, 1].
     """
-    if not (0.0 <= m <= 1.0):
-        raise ValueError(f"modality_pair: target m={m} outside [0, 1]")
+    if not (is_number(m) and 0.0 <= m <= 1.0):
+        raise ValueError(f"modality_pair: target m={m!r} is not a finite number in [0, 1]")
     if not is_number(m_hat):
         raise ValueError(f"modality_pair: prediction m_hat={m_hat!r} is not a finite number")
     m_hat = float(m_hat)

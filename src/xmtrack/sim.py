@@ -6,12 +6,15 @@ observation-noise model.  ``generate`` renders 64x64 synthetic frames whose
 channel statistics carry the modality signal (color frames have distinct
 per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
-confidence score.  Every frame is rendered in place into one ``(T, H, W, 3)``
-uint8 stack, ``Sequence.frames``.  ``Scenario.frame_masks`` answers every
-frame's band, validity and nearness to a band switch at once, as three bool
-masks that ``generate`` renders and observes from and ``run`` tags from; a
-``FrameRecord`` adds what the scenario cannot reproduce: the pixels (a view
-of its frame in the stack), the observed box and the confidence.
+confidence score.  ``Scenario.frame_masks`` answers every frame's band,
+validity and nearness to a band switch at once, as three bool masks that
+``generate`` renders and observes from and ``run`` tags from.
+
+A ``Sequence`` keeps its T frames as columns: the ``(T, H, W, 3)`` uint8
+stack ``frames`` that every frame renders into, ``(T, 4)`` ``gt`` and
+``observed`` boxes and the ``(T,)`` confidence ``s``.  ``Sequence.records``,
+a per-frame view for callers that read one frame at a time, is built on
+first access; ``generate``, ``io`` and ``run`` never build it.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from .ctp import (
     reliability,
     turn_transition,
 )
-from .metrics import TrackRun, box_array, cle, hit_masks
+from .metrics import TrackRun, cle_array, hit_masks
 from .state_switch import (
     DEFAULT_RHO,
     FRAME_CHANNELS,
@@ -202,15 +206,15 @@ class Scenario:
             for u in range(max(1, t - r), min(self.frames - 1, t + r) + 1)
         )
 
-    def gt_boxes(self) -> list[BBox]:
-        """Ground-truth path: the same discrete turn model the filter uses."""
+    def gt_path(self) -> np.ndarray:
+        """Ground-truth boxes ``(frames, 4)``: the same discrete turn model the filter uses."""
         f = turn_transition(self.turn_rate)
         x = np.array([*self.initial_box, *self.velocity, 0.0, 0.0], dtype=np.float64)
-        boxes = []
-        for _ in range(self.frames):
-            boxes.append(BBox(cx=x[0], cy=x[1], w=x[2], h=x[3]))
+        path = np.empty((self.frames, 4))
+        for t in range(self.frames):
+            path[t] = x[:4]
             x = f @ x
-        return boxes
+        return path
 
 
 @dataclass
@@ -225,14 +229,32 @@ class FrameRecord:
 
 @dataclass
 class Sequence:
-    """A scenario, its ``(T, H, W, 3)`` uint8 frame stack and one record per frame.
+    """A scenario and its columns over T frames.
 
-    Each record's ``image.pixels`` is a view of its frame in ``frames``.
+    ``frames`` is the ``(T, H, W, 3)`` uint8 stack, ``gt`` and ``observed``
+    are ``(T, 4)`` float64 boxes ``(cx, cy, w, h)`` and ``s`` is the
+    ``(T,)`` confidence.
     """
 
     scenario: Scenario
     frames: np.ndarray
-    records: list[FrameRecord]
+    gt: np.ndarray
+    observed: np.ndarray
+    s: np.ndarray
+
+    @cached_property
+    def records(self) -> list[FrameRecord]:
+        """One ``FrameRecord`` per frame, built from the columns on first access.
+
+        Each record's ``image.pixels`` is a view of its frame in ``frames``.
+        """
+        _, ih, iw, channels = self.frames.shape
+        return [
+            FrameRecord(Image(iw, ih, channels, pixels), BBox(*gt), BBox(*observed), s)
+            for pixels, gt, observed, s in zip(
+                self.frames, self.gt.tolist(), self.observed.tolist(), self.s.tolist()
+            )
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +262,14 @@ class Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _box_to_image_rect(b: BBox, sc: Scenario) -> tuple[int, int, int, int] | None:
+def _box_to_image_rect(box, sc: Scenario) -> tuple[int, int, int, int] | None:
+    cx, cy, w, h = box
     sx = sc.image_width / sc.frame_width
     sy = sc.image_height / sc.frame_height
-    x0 = int(math.floor((b.cx - b.w / 2) * sx))
-    x1 = int(math.ceil((b.cx + b.w / 2) * sx))
-    y0 = int(math.floor((b.cy - b.h / 2) * sy))
-    y1 = int(math.ceil((b.cy + b.h / 2) * sy))
+    x0 = int(math.floor((cx - w / 2) * sx))
+    x1 = int(math.ceil((cx + w / 2) * sx))
+    y0 = int(math.floor((cy - h / 2) * sy))
+    y1 = int(math.ceil((cy + h / 2) * sy))
     x0, x1 = max(0, x0), min(sc.image_width, x1)
     y0, y1 = max(0, y0), min(sc.image_height, y1)
     if x0 >= x1 or y0 >= y1:
@@ -254,8 +277,11 @@ def _box_to_image_rect(b: BBox, sc: Scenario) -> tuple[int, int, int, int] | Non
     return x0, x1, y0, y1
 
 
-def render_frame(sc: Scenario, nir: bool, invalid: bool, gt: BBox, rng: np.random.Generator, out: np.ndarray):
-    """Render a NIR or RGB frame, or an invalid one, into ``out``, an ``(ih, iw, 3)`` uint8 view."""
+def render_frame(sc: Scenario, nir: bool, invalid: bool, gt, rng: np.random.Generator, out: np.ndarray):
+    """Render a NIR or RGB frame, or an invalid one, into ``out``, an ``(ih, iw, 3)`` uint8 view.
+
+    ``gt`` is the target's box ``(cx, cy, w, h)``.
+    """
     iw, ih = sc.image_width, sc.image_height
     if invalid:
         # Over-exposed: white except a fixed fraction of dark survivors.
@@ -299,62 +325,68 @@ DIMS_NOISE_SCALE = 0.5  # w/h observation noise relative to center noise
 
 
 def stub_tracker(
-    record_gt: BBox,
-    sigma: float,
-    rng: np.random.Generator,
-) -> tuple[BBox, float]:
-    """Noisy observation of the ground truth plus a confidence score.
+    gt: np.ndarray,
+    z: np.ndarray,
+    sigma: np.ndarray,
+    near_switch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy observations ``(N, 4)`` of the ground truth ``gt`` plus confidences ``(N,)``.
 
+    Row t observes ``gt[t] + z[t] * sigma[t]`` from its four standard-normal
+    draws ``z[t]``, with half that noise on w and h and both floored at 1 px.
     s = clamp(1 - CLE/20, 0, 1): confidence degrades linearly with the
-    center error and bottoms out at 0 beyond 20 px.
+    center error and bottoms out at 0 beyond 20 px; switching uncertainty
+    halves it on the rows ``near_switch`` marks.  Each row keeps the
+    operation order, and so the bits, of the scalar tracker in
+    ``tests/stub_oracle.py``.
     """
-    noise = rng.normal(0.0, 1.0, 4) * sigma if sigma > 0 else np.zeros(4)
-    obs = BBox(
-        cx=record_gt.cx + noise[0],
-        cy=record_gt.cy + noise[1],
-        w=max(1.0, record_gt.w + DIMS_NOISE_SCALE * noise[2]),
-        h=max(1.0, record_gt.h + DIMS_NOISE_SCALE * noise[3]),
-    )
-    s = min(1.0, max(0.0, 1.0 - cle(obs, record_gt) / 20.0))
+    noise = z * sigma[:, None]
+    noise[:, 2:] *= DIMS_NOISE_SCALE
+    obs = gt + noise
+    np.maximum(obs[:, 2:], 1.0, out=obs[:, 2:])
+    s = np.clip(1.0 - cle_array(obs, gt) / 20.0, 0.0, 1.0)
+    s[near_switch] *= 0.5
     return obs, s
 
 
-def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> BBox:
+def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> tuple[float, float, float, float]:
     # Maximally uninformative: uniform over the frame.  Filters are expected
     # to ignore it; the 'off' baseline freezes instead of consuming it.  A
     # frame narrower than 20 px gets 5 px boxes.
-    return BBox(
-        cx=float(rng.uniform(0, sc.frame_width)),
-        cy=float(rng.uniform(0, sc.frame_height)),
-        w=float(rng.uniform(5.0, max(5.0, sc.frame_width / 4))),
-        h=float(rng.uniform(5.0, max(5.0, sc.frame_height / 4))),
+    return (
+        float(rng.uniform(0, sc.frame_width)),
+        float(rng.uniform(0, sc.frame_height)),
+        float(rng.uniform(5.0, max(5.0, sc.frame_width / 4))),
+        float(rng.uniform(5.0, max(5.0, sc.frame_height / 4))),
     )
 
 
 def generate(sc: Scenario) -> Sequence:
     """Render the whole scripted sequence.  Deterministic given the seed.
 
-    Every frame renders straight into one preallocated uint8 stack, and each
-    record's image is a view of its frame.
+    One RNG stream, frame by frame: each frame renders straight into one
+    preallocated uint8 stack, then a valid frame draws its four stub-tracker
+    normals (none when sigma is 0) and an invalid one its uniform box.  One
+    ``stub_tracker`` call then observes every valid frame from its draws.
     """
     rng = np.random.default_rng(sc.seed)
-    gts = sc.gt_boxes()
-    nir, invalid, near_switch = (mask.tolist() for mask in sc.frame_masks())
-    iw, ih = sc.image_width, sc.image_height
-    frames = np.empty((sc.frames, ih, iw, FRAME_CHANNELS), dtype=np.uint8)
-    records = []
-    for t in range(sc.frames):
-        render_frame(sc, nir[t], invalid[t], gts[t], rng, frames[t])
-        image = Image(width=iw, height=ih, channels=FRAME_CHANNELS, pixels=frames[t])
-        if not invalid[t]:
-            sigma_eff = sc.sigma * (sc.switch_noise_boost if near_switch[t] else 1.0)
-            observed, s = stub_tracker(gts[t], sigma_eff, rng)
-            if near_switch[t]:
-                s *= 0.5  # switching uncertainty damps confidence
-        else:
-            observed, s = _invalid_observation(sc, rng), 0.0
-        records.append(FrameRecord(image=image, gt=gts[t], observed=observed, s=s))
-    return Sequence(scenario=sc, frames=frames, records=records)
+    gt = sc.gt_path()
+    nir, invalid, near_switch = sc.frame_masks()
+    frames = np.empty((sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS), dtype=np.uint8)
+    z = np.zeros((sc.frames, 4))
+    uninformative = []
+    for t, (box, n, inv) in enumerate(zip(gt.tolist(), nir.tolist(), invalid.tolist())):
+        render_frame(sc, n, inv, box, rng, frames[t])
+        if inv:
+            uninformative.append(_invalid_observation(sc, rng))
+        elif sc.sigma > 0:
+            z[t] = rng.normal(0.0, 1.0, 4)
+    sigma = np.where(near_switch, sc.sigma * sc.switch_noise_boost, sc.sigma)
+    observed, s = stub_tracker(gt, z, sigma, near_switch)
+    if uninformative:
+        observed[invalid] = uninformative
+        s[invalid] = 0.0
+    return Sequence(scenario=sc, frames=frames, gt=gt, observed=observed, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +468,7 @@ def run(
     ]
     return TrackRun(
         pred=[BBox(*box) for box in boxes.tolist()],
-        gt=[rec.gt for rec in seq.records],
+        gt=[BBox(*box) for box in seq.gt.tolist()],
         tags=tags,
     )
 
@@ -516,18 +548,18 @@ class FilterInputs:
 
 
 def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInputs:
-    if len(decisions) != len(seq.records):
+    if len(decisions) != len(seq.s):
         raise ValueError("filter_inputs: decisions misaligned with sequence")
     sc = seq.scenario
     return FilterInputs(
-        b0=seq.records[0].gt,
+        b0=BBox(*seq.gt[0].tolist()),
         frame_size=(sc.frame_width, sc.frame_height),
         turn_rate=sc.turn_rate,
         valid=np.array([d.state != TriState.INVALID for d in decisions]),
-        observed=box_array([rec.observed for rec in seq.records]),
-        s=np.array([rec.s for rec in seq.records]),
+        observed=seq.observed,
+        s=seq.s,
         m=np.array([d.m for d in decisions]),
-        gt=box_array([rec.gt for rec in seq.records]),
+        gt=seq.gt,
     )
 
 

@@ -22,7 +22,7 @@ from xmtrack.io import (
     save_trackrun,
 )
 from xmtrack.metrics import TrackRun
-from xmtrack.sim import Scenario, generate
+from xmtrack.sim import Scenario, generate, run
 
 
 def test_scenario_file_roundtrip(tmp_path):
@@ -54,6 +54,16 @@ def test_sequence_roundtrip(tmp_path):
     assert all(set(json.loads(line)) == {"observed", "s"} for line in path.read_text().splitlines()[1:])
     back = load_sequence(path)
     assert back.scenario == sc
+    for name in ("frames", "gt", "observed", "s"):
+        assert np.array_equal(getattr(back, name), getattr(seq, name)), name
+    run(back)
+    # generate, save_sequence, load_sequence and run never build the per-frame view.
+    assert "records" not in vars(seq) and "records" not in vars(back)
+    for s in (seq, back):
+        for t, rec in enumerate(s.records):
+            assert rec.observed == BBox(*s.observed[t])
+            assert rec.gt == BBox(*s.gt[t])
+            assert rec.s == s.s[t]
     assert len(back.records) == len(seq.records)
     for ra, rb in zip(seq.records, back.records):
         assert ra.s == rb.s

@@ -208,6 +208,16 @@ def test_modality_loss_rejects_a_non_finite_prediction(m_hat):
         modality_pair(1.0, m_hat)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [True, np.array([0.5]), "0.5", float("nan"), 1.5],
+    ids=["bool", "array", "string", "nan", "above_one"],
+)
+def test_modality_loss_rejects_a_target_that_is_not_a_finite_number_in_the_unit_interval(m):
+    with pytest.raises(ValueError, match="modality_pair: target"):
+        modality_pair(m, 0.5)
+
+
 def test_modality_loss_clamps_a_finite_prediction_outside_the_unit_interval():
     assert modality_pair(1.0, 1.5).value == modality_pair(1.0, 1.0).value
     assert modality_pair(1.0, -0.5).value == modality_pair(1.0, 0.0).value

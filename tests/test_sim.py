@@ -8,6 +8,7 @@ import pytest
 from dataclasses import asdict, replace
 
 import kalman_oracle as oracle
+import stub_oracle
 from pixel_oracle import grayscale
 from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
 from xmtrack.metrics import TrackRun, cle, iou, tag_breakdown
@@ -127,6 +128,35 @@ def test_observation_noise_statistics():
     assert abs(dx.std() - 2.0) < 0.3
 
 
+# Ablation suites; sigma 0 (no stub draws); no noise boost at switches; and
+# blackouts from frame 0, one past a band switch.
+STUB_ORACLE_CASES = {
+    **{sc.name: sc for seed in (0, 5) for sc in ablation_suite(seed)},
+    "sigma-0": _straight(frames=40, sigma=0.0, modality_schedule=[(0, 20, "rgb"), (20, 40, "nir")]),
+    "boost-1": _straight(
+        frames=40, sigma=3.0, seed=4, switch_noise_boost=1.0,
+        modality_schedule=[(0, 15, "nir"), (15, 40, "rgb")], invalid_windows=[(25, 30)],
+    ),
+    "frame-0-invalid": _straight(
+        frames=30, seed=6, switch_noise_boost=4.0, turn_rate=0.02,
+        modality_schedule=[(0, 10, "nir")], invalid_windows=[(0, 5), (9, 12)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STUB_ORACLE_CASES))
+def test_generated_columns_equal_the_frame_by_frame_oracle_bit_for_bit(name):
+    sc = STUB_ORACLE_CASES[name]
+    seq = generate(sc)
+    frames = stub_oracle.replay(sc)
+    assert len(frames) == len(seq.frames) == len(seq.s)
+    for t, (pixels, gt, observed, s) in enumerate(frames):
+        assert seq.frames[t].tobytes() == pixels.tobytes(), t
+        assert seq.gt[t].tobytes() == np.array([gt.cx, gt.cy, gt.w, gt.h]).tobytes(), t
+        assert seq.observed[t].tobytes() == np.array([observed.cx, observed.cy, observed.w, observed.h]).tobytes(), t
+        assert seq.s[t].tobytes() == np.float64(s).tobytes(), t
+
+
 def test_modality_schedule_gaps_default_to_rgb():
     sc = _straight(frames=15, modality_schedule=[(5, 10, "nir")])
     mods = [sc.scheduled_modality(t) for t in range(sc.frames)]
@@ -180,7 +210,7 @@ def test_nir_frames_collapse_channels_rgb_frames_do_not():
 
 def test_render_frame_into_a_strided_view_equals_a_contiguous_render():
     sc = _straight(frames=1)
-    gt = BBox(cx=256.0, cy=256.0, w=30.0, h=30.0)
+    gt = (256.0, 256.0, 30.0, 30.0)  # (cx, cy, w, h)
     for nir, invalid in ((True, False), (False, False), (False, True)):
         want = np.zeros((64, 64, 3), np.uint8)
         render_frame(sc, nir, invalid, gt, np.random.default_rng(11), want)
