@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import io as xio
-from .ctp import DEFAULT_EPSILON, DEFAULT_THETA, FilterDegenerateError
+from .ctp import FilterDegenerateError
 from .metrics import metrics_csv, metrics_summary
 from .sim import (
     HarnessConfig,
@@ -26,7 +25,6 @@ from .sim import (
     run,
     run_ablation_suite,
 )
-from .state_switch import DEFAULT_RHO
 from .verify import GRAD_TOL, gradient_report
 
 EXIT_OK = 0
@@ -36,6 +34,11 @@ EXIT_PROPERTY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # No abbreviations: an option is given by its whole name or not at all.
+    # The subparsers are built from this class too.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; the documented contract is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -50,33 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p_sim = sub.add_parser(
-        "simulate", help="render a scenario into a sequence file", parents=[]
-    )
+    p_sim = sub.add_parser("simulate", help="render a scenario into a sequence file")
     p_sim.add_argument("scenario", help="scenario JSON file")
     p_sim.add_argument("--out", required=True, help="output sequence (.jsonl), pixels to <out>.npy")
-    p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sim.add_argument("--sigma", type=float, default=None, help="override observation noise (px)")
 
     p_trk = sub.add_parser("track", help="run the tracking pipeline on a sequence")
     p_trk.add_argument("sequence", help="sequence file from `simulate`")
     p_trk.add_argument("--out", required=True, help="output track-run JSON")
-    p_trk.add_argument(
-        "--motion", choices=MOTION_PRESETS, default="ctp", help="motion configuration"
-    )
-    # Unset flags stay None: the preset, then the --config file, supply them.
-    for flag, meaning, default in (
-        ("--rho", "over-exposure ratio threshold", f"{DEFAULT_RHO:g}"),
-        ("--epsilon", "reliability floor", f"ctp {DEFAULT_EPSILON:g}, kf/ekf 1"),
-        ("--theta", "process-noise inflation factor", f"ctp {DEFAULT_THETA:g}, kf/ekf 1"),
-    ):
-        p_trk.add_argument(flag, type=float, default=None, help=f"{meaning} (default {default})")
-    p_trk.add_argument(
-        "--config",
-        default=None,
-        help="filter config JSON overlaid on the preset, under the flags "
-        "(searched in $XMTRACK_CONFIG_DIR if not found locally)",
-    )
+    p_trk.add_argument("--motion", choices=MOTION_PRESETS, default="ctp", help="motion configuration")
+    p_trk.add_argument("--config", default=None, help="filter config JSON overlaid on the preset")
 
     p_eval = sub.add_parser("eval", help="compute PR/SR metrics for a track run")
     p_eval.add_argument("trackrun", help="track-run JSON from `track`")
@@ -100,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     sc = xio.load_scenario(args.scenario)
-    overrides = {k: v for k in ("seed", "sigma") if (v := getattr(args, k)) is not None}
-    try:
-        sc = replace(sc, **overrides)
-    except ValueError as exc:
-        raise xio.DataError(f"invalid scenario flag: {exc}") from exc
     seq = generate(sc)
     xio.save_sequence(args.out, seq)
     print(f"wrote {sc.frames} frames to {args.out} and {xio.frames_path(args.out)}")
@@ -113,15 +93,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     seq = xio.load_sequence(args.sequence)
-    # One filter config: the preset, overlaid by the file, overlaid by the flags.
+    # One filter config: the --motion preset, overlaid by the keys the --config file sets.
     session = preset_config(args.motion, seq.scenario.turn_rate)
     if args.config is not None:
         session = xio.load_session_config(args.config, session)
-    flags = {k: v for k in ("rho", "epsilon", "theta") if (v := getattr(args, k)) is not None}
-    try:
-        session = replace(session, **flags)
-    except ValueError as exc:
-        raise xio.DataError(f"invalid filter flag: {exc}") from exc
     tr = run(seq, HarnessConfig(args.motion, session))
     xio.save_trackrun(args.out, seq.scenario.name, tr)
     print(f"wrote track run ({len(tr.pred)} frames, motion={args.motion}) to {args.out}")

@@ -336,27 +336,40 @@ class FilterBank:
         """One frame for every row; returns the reported boxes (B, 4).
 
         Valid rows are corrected with z (B, 4) and r (B,), which are read on
-        those rows only (None when no row is valid), and reset their streak.
-        The others count one more invalid frame and, on a step with any
-        invalid row, every row predicts with Q_base scaled by ``inflate_Q``
-        of its streak (1 on a valid row).  The bank changes only if the
-        whole step succeeds: bad input raises ValueError, a degenerate
-        covariance FilterDegenerateError.
+        those rows only (None when no row is valid), and reset their streak;
+        an observed w or h below 0 raises ValueError.  The others count one
+        more invalid frame and, on a step with any invalid row, every row
+        predicts with Q_base scaled by ``inflate_Q`` of its streak (1 on a
+        valid row).  Before the prediction, a row's w or h rate that would
+        take that size below 1 is zeroed, SORT's rule (Bewley et al. 2016),
+        so a coasting box does not shrink through 0.  The bank changes only
+        if the whole step succeeds: bad input raises ValueError, a
+        degenerate covariance FilterDegenerateError.
         """
         n_valid = np.count_nonzero(valid)
+        every = n_valid == len(valid)
+        if n_valid:
+            if not every:
+                rows = np.flatnonzero(valid)
+                z = z[rows]
+            for _, _, w, h in z.tolist():
+                if w < 0.0 or h < 0.0:
+                    raise ValueError(f"step: observed box has a negative size, w={w}, h={h}")
         scale = None
-        if n_valid == len(valid):
+        if every:
             x, p = ctp_update(self.x, self.P, self.R, r, z)
             streak = [0] * n_valid
         else:
             x, p = self.x, self.P
             if n_valid:  # a blackout on every row corrects and copies nothing
-                rows = np.flatnonzero(valid)
                 x, p = x.copy(), p.copy()
-                x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z[rows])
+                x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z)
             streak = [0 if v else k + 1 for v, k in zip(valid.tolist(), self.streak)]
             settings = zip(self.theta, self.cap_mult, streak)
             scale = np.array([inflate_Q(t, c, k) if k else 1.0 for t, c, k in settings])
+        if any(w + vw < 1.0 or h + vh < 1.0 for _, _, w, h, _, _, vw, vh in x.tolist()):
+            x = x.copy()
+            x[:, OBS_DIM + 2 :][x[:, 2:OBS_DIM] + x[:, OBS_DIM + 2 :] < 1.0] = 0.0
         self.x, self.P = ctp_predict(x, p, self.F, self.Q_base, scale)
         self.streak = streak
         return np.minimum(np.maximum(self.x[:, :OBS_DIM], self.box_min), self.box_max)
@@ -404,8 +417,6 @@ class TrackerSession:
             o = frame.observed
             if o is None:
                 raise ValueError("step: valid frame without an observation")
-            if o.w < 0 or o.h < 0:
-                raise ValueError(f"step: observed box has a negative size, w={o.w}, h={o.h}")
             r = reliability(frame.s, decision.m, self.bank.epsilon)
             box = self.bank.step(_ONE_VALID, np.array([[o.cx, o.cy, o.w, o.h]], dtype=np.float64), r)
         cx, cy, w, h = box[0].tolist()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import tokenize
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -30,8 +29,6 @@ from .sim import Scenario, Sequence
 from .state_switch import FRAME_CHANNELS
 
 TRACKRUN_FORMAT = "xmtrack-trackrun-v1"
-
-CONFIG_DIR_ENV = "XMTRACK_CONFIG_DIR"
 
 
 class DataError(Exception):
@@ -245,27 +242,15 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
 # ---------------------------------------------------------------------------
 
 
-def resolve_config_path(name: str | Path) -> Path:
-    """Literal path if it exists, else relative to $XMTRACK_CONFIG_DIR."""
-    p = Path(name)
-    if p.exists():
-        return p
-    env_dir = os.environ.get(CONFIG_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / p
-        if candidate.exists():
-            return candidate
-    raise DataError(f"config file not found: {name}")
-
-
 def load_session_config(path: str | Path, base: SessionConfig | None = None) -> SessionConfig:
     """Overlay the keys a config file sets onto ``base`` (default: ``SessionConfig()``).
 
     Keys are the ``SessionConfig`` fields, with ``motion`` the motion kind
     (``"cv"``/``"ct"``), plus ``turn_rate``; the two overlay the base motion
-    model separately.  Unknown keys and out-of-range values are data errors.
+    model separately.  The file is read at ``path`` as given; a missing
+    file, unknown keys and out-of-range values are data errors.
     """
-    d = _load_json(resolve_config_path(path))
+    d = _load_json(path)
     if not isinstance(d, dict):
         raise DataError(f"{path}: session config must be a JSON object")
     unknown = sorted(set(d) - {f.name for f in fields(SessionConfig)} - {"turn_rate"})

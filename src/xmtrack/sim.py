@@ -407,8 +407,8 @@ def preset_config(motion: str, turn_rate: float = 0.0) -> SessionConfig:
     Every preset carries ``turn_rate``, so a config file that sets
     ``"motion": "ct"`` on kf turns at that rate.  Every preset but ctp sets
     epsilon = 1 and theta = 1, which pin r and the Q multiplier to 1; a
-    config file or flag can set them again.  ``off`` builds no filter and
-    reads only rho.
+    config file can set them again.  ``off`` builds no filter and reads
+    only rho.
     """
     _check_preset(motion)
     turns = motion in ("ekf", "ctp")

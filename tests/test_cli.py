@@ -83,14 +83,6 @@ def test_simulate_rerun_is_byte_identical(tmp_path, scenario_file):
     assert frames_path(out1).read_bytes() == frames_path(out2).read_bytes()
 
 
-def test_sigma_override_changes_sequence(tmp_path, scenario_file):
-    base = tmp_path / "base.jsonl"
-    quiet = tmp_path / "quiet.jsonl"
-    assert main(["simulate", str(scenario_file), "--out", str(base)]) == 0
-    assert main(["simulate", str(scenario_file), "--out", str(quiet), "--sigma", "0"]) == 0
-    assert base.read_bytes() != quiet.read_bytes()
-
-
 def test_motion_presets_produce_different_runs(tmp_path, sequence_file):
     outputs = {}
     for preset in ("off", "kf", "ctp"):
@@ -196,19 +188,19 @@ def test_track_honors_config_file(tmp_path, turning_sequence):
 @pytest.mark.parametrize("motion", ["kf", "ekf"])
 def test_theta_epsilon_and_cap_mult_move_the_plain_presets(tmp_path, turning_sequence, motion):
     # kf and ekf are the ctp filter at epsilon = 1 and theta = 1, so both reach them.
-    def track(*extra):
+    def track(config=None):
+        extra = ()
+        if config is not None:
+            (tmp_path / "filter.json").write_text(json.dumps(config))
+            extra = ("--config", tmp_path / "filter.json")
         return _track(turning_sequence, tmp_path / "run.json", "--motion", motion, *extra)
 
-    cfg = tmp_path / "filter.json"
-    base = track()
-    for key, value in (("theta", 3.0), ("epsilon", 0.5)):
-        flagged = track(f"--{key}", value)
-        cfg.write_text(json.dumps({key: value}))
-        assert track("--config", cfg) == flagged != base, key
+    base, theta = track(), track({"theta": 3.0})
+    assert theta != base
+    assert track({"epsilon": 0.5}) not in (base, theta)
     # cap_mult caps the inflation, so it acts once theta > 1 and not before.
-    cfg.write_text('{"cap_mult": 2.0}')
-    assert track("--config", cfg) == base
-    assert track("--config", cfg, "--theta", 3.0) != track("--theta", 3.0)
+    assert track({"cap_mult": 2.0}) == base
+    assert track({"cap_mult": 2.0, "theta": 3.0}) != theta
 
 
 @pytest.mark.parametrize("key", ["use_reliability", "inflate_on_invalid"])
@@ -220,16 +212,6 @@ def test_removed_filter_switch_exits_2_naming_the_key(tmp_path, sequence_file, k
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
     assert not out.exists()
-
-
-def test_flags_beat_config_file(tmp_path, turning_sequence):
-    cfg = tmp_path / "filter.json"
-    cfg.write_text('{"rho": 0.99, "epsilon": 0.5, "theta": 2.0}')
-    flags = ("--rho", 0.1, "--epsilon", 0.01, "--theta", 1.2)
-    flags_only = _track(turning_sequence, tmp_path / "a.json", *flags)
-    both = _track(turning_sequence, tmp_path / "b.json", "--config", cfg, *flags)
-    assert both == flags_only
-    assert flags_only != _track(turning_sequence, tmp_path / "c.json")
 
 
 @pytest.mark.parametrize(
@@ -259,23 +241,51 @@ def test_bad_config_file_exits_2(tmp_path, sequence_file, text, capsys):
     capsys.readouterr()
 
 
+def test_config_path_is_read_as_given_and_not_searched(tmp_path, sequence_file, monkeypatch, capsys):
+    # A directory named by XMTRACK_CONFIG_DIR, once a second place to look, holds the file.
+    elsewhere = tmp_path / "configs"
+    elsewhere.mkdir()
+    (elsewhere / "filter.json").write_text('{"theta": 3.0}')
+    monkeypatch.setenv("XMTRACK_CONFIG_DIR", str(elsewhere))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run.json"
+    assert main(["track", str(sequence_file), "--out", str(out), "--config", "filter.json"]) == 2
+    assert "file not found: filter.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_diagonal_of_big_integers_runs(tmp_path, sequence_file):
     cfg = tmp_path / "filter.json"
     cfg.write_text(json.dumps({"r_diag": [10**30] * 4}))  # integers past int64 made an object array
     assert main(["track", str(sequence_file), "--out", str(tmp_path / "run.json"), "--config", str(cfg)]) == 0
 
 
-@pytest.mark.parametrize("flag", [("--rho", "-0.1"), ("--epsilon", "0"), ("--theta", "0.5")])
-def test_out_of_range_flag_exits_2(tmp_path, sequence_file, flag, capsys):
-    out = tmp_path / "run.json"
-    assert main(["track", str(sequence_file), "--out", str(out), *flag]) == 2
-    capsys.readouterr()
+# The removed flags, whose values the scenario and --config files set, and a
+# proper prefix of each remaining option; argv with {scenario}/{seq}/{cfg}/{out} filled in.
+REJECTED_ARGV = {
+    "simulate_seed": "simulate {scenario} --out {out} --seed 5",
+    "simulate_sigma": "simulate {scenario} --out {out} --sigma 0",
+    "track_seed": "track {seq} --out {out} --seed 5",
+    "track_rho": "track {seq} --out {out} --rho 0.5",
+    "track_epsilon": "track {seq} --out {out} --epsilon 0.5",
+    "track_theta": "track {seq} --out {out} --theta 3",
+    "out_prefix": "simulate {scenario} --o {out}",
+    "motion_prefix": "track {seq} --out {out} --mot kf",
+    "config_prefix": "track {seq} --out {out} --conf {cfg}",
+    "suites_prefix": "ablate --su 1 --out {out}",
+    "inject_bug_prefix": "gradcheck --inj",
+}
 
 
-def test_track_seed_flag_is_gone(tmp_path, sequence_file, capsys):
-    out = tmp_path / "run.json"
-    assert main(["track", str(sequence_file), "--out", str(out), "--seed", "5"]) == 1
+@pytest.mark.parametrize("case", sorted(REJECTED_ARGV))
+def test_removed_flag_or_abbreviation_exits_1(tmp_path, scenario_file, sequence_file, case, capsys):
+    names = {"scenario": scenario_file, "seq": sequence_file, "cfg": tmp_path / "filter.json"}
+    names["cfg"].write_text("{}")
+    names["out"] = tmp_path / "out.json"
     capsys.readouterr()
+    assert main(REJECTED_ARGV[case].format(**names).split()) == 1
+    assert not names["out"].exists()
+    assert not capsys.readouterr().out
 
 
 def _edited_copy(sequence, bad, line, edit):
@@ -502,40 +512,37 @@ def test_non_positive_scenario_size_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-# Each entry edits a valid scenario file and adds simulate flags; every one
-# is rejected before anything is rendered.
+# Each entry edits a valid scenario file; every one is rejected before
+# anything is rendered.
 BAD_SCENARIOS = {
-    "seed_flag_negative": ({}, ["--seed", "-1"]),
-    "sigma_flag_nan": ({}, ["--sigma", "nan"]),
-    "sigma_flag_negative": ({}, ["--sigma", "-1"]),
-    "seed_negative": ({"seed": -5}, []),
-    "seed_not_integer": ({"seed": 1.5}, []),
-    "turn_rate_infinite": ({"turn_rate": float("inf")}, []),
-    "velocity_overflows_the_path": ({"velocity": [1e308, 1e308]}, []),
-    "velocity_one_entry": ({"velocity": [4.0]}, []),
-    "frames_not_integer": ({"frames": 30.5}, []),
-    "initial_box_three_entries": ({"initial_box": [100.0, 256.0, 30.0]}, []),
-    "initial_box_zero_width": ({"initial_box": [100.0, 256.0, 0.0, 30.0]}, []),
-    "sigma_nan": ({"sigma": float("nan")}, []),
-    "switch_noise_boost_nan": ({"switch_noise_boost": float("nan")}, []),
-    "window_bound_not_integer": ({"invalid_windows": [[12.5, 20]]}, []),
-    "image_past_the_pixel_cap": ({"image_width": 10**30}, []),
-    "frame_stack_past_the_byte_cap": ({"frames": 2**40, "velocity": [0.0, 0.0]}, []),
-    "sigma_past_the_float_range": ({"sigma": 10**400}, []),
-    "frame_width_past_the_float_range": ({"frame_width": 10**400}, []),
-    "frame_height_past_the_float_range": ({"frame_height": 10**400}, []),
-    "frame_width_past_max_coord": ({"frame_width": 10**310}, []),
+    "seed_negative": {"seed": -5},
+    "seed_not_integer": {"seed": 1.5},
+    "turn_rate_infinite": {"turn_rate": float("inf")},
+    "velocity_overflows_the_path": {"velocity": [1e308, 1e308]},
+    "velocity_one_entry": {"velocity": [4.0]},
+    "frames_not_integer": {"frames": 30.5},
+    "initial_box_three_entries": {"initial_box": [100.0, 256.0, 30.0]},
+    "initial_box_zero_width": {"initial_box": [100.0, 256.0, 0.0, 30.0]},
+    "sigma_nan": {"sigma": float("nan")},
+    "sigma_negative": {"sigma": -1},
+    "switch_noise_boost_nan": {"switch_noise_boost": float("nan")},
+    "window_bound_not_integer": {"invalid_windows": [[12.5, 20]]},
+    "image_past_the_pixel_cap": {"image_width": 10**30},
+    "frame_stack_past_the_byte_cap": {"frames": 2**40, "velocity": [0.0, 0.0]},
+    "sigma_past_the_float_range": {"sigma": 10**400},
+    "frame_width_past_the_float_range": {"frame_width": 10**400},
+    "frame_height_past_the_float_range": {"frame_height": 10**400},
+    "frame_width_past_max_coord": {"frame_width": 10**310},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
 def test_bad_scenario_exits_2_with_one_line(tmp_path, scenario_file, case, capsys):
-    edits, flags = BAD_SCENARIOS[case]
     scenario = json.loads(scenario_file.read_text())
-    scenario.update(edits)
+    scenario.update(BAD_SCENARIOS[case])
     scenario_file.write_text(json.dumps(scenario))
     out = tmp_path / "seq.jsonl"
-    assert main(["simulate", str(scenario_file), "--out", str(out), *flags]) == 2
+    assert main(["simulate", str(scenario_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()

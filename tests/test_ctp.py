@@ -523,12 +523,12 @@ def test_step_rejects_non_finite_input_before_changing_state():
 
 
 def test_step_rejects_a_negative_observed_size_before_changing_state():
-    # io rejects such a box in a sequence file and box2state as b0.
+    # io rejects such a box in a sequence file and box2state as b0; the bank's step rejects it here.
     rgb = TriStateDecision(TriState.RGB, 0.1, 0.0)
     for observed in (BBox(100.0, 100.0, -30.0, -30.0), BBox(100.0, 100.0, 30.0, -1e-9)):
         sess = TrackerSession(BBox(100.0, 100.0, 30.0, 30.0), 512.0, 512.0)
         x, p = sess.bank.x.copy(), sess.bank.P.copy()
-        with pytest.raises(ValueError, match="step: observed box has a negative size"):
+        with pytest.raises(ValueError, match="step: observed box has a negative size, w="):
             sess.step(FrameInput(observed=observed, s=0.9, decision=rgb))
         np.testing.assert_array_equal(sess.bank.x, x)
         np.testing.assert_array_equal(sess.bank.P, p)
@@ -561,6 +561,7 @@ def test_bank_rows_match_their_own_single_row_runs():
         saw_mixed |= bool(valid.any() and not valid.all())
         saw_all_invalid |= not valid.any()
         z = np.array([bank.x[b, :4] + rng.normal(scale=3.0, size=4) for b in range(len(configs))])
+        z[:, 2:] = np.abs(z[:, 2:])  # the bank rejects a negative observed size
         z[~valid] = np.nan  # never read on invalid rows
         s, m = rng.uniform(0.0, 1.0, (2, len(configs)))
         r = reliability(s, m, bank.epsilon)
@@ -586,7 +587,7 @@ def test_single_row_bank_is_the_session():
             want = bank.step(np.array([False]), np.zeros((1, 4)), np.ones(1))
         else:
             z = bank.x[0, :4] + rng.normal(scale=2.0, size=4)
-            z[2:] = np.abs(z[2:])  # coasting drives h below 0; step rejects a negative size
+            z[2:] = np.abs(z[2:])  # the bank rejects a negative observed size
             s, m = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 1.0))
             decision = TriStateDecision(TriState.RGB, m, 0.0)
             box = sess.step(FrameInput(observed=BBox(*z), s=s, decision=decision))
@@ -594,6 +595,38 @@ def test_single_row_bank_is_the_session():
         assert (box.cx, box.cy, box.w, box.h) == tuple(want[0].tolist())
         np.testing.assert_array_equal(sess.bank.x, bank.x)
         np.testing.assert_array_equal(sess.bank.P, bank.P)
+
+
+def test_a_coasting_size_stays_at_least_1():
+    # Eight invalid frames on a shrinking box: the h rate would take h from ~8 to -6.0.
+    bank = FilterBank([BBox(120.0, 300.0, 32.0, 24.0)], [(512.0, 512.0)], [_bank_configs()[1]])
+    rng = np.random.default_rng(9)
+    zeroed = False
+    for t in range(40):
+        if 10 <= t < 18:
+            bank.step(np.array([False]), None, None)
+        else:
+            z = bank.x[0, :4] + rng.normal(scale=2.0, size=4)
+            z[2:] = np.abs(z[2:])
+            s, m = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0)
+            bank.step(np.array([True]), z[None], reliability(s, m, bank.epsilon))
+        assert (bank.x[0, 2:4] >= 1.0).all(), t
+        zeroed |= bool((bank.x[0, 6:] == 0.0).any())
+    assert zeroed  # the rule fired, and did not only stand by
+
+
+def test_bank_reads_the_observed_size_of_valid_rows_only():
+    cfgs = _bank_configs()[:2]
+    b0 = [BBox(100.0, 100.0, 30.0, 30.0)] * 2
+    z = np.array([[100.0, 100.0, 30.0, 30.0], [100.0, 100.0, -40.0, -40.0]])
+    bank = FilterBank(b0, [(512.0, 512.0)] * 2, cfgs)
+    bank.step(np.array([True, False]), z, np.ones(2))
+    x, p = bank.x.copy(), bank.P.copy()
+    with pytest.raises(ValueError, match="negative size"):
+        bank.step(np.array([True, True]), z, np.ones(2))
+    np.testing.assert_array_equal(bank.x, x)
+    np.testing.assert_array_equal(bank.P, p)
+    assert bank.streak == [0, 1]
 
 
 def test_session_steps_through_the_single_filter_functions(monkeypatch):

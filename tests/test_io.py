@@ -16,7 +16,6 @@ from xmtrack.io import (
     load_sequence,
     load_session_config,
     load_trackrun,
-    resolve_config_path,
     save_scenario,
     save_sequence,
     save_trackrun,
@@ -152,22 +151,12 @@ def test_missing_file_is_data_error():
         load_scenario("nope/missing.json")
 
 
-def test_config_dir_env_var_resolution(tmp_path, monkeypatch):
-    cfg_dir = tmp_path / "configs"
-    cfg_dir.mkdir()
-    (cfg_dir / "filter.json").write_text(
-        '{"theta": 2.0, "motion": "ct", "turn_rate": 0.05}'
-    )
-    monkeypatch.chdir(tmp_path)  # file is not in the cwd
-    monkeypatch.setenv("XMTRACK_CONFIG_DIR", str(cfg_dir))
-    assert resolve_config_path("filter.json") == cfg_dir / "filter.json"
-    cfg = load_session_config("filter.json")
-    assert cfg.theta == 2.0
-    assert cfg.motion.kind == MotionKind.COORDINATED_TURN
-    assert cfg.motion.turn_rate == 0.05
-    monkeypatch.delenv("XMTRACK_CONFIG_DIR")
-    with pytest.raises(DataError):
-        resolve_config_path("filter.json")
+def test_session_config_overlays_theta_and_motion_read_from_a_literal_path(tmp_path):
+    path = tmp_path / "configs" / "filter.json"
+    path.parent.mkdir()
+    path.write_text('{"theta": 2.0, "motion": "ct", "turn_rate": 0.05}')
+    turn = MotionModel(MotionKind.COORDINATED_TURN, 0.05)
+    assert load_session_config(path) == SessionConfig(theta=2.0, motion=turn)
 
 
 def test_session_config_defaults_fill_missing_keys(tmp_path):

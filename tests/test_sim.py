@@ -232,6 +232,13 @@ def test_run_is_deterministic():
         assert (pa.cx, pa.cy, pa.w, pa.h) == (pb.cx, pb.cy, pb.w, pb.h)
 
 
+def test_run_rejects_a_negative_observed_size():
+    seq = generate(_straight(frames=30, seed=8))
+    seq.observed[5, 2:] = -40.0
+    with pytest.raises(ValueError, match="observed box has a negative size"):
+        run(seq, HarnessConfig(motion="ctp"))
+
+
 def test_off_preset_freezes_box_during_invalid_window():
     sc = _straight(frames=30, invalid_windows=[(12, 20)], seed=4)
     seq = generate(sc)
