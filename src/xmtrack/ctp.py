@@ -29,17 +29,17 @@ every streak, which leaves Q as it is bit for bit.
 The innovation covariance S = H P H^T + R/r of every corrected row is
 checked by a Cholesky factorization of the (B, 4, 4) stack, which the gain
 then reuses; a non-finite or non-positive-definite S, or a predicted P that
-overflows, raises ``FilterDegenerateError``.  The update calls the LAPACK
-kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve`` directly: at
-B=1 their Python wrappers cost more than the kernels, and the shapes and
-dtype they check are fixed here.  The results are the same bits.  The
-kernel reports a failed factorization by filling that row's whole factor
-with NaN, so its first entry, chol[b, 0, 0], is what the check reads and what
-raises.  A non-finite z or r raises ``ValueError``.  Both are raised before
-any row changes.  The guards on r, z and the factor's first entries read
-those few values as Python floats (``math.isfinite``, ``math.isnan``, a
-chained compare): at B <= 9 a numpy reduction's call costs more than its
-work.  NaN fails each of these predicates.
+overflows, raises ``FilterDegenerateError``, and a non-finite z or r
+``ValueError``, each before any row changes.  At B=1 the Python wrappers
+around a kernel cost more than the kernel, so the update calls the LAPACK
+kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve`` directly (same
+bits; the shapes and dtype they check are fixed here), and the guards read
+r, z and chol[b, 0, 0] as Python floats, which NaN fails: the kernel fills
+a row it cannot factor with NaN.  Each stage ignores every floating-point
+flag over the arithmetic whose overflow its checks report, by one set and
+one reset of numpy's error-state variable to a state built once at import
+(``np.errstate`` builds it on every entry); the caller's state is back
+before the stage returns or raises.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ import numpy as np
 # The LAPACK gufuncs themselves, without numpy.linalg's per-call wrapper work.
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # backs np.linalg.cholesky
 from numpy.linalg._umath_linalg import solve as _solve  # backs np.linalg.solve
+from numpy._core.umath import _extobj_contextvar as _errstate  # what np.errstate sets
+from numpy._core.umath import clip as _clip  # the ufunc behind np.clip, without its wrapper
 
 from .state_switch import (
     DEFAULT_RHO,
@@ -79,6 +81,9 @@ DEFAULT_P0_DIAG = (10.0, 10.0, 10.0, 10.0, 100.0, 100.0, 100.0, 100.0)
 DEFAULT_Q_DIAG = (0.1, 0.1, 0.1, 0.1, 0.002, 0.002, 0.002, 0.002)
 # Matched to the simulator's default 2 px observation noise.
 DEFAULT_R_DIAG = (4.0, 4.0, 4.0, 4.0)
+
+with np.errstate(all="ignore"):
+    _QUIET = _errstate.get()  # every floating-point flag ignored
 
 
 class FilterDegenerateError(RuntimeError):
@@ -196,24 +201,27 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
     This is the only place S and K are formed.  Inputs are checked before
     anything is computed.
     """
-    if not (
-        all(0.0 < v < math.inf for v in r.tolist()) and all(math.isfinite(v) for v in z.ravel().tolist())
-    ):
+    if not (all(0.0 < v < math.inf for v in r.tolist()) and all(map(math.isfinite, z.ravel().tolist()))):
         raise ValueError("ctp update: observation z must be finite and reliability r finite positive")
-    innovation = (z - x[:, :OBS_DIM])[:, :, None]
+    # [H P | z - H x], (B, 4, 9): H picks the box components out of the state.
+    rhs = np.empty((len(x), OBS_DIM, STATE_DIM + 1))
+    rhs[:, :, :STATE_DIM] = P[:, :OBS_DIM]
+    rhs[:, :, STATE_DIM] = z - x[:, :OBS_DIM]
     # An overflowing S and a failed factorization are reported by the checks
     # below, not as floating-point warnings (numpy.linalg ignores the same
     # flags): the kernel fills a row it cannot factor with NaN.
-    with np.errstate(all="ignore"):
-        # H picks the box components out of the state, so H P H^T is a slice of P.
-        s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]
+    quiet = _errstate.set(_QUIET)
+    try:
+        s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]  # H P H^T is a slice of P
         if not np.isfinite(s_mat).all():
             raise FilterDegenerateError("ctp update: innovation covariance not finite")
         chol = _cholesky_lo(s_mat, signature="d->d")
         # The kernel NaN-fills the whole factor of a row it cannot factor.
         if any(map(math.isnan, chol[:, 0, 0].tolist())):
             raise FilterDegenerateError("ctp update: innovation covariance not positive definite")
-        white = _solve(chol, np.concatenate((P[:, :OBS_DIM, :], innovation), axis=2), signature="dd->d")
+        white = _solve(chol, rhs, signature="dd->d")
+    finally:
+        _errstate.reset(quiet)
     step = white[:, :, :STATE_DIM].transpose(0, 2, 1) @ white  # A^T [A | w], (B, 8, 9)
     p_new = P - step[:, :, :STATE_DIM]
     return x + step[:, :, STATE_DIM], (p_new + p_new.transpose(0, 2, 1)) / 2.0
@@ -229,14 +237,24 @@ def ctp_predict(
     FilterDegenerateError.
     """
     x_new = (F @ x[:, :, None])[:, :, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    quiet = _errstate.set(_QUIET)
+    try:
         if scale is not None:
             Q = scale[:, None, None] * Q
         p_new = F @ P @ F.transpose(0, 2, 1) + Q
         p_new = (p_new + p_new.transpose(0, 2, 1)) / 2.0
+    finally:
+        _errstate.reset(quiet)
     if not np.isfinite(p_new).all():
         raise FilterDegenerateError("ctp predict: state covariance not finite")
     return x_new, p_new
+
+
+def reject_negative_size(z: Tensor) -> None:
+    """ValueError for the first of the observed boxes z (n, 4) whose w or h is below 0."""
+    for _, _, w, h in z.tolist():
+        if w < 0.0 or h < 0.0:
+            raise ValueError(f"step: observed box has a negative size, w={w}, h={h}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +364,14 @@ class FilterBank:
         if the whole step succeeds: bad input raises ValueError, a
         degenerate covariance FilterDegenerateError.
         """
-        n_valid = np.count_nonzero(valid)
-        every = n_valid == len(valid)
+        flags = valid.tolist()
+        n_valid = flags.count(True)
+        every = n_valid == len(flags)
         if n_valid:
             if not every:
                 rows = np.flatnonzero(valid)
                 z = z[rows]
-            for _, _, w, h in z.tolist():
-                if w < 0.0 or h < 0.0:
-                    raise ValueError(f"step: observed box has a negative size, w={w}, h={h}")
+            reject_negative_size(z)
         scale = None
         if every:
             x, p = ctp_update(self.x, self.P, self.R, r, z)
@@ -364,7 +381,7 @@ class FilterBank:
             if n_valid:  # a blackout on every row corrects and copies nothing
                 x, p = x.copy(), p.copy()
                 x[rows], p[rows] = ctp_update(x[rows], p[rows], self.R[rows], r[rows], z)
-            streak = [0 if v else k + 1 for v, k in zip(valid.tolist(), self.streak)]
+            streak = [0 if v else k + 1 for v, k in zip(flags, self.streak)]
             settings = zip(self.theta, self.cap_mult, streak)
             scale = np.array([inflate_Q(t, c, k) if k else 1.0 for t, c, k in settings])
         if any(w + vw < 1.0 or h + vh < 1.0 for _, _, w, h, _, _, vw, vh in x.tolist()):
@@ -372,7 +389,7 @@ class FilterBank:
             x[:, OBS_DIM + 2 :][x[:, 2:OBS_DIM] + x[:, OBS_DIM + 2 :] < 1.0] = 0.0
         self.x, self.P = ctp_predict(x, p, self.F, self.Q_base, scale)
         self.streak = streak
-        return np.minimum(np.maximum(self.x[:, :OBS_DIM], self.box_min), self.box_max)
+        return _clip(self.x[:, :OBS_DIM], self.box_min, self.box_max)
 
 
 _ONE_VALID, _ONE_INVALID = np.array([True]), np.array([False])
@@ -419,5 +436,4 @@ class TrackerSession:
                 raise ValueError("step: valid frame without an observation")
             r = reliability(frame.s, decision.m, self.bank.epsilon)
             box = self.bank.step(_ONE_VALID, np.array([[o.cx, o.cy, o.w, o.h]], dtype=np.float64), r)
-        cx, cy, w, h = box[0].tolist()
-        return BBox(cx=cx, cy=cy, w=w, h=h)
+        return BBox(*box[0].tolist())

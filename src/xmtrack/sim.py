@@ -51,6 +51,7 @@ from .ctp import (
     MotionKind,
     MotionModel,
     SessionConfig,
+    reject_negative_size,
     reliability,
     turn_transition,
 )
@@ -564,8 +565,9 @@ def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInp
 
 
 def frozen_boxes(inputs: FilterInputs) -> np.ndarray:
-    """The ``off`` track (T, 4): b0 at frame 0, then the observed box on valid
-    frames and the last reported box on invalid ones."""
+    """The ``off`` track (T, 4): b0 at frame 0, then the observed box (not of
+    negative size) on valid frames and the last reported box on invalid ones."""
+    reject_negative_size(inputs.observed[1:][inputs.valid[1:]])
     frames = np.arange(len(inputs.valid))
     last_reported = np.maximum.accumulate(np.where(inputs.valid | (frames == 0), frames, 0))
     return np.vstack((inputs.b0.as_array(), inputs.observed[1:]))[last_reported]

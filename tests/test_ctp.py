@@ -1,5 +1,6 @@
 """Filter machinery against the naive textbook oracle and the golden trace."""
 
+import contextlib
 import json
 import sys
 import warnings
@@ -237,6 +238,45 @@ def test_update_is_bit_identical_to_the_numpy_linalg_formula(rows):
         got_x, got_p = ctp_update(x, p, r_mat, r, z)
         np.testing.assert_array_equal(got_x, x + step[:, :, 8])
         np.testing.assert_array_equal(got_p, (p_want + p_want.transpose(0, 2, 1)) / 2.0)
+
+
+def test_the_numpy_internals_behind_the_quiet_region_and_the_clip():
+    # ctp enters numpy's error state through its context variable (one set
+    # and one reset per filter stage) and clips through the ufunc np.clip wraps.
+    from numpy._core import umath
+
+    version = f"numpy {np.__version__}"
+    assert hasattr(umath, "_extobj_contextvar"), f"{version} moved np.errstate's context variable"
+    assert isinstance(umath.clip, np.ufunc), f"{version} moved the ufunc behind np.clip"
+    a = np.array([[-0.0, 0.0, np.nan, -5.0, np.inf, 0.5, -np.inf]])
+    lo, hi = np.array([0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), np.full(7, 512.0)
+    want = np.minimum(np.maximum(a, lo), hi).tobytes()
+    assert umath.clip(a, lo, hi).tobytes() == np.clip(a, lo, hi).tobytes() == want, f"{version} clips differently"
+    var = umath._extobj_contextvar
+    with np.errstate(all="ignore"):
+        quiet = var.get()
+    with np.errstate(all="raise", under="warn"):
+        mine = np.geterr()
+        token = var.set(quiet)
+        try:
+            np.array([1e308]) * 10.0  # silenced
+        finally:
+            var.reset(token)
+        assert np.geterr() == mine, f"{version} did not restore the caller's error state"
+        with pytest.raises(FloatingPointError):
+            np.array([1e308]) * 10.0
+        x, p, _, r_mat = random_filter_row(np.random.default_rng(3))
+        for r in (np.array([5e-324]), np.array([0.5])):  # R / r overflows inside the quiet region, or nothing does
+            try:
+                ctp_update(x, p, r_mat, r, x[0, :4] + 1.0)
+            except FilterDegenerateError:
+                assert r[0] == 5e-324
+            assert np.geterr() == mine, f"{version}: ctp_update left the caller's error state changed"
+        q = np.eye(8)[None]
+        for scale in (None, np.array([np.inf])):
+            with contextlib.suppress(FilterDegenerateError):
+                ctp_predict(x, p, turn_transition(0.0)[None], q, scale)
+            assert np.geterr() == mine, f"{version}: ctp_predict left the caller's error state changed"
 
 
 @pytest.mark.parametrize("k, n", [(3, 8), (56, 16), (16, 1)])

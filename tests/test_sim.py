@@ -232,11 +232,12 @@ def test_run_is_deterministic():
         assert (pa.cx, pa.cy, pa.w, pa.h) == (pb.cx, pb.cy, pb.w, pb.h)
 
 
-def test_run_rejects_a_negative_observed_size():
+@pytest.mark.parametrize("motion", MOTION_PRESETS)
+def test_run_rejects_a_negative_observed_size(motion):
     seq = generate(_straight(frames=30, seed=8))
     seq.observed[5, 2:] = -40.0
-    with pytest.raises(ValueError, match="observed box has a negative size"):
-        run(seq, HarnessConfig(motion="ctp"))
+    with pytest.raises(ValueError, match=r"^step: observed box has a negative size, w=-40\.0, h=-40\.0$"):
+        run(seq, HarnessConfig(motion=motion))
 
 
 def test_off_preset_freezes_box_during_invalid_window():
