@@ -193,8 +193,9 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
     """Reliability-weighted Kalman correction of a stack of B filters.
 
     x (B, 8), P (B, 8, 8), R (B, 4, 4), r (B,), z (B, 4) or one (4,) for
-    every row.  S = H P H^T + R/r is factored as L L^T; a stack that is not
-    finite or not positive definite raises FilterDegenerateError.  One
+    every row.  S = H P H^T + R/r is factored as L L^T; an S that is not
+    finite, then a P that is not finite, then an S that is not positive
+    definite raises FilterDegenerateError.  One
     triangular solve gives [A | w] = L^-1 [H P | z - H x].  The gain is
     K = P H^T S^-1 = A^T L^-1, so the one product A^T [A | w] holds both
     steps: P = (I - K H) P = P - A^T A, re-symmetrized, and x += A^T w.
@@ -213,8 +214,10 @@ def ctp_update(x: Tensor, P: Tensor, R: Tensor, r: Tensor, z: Tensor) -> tuple[T
     quiet = _errstate.set(_QUIET)
     try:
         s_mat = P[:, :OBS_DIM, :OBS_DIM] + R / r[:, None, None]  # H P H^T is a slice of P
-        if not np.isfinite(s_mat).all():
+        if np.count_nonzero(np.isfinite(s_mat)) != s_mat.size:
             raise FilterDegenerateError("ctp update: innovation covariance not finite")
+        if np.count_nonzero(np.isfinite(P)) != P.size:  # S's check has seen P's S block
+            raise FilterDegenerateError("ctp update: state covariance not finite")
         chol = _cholesky_lo(s_mat, signature="d->d")
         # The kernel NaN-fills the whole factor of a row it cannot factor.
         if any(map(math.isnan, chol[:, 0, 0].tolist())):
@@ -245,7 +248,7 @@ def ctp_predict(
         p_new = (p_new + p_new.transpose(0, 2, 1)) / 2.0
     finally:
         _errstate.reset(quiet)
-    if not np.isfinite(p_new).all():
+    if np.count_nonzero(np.isfinite(p_new)) != p_new.size:
         raise FilterDegenerateError("ctp predict: state covariance not finite")
     return x_new, p_new
 

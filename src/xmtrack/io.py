@@ -35,8 +35,8 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call, built once.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _read_text(path: str | Path) -> str:
@@ -122,9 +122,14 @@ def save_sequence(path: str | Path, seq: Sequence):
     The frame stack ``seq.frames`` goes to ``frames_path(path)`` as one
     C-ordered ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL
     holds the header and one ``{"observed": [cx, cy, w, h], "s": s}`` line
-    per frame.
+    per frame.  An existing stack is unlinked first, not rewritten in place
+    (a hard link keeps the old bytes); a symlink is written through.
     """
-    np.save(frames_path(path), seq.frames)
+    npy = frames_path(path)
+    if npy.is_file() and not npy.is_symlink():
+        # A truncate-and-rewrite can cost a forced block flush (ext4's auto_da_alloc).
+        npy.unlink()
+    np.save(npy, seq.frames)
     lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [
         _dump({"observed": observed, "s": s})

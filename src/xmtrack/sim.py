@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc behind np.clip, without its wrapper
 
 from .core import is_int, is_number
 from .ctp import (
@@ -72,6 +73,8 @@ from .state_switch import (
 # channel-difference statistic separates the two by construction.  Pixels are
 # clipped below the white level so only invalid frames trip the detector.
 RGB_CHANNEL_MEANS = (140.0, 95.0, 55.0)
+_RGB_MEANS = np.array(RGB_CHANNEL_MEANS)[:, None, None]
+_RGB_MEANS.flags.writeable = False
 NIR_MEAN = 120.0
 PIXEL_NOISE = 12.0
 PIXEL_MAX = 245
@@ -300,22 +303,24 @@ def render_frame(sc: Scenario, nir: bool, invalid: bool, gt, rng: np.random.Gene
         if rect:
             x0, x1, y0, y1 = rect
             band[y0:y1, x0:x1] += TARGET_BOOST
-        np.clip(band, 0, PIXEL_MAX, out=band)
+        _clip(band, 0, PIXEL_MAX, out=band)
         # Cast once to a uint8 plane, then write it to each channel through
         # ``out``'s own strides, so any view works.
         plane = np.rint(band, out=np.empty(band.shape, dtype=np.uint8), casting="unsafe")
         for c in range(out.shape[2]):
             out[:, :, c] = plane
     else:
-        chans = [
-            rng.normal(mu, PIXEL_NOISE, (ih, iw)) for mu in RGB_CHANNEL_MEANS
-        ]
+        # One draw holds the values, in order, of three per-channel
+        # ``normal(mu, PIXEL_NOISE, (ih, iw))`` calls: each is mu + sigma * z.
+        chans = rng.standard_normal((3, ih, iw))
+        chans *= PIXEL_NOISE
+        chans += _RGB_MEANS
         if rect:
             x0, x1, y0, y1 = rect
-            chans[0][y0:y1, x0:x1] += TARGET_BOOST  # target pops in the red channel
-        for c, chan in enumerate(chans):
-            np.clip(chan, 0, PIXEL_MAX, out=chan)
-            np.rint(chan, out=out[:, :, c], casting="unsafe")
+            chans[0, y0:y1, x0:x1] += TARGET_BOOST  # target pops in the red channel
+        _clip(chans, 0, PIXEL_MAX, out=chans)
+        for c in range(3):
+            np.rint(chans[c], out=out[:, :, c], casting="unsafe")
 
 
 # ---------------------------------------------------------------------------

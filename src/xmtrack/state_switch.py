@@ -321,8 +321,9 @@ def pixel_statistics(img: Image) -> tuple[float, Tensor]:
     white = 0
     if img.pixels.max() >= WHITE_LEVEL:  # else every luma is at most 1000 * (WHITE_LEVEL - 1)
         white = np.count_nonzero(rows @ _LUMA_WEIGHTS[img.channels] >= _WHITE_LUMA)
-    sums = np.zeros(img.channels)
-    for start in range(0, n, _SUM_BLOCK):
+    # float64 before the division, which NEP 50 would keep in float32.
+    sums = (_BLOCK_ONES[: min(n, _SUM_BLOCK)] @ rows[:_SUM_BLOCK]).astype(np.float64)
+    for start in range(_SUM_BLOCK, n, _SUM_BLOCK):
         block = rows[start : start + _SUM_BLOCK]
         sums += _BLOCK_ONES[: len(block)] @ block
     return float(white) / n, sums / (255.0 * n)

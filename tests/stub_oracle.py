@@ -6,15 +6,17 @@ render loop and then observes every frame with one vectorised
 tracker that call replaced, one ``BBox`` per frame, and replays a whole
 scenario on one RNG stream the way the per-frame generator did: ground
 truth stepped one frame at a time, the scenario's per-frame schedule
-queries, and render, then observe, frame by frame.  A reordered draw or a
-changed operation shows up as other bits.
+queries, and render (``render_oracle``'s per-channel draws), then observe,
+frame by frame.  A reordered draw or a changed operation shows up as other
+bits.
 """
 
 import numpy as np
+from render_oracle import render_frame
 
 from xmtrack.ctp import BBox, turn_transition
 from xmtrack.metrics import cle
-from xmtrack.sim import DIMS_NOISE_SCALE, _invalid_observation, render_frame
+from xmtrack.sim import DIMS_NOISE_SCALE, _invalid_observation
 
 
 def stub_tracker(record_gt: BBox, sigma: float, rng: np.random.Generator) -> tuple[BBox, float]:

@@ -5,17 +5,17 @@ import re
 import shutil
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xmtrack.cli import main
+from xmtrack.cli import build_parser, main
 from xmtrack.ctp import SessionConfig
-from xmtrack.io import frames_path, load_scenario, load_trackrun, save_scenario
+from xmtrack.io import frames_path, load_scenario, load_sequence, load_trackrun, save_scenario, save_trackrun
 from xmtrack.metrics import metrics_csv
-from xmtrack.sim import Scenario
+from xmtrack.sim import HarnessConfig, Scenario, run
 
 
 @pytest.fixture()
@@ -74,13 +74,72 @@ def test_track_rerun_with_same_seed_is_byte_identical(tmp_path, sequence_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _simulate(scenario, out) -> tuple[bytes, bytes]:
+    assert main(["simulate", str(scenario), "--out", str(out)]) == 0
+    return out.read_bytes(), frames_path(out).read_bytes()
+
+
+def _shorter(tmp_path, scenario_file) -> Path:
+    """The scenario cut to 10 frames, with its band switch and blackout kept."""
+    cut = replace(load_scenario(scenario_file), frames=10, modality_schedule=[(0, 5, "rgb"), (5, 10, "nir")],
+                  invalid_windows=[(3, 6)])
+    save_scenario(tmp_path / "short.json", cut)
+    return tmp_path / "short.json"
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path, scenario_file):
-    out1 = tmp_path / "s1.jsonl"
-    out2 = tmp_path / "s2.jsonl"
-    for out in (out1, out2):
-        assert main(["simulate", str(scenario_file), "--out", str(out)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert frames_path(out1).read_bytes() == frames_path(out2).read_bytes()
+    first = _simulate(scenario_file, tmp_path / "s1.jsonl")
+    out = tmp_path / "s2.jsonl"
+    assert _simulate(scenario_file, out) == first
+    assert _simulate(scenario_file, out) == first  # written over the run before
+
+
+def test_a_shorter_stack_over_a_longer_one_leaves_no_stale_tail(tmp_path, scenario_file):
+    short = _shorter(tmp_path, scenario_file)
+    want = _simulate(short, tmp_path / "fresh.jsonl")
+    out = tmp_path / "seq.jsonl"
+    _simulate(scenario_file, out)
+    assert _simulate(short, out) == want
+    assert load_sequence(out).frames.shape[0] == 10
+
+
+def test_simulate_replaces_a_hard_linked_stack_and_writes_through_a_symlink(tmp_path, scenario_file):
+    short = _shorter(tmp_path, scenario_file)
+    want = _simulate(short, tmp_path / "fresh.jsonl")[1]
+    out = tmp_path / "seq.jsonl"
+    old = _simulate(scenario_file, out)[1]
+    keep = tmp_path / "kept.npy"
+    keep.hardlink_to(frames_path(out))
+    _simulate(short, out)
+    assert keep.read_bytes() == old  # the stack was unlinked, not rewritten in place
+    assert frames_path(out).read_bytes() == want
+    target = tmp_path / "store" / "frames.npy"
+    target.parent.mkdir()
+    target.write_bytes(old)
+    frames_path(out).unlink()
+    frames_path(out).symlink_to(target)
+    _simulate(short, out)
+    assert frames_path(out).is_symlink() and frames_path(out).readlink() == target
+    assert target.read_bytes() == want
+
+
+def test_one_process_parses_each_call_as_a_fresh_one_would(tmp_path, sequence_file, capsys):
+    # main builds its parser once; no call may leave state behind for the next.
+    preset, configured, again = (tmp_path / f"{name}.json" for name in ("preset", "configured", "again"))
+    seq = load_sequence(sequence_file)
+    save_trackrun(preset, seq.scenario.name, run(seq, HarnessConfig("ctp")))
+    config = tmp_path / "filter.json"
+    config.write_text(json.dumps({"theta": 3.0}))
+    assert main(["track", str(sequence_file), "--out", str(configured), "--config", str(config)]) == 0
+    assert main(["track", str(sequence_file), "--out", str(again)]) == 0
+    assert again.read_bytes() == preset.read_bytes() != configured.read_bytes()
+    capsys.readouterr()
+    assert main(["track", str(sequence_file)]) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["track", str(sequence_file)])
+    assert err == capsys.readouterr().err
+    assert "--out" in err
 
 
 def test_motion_presets_produce_different_runs(tmp_path, sequence_file):

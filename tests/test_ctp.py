@@ -279,6 +279,22 @@ def test_the_numpy_internals_behind_the_quiet_region_and_the_clip():
             assert np.geterr() == mine, f"{version}: ctp_predict left the caller's error state changed"
 
 
+def test_the_numpy_normal_draw_is_a_scaled_standard_normal_draw():
+    # sim.render_frame draws an RGB frame as one standard_normal block scaled
+    # in place (*= sigma, += mu) and relies on that giving the bits, and the
+    # generator state, of Generator.normal(mu, sigma, n).
+    version = f"numpy {np.__version__}"
+    for seed in (0, 1, 7, 2024):
+        for mu, sigma in ((140.0, 12.0), (95.0, 12.0), (55.0, 12.0), (0.0, 1.0), (-3.5, 0.1), (1e6, 1e-3)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.normal(mu, sigma, 1000)
+            got = b.standard_normal(1000)
+            got *= sigma
+            got += mu
+            assert got.tobytes() == want.tobytes(), f"{version}: normal({mu}, {sigma}) is not mu + sigma * z"
+            assert a.bit_generator.state == b.bit_generator.state, f"{version}: the two draws use the stream differently"
+
+
 @pytest.mark.parametrize("k, n", [(3, 8), (56, 16), (16, 1)])
 def test_stacked_gemv_is_the_per_frame_gemv_bit_for_bit(k, n):
     # state_switch.classify_stack runs each switch MLP layer (3 -> 8,

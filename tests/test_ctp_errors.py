@@ -4,7 +4,7 @@ Every bad stack raises one exception class with one message, lets no
 RuntimeWarning escape, leaves its inputs as they were and, through
 ``FilterBank.step``, leaves the bank as it was.  The cases cover each entry
 of S = H P H^T + R/r (NaN, +inf, -inf; in either triangle, with P symmetric
-or not), an indefinite S failing at each pivot, a subnormal r, R scaled by
+or not), each entry of P outside S's block (the same values), an indefinite S failing at each pivot, a subnormal r, R scaled by
 1e308, and Q scales that overflow the prediction.  A finite prediction
 gives the plain numpy formula's bits.
 """
@@ -18,6 +18,7 @@ from xmtrack.ctp import BBox, FilterBank, FilterDegenerateError, SessionConfig, 
 
 NOT_FINITE = "ctp update: innovation covariance not finite"
 NOT_PD = "ctp update: innovation covariance not positive definite"
+P_NOT_FINITE = "ctp update: state covariance not finite"
 PREDICT_NOT_FINITE = "ctp predict: state covariance not finite"
 ROWS = [1, 3, 9]
 
@@ -96,6 +97,43 @@ def test_a_non_finite_s_entry_leaves_the_bank_alone(rows):
         if rows > 1:  # the corrupt row stepped among invalid rows
             valid = [k == b for k in range(rows)]
             assert_bank_step_raises_cleanly(bank, valid, z, r, FilterDegenerateError, NOT_FINITE)
+
+
+def p_entry_cases(rows: int):
+    """(row, i, j, value, symmetric) for every P entry outside S's block, value and symmetry."""
+    for i in range(8):
+        for j in range(8):
+            if i < 4 and j < 4:
+                continue
+            for value in (np.nan, np.inf, -np.inf):
+                for symmetric in (True, False):
+                    yield (8 * i + j) % rows, i, j, value, symmetric
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_a_non_finite_p_entry_outside_s_raises_not_finite(rows):
+    for b, i, j, value, symmetric in p_entry_cases(rows):
+        x, p, r_mat, r, z, _, _ = stack(rows, seed=i + j)
+        p[b, i, j] = value
+        if symmetric:
+            p[b, j, i] = value
+        assert_raises_cleanly(ctp_update, (x, p, r_mat, r, z), FilterDegenerateError, P_NOT_FINITE)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_a_non_finite_p_entry_outside_s_leaves_the_bank_alone(rows):
+    for b, i, j, value, symmetric in p_entry_cases(rows):
+        bank = bank_of(rows, seed=i)
+        bank.P[b, i, j] = value
+        if symmetric:
+            bank.P[b, j, i] = value
+        z, r = bank.x[:, :4] + 1.0, np.full(rows, 0.5)
+        assert_bank_step_raises_cleanly(bank, [True] * rows, z, r, FilterDegenerateError, P_NOT_FINITE)
+        if rows > 1:
+            valid = [k == b for k in range(rows)]  # the corrupt row corrected among invalid rows
+            assert_bank_step_raises_cleanly(bank, valid, z, r, FilterDegenerateError, P_NOT_FINITE)
+            valid = [k != b for k in range(rows)]  # only predicted: the prediction reports it
+            assert_bank_step_raises_cleanly(bank, valid, z, r, FilterDegenerateError, PREDICT_NOT_FINITE)
 
 
 @pytest.mark.parametrize("rows", ROWS)

@@ -8,6 +8,7 @@ import pytest
 from dataclasses import asdict, replace
 
 import kalman_oracle as oracle
+import render_oracle
 import stub_oracle
 from pixel_oracle import grayscale
 from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
@@ -222,6 +223,32 @@ def test_render_frame_into_a_strided_view_equals_a_contiguous_render():
         if nir:
             assert np.array_equal(want[..., 0], want[..., 1])
             assert np.array_equal(want[..., 0], want[..., 2])
+
+
+@pytest.mark.parametrize("image_size", [(64, 64), (48, 80)], ids=["64x64", "48x80"])
+def test_render_frame_matches_the_per_channel_oracle_bit_for_bit(image_size):
+    # The one-block RGB draw against three per-channel normal draws: the same
+    # pixels and the same generator state after every frame, on every kind of
+    # frame and with the target inside, across the edge and outside the image.
+    iw, ih = image_size
+    sc = Scenario(name="render", frames=1, frame_width=640, frame_height=400, image_width=iw, image_height=ih)
+    boxes = [
+        (320.0, 200.0, 60.0, 40.0),  # inside
+        (5.0, 398.0, 50.0, 30.0),  # across the left and bottom edges
+        (660.0, 200.0, 30.0, 30.0),  # wholly outside
+        (320.0, 200.0, 2000.0, 2000.0),  # covers the whole image
+    ]
+    kinds = [(False, False), (True, False), (False, True)]  # RGB, NIR, invalid
+    for seed in (0, 1, 7, 12345):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(24):  # kinds and boxes interleaved on one stream
+            nir, invalid = kinds[k % 3]
+            gt = boxes[(k // 3) % len(boxes)]
+            got, want = np.empty((ih, iw, 3), np.uint8), np.empty((ih, iw, 3), np.uint8)
+            render_frame(sc, nir, invalid, gt, mine, got)
+            render_oracle.render_frame(sc, nir, invalid, gt, theirs, want)
+            assert got.tobytes() == want.tobytes(), (seed, k, nir, invalid, gt)
+            assert mine.bit_generator.state == theirs.bit_generator.state, (seed, k)
 
 
 def test_run_is_deterministic():
