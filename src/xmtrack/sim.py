@@ -319,8 +319,7 @@ def render_frame(sc: Scenario, nir: bool, invalid: bool, gt, rng: np.random.Gene
             x0, x1, y0, y1 = rect
             chans[0, y0:y1, x0:x1] += TARGET_BOOST  # target pops in the red channel
         _clip(chans, 0, PIXEL_MAX, out=chans)
-        for c in range(3):
-            np.rint(chans[c], out=out[:, :, c], casting="unsafe")
+        np.rint(chans, out=out.transpose(2, 0, 1), casting="unsafe")  # (3, ih, iw) view of out
 
 
 # ---------------------------------------------------------------------------
