@@ -99,7 +99,7 @@ def cmd_track(args) -> int:
         session = xio.load_session_config(args.config, session)
     tr = run(seq, HarnessConfig(args.motion, session))
     xio.save_trackrun(args.out, seq.scenario.name, tr)
-    print(f"wrote track run ({len(tr.pred)} frames, motion={args.motion}) to {args.out}")
+    print(f"wrote track run ({len(tr)} frames, motion={args.motion}) to {args.out}")
     return EXIT_OK
 
 

@@ -7,10 +7,13 @@ format) beside the sequence's JSONL, and loading it back gives that stack.
 A sequence keeps only what its scenario cannot reproduce: the header's
 scenario scripts the modality schedule, the invalid windows and the
 ground-truth path, and each frame line holds the stub tracker's observed box
-and confidence.  Sequences are written from and read into their columns
-(``Sequence.gt``, ``observed`` and ``s``), with no per-frame object; the
-per-frame ``Sequence.records`` view is built only if a caller reads it.  All
-writers are byte-deterministic given identical inputs.
+and confidence.  Sequences and track runs are written from and read into
+their columns (``Sequence.gt``, ``observed`` and ``s``; ``TrackRun.pred_boxes``
+and ``gt_boxes``), with no per-frame object: the transitional per-frame views
+``Sequence.records`` and ``TrackRun.pred``/``gt`` are built only if read.  A
+loader checks a column whole and walks it value by value only if that fails,
+to name the first bad box or ``file:line``; ``save_sequence`` rejects a
+non-finite column.  All writers are byte-deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import json
 import math
 import tokenize
 from dataclasses import asdict, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .ctp import BBox, MotionKind, SessionConfig
+from .ctp import MotionKind, SessionConfig
 from .metrics import TrackRun
 from .sim import Scenario, Sequence
 from .state_switch import FRAME_CHANNELS
@@ -83,10 +87,6 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _box_list(b: BBox) -> list[float]:
-    return [b.cx, b.cy, b.w, b.h]
-
-
 def _finite(v, what: str) -> float:
     """A JSON number finite as a float: an int or a float, and a bool is neither."""
     if type(v) not in (int, float):
@@ -110,10 +110,36 @@ def _box_values(v) -> list[float]:
     return box
 
 
+def _number_column(values, boxes: bool) -> np.ndarray | None:
+    """A JSON list of finite numbers, or (``boxes``) of boxes ``_box_values`` accepts, as
+    one float64 array: one type scan, one ``np.array``, then array checks.  None if any
+    value may be bad, for the caller to walk the values one by one and name the first."""
+    if type(values) is not list:
+        return None
+    try:
+        if set(map(type, chain.from_iterable(values) if boxes else values)) <= {int, float}:
+            column = np.array(values, dtype=np.float64)
+            if column.shape == ((len(values), 4) if boxes else (len(values),)) and np.isfinite(column).all():
+                return None if boxes and (column[:, 2:] < 0).any() else column
+    except (TypeError, ValueError, OverflowError):  # a box not a list, ragged boxes, an int past the floats
+        pass
+    return None
+
+
+def _box_column(values) -> np.ndarray:
+    """``(N, 4)`` boxes from a JSON list; a bad box is ``_box_values``' DataError."""
+    column = _number_column(values, boxes=True)
+    return np.array([_box_values(v) for v in values]).reshape(-1, 4) if column is None else column
+
+
 def frames_path(path: str | Path) -> Path:
     """The ``.npy`` frame stack beside a sequence file: ``seq.jsonl`` -> ``seq.jsonl.npy``."""
     path = Path(path)
     return path.with_name(path.name + ".npy")
+
+
+# A frame line as ``_dump`` writes it: a finite float's repr is its JSON text.
+_FRAME_LINE = '{"observed":[%r,%r,%r,%r],"s":%r}'
 
 
 def save_sequence(path: str | Path, seq: Sequence):
@@ -122,14 +148,15 @@ def save_sequence(path: str | Path, seq: Sequence):
     The frame stack ``seq.frames`` goes to ``frames_path(path)`` as one
     C-ordered ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL
     holds the header and one ``{"observed": [cx, cy, w, h], "s": s}`` line
-    per frame.
+    per frame.  A non-finite ``observed`` or ``s`` is a DataError, raised
+    before either file is written.
     """
+    finite = np.isfinite(seq.observed).all(axis=1) & np.isfinite(seq.s)
+    if not finite.all():
+        raise DataError(f"{path}: frame {int(np.argmin(finite))} has a non-finite observed box or confidence")
     np.save(frames_path(path), seq.frames)
     lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
-    lines += [
-        _dump({"observed": observed, "s": s})
-        for observed, s in zip(seq.observed.tolist(), seq.s.tolist())
-    ]
+    lines += [_FRAME_LINE % tuple(row) for row in np.column_stack((seq.observed, seq.s)).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -190,7 +217,15 @@ def load_sequence(path: str | Path) -> Sequence:
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != scenario.frames:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
-    frames = _load_frames(path, scenario)
+    frames, gt = _load_frames(path, scenario), scenario.gt_path()
+    try:  # both columns at once; on any failure, the line-by-line walk below names the first bad line
+        records = [json.loads(line) for _, line in body]
+        observed = _number_column([d["observed"] for d in records], boxes=True)
+        s = _number_column([d["s"] for d in records], boxes=False)
+        if observed is not None and s is not None and ((s >= 0.0) & (s <= 1.0)).all():
+            return Sequence(scenario, frames, gt, observed, s)
+    except (ValueError, RecursionError, KeyError, TypeError):  # a line not JSON, or not a frame record
+        pass
     observed, s = [], []
     for lineno, line in body:
         d = _parse_json(line, f"{path}:{lineno}")
@@ -202,7 +237,7 @@ def load_sequence(path: str | Path) -> Sequence:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         observed.append(box)
         s.append(conf)
-    return Sequence(scenario, frames, scenario.gt_path(), np.array(observed), np.array(s))
+    return Sequence(scenario, frames, gt, np.array(observed), np.array(s))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +249,8 @@ def save_trackrun(path: str | Path, sequence_name: str, run: TrackRun):
     payload = {
         "format": TRACKRUN_FORMAT,
         "sequence": sequence_name,
-        "pred": [_box_list(b) for b in run.pred],
-        "gt": [_box_list(b) for b in run.gt],
+        "pred": run.pred_boxes.tolist(),
+        "gt": run.gt_boxes.tolist(),
         "tags": run.tags,
     }
     Path(path).write_text(_dump(payload) + "\n", encoding="utf-8")
@@ -227,11 +262,11 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
     if not isinstance(payload, dict) or payload.get("format") != TRACKRUN_FORMAT:
         raise DataError(f"{path}: not a {TRACKRUN_FORMAT} file")
     try:
-        pred, gt = ([BBox(*_box_values(b)) for b in payload[k]] for k in ("pred", "gt"))
+        pred, gt = (_box_column(payload[k]) for k in ("pred", "gt"))
         name = payload["sequence"]
         if not isinstance(name, str):
             raise DataError(f"sequence name {name!r} is not a string")
-        run = TrackRun(pred=pred, gt=gt, tags=payload["tags"])
+        run = TrackRun(pred_boxes=pred, gt_boxes=gt, tags=payload["tags"])
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid track run: {exc}") from exc
     return name, run

@@ -10,7 +10,10 @@ twin's operation order, so a frame scores the same bits either way.
 ``hit_masks`` is the one place that applies both thresholds to them;
 ``tag_breakdown`` and the ablation count its hits.  A run's overall PR/SR is
 ``tag_breakdown(run)["all"]``.  The scalar ``cle`` and ``iou`` stay as the
-per-box API and the tests' oracle.
+per-box API and the tests' oracle.  A ``TrackRun`` holds columns, as
+``sim.Sequence`` does: ``tag_breakdown`` scores its ``(T, 4)`` ``pred_boxes``
+and ``gt_boxes`` as they are, and its ``BBox`` lists ``pred`` and ``gt`` are
+transitional views, built only when read, like ``Sequence.records``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,32 +80,33 @@ def hit_masks(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cle_array(pred, gt) < PR_TAU_PX, iou_array(pred, gt) > SR_TAU_IOU
 
 
-def box_array(boxes: list[BBox]) -> np.ndarray:
-    """``(N, 4)`` float64 array of ``(cx, cy, w, h)`` rows."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 @dataclass
 class TrackRun:
     """Aligned predicted and ground-truth boxes plus each frame's tags.
 
-    ``tags`` holds one list of strings per frame, an empty list for an
-    untagged frame.  No frame may carry the tag ``all``: ``tag_breakdown``
-    reports every frame under that name.
+    ``pred_boxes`` and ``gt_boxes`` are read-only ``(T, 4)`` float64 copies
+    of the ``(cx, cy, w, h)`` rows given.  ``tags`` holds one list of
+    strings per frame, an empty list for an untagged frame.  No frame may
+    carry the tag ``all``: ``tag_breakdown`` reports every frame under that
+    name.
     """
 
-    pred: list[BBox]
-    gt: list[BBox]
+    pred_boxes: np.ndarray
+    gt_boxes: np.ndarray
     tags: list[list[str]]
 
     def __post_init__(self):
-        if not self.pred:
+        for name in ("pred_boxes", "gt_boxes"):
+            boxes = np.array(getattr(self, name), dtype=np.float64)
+            if boxes.ndim != 2 or boxes.shape[1] != 4:
+                raise ValueError(f"TrackRun: {name} must be a (T, 4) array, not shape {boxes.shape}")
+            boxes.flags.writeable = False
+            setattr(self, name, boxes)
+        if not len(self):
             raise ValueError("TrackRun: empty run")
-        if len(self.pred) != len(self.gt):
-            raise ValueError(
-                f"TrackRun: {len(self.pred)} predictions vs {len(self.gt)} ground truths"
-            )
-        if not (isinstance(self.tags, list) and len(self.tags) == len(self.pred)) or not all(
+        if len(self) != len(self.gt_boxes):
+            raise ValueError(f"TrackRun: {len(self)} predictions vs {len(self.gt_boxes)} ground truths")
+        if not (isinstance(self.tags, list) and len(self.tags) == len(self)) or not all(
             isinstance(tags, list) and all(isinstance(t, str) for t in tags) for tags in self.tags
         ):
             raise ValueError("TrackRun: tags must be one list of strings per frame")
@@ -109,7 +114,11 @@ class TrackRun:
             raise ValueError("TrackRun: 'all' names the all-frames row and is not a frame tag")
 
     def __len__(self) -> int:
-        return len(self.pred)
+        return len(self.pred_boxes)
+
+    # Transitional per-frame views, one BBox per row, built on first read.
+    pred = cached_property(lambda self: [BBox(*box) for box in self.pred_boxes.tolist()])
+    gt = cached_property(lambda self: [BBox(*box) for box in self.gt_boxes.tolist()])
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def tag_breakdown(run: TrackRun) -> dict[str, MetricRow]:
     Each frame's PR and SR hits are evaluated once; a frame may carry
     several tags and then counts toward each of them.
     """
-    pr_hits, sr_hits = hit_masks(box_array(run.pred), box_array(run.gt))
+    pr_hits, sr_hits = hit_masks(run.pred_boxes, run.gt_boxes)
 
     def row(mask: np.ndarray) -> MetricRow:
         n = int(np.count_nonzero(mask))

@@ -12,9 +12,12 @@ validity and nearness to a band switch at once, as three bool masks that
 
 A ``Sequence`` keeps its T frames as columns: the ``(T, H, W, 3)`` uint8
 stack ``frames`` that every frame renders into, ``(T, 4)`` ``gt`` and
-``observed`` boxes and the ``(T,)`` confidence ``s``.  ``Sequence.records``,
-a per-frame view for callers that read one frame at a time, is built on
-first access; ``generate``, ``io`` and ``run`` never build it.
+``observed`` boxes and the ``(T,)`` confidence ``s``.  ``run`` returns a
+``TrackRun`` of columns too, ``run_filters``' boxes and ``seq.gt``.
+``Sequence.records`` and ``TrackRun.pred``/``gt``, transitional per-frame
+views for callers that read one frame at a time, are built on first
+access; ``generate``, ``io`` and ``run`` never build them.  ``io`` rejects
+a non-finite column when it saves a sequence.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -471,11 +474,7 @@ def run(
         ["nir" if nir else "rgb"] + ["invalid-window"] * invalid + ["switch"] * near
         for nir, invalid, near in zip(*(mask.tolist() for mask in sc.frame_masks()))
     ]
-    return TrackRun(
-        pred=[BBox(*box) for box in boxes.tolist()],
-        gt=[BBox(*box) for box in seq.gt.tolist()],
-        tags=tags,
-    )
+    return TrackRun(pred_boxes=boxes, gt_boxes=seq.gt, tags=tags)
 
 
 # ---------------------------------------------------------------------------

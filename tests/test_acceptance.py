@@ -234,11 +234,7 @@ def test_criterion_08_gradient_suite():
 
 def test_criterion_09_metrics_exactness(fixtures_dir: Path):
     data = json.loads((fixtures_dir / "metrics_10frames.json").read_text())
-    run_ = TrackRun(
-        pred=[BBox(*p) for p in data["pred"]],
-        gt=[BBox(*g) for g in data["gt"]],
-        tags=data["tags"],
-    )
+    run_ = TrackRun(pred_boxes=np.array(data["pred"]), gt_boxes=np.array(data["gt"]), tags=data["tags"])
     row = tag_breakdown(run_)["all"]
     pr, sr = row.pr, row.sr
     boundary_iou = iou(run_.pred[3], run_.gt[3])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from xmtrack.cli import main
+from xmtrack import ctp
 from xmtrack.ctp import SessionConfig
 from xmtrack.io import frames_path, load_scenario, load_sequence, load_trackrun, save_scenario
 from xmtrack.metrics import metrics_csv
@@ -61,6 +62,36 @@ def test_simulate_track_eval_pipeline(tmp_path, sequence_file):
     # the emitted CSV is exactly the library's rendering of the stored run
     name, run = load_trackrun(run_path)
     assert csv_text == metrics_csv(name, run)
+
+
+def test_track_builds_only_the_initial_box_and_eval_no_box(tmp_path, monkeypatch):
+    # Sequences and track runs move as columns: a BBox per frame would show here.
+    sc = Scenario(
+        name="count",
+        frames=60,
+        modality_schedule=[(0, 30, "rgb"), (30, 60, "nir")],
+        invalid_windows=[(20, 30)],
+        seed=3,
+    )
+    save_scenario(tmp_path / "scenario.json", sc)
+    assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "seq.jsonl")]) == 0
+    built = []
+    init = ctp.BBox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ctp.BBox, "__init__", counting_init)
+    counts = {}
+    for argv in (
+        ["track", tmp_path / "seq.jsonl", "--out", tmp_path / "run.json"],
+        ["eval", tmp_path / "run.json", "--out", tmp_path / "metrics"],
+    ):
+        built.clear()
+        assert main([str(a) for a in argv]) == 0
+        counts[argv[0]] = len(built)
+    assert counts == {"track": 1, "eval": 0}  # track's one: filter_inputs' initial box
 
 
 def test_track_rerun_with_same_seed_is_byte_identical(tmp_path, sequence_file):

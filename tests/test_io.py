@@ -133,8 +133,8 @@ def test_sequence_with_non_finite_values_is_data_error(tmp_path, key, value):
 
 def test_trackrun_roundtrip(tmp_path):
     run = TrackRun(
-        pred=[BBox(1.0, 2.0, 3.0, 4.0), BBox(5.0, 6.0, 7.0, 8.0)],
-        gt=[BBox(1.5, 2.5, 3.0, 4.0), BBox(5.0, 6.0, 7.0, 8.0)],
+        pred_boxes=np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]),
+        gt_boxes=np.array([[1.5, 2.5, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]),
         tags=[["rgb"], ["nir", "invalid-window"]],
     )
     path = tmp_path / "run.json"
@@ -144,6 +144,68 @@ def test_trackrun_roundtrip(tmp_path):
     assert back.tags == run.tags
     for a, b in zip(run.pred + run.gt, back.pred + back.gt):
         assert (a.cx, a.cy, a.w, a.h) == (b.cx, b.cy, b.w, b.h)
+
+
+def test_trackrun_roundtrips_bit_for_bit(tmp_path):
+    pred = np.array([[-0.0, 0.1 + 0.2, 1 / 3, 2.0**60], [5e-324, 1e-300, 123456789.12345679, 0.0]])
+    gt = np.array([[1.5, -2.5e17, 3.0, 4.0], [np.nextafter(5.0, 6.0), 6.0, 7.0, 8.0]])
+    run = TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[["rgb"], []])
+    path = tmp_path / "run.json"
+    save_trackrun(path, "bits", run)
+    _, back = load_trackrun(path)
+    assert back.pred_boxes.tobytes() == pred.tobytes() and back.gt_boxes.tobytes() == gt.tobytes()
+
+
+def test_trackrun_reads_integer_valued_numbers_as_their_floats(tmp_path):
+    big = 2**53 + 1  # rounds to the nearest float, as float() does
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({
+        "format": "xmtrack-trackrun-v1",
+        "sequence": "ints",
+        "pred": [[1, -0, 3, big], [10**20, 2, 3.5, 4]],
+        "gt": [[1, 2, 3, 4], [5, 6, 7, 8]],
+        "tags": [[], []],
+    }))
+    _, run = load_trackrun(path)
+    want = np.array([[1.0, 0.0, 3.0, float(big)], [1e20, 2.0, 3.5, 4.0]])
+    assert run.pred_boxes.tobytes() == want.tobytes()
+    save_trackrun(tmp_path / "again.json", "ints", run)
+    _, again = load_trackrun(tmp_path / "again.json")
+    assert again.pred_boxes.tobytes() == want.tobytes()
+    assert json.loads((tmp_path / "again.json").read_text())["pred"] == want.tolist()
+
+
+def test_frame_lines_are_the_json_encoders_bytes(tmp_path):
+    seq = generate(Scenario(name="bytes", frames=4, seed=2))
+    seq.observed[:] = [[-0.0, 5e-324, 1e16, 1.0], [0.1 + 0.2, 1e-7, 123456789.0, 2.5e300], [1.0, 2.0, 3.0, 4.0], [7.0, 8.0, 0.0, 0.0]]
+    seq.s[:] = [0.0, -0.0, 1.0, 1 / 3]
+    path = tmp_path / "seq.jsonl"
+    save_sequence(path, seq)
+    lines = path.read_text().splitlines()[1:]
+    assert lines == [
+        json.dumps({"observed": o, "s": s}, sort_keys=True, separators=(",", ":"))
+        for o, s in zip(seq.observed.tolist(), seq.s.tolist())
+    ]
+    back = load_sequence(path)
+    assert back.observed.tobytes() == seq.observed.tobytes() and back.s.tobytes() == seq.s.tobytes()
+
+
+@pytest.mark.parametrize(
+    "column, index, value",
+    [
+        ("observed", (2, 1), float("nan")),
+        ("observed", (2, 3), float("inf")),
+        ("s", 2, float("nan")),
+        ("s", 2, -float("inf")),
+    ],
+)
+def test_save_sequence_rejects_a_non_finite_column_and_writes_nothing(tmp_path, column, index, value):
+    seq = generate(Scenario(name="nan", frames=4, seed=2))
+    getattr(seq, column)[index] = value
+    path = tmp_path / "seq.jsonl"
+    with pytest.raises(DataError, match="frame 2 has a non-finite"):
+        save_sequence(path, seq)
+    assert not path.exists() and not frames_path(path).exists()
 
 
 def test_missing_file_is_data_error():

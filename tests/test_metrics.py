@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +62,7 @@ def test_iou_symmetry_and_bounds():
 
 def _load_fixture(fixtures_dir: Path) -> TrackRun:
     data = json.loads((fixtures_dir / "metrics_10frames.json").read_text())
-    return TrackRun(
-        pred=[BBox(*p) for p in data["pred"]],
-        gt=[BBox(*g) for g in data["gt"]],
-        tags=data["tags"],
-    )
+    return TrackRun(pred_boxes=np.array(data["pred"]), gt_boxes=np.array(data["gt"]), tags=data["tags"])
 
 
 def test_ten_frame_fixture_hand_counts(fixtures_dir):
@@ -80,32 +77,32 @@ def test_fixture_boundary_frames_are_exact_and_excluded(fixtures_dir):
     assert iou(run.pred[3], run.gt[3]) == 0.5
     # frame 4: CLE is exactly 20 -> misses PR
     assert cle(run.pred[4], run.gt[4]) == 20.0
-    single_iou = TrackRun(pred=[run.pred[3]], gt=[run.gt[3]], tags=[[]])
+    single_iou = TrackRun(pred_boxes=run.pred_boxes[3:4], gt_boxes=run.gt_boxes[3:4], tags=[[]])
     assert _all(single_iou).sr == 0.0
     assert _all(single_iou).pr == 100.0
-    single_cle = TrackRun(pred=[run.pred[4]], gt=[run.gt[4]], tags=[[]])
+    single_cle = TrackRun(pred_boxes=run.pred_boxes[4:5], gt_boxes=run.gt_boxes[4:5], tags=[[]])
     assert _all(single_cle).pr == 0.0
 
 
 def test_strictness_on_all_boundary_runs():
     # every frame exactly on the threshold counts as a miss
-    pred = [BBox(112.0, 116.0, 30.0, 30.0)] * 5  # CLE 20 each
-    gt = [BBox(100.0, 100.0, 30.0, 30.0)] * 5
-    assert _all(TrackRun(pred=pred, gt=gt, tags=[[]] * 5)).pr == 0.0
-    half = [BBox(10.0, 10.0, 2.0, 1.0)] * 5  # contained, IoU exactly 0.5
-    full = [BBox(10.0, 10.0, 2.0, 2.0)] * 5
-    assert _all(TrackRun(pred=half, gt=full, tags=[[]] * 5)).sr == 0.0
+    pred = np.tile([112.0, 116.0, 30.0, 30.0], (5, 1))  # CLE 20 each
+    gt = np.tile([100.0, 100.0, 30.0, 30.0], (5, 1))
+    assert _all(TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[[]] * 5)).pr == 0.0
+    half = np.tile([10.0, 10.0, 2.0, 1.0], (5, 1))  # contained, IoU exactly 0.5
+    full = np.tile([10.0, 10.0, 2.0, 2.0], (5, 1))
+    assert _all(TrackRun(pred_boxes=half, gt_boxes=full, tags=[[]] * 5)).sr == 0.0
 
 
 def test_rates_invariant_under_frame_reordering(fixtures_dir):
     run = _load_fixture(fixtures_dir)
-    order = list(range(len(run.pred)))
+    order = list(range(len(run)))
     rnd = random.Random(7)
     for _ in range(5):
         rnd.shuffle(order)
         shuffled = TrackRun(
-            pred=[run.pred[i] for i in order],
-            gt=[run.gt[i] for i in order],
+            pred_boxes=run.pred_boxes[order],
+            gt_boxes=run.gt_boxes[order],
             tags=[run.tags[i] for i in order],
         )
         assert _all(shuffled).pr == _all(run).pr
@@ -134,12 +131,12 @@ def test_tag_breakdown_partitions_the_all_row(fixtures_dir):
 
 def test_empty_run_rejected():
     with pytest.raises(ValueError):
-        tag_breakdown(TrackRun(pred=[], gt=[], tags=[]))
+        tag_breakdown(TrackRun(pred_boxes=np.empty((0, 4)), gt_boxes=np.empty((0, 4)), tags=[]))
 
 
 def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        TrackRun(pred=[BBox(1, 1, 1, 1)], gt=[], tags=[[]])
+    with pytest.raises(ValueError, match="1 predictions vs 0 ground truths"):
+        TrackRun(pred_boxes=np.ones((1, 4)), gt_boxes=np.empty((0, 4)), tags=[[]])
 
 
 @pytest.mark.parametrize(
@@ -148,24 +145,62 @@ def test_mismatched_lengths_rejected():
     ids=["none", "one_frame_short", "one_frame_long", "a_string", "a_number", "a_tuple"],
 )
 def test_tags_must_be_one_list_of_strings_per_frame(tags):
-    box = BBox(0, 0, 10, 10)
+    boxes = np.tile([0.0, 0.0, 10.0, 10.0], (3, 1))
     with pytest.raises(ValueError, match="one list of strings per frame"):
-        TrackRun(pred=[box] * 3, gt=[box] * 3, tags=tags)
+        TrackRun(pred_boxes=boxes, gt_boxes=boxes, tags=tags)
     with pytest.raises(TypeError):
-        TrackRun(pred=[box] * 3, gt=[box] * 3)  # tags are required
+        TrackRun(pred_boxes=boxes, gt_boxes=boxes)  # tags are required
 
 
 def test_frame_tag_all_rejected():
     # 'all' names the all-frames row, so a frame tagged 'all' would replace it.
-    gt = [BBox(0, 0, 10, 10)] * 3
-    pred = [BBox(0, 0, 10, 10), BBox(30, 0, 10, 10), BBox(0, 0, 10, 10)]
+    gt = np.tile([0.0, 0.0, 10.0, 10.0], (3, 1))
+    pred = np.array([[0.0, 0.0, 10.0, 10.0], [30.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
     with pytest.raises(ValueError, match="'all'"):
-        TrackRun(pred=pred, gt=gt, tags=[["all"], ["rgb", "all"], ["rgb"]])
+        TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[["all"], ["rgb", "all"], ["rgb"]])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros((3, 3)), np.zeros((3, 5)), np.zeros(12), np.zeros((3, 4, 1)), np.zeros(())],
+    ids=["3_columns", "5_columns", "ndim_1", "ndim_3", "ndim_0"],
+)
+def test_trackrun_rejects_box_arrays_not_of_shape_t_by_4(bad):
+    good = np.zeros((3, 4))
+    for name, kwargs in (("pred_boxes", dict(pred_boxes=bad, gt_boxes=good)), ("gt_boxes", dict(pred_boxes=good, gt_boxes=bad))):
+        want = rf"TrackRun: {name} must be a \(T, 4\) array, not shape {re.escape(str(bad.shape))}"
+        with pytest.raises(ValueError, match=want):
+            TrackRun(tags=[[]] * 3, **kwargs)
+
+
+def test_trackrun_rejects_mismatched_lengths_by_name():
+    with pytest.raises(ValueError, match="TrackRun: 3 predictions vs 2 ground truths"):
+        TrackRun(pred_boxes=np.zeros((3, 4)), gt_boxes=np.zeros((2, 4)), tags=[[]] * 3)
+
+
+def test_trackrun_holds_read_only_float64_copies():
+    pred = np.arange(12).reshape(3, 4)  # integers: stored as float64
+    gt = np.arange(12.0).reshape(3, 4)[::-1]  # a strided view
+    run = TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[[]] * 3)
+    for boxes, given in ((run.pred_boxes, pred), (run.gt_boxes, gt)):
+        assert boxes.dtype == np.float64 and boxes.shape == (3, 4)
+        assert boxes.tolist() == given.astype(np.float64).tolist()
+        assert not boxes.flags.writeable and not np.shares_memory(boxes, given)
+        with pytest.raises(ValueError):
+            boxes[0, 0] = 5.0
+    assert pred.flags.writeable and gt.flags.writeable  # the caller's arrays are untouched
+
+
+def test_pred_and_gt_views_are_the_rows_as_boxes(fixtures_dir):
+    run = _load_fixture(fixtures_dir)
+    assert run.pred == [BBox(*r) for r in run.pred_boxes.tolist()]
+    assert run.gt == [BBox(*r) for r in run.gt_boxes.tolist()]
+    assert run.pred is run.pred  # built once, on first read
 
 
 def test_metrics_csv_lists_all_first_then_tags_in_sorted_order():
-    box = BBox(0, 0, 10, 10)
-    run = TrackRun(pred=[box] * 3, gt=[box] * 3, tags=[["nir"], ["aaa", "zz"], ["B"]])
+    boxes = np.tile([0.0, 0.0, 10.0, 10.0], (3, 1))
+    run = TrackRun(pred_boxes=boxes, gt_boxes=boxes, tags=[["nir"], ["aaa", "zz"], ["B"]])
     rows = metrics_csv("s", run).splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["all", "B", "aaa", "nir", "zz"]
 
@@ -259,7 +294,7 @@ def test_array_rates_count_the_scalar_oracle_hits():
     assert 0 < sr_hits < pr_hits < len(pairs)
     assert np.count_nonzero(cle_array(pred, gt) < 20.0) == pr_hits
     assert np.count_nonzero(iou_array(pred, gt) > 0.5) == sr_hits
-    run = TrackRun(pred=[p for p, _ in pairs], gt=[g for _, g in pairs], tags=[[] for _ in pairs])
+    run = TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[[] for _ in pairs])
     assert _all(run).pr == 100.0 * pr_hits / len(pairs)
     assert _all(run).sr == 100.0 * sr_hits / len(pairs)
     # (rows, T, 4) tracks against one (T, 4) ground truth, as the ablation scores them
@@ -294,9 +329,5 @@ def test_array_iou_rejects_negative_dimensions(side):
         iou_array(bad, pred)
     with pytest.raises(ValueError):
         tag_breakdown(
-            TrackRun(
-                pred=[BBox(*b) for b in pred.tolist()],
-                gt=[BBox(*b) for b in bad.tolist()],
-                tags=[[] for _ in bad],
-            )
+            TrackRun(pred_boxes=pred, gt_boxes=bad, tags=[[] for _ in bad])
         )

@@ -489,7 +489,7 @@ def test_lockstep_ablation_matches_one_session_per_track(seed):
         decisions = classify_sequence(seq)
         for preset in MOTION_PRESETS:
             tracks[preset].append(oracle_track(seq, decisions, preset))
-        gt += [rec.gt for rec in seq.records]
+        gt.append(seq.gt)
         inp = filter_inputs(seq, decisions)
         rows += [(inp, preset_config(preset, sc.turn_rate)) for preset in FILTER_PRESETS]
     boxes = run_filters(rows)
@@ -498,10 +498,9 @@ def test_lockstep_ablation_matches_one_session_per_track(seed):
     for p, preset in enumerate(FILTER_PRESETS):
         for j, want in enumerate(tracks[preset]):
             np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
+    gt = np.concatenate(gt)
     pooled = {
-        preset: tag_breakdown(
-            TrackRun(pred=[BBox(*box) for box in np.concatenate(trs).tolist()], gt=gt, tags=[[] for _ in gt])
-        )["all"]
+        preset: tag_breakdown(TrackRun(pred_boxes=np.concatenate(trs), gt_boxes=gt, tags=[[] for _ in gt]))["all"]
         for preset, trs in tracks.items()
     }
     assert run_ablation_suite(seed) == {
