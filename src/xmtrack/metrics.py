@@ -116,9 +116,15 @@ class TrackRun:
     def __len__(self) -> int:
         return len(self.pred_boxes)
 
-    # Transitional per-frame views, one BBox per row, built on first read.
-    pred = cached_property(lambda self: [BBox(*box) for box in self.pred_boxes.tolist()])
-    gt = cached_property(lambda self: [BBox(*box) for box in self.gt_boxes.tolist()])
+    @cached_property
+    def pred(self) -> list[BBox]:
+        """One ``BBox`` per row of ``pred_boxes``: a transitional view, built on first read."""
+        return [BBox(*box) for box in self.pred_boxes.tolist()]
+
+    @cached_property
+    def gt(self) -> list[BBox]:
+        """One ``BBox`` per row of ``gt_boxes``: a transitional view, built on first read."""
+        return [BBox(*box) for box in self.gt_boxes.tolist()]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def trackrun_payload(tmp_path, sequence_file):
     return json.loads(path.read_text())
 
 
-def _raw(marker: str, text: str) -> str:
+def _raw(marker: str, text: str):
     """A JSON string of ``marker`` in dumped text, replaced by raw JSON ``text``."""
     return lambda dumped: dumped.replace(json.dumps(marker), text)
 
@@ -173,7 +173,11 @@ BAD_FRAME_LINES = {
         6,
         "bad box value [1.0, 5.0, 5.0]: not a list of 4 numbers",
     ),
-    "observed_not_a_list": ({6: lambda f: f.update(observed=5)}, 6, "bad box value 5: not a list of 4 numbers"),
+    "observed_not_a_list": (
+        {6: lambda f: f.update(observed=5)},
+        6,
+        "bad box value 5: not a list of 4 numbers",
+    ),
     "observed_negative_w": (
         {6: lambda f: f.update(observed=[1.0, 1.0, -5.0, 5.0])},
         6,

@@ -177,7 +177,12 @@ def test_trackrun_reads_integer_valued_numbers_as_their_floats(tmp_path):
 
 def test_frame_lines_are_the_json_encoders_bytes(tmp_path):
     seq = generate(Scenario(name="bytes", frames=4, seed=2))
-    seq.observed[:] = [[-0.0, 5e-324, 1e16, 1.0], [0.1 + 0.2, 1e-7, 123456789.0, 2.5e300], [1.0, 2.0, 3.0, 4.0], [7.0, 8.0, 0.0, 0.0]]
+    seq.observed[:] = [
+        [-0.0, 5e-324, 1e16, 1.0],
+        [0.1 + 0.2, 1e-7, 123456789.0, 2.5e300],
+        [1.0, 2.0, 3.0, 4.0],
+        [7.0, 8.0, 0.0, 0.0],
+    ]
     seq.s[:] = [0.0, -0.0, 1.0, 1 / 3]
     path = tmp_path / "seq.jsonl"
     save_sequence(path, seq)

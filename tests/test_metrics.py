@@ -167,10 +167,10 @@ def test_frame_tag_all_rejected():
 )
 def test_trackrun_rejects_box_arrays_not_of_shape_t_by_4(bad):
     good = np.zeros((3, 4))
-    for name, kwargs in (("pred_boxes", dict(pred_boxes=bad, gt_boxes=good)), ("gt_boxes", dict(pred_boxes=good, gt_boxes=bad))):
+    for name, (pred, gt) in (("pred_boxes", (bad, good)), ("gt_boxes", (good, bad))):
         want = rf"TrackRun: {name} must be a \(T, 4\) array, not shape {re.escape(str(bad.shape))}"
         with pytest.raises(ValueError, match=want):
-            TrackRun(tags=[[]] * 3, **kwargs)
+            TrackRun(pred_boxes=pred, gt_boxes=gt, tags=[[]] * 3)
 
 
 def test_trackrun_rejects_mismatched_lengths_by_name():

@@ -11,7 +11,7 @@ import kalman_oracle as oracle
 import render_oracle
 import stub_oracle
 from pixel_oracle import grayscale
-from xmtrack.ctp import BBox, FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
+from xmtrack.ctp import FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
 from xmtrack.metrics import TrackRun, cle, iou, tag_breakdown
 from xmtrack.sim import (
     FILTER_PRESETS,
@@ -500,7 +500,9 @@ def test_lockstep_ablation_matches_one_session_per_track(seed):
             np.testing.assert_allclose(boxes[j, p], want, rtol=0.0, atol=1e-9)
     gt = np.concatenate(gt)
     pooled = {
-        preset: tag_breakdown(TrackRun(pred_boxes=np.concatenate(trs), gt_boxes=gt, tags=[[] for _ in gt]))["all"]
+        preset: tag_breakdown(
+            TrackRun(pred_boxes=np.concatenate(trs), gt_boxes=gt, tags=[[] for _ in gt])
+        )["all"]
         for preset, trs in tracks.items()
     }
     assert run_ablation_suite(seed) == {
