@@ -3,7 +3,8 @@
 Each case edits one good file and pins the whole line the command prints,
 so a faster loader must name the same box or ``file:line`` with the same
 words.  Values that ``json.dumps`` cannot write (``1e999``, a 400-digit
-integer) go in as raw JSON text.
+integer) go in as raw JSON text, and so do Python's JSON extensions ``NaN``
+and ``-Infinity``.
 """
 
 import json
@@ -23,6 +24,8 @@ VALUES = {
     "numeric_string": ('"0.5"', "bad {what} value '0.5': not a number"),
     "float_past_the_range": ("1e999", "non-finite {what} value inf"),
     "integer_of_400_digits": (BIG, f"non-finite {{what}} value {BIG}"),
+    "json_nan": ("NaN", "non-finite {what} value nan"),
+    "json_negative_infinity": ("-Infinity", "non-finite {what} value -inf"),
 }
 
 

@@ -7,9 +7,11 @@ import random
 import re
 from pathlib import Path
 
+import box_oracle
 import numpy as np
 import pytest
 
+from xmtrack import metrics
 from xmtrack.ctp import BBox
 from xmtrack.metrics import (
     MetricRow,
@@ -278,6 +280,28 @@ def _oracle_boxes():
     return np.vstack([pred, edge_pred]), np.vstack([gt, edge_gt])
 
 
+# Boxes centred on -0.0, against boxes centred on +0.0 and on -0.0.
+NEGATIVE_ZERO_PAIRS = [
+    ((-0.0, -0.0, 4.0, 4.0), (0.0, 0.0, 4.0, 4.0)),
+    ((-0.0, 0.0, 0.0, 0.0), (0.0, -0.0, 2.0, 2.0)),
+    ((-0.0, -0.0, 2.0, 2.0), (-0.0, -0.0, 2.0, 2.0)),
+    ((-0.0, 3.0, 2.0, 2.0), (4.0, -0.0, 2.0, 2.0)),
+    ((0.0, -0.0, 2.0, 0.0), (-0.0, -0.0, 2.0, 2.0)),
+]
+
+
+def test_per_box_scores_equal_the_box_oracle_bit_for_bit():
+    pred, gt = _oracle_boxes()
+    pairs = [(BBox(*p), BBox(*g)) for p, g in [*zip(pred.tolist(), gt.tolist()), *NEGATIVE_ZERO_PAIRS]]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            for score in ("cle", "iou"):
+                got, want = getattr(metrics, score)(x, y), getattr(box_oracle, score)(x, y)
+                assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                    score, x, y,
+                )
+
+
 def test_array_kernels_match_the_scalar_oracle_bit_for_bit():
     pred, gt = _oracle_boxes()
     boxes = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
@@ -327,6 +351,8 @@ def test_array_iou_rejects_negative_dimensions(side):
         iou_array(pred, bad)
     with pytest.raises(ValueError):
         iou_array(bad, pred)
+    with pytest.raises(ValueError, match="^iou: negative box dimensions$"):
+        iou(BBox(*pred[7]), BBox(*bad[7]))
     with pytest.raises(ValueError):
         tag_breakdown(
             TrackRun(pred_boxes=pred, gt_boxes=bad, tags=[[] for _ in bad])

@@ -216,6 +216,25 @@ def test_classify_respects_rho_override():
     assert classify(img, w, rho=0.50).state != TriState.INVALID
 
 
+def test_tri_state_edges_through_classify_and_classify_stack():
+    # All-zero weights give m = sigmoid(0) = 0.5 exactly, which is NIR.
+    zero = SwitchWeights(**{k: np.zeros_like(v) for k, v in _weight_arrays(separator_switch_weights()).items()})
+    gray = np.full((10, 10, 3), 128, dtype=np.uint8)
+    at_rho = gray.copy()
+    at_rho.reshape(100, 3)[:40] = 255  # white ratio exactly 0.40
+    white = np.full((10, 10, 3), 255, dtype=np.uint8)
+    frames = np.stack([gray, at_rho, white])
+    for rho, want in (
+        (0.40, [TriState.NIR, TriState.NIR, TriState.INVALID]),  # a ratio equal to rho is not invalid
+        (0.39, [TriState.NIR, TriState.INVALID, TriState.INVALID]),  # over rho with m >= 0.5 is invalid
+    ):
+        stacked = classify_stack(frames, zero, rho)
+        assert stacked == [classify(Image(10, 10, 3, frame), zero, rho) for frame in frames]
+        assert [d.state for d in stacked] == want
+        assert [d.m for d in stacked] == [0.5] * 3
+        assert [d.white_ratio for d in stacked] == [0.0, 0.40, 1.0]
+
+
 def naive_classify(img, w, rho=0.40):
     """Tri-state decision from the loop oracles: (state, m)."""
     f_in = img.features()
