@@ -94,10 +94,6 @@ class AdapterStack:
         if len(dims) != 1:
             raise ShapeError(f"AdapterStack: mixed embedding dims {sorted(dims)}")
 
-    @property
-    def dim(self) -> int:
-        return self.layers[0].dim
-
 
 def random_adapter_weights(
     rng: np.random.Generator, d: int = DEFAULT_DIM

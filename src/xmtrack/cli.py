@@ -186,10 +186,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except xio.DataError as exc:
-        print(f"xmtrack {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (xio.DataError, OSError) as exc:
         print(f"xmtrack {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FilterDegenerateError as exc:

@@ -10,7 +10,7 @@ are pairs too.  The tri-state switch runs without gradients, so ``relu``,
 ``scalar_sigmoid`` and ``adaptive_max_pool`` are plain forward functions.
 ``grad_check`` is the one harness that ties any pair's forward and backward
 together via central differences.  ``is_int`` and ``is_number`` are the one
-number rule that every module's input checks apply.
+number rule of every module's input checks, ``io``'s JSON numbers included.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.

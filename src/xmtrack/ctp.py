@@ -333,12 +333,9 @@ class FilterBank:
     def __init__(self, b0: list[BBox], frame_size: list[tuple[float, float]], configs: list[SessionConfig]):
         if not len(b0) == len(frame_size) == len(configs) > 0:
             raise ValueError("FilterBank: need one initial box, frame size and config per row")
-        try:
-            size = np.array(frame_size, dtype=np.float64)
-        except OverflowError:  # an int past the float range
-            size = np.full((len(configs), 2), np.inf)
-        if size.shape != (len(configs), 2) or not ((size > 0) & (size < np.inf)).all():
+        if not all(np.shape(pair) == (2,) and all(is_number(v) and v > 0 for v in pair) for pair in frame_size):
             raise ValueError(f"FilterBank: frame sizes {frame_size} are not finite, positive (width, height) pairs")
+        size = np.array(frame_size, dtype=np.float64)
         self.x = np.stack([box2state(b) for b in b0])
         self.P = np.stack([np.diag(c.p0_diag) for c in configs])
         rates = [c.motion.turn_rate if c.motion.kind == MotionKind.COORDINATED_TURN else 0.0 for c in configs]

@@ -12,14 +12,14 @@ their columns (``Sequence.gt``, ``observed`` and ``s``; ``TrackRun.pred_boxes``
 and ``gt_boxes``), with no per-frame object: the transitional per-frame views
 ``Sequence.records`` and ``TrackRun.pred``/``gt`` are built only if read.  A
 loader checks a column whole and walks it value by value only if that fails,
-to name the first bad box or ``file:line``; ``save_sequence`` rejects a
-non-finite column.  All writers are byte-deterministic given identical inputs.
+to name the first bad box or ``file:line``; a number is an int or a float
+``core.is_number`` accepts.  ``save_sequence`` rejects a non-finite column.
+All writers are byte-deterministic given identical inputs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import tokenize
 from dataclasses import asdict, fields, replace
 from itertools import chain
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_number
 from .ctp import MotionKind, SessionConfig
 from .metrics import TrackRun
 from .sim import Scenario, Sequence
@@ -39,6 +40,7 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
 # The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call, built once.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -88,16 +90,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _finite(v, what: str) -> float:
-    """A JSON number finite as a float: an int or a float, and a bool is neither."""
+    """A JSON int or float (a bool is neither) that ``core.is_number`` accepts, as a float."""
     if type(v) not in (int, float):
         raise DataError(f"bad {what} value {v!r}: not a number")
-    try:
-        x = float(v)
-    except OverflowError:  # an int past the float range
-        x = math.inf
-    if not math.isfinite(x):
+    if not is_number(v):  # NaN, an infinity, or an int past the float range
         raise DataError(f"non-finite {what} value {v!r}")
-    return x
+    return float(v)
 
 
 def _box_values(v) -> list[float]:
@@ -111,15 +109,16 @@ def _box_values(v) -> list[float]:
 
 
 def _number_column(values, boxes: bool) -> np.ndarray | None:
-    """A JSON list of finite numbers, or (``boxes``) of boxes ``_box_values`` accepts, as
-    one float64 array: one type scan, one ``np.array``, then array checks.  None if any
-    value may be bad, for the caller to walk the values one by one and name the first."""
+    """A JSON list of numbers ``_finite`` accepts, or (``boxes``) of boxes ``_box_values``
+    accepts, as one float64 array: one type scan, one ``np.array``, then array checks.  None
+    if any value may be bad (+-float max may be an int past the range), for the caller to
+    walk the values one by one and name the first."""
     if type(values) is not list:
         return None
     try:
         if set(map(type, chain.from_iterable(values) if boxes else values)) <= {int, float}:
             column = np.array(values, dtype=np.float64)
-            if column.shape == ((len(values), 4) if boxes else (len(values),)) and np.isfinite(column).all():
+            if column.shape == ((len(values), 4) if boxes else (len(values),)) and (abs(column) < _FLOAT_MAX).all():
                 return None if boxes and (column[:, 2:] < 0).any() else column
     except (TypeError, ValueError, OverflowError):  # a box not a list, ragged boxes, an int past the floats
         pass

@@ -4,16 +4,17 @@ PR counts frames whose CLE is strictly below 20 px; SR counts frames whose
 IoU strictly exceeds 0.5.  Both are percentages.  Boundary frames (CLE
 exactly 20, IoU exactly 0.5) do not count — the thresholds are strict.
 
-The rates are array expressions: ``cle_array`` and ``iou_array`` score
-``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, each in its scalar
-twin's operation order, so a frame scores the same bits either way.
-``hit_masks`` is the one place that applies both thresholds to them;
-``tag_breakdown`` and the ablation count its hits.  A run's overall PR/SR is
-``tag_breakdown(run)["all"]``.  The scalar ``cle`` and ``iou`` stay as the
-per-box API and the tests' oracle.  A ``TrackRun`` holds columns, as
-``sim.Sequence`` does: ``tag_breakdown`` scores its ``(T, 4)`` ``pred_boxes``
-and ``gt_boxes`` as they are, and its ``BBox`` lists ``pred`` and ``gt`` are
-transitional views, built only when read, like ``Sequence.records``.
+The box scores are written once: ``cle_array`` and ``iou_array`` score
+``(..., 4)`` box arrays ``(cx, cy, w, h)`` elementwise, bit for bit as the
+scalar formulas in ``tests/box_oracle.py``.  The per-box ``cle`` and ``iou``
+read one row of them (``iou`` is the per-box API; ``cle`` is kept for the
+benchmark's call count).  ``hit_masks`` is the one place that applies both
+thresholds; ``tag_breakdown`` and the ablation count its hits.  A run's
+overall PR/SR is ``tag_breakdown(run)["all"]``.  A ``TrackRun`` holds
+columns, as ``sim.Sequence`` does: ``tag_breakdown`` scores its ``(T, 4)``
+``pred_boxes`` and ``gt_boxes`` as they are, and its ``BBox`` lists ``pred``
+and ``gt`` are transitional views, built only when read, like
+``Sequence.records``.
 """
 
 from __future__ import annotations
@@ -32,34 +33,13 @@ PR_TAU_PX = 20.0
 SR_TAU_IOU = 0.5
 
 
-def cle(pred: BBox, gt: BBox) -> float:
-    """Euclidean distance between box centers, in pixels."""
-    return float(np.hypot(pred.cx - gt.cx, pred.cy - gt.cy))
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of axis-aligned center-parameterized boxes.
-
-    Zero-area boxes give 0; negative dimensions are rejected as data errors.
-    """
-    if a.w < 0 or a.h < 0 or b.w < 0 or b.h < 0:
-        raise ValueError("iou: negative box dimensions")
-    ix = min(a.cx + a.w / 2, b.cx + b.w / 2) - max(a.cx - a.w / 2, b.cx - b.w / 2)
-    iy = min(a.cy + a.h / 2, b.cy + b.h / 2) - max(a.cy - a.h / 2, b.cy - b.h / 2)
-    inter = max(0.0, ix) * max(0.0, iy)
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def cle_array(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """``cle`` of every box pair in two broadcastable ``(..., 4)`` arrays."""
+    """Center distance in pixels of every box pair in two broadcastable ``(..., 4)`` arrays."""
     return np.hypot(pred[..., 0] - gt[..., 0], pred[..., 1] - gt[..., 1])
 
 
 def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou`` of every box pair in two broadcastable ``(..., 4)`` arrays."""
+    """IoU of every box pair in two broadcastable ``(..., 4)`` arrays; a zero union scores 0."""
     if (a[..., 2:] < 0).any() or (b[..., 2:] < 0).any():
         raise ValueError("iou: negative box dimensions")
     half_a, half_b = a[..., 2:] / 2, b[..., 2:] / 2
@@ -70,6 +50,16 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = sides[..., 0] * sides[..., 1]
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def cle(pred: BBox, gt: BBox) -> float:
+    """``cle_array`` of one box pair."""
+    return float(cle_array(pred.as_array(), gt.as_array()))
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """``iou_array`` of one box pair."""
+    return float(iou_array(a.as_array(), b.as_array()))
 
 
 def hit_masks(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ per-channel means, single-band frames are channel-collapsed, invalid frames
 are almost entirely white) and emits noisy stub-tracker observations with a
 confidence score.  ``Scenario.frame_masks`` answers every frame's band,
 validity and nearness to a band switch at once, as three bool masks that
-``generate`` renders and observes from and ``run`` tags from.
+``generate`` renders and observes from and ``run`` tags from (its one-frame
+reads ``scheduled_modality`` and ``near_switch`` are kept for the benchmark).
 
 A ``Sequence`` keeps its T frames as columns: the ``(T, H, W, 3)`` uint8
 stack ``frames`` that every frame renders into, ``(T, 4)`` ``gt`` and
@@ -195,23 +196,16 @@ class Scenario:
             near_switch[max(0, sw - self.switch_radius) : sw + self.switch_radius + 1] = True
         return nir, invalid, near_switch
 
-    # Per-frame queries, independent of ``frame_masks``: the tests' reference for it.
-
     def scheduled_modality(self, t: int) -> str:
-        for start, end, mod in self.modality_schedule:
-            if start <= t < end:
-                return mod
-        return "rgb"  # gaps between segments default to RGB
-
-    def is_invalid(self, t: int) -> bool:
-        return any(start <= t < end for start, end in self.invalid_windows)
+        return MODALITIES[self._frame_mask(0, t)]
 
     def near_switch(self, t: int) -> bool:
-        r = self.switch_radius
-        return any(
-            self.scheduled_modality(u) != self.scheduled_modality(u - 1)
-            for u in range(max(1, t - r), min(self.frames - 1, t + r) + 1)
-        )
+        return self._frame_mask(2, t)
+
+    def _frame_mask(self, which: int, t: int) -> bool:
+        if not 0 <= t < self.frames:  # a negative t would wrap
+            raise IndexError(f"Scenario: frame {t} outside [0, {self.frames})")
+        return bool(self.frame_masks()[which][t])
 
     def gt_path(self) -> np.ndarray:
         """Ground-truth boxes ``(frames, 4)``: the same discrete turn model the filter uses."""

@@ -368,6 +368,12 @@ def is_over_exposed(img: Image, rho: float = DEFAULT_RHO) -> tuple[bool, float]:
     return white_ratio > rho, white_ratio
 
 
+def _decide(white_ratio: float, m: float, rho: float) -> TriStateDecision:
+    """The tri-state rule: INVALID iff white_ratio > rho, else NIR iff m >= 0.5, else RGB."""
+    state = TriState.INVALID if white_ratio > rho else TriState.NIR if m >= 0.5 else TriState.RGB
+    return TriStateDecision(state=state, m=m, white_ratio=white_ratio)
+
+
 def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriStateDecision:
     """Full tri-state decision for one frame.
 
@@ -383,14 +389,7 @@ def classify(img: Image, w: SwitchWeights, rho: float = DEFAULT_RHO) -> TriState
         raise ValueError(f"classify: rho must be a number in [0, 1], got {rho!r}")
     white_ratio, means = pixel_statistics(img)
     f_spa = spatial_branch(img.features(), w) if w.spatial_zeros is None else w.spatial_zeros
-    m = modality_weight(f_spa, spectral_branch(means, w), w)
-    if white_ratio > rho:
-        state = TriState.INVALID
-    elif m >= 0.5:
-        state = TriState.NIR
-    else:
-        state = TriState.RGB
-    return TriStateDecision(state=state, m=m, white_ratio=white_ratio)
+    return _decide(white_ratio, modality_weight(f_spa, spectral_branch(means, w), w), rho)
 
 
 def classify_stack(frames: np.ndarray, w: SwitchWeights, rho: float = DEFAULT_RHO) -> list[TriStateDecision]:
@@ -414,11 +413,4 @@ def classify_stack(frames: np.ndarray, w: SwitchWeights, rho: float = DEFAULT_RH
     else:
         f_spa = np.broadcast_to(w.spatial_zeros, (t, w.spatial_zeros.size))
     m = modality_weight(f_spa[:, None, :], spectral_branch(means[:, None, :], w), w)
-    return [
-        TriStateDecision(
-            state=TriState.INVALID if ratio > rho else TriState.NIR if mi >= 0.5 else TriState.RGB,
-            m=mi,
-            white_ratio=ratio,
-        )
-        for mi, ratio in zip(m.tolist(), white_ratio.tolist())
-    ]
+    return [_decide(ratio, mi, rho) for ratio, mi in zip(white_ratio.tolist(), m.tolist())]

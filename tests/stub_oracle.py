@@ -5,17 +5,18 @@ render loop and then observes every frame with one vectorised
 ``stub_tracker`` call over the columns.  This module keeps the scalar
 tracker that call replaced, one ``BBox`` per frame, and replays a whole
 scenario on one RNG stream the way the per-frame generator did: ground
-truth stepped one frame at a time, the scenario's per-frame schedule
+truth stepped one frame at a time, ``schedule_oracle``'s per-frame schedule
 queries, and render (``render_oracle``'s per-channel draws), then observe,
 frame by frame.  A reordered draw or a changed operation shows up as other
 bits.
 """
 
 import numpy as np
+from box_oracle import cle
 from render_oracle import render_frame
+from schedule_oracle import is_invalid, near_switch, scheduled_modality
 
 from xmtrack.ctp import BBox, turn_transition
-from xmtrack.metrics import cle
 from xmtrack.sim import DIMS_NOISE_SCALE, _invalid_observation
 
 
@@ -46,12 +47,12 @@ def replay(sc) -> list[tuple[np.ndarray, BBox, BBox, float]]:
         gt = BBox(cx=x[0], cy=x[1], w=x[2], h=x[3])
         x = f @ x
         pixels = np.empty((sc.image_height, sc.image_width, 3), dtype=np.uint8)
-        invalid = sc.is_invalid(t)
-        render_frame(sc, sc.scheduled_modality(t) == "nir", invalid, (gt.cx, gt.cy, gt.w, gt.h), rng, pixels)
+        invalid = is_invalid(sc, t)
+        render_frame(sc, scheduled_modality(sc, t) == "nir", invalid, (gt.cx, gt.cy, gt.w, gt.h), rng, pixels)
         if invalid:
             observed, s = BBox(*_invalid_observation(sc, rng)), 0.0
         else:
-            near = sc.near_switch(t)
+            near = near_switch(sc, t)
             observed, s = stub_tracker(gt, sc.sigma * (sc.switch_noise_boost if near else 1.0), rng)
             if near:
                 s *= 0.5  # switching uncertainty damps confidence

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import schedule_oracle
 
 from xmtrack.cli import main
 from xmtrack import ctp
@@ -411,8 +412,8 @@ def test_frame_lines_with_the_old_keys_track_like_the_clean_file(tmp_path, scena
             type="frame",
             index=t,
             gt=[1.0, 2.0, 0.0, -5.0],
-            modality="rgb" if sc.scheduled_modality(t) == "nir" else "nir",
-            valid=sc.is_invalid(t),
+            modality="rgb" if schedule_oracle.scheduled_modality(sc, t) == "nir" else "nir",
+            valid=schedule_oracle.is_invalid(sc, t),
         )
         lines[t + 1] = json.dumps(frame)
     old = tmp_path / "old.jsonl"

@@ -767,7 +767,9 @@ def test_bank_rejects_misshapen_setup():
         FilterBank([BBox(1, 1, 1, 1)], [(512.0, 512.0)], [cfg, cfg])
     with pytest.raises(ValueError):
         FilterBank([], [], [])
-    for size in ((0.0, 512.0), (np.inf, 512.0), (512.0, np.nan), (10**310, 512)):
+    just_past = int(sys.float_info.max) + 1  # an int past the float range that float() rounds into it
+    for size in ((0.0, 512.0), (np.inf, 512.0), (512.0, np.nan), (10**310, 512), (just_past, 512), (512.0,),
+                 (True, 512.0), ("512", 512.0), 512.0):
         with pytest.raises(ValueError, match="not finite, positive"):
             FilterBank([BBox(1, 1, 1, 1)], [size], [cfg])
     with pytest.raises(ValueError, match="not finite, positive"):

@@ -9,6 +9,7 @@ and ``-Infinity``.
 
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from xmtrack.io import frames_path, save_scenario
 from xmtrack.sim import Scenario
 
 BIG = "1" + "0" * 399  # a 400-digit integer: valid JSON, past the float range
+JUST_PAST = str(int(sys.float_info.max) + 1)  # an integer past the range that float() rounds into it
 
 # raw JSON text -> how the loaders print that value
 VALUES = {
@@ -24,6 +26,7 @@ VALUES = {
     "numeric_string": ('"0.5"', "bad {what} value '0.5': not a number"),
     "float_past_the_range": ("1e999", "non-finite {what} value inf"),
     "integer_of_400_digits": (BIG, f"non-finite {{what}} value {BIG}"),
+    "integer_just_past_the_range": (JUST_PAST, f"non-finite {{what}} value {JUST_PAST}"),
     "json_nan": ("NaN", "non-finite {what} value nan"),
     "json_negative_infinity": ("-Infinity", "non-finite {what} value -inf"),
 }

@@ -305,16 +305,16 @@ def test_per_box_scores_equal_the_box_oracle_bit_for_bit():
 def test_array_kernels_match_the_scalar_oracle_bit_for_bit():
     pred, gt = _oracle_boxes()
     boxes = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
-    assert cle_array(pred, gt).tolist() == [cle(p, g) for p, g in boxes]
-    assert iou_array(pred, gt).tolist() == [iou(p, g) for p, g in boxes]
+    assert cle_array(pred, gt).tolist() == [box_oracle.cle(p, g) for p, g in boxes]
+    assert iou_array(pred, gt).tolist() == [box_oracle.iou(p, g) for p, g in boxes]
     assert cle_array(pred, gt)[-8] == 20.0 and iou_array(pred, gt)[-7] == 0.5
 
 
 def test_array_rates_count_the_scalar_oracle_hits():
     pred, gt = _oracle_boxes()
     pairs = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
-    pr_hits = sum(cle(p, g) < 20.0 for p, g in pairs)
-    sr_hits = sum(iou(p, g) > 0.5 for p, g in pairs)
+    pr_hits = sum(box_oracle.cle(p, g) < 20.0 for p, g in pairs)
+    sr_hits = sum(box_oracle.iou(p, g) > 0.5 for p, g in pairs)
     assert 0 < sr_hits < pr_hits < len(pairs)
     assert np.count_nonzero(cle_array(pred, gt) < 20.0) == pr_hits
     assert np.count_nonzero(iou_array(pred, gt) > 0.5) == sr_hits
@@ -323,7 +323,9 @@ def test_array_rates_count_the_scalar_oracle_hits():
     assert _all(run).sr == 100.0 * sr_hits / len(pairs)
     # (rows, T, 4) tracks against one (T, 4) ground truth, as the ablation scores them
     tracks = np.stack([pred, gt, pred[::-1]])
-    want = [sum(cle(BBox(*p), BBox(*g)) < 20.0 for p, g in zip(t.tolist(), gt.tolist())) for t in tracks]
+    want = [
+        sum(box_oracle.cle(BBox(*p), BBox(*g)) < 20.0 for p, g in zip(t.tolist(), gt.tolist())) for t in tracks
+    ]
     assert np.count_nonzero(cle_array(tracks, gt) < 20.0, axis=1).tolist() == want
 
 
@@ -331,8 +333,8 @@ def test_hit_masks_apply_the_strict_thresholds_of_the_scalar_oracle():
     pred, gt = _oracle_boxes()
     pairs = [(BBox(*p), BBox(*g)) for p, g in zip(pred.tolist(), gt.tolist())]
     pr_hits, sr_hits = hit_masks(pred, gt)
-    assert pr_hits.tolist() == [cle(p, g) < 20.0 for p, g in pairs]
-    assert sr_hits.tolist() == [iou(p, g) > 0.5 for p, g in pairs]
+    assert pr_hits.tolist() == [box_oracle.cle(p, g) < 20.0 for p, g in pairs]
+    assert sr_hits.tolist() == [box_oracle.iou(p, g) > 0.5 for p, g in pairs]
     assert not pr_hits[-8] and not sr_hits[-7]  # the exact boundary frames
     tracks = np.stack([pred, gt, pred[::-1]])
     stacked = hit_masks(tracks, gt)

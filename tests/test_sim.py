@@ -7,12 +7,14 @@ import pytest
 
 from dataclasses import asdict, replace
 
+import box_oracle
 import kalman_oracle as oracle
 import render_oracle
 import stub_oracle
 from pixel_oracle import grayscale
+from schedule_oracle import is_invalid, near_switch, scheduled_modality
 from xmtrack.ctp import FrameInput, MotionKind, MotionModel, SessionConfig, TrackerSession
-from xmtrack.metrics import TrackRun, cle, iou, tag_breakdown
+from xmtrack.metrics import TrackRun, cle, tag_breakdown
 from xmtrack.sim import (
     FILTER_PRESETS,
     MAX_STACK_BYTES,
@@ -160,7 +162,7 @@ def test_generated_columns_equal_the_frame_by_frame_oracle_bit_for_bit(name):
 
 def test_modality_schedule_gaps_default_to_rgb():
     sc = _straight(frames=15, modality_schedule=[(5, 10, "nir")])
-    mods = [sc.scheduled_modality(t) for t in range(sc.frames)]
+    mods = [scheduled_modality(sc, t) for t in range(sc.frames)]
     assert mods[:5] == ["rgb"] * 5
     assert mods[5:10] == ["nir"] * 5
     assert mods[10:] == ["rgb"] * 5
@@ -171,7 +173,7 @@ def test_invalid_windows_mark_frames_and_whiten_pixels():
     seq = generate(sc)
     for t, rec in enumerate(seq.records):
         in_window = 10 <= t < 18
-        assert sc.is_invalid(t) == in_window
+        assert is_invalid(sc, t) == in_window
         white = np.count_nonzero(grayscale(rec.image) >= 250) / (64 * 64)
         if in_window:
             assert white > 0.4
@@ -189,9 +191,9 @@ def test_classifier_recovers_schedule_exactly():
     seq = generate(sc)
     decisions = classify_sequence(seq)
     for t, dec in enumerate(decisions):
-        if sc.is_invalid(t):
+        if is_invalid(sc, t):
             assert dec.state == TriState.INVALID
-        elif sc.scheduled_modality(t) == "nir":
+        elif scheduled_modality(sc, t) == "nir":
             assert dec.state == TriState.NIR
         else:
             assert dec.state == TriState.RGB
@@ -202,7 +204,7 @@ def test_nir_frames_collapse_channels_rgb_frames_do_not():
     seq = generate(sc)
     for t, rec in enumerate(seq.records):
         hwc = rec.image.pixels.reshape(64, 64, 3)
-        if sc.scheduled_modality(t) == "nir":
+        if scheduled_modality(sc, t) == "nir":
             assert np.array_equal(hwc[..., 0], hwc[..., 1])
             assert np.array_equal(hwc[..., 0], hwc[..., 2])
         else:
@@ -303,7 +305,7 @@ def scan_switch_frames(sc):
     return [
         t
         for t in range(1, sc.frames)
-        if sc.scheduled_modality(t) != sc.scheduled_modality(t - 1)
+        if scheduled_modality(sc, t) != scheduled_modality(sc, t - 1)
     ]
 
 
@@ -346,19 +348,19 @@ def test_switch_frames_match_full_scan():
         nir, invalid, near = sc.frame_masks()
         for mask in (nir, invalid, near):
             assert (mask.dtype, mask.shape) == (np.dtype(bool), (frames,))
-        assert nir.tolist() == [sc.scheduled_modality(t) == "nir" for t in range(frames)], schedule
-        assert invalid.tolist() == [sc.is_invalid(t) for t in range(frames)], windows
+        assert nir.tolist() == [scheduled_modality(sc, t) == "nir" for t in range(frames)], schedule
+        assert invalid.tolist() == [is_invalid(sc, t) for t in range(frames)], windows
         for t in range(frames):
             want = any(abs(t - sw) <= radius for sw in switches)
-            assert sc.near_switch(t) == want == near[t], (frames, schedule, t)
+            assert near_switch(sc, t) == want == near[t], (frames, schedule, t)
     # A radius past the int64 range reaches every frame.
     huge = Scenario(name="sched", frames=12, modality_schedule=[(3, 6, "nir")], switch_radius=2**70)
-    assert huge.frame_masks()[2].all() and all(huge.near_switch(t) for t in range(12))
+    assert huge.frame_masks()[2].all() and all(near_switch(huge, t) for t in range(12))
 
 
 def test_generate_and_run_build_the_masks_once_and_query_no_frame(monkeypatch):
     calls = []
-    for name in ("scheduled_modality", "is_invalid", "near_switch"):
+    for name in ("scheduled_modality", "near_switch"):
         monkeypatch.setattr(Scenario, name, lambda self, t, name=name: calls.append(name))
     original = Scenario.frame_masks
     monkeypatch.setattr(Scenario, "frame_masks", lambda self: calls.append("frame_masks") or original(self))
@@ -368,6 +370,17 @@ def test_generate_and_run_build_the_masks_once_and_query_no_frame(monkeypatch):
     assert calls == ["frame_masks"]
     run(seq, HarnessConfig(motion="ctp"))
     assert calls == ["frame_masks"] * 2
+
+
+def test_one_frame_reads_are_the_masks_and_reject_a_frame_outside_the_scenario():
+    sc = _straight(frames=12, modality_schedule=[(3, 6, "nir")], switch_radius=1)
+    nir, _, near = sc.frame_masks()
+    assert [sc.scheduled_modality(t) for t in range(12)] == ["nir" if n else "rgb" for n in nir.tolist()]
+    assert [sc.near_switch(t) for t in range(12)] == near.tolist() and type(sc.near_switch(0)) is bool
+    for t in (-1, sc.frames):  # a negative frame must not wrap to the last one
+        for read in (sc.scheduled_modality, sc.near_switch):
+            with pytest.raises(IndexError, match=f"frame {t} outside"):
+                read(t)
 
 
 def test_scenario_dict_roundtrip():
@@ -455,8 +468,8 @@ def test_ablation_table_matches_hand_count():
     for preset, trs in runs.items():
         pairs = [(p, g) for tr in trs for p, g in zip(tr.pred, tr.gt)]
         assert table[preset] == {
-            "PR": 100.0 * sum(cle(p, g) < 20.0 for p, g in pairs) / len(pairs),
-            "SR": 100.0 * sum(iou(p, g) > 0.5 for p, g in pairs) / len(pairs),
+            "PR": 100.0 * sum(box_oracle.cle(p, g) < 20.0 for p, g in pairs) / len(pairs),
+            "SR": 100.0 * sum(box_oracle.iou(p, g) > 0.5 for p, g in pairs) / len(pairs),
         }
 
 
@@ -525,9 +538,9 @@ def test_run_matches_the_per_frame_loop_bit_for_bit(case):
     seq = generate(sc)
     decisions = classify_sequence(seq)
     want_tags = [
-        [sc.scheduled_modality(t)]
-        + ["invalid-window"] * sc.is_invalid(t)
-        + ["switch"] * sc.near_switch(t)
+        [scheduled_modality(sc, t)]
+        + ["invalid-window"] * is_invalid(sc, t)
+        + ["switch"] * near_switch(sc, t)
         for t in range(sc.frames)
     ]
     for preset in MOTION_PRESETS:
