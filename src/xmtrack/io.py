@@ -40,9 +40,9 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-_FLOAT_MAX = np.finfo(np.float64).max
 # The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call, built once.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _read_text(path: str | Path) -> str:
@@ -111,8 +111,8 @@ def _box_values(v) -> list[float]:
 def _number_column(values, boxes: bool) -> np.ndarray | None:
     """A JSON list of numbers ``_finite`` accepts, or (``boxes``) of boxes ``_box_values``
     accepts, as one float64 array: one type scan, one ``np.array``, then array checks.  None
-    if any value may be bad (+-float max may be an int past the range), for the caller to
-    walk the values one by one and name the first."""
+    if any value may be bad, for the caller to walk the values one by one and name the first:
+    a value at +-float max may be an int past the float range that the conversion rounded."""
     if type(values) is not list:
         return None
     try:

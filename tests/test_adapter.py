@@ -7,6 +7,7 @@ import gate_oracle
 from xmtrack.adapter import (
     WEIGHT_NAMES,
     AdapterLayerWeights,
+    AdapterStack,
     adapter_pair,
     apply_stack,
     gate_hidden_dim,
@@ -211,6 +212,16 @@ def test_apply_stack_composes_layers_in_order():
     np.testing.assert_array_equal(
         apply_stack(f_sr, f_dyn, m, TriState.NIR, stack), manual
     )
+
+
+def test_adapter_stack_rejects_an_empty_or_mixed_dim_stack():
+    # A plain list would let apply_stack return f_sr unchanged for no layers,
+    # and fail only inside the second layer for mixed dims.
+    rng = np.random.default_rng(9)
+    with pytest.raises(ShapeError, match="needs at least one layer"):
+        AdapterStack([])
+    with pytest.raises(ShapeError, match=r"mixed embedding dims \[4, 8\]"):
+        AdapterStack([random_adapter_weights(rng, 8), random_adapter_weights(rng, 4)])
 
 
 def test_apply_stack_rgb_returns_input_unchanged():
