@@ -351,16 +351,13 @@ def stub_tracker(
     return obs, s
 
 
-def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> tuple[float, float, float, float]:
+def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> np.ndarray:
     # Maximally uninformative: uniform over the frame.  Filters are expected
     # to ignore it; the 'off' baseline freezes instead of consuming it.  A
-    # frame narrower than 20 px gets 5 px boxes.
-    return (
-        float(rng.uniform(0, sc.frame_width)),
-        float(rng.uniform(0, sc.frame_height)),
-        float(rng.uniform(5.0, max(5.0, sc.frame_width / 4))),
-        float(rng.uniform(5.0, max(5.0, sc.frame_height / 4))),
-    )
+    # frame narrower than 20 px gets 5 px boxes.  One draw per coordinate,
+    # in order, as four scalar draws would take them.
+    w, h = sc.frame_width, sc.frame_height
+    return rng.uniform((0, 0, 5, 5), (w, h, max(5, w / 4), max(5, h / 4)))
 
 
 def generate(sc: Scenario) -> Sequence:
@@ -602,19 +599,22 @@ def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
     return boxes.swapaxes(0, 1)
 
 
+def _suite_inputs(sc: Scenario) -> FilterInputs:
+    seq = generate(sc)
+    return filter_inputs(seq, classify_sequence(seq))
+
+
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     """Pooled PR/SR per motion preset over one three-scenario suite.
 
     Each scenario is generated, classified right away and reduced to
-    ``FilterInputs``; its sequence, frame stack included, is dropped when the
-    next one is generated.  The filtered presets of all three scenarios then
-    step as one nine-row bank, and every preset's pooled track is scored
-    against the pooled ground truth in one array expression per rate.
+    ``FilterInputs`` by ``_suite_inputs``; its sequence, frame stack included,
+    is freed before the next scenario renders, so the suite holds one stack at
+    a time.  The filtered presets of all three scenarios then step as one
+    nine-row bank, and every preset's pooled track is scored against the
+    pooled ground truth in one array expression per rate.
     """
-    inputs: list[FilterInputs] = []
-    for sc in ablation_suite(base_seed):
-        seq = generate(sc)
-        inputs.append(filter_inputs(seq, classify_sequence(seq)))
+    inputs = [_suite_inputs(sc) for sc in ablation_suite(base_seed)]
     rows = [(inp, preset_config(preset, inp.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]
     filtered = run_filters(rows).reshape(len(inputs), len(FILTER_PRESETS), -1, 4)
     off = np.stack([frozen_boxes(inp) for inp in inputs])

@@ -17,7 +17,7 @@ from render_oracle import render_frame
 from schedule_oracle import is_invalid, near_switch, scheduled_modality
 
 from xmtrack.ctp import BBox, turn_transition
-from xmtrack.sim import DIMS_NOISE_SCALE, _invalid_observation
+from xmtrack.sim import DIMS_NOISE_SCALE
 
 
 def stub_tracker(record_gt: BBox, sigma: float, rng: np.random.Generator) -> tuple[BBox, float]:
@@ -37,6 +37,17 @@ def stub_tracker(record_gt: BBox, sigma: float, rng: np.random.Generator) -> tup
     return obs, s
 
 
+def invalid_observation(sc, rng: np.random.Generator) -> tuple[float, float, float, float]:
+    """Uniform box over the frame, one scalar draw per coordinate; 5 px boxes
+    in a frame narrower than 20 px."""
+    return (
+        float(rng.uniform(0, sc.frame_width)),
+        float(rng.uniform(0, sc.frame_height)),
+        float(rng.uniform(5.0, max(5.0, sc.frame_width / 4))),
+        float(rng.uniform(5.0, max(5.0, sc.frame_height / 4))),
+    )
+
+
 def replay(sc) -> list[tuple[np.ndarray, BBox, BBox, float]]:
     """Each frame's ``(pixels, gt, observed, s)``, generated one frame at a time."""
     rng = np.random.default_rng(sc.seed)
@@ -50,7 +61,7 @@ def replay(sc) -> list[tuple[np.ndarray, BBox, BBox, float]]:
         invalid = is_invalid(sc, t)
         render_frame(sc, scheduled_modality(sc, t) == "nir", invalid, (gt.cx, gt.cy, gt.w, gt.h), rng, pixels)
         if invalid:
-            observed, s = BBox(*_invalid_observation(sc, rng)), 0.0
+            observed, s = BBox(*invalid_observation(sc, rng)), 0.0
         else:
             near = near_switch(sc, t)
             observed, s = stub_tracker(gt, sc.sigma * (sc.switch_noise_boost if near else 1.0), rng)

@@ -1,6 +1,7 @@
 """Simulator: determinism, motion geometry, noise statistics, ablations."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from xmtrack.ctp import FrameInput, MotionKind, MotionModel, SessionConfig, Trac
 from xmtrack.metrics import TrackRun, cle, tag_breakdown
 from xmtrack.sim import (
     FILTER_PRESETS,
+    FRAME_CHANNELS,
     MAX_STACK_BYTES,
     MOTION_PRESETS,
     HarnessConfig,
     Scenario,
+    _invalid_observation,
     ablation_suite,
     classify_sequence,
     filter_inputs,
@@ -423,6 +426,19 @@ def test_frames_narrower_than_20_px_render_invalid_observations():
         assert rec.observed.w == 5.0 and rec.observed.h == 5.0
 
 
+@pytest.mark.parametrize("width, height", [(512, 512), (64, 19), (19, 1), (1, 64)])
+def test_invalid_observation_is_the_four_scalar_draws(width, height):
+    """Bits and generator state match the per-coordinate draws, including the
+    ``uniform(5, 5)`` of a frame narrower than 20 px."""
+    sc = Scenario(name="sized", frames=1, frame_width=width, frame_height=height)
+    got_rng, want_rng = np.random.default_rng(width * height), np.random.default_rng(width * height)
+    for _ in range(3):
+        got = np.asarray(_invalid_observation(sc, got_rng), dtype=np.float64)
+        want = np.array(stub_oracle.invalid_observation(sc, want_rng), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_preset_configs():
     ct = MotionKind.COORDINATED_TURN
     assert preset_config("ctp", 0.02) == SessionConfig(motion=MotionModel(ct, 0.02))
@@ -571,6 +587,21 @@ def test_ablation_suite_has_three_motion_shapes():
     rates = sorted(sc.turn_rate for sc in ablation_suite(3))
     assert rates[0] < 0.0 < rates[2]
     assert rates[1] == 0.0
+
+
+def test_ablation_suite_holds_one_frame_stack_at_a_time():
+    """A scenario's frame stack is freed before the next scenario renders, so
+    the suite's traced peak stays under two stacks."""
+    sc = ablation_suite(1)[0]
+    stack_bytes = sc.frames * sc.image_height * sc.image_width * FRAME_CHANNELS
+    run_ablation_suite(1)  # warm-up: first-call allocations are not the suite's
+    tracemalloc.start()
+    try:
+        run_ablation_suite(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
 
 
 def test_single_suite_reproduces_motion_ordering():
