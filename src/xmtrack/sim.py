@@ -351,13 +351,14 @@ def stub_tracker(
     return obs, s
 
 
-def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> np.ndarray:
+def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> tuple[float, float, float, float]:
     # Maximally uninformative: uniform over the frame.  Filters are expected
     # to ignore it; the 'off' baseline freezes instead of consuming it.  A
-    # frame narrower than 20 px gets 5 px boxes.  One draw per coordinate,
-    # in order, as four scalar draws would take them.
+    # frame narrower than 20 px gets 5 px boxes.  One draw, scaled as
+    # ``rng.uniform`` scales, low + (high - low) * u: four scalar draws' bits.
     w, h = sc.frame_width, sc.frame_height
-    return rng.uniform((0, 0, 5, 5), (w, h, max(5, w / 4), max(5, h / 4)))
+    u = rng.random(4).tolist()
+    return w * u[0], h * u[1], 5 + (max(5, w / 4) - 5) * u[2], 5 + (max(5, h / 4) - 5) * u[3]
 
 
 def generate(sc: Scenario) -> Sequence:
@@ -607,11 +608,10 @@ def _suite_inputs(sc: Scenario) -> FilterInputs:
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     """Pooled PR/SR per motion preset over one three-scenario suite.
 
-    Each scenario is generated, classified right away and reduced to
-    ``FilterInputs`` by ``_suite_inputs``; its sequence, frame stack included,
-    is freed before the next scenario renders, so the suite holds one stack at
-    a time.  The filtered presets of all three scenarios then step as one
-    nine-row bank, and every preset's pooled track is scored against the
+    Each scenario is generated, classified and reduced to ``FilterInputs``
+    by ``_suite_inputs``, which frees its frame stack before the next one
+    renders.  The filtered presets of all three scenarios then step as one
+    nine-row bank, and each preset's pooled track is scored against the
     pooled ground truth in one array expression per rate.
     """
     inputs = [_suite_inputs(sc) for sc in ablation_suite(base_seed)]
