@@ -10,11 +10,11 @@ whose innovation covariance degenerates on the data: FilterDegenerateError),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import io as xio
+from .core import dump_json
 from .ctp import FilterDegenerateError
 from .metrics import metrics_csv, metrics_summary
 from .sim import (
@@ -138,10 +138,7 @@ def cmd_ablate(args) -> int:
         "ordering_fraction": ordered / len(rows),
         "strict_ctp_over_off_fraction": strict / len(rows),
     }
-    Path(args.out).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    Path(args.out).write_text(dump_json(payload) + "\n", encoding="utf-8")
     print(
         f"{args.suites} suites: ordering holds on {ordered}/{len(rows)}, "
         f"ctp beats off on {strict}/{len(rows)}; wrote {args.out}"

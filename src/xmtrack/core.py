@@ -11,6 +11,7 @@ are pairs too.  The tri-state switch runs without gradients, so ``relu``,
 ``grad_check`` is the one harness that ties any pair's forward and backward
 together via central differences.  ``is_int`` and ``is_number`` are the one
 number rule of every module's input checks, ``io``'s JSON numbers included.
+``dump_json`` is the one writer of every JSON text xmtrack outputs.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.
@@ -18,6 +19,7 @@ closures are written out by hand.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -45,6 +47,10 @@ def is_int(v) -> bool:
 def is_number(v) -> bool:
     """A real, non-bool number finite as a float (an int past the float range is not)."""
     return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call, built once.
+dump_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def as_tensor(x) -> Tensor:

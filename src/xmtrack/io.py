@@ -14,7 +14,8 @@ and ``gt_boxes``), with no per-frame object: the transitional per-frame views
 loader checks a column whole and walks it value by value only if that fails,
 to name the first bad box or ``file:line``; a number is an int or a float
 ``core.is_number`` accepts.  ``save_sequence`` rejects a non-finite column.
-All writers are byte-deterministic given identical inputs.
+Every JSON text is ``core.dump_json``'s (a frame line is formatted to match
+it), so all writers are byte-deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_number
+from .core import dump_json, is_number
 from .ctp import MotionKind, SessionConfig
 from .metrics import TrackRun
 from .sim import Scenario, Sequence
@@ -40,8 +41,6 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-# The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call, built once.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
@@ -74,7 +73,7 @@ def _load_json(path: str | Path):
 
 
 def save_scenario(path: str | Path, sc: Scenario):
-    Path(path).write_text(_dump(asdict(sc)) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(asdict(sc)) + "\n", encoding="utf-8")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -137,7 +136,7 @@ def frames_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".npy")
 
 
-# A frame line as ``_dump`` writes it: a finite float's repr is its JSON text.
+# A frame line as ``dump_json`` writes it: a finite float's repr is its JSON text.
 _FRAME_LINE = '{"observed":[%r,%r,%r,%r],"s":%r}'
 
 
@@ -154,7 +153,7 @@ def save_sequence(path: str | Path, seq: Sequence):
     if not finite.all():
         raise DataError(f"{path}: frame {int(np.argmin(finite))} has a non-finite observed box or confidence")
     np.save(frames_path(path), seq.frames)
-    lines = [_dump({"type": "header", "scenario": asdict(seq.scenario)})]
+    lines = [dump_json({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [_FRAME_LINE % tuple(row) for row in np.column_stack((seq.observed, seq.s)).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -252,7 +251,7 @@ def save_trackrun(path: str | Path, sequence_name: str, run: TrackRun):
         "gt": run.gt_boxes.tolist(),
         "tags": run.tags,
     }
-    Path(path).write_text(_dump(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(payload) + "\n", encoding="utf-8")
 
 
 def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:

@@ -14,19 +14,20 @@ overall PR/SR is ``tag_breakdown(run)["all"]``.  A ``TrackRun`` holds
 columns, as ``sim.Sequence`` does: ``tag_breakdown`` scores its ``(T, 4)``
 ``pred_boxes`` and ``gt_boxes`` as they are, and its ``BBox`` lists ``pred``
 and ``gt`` are transitional views, built only when read, like
-``Sequence.records``.
+``Sequence.records``.  ``core.dump_json``, xmtrack's one JSON writer, encodes
+``metrics_summary``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .core import dump_json
 from .ctp import BBox
 
 PR_TAU_PX = 20.0
@@ -166,4 +167,4 @@ def metrics_summary(sequence: str, run: TrackRun) -> str:
             for tag, row in table.items()
         },
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(payload) + "\n"

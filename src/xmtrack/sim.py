@@ -86,6 +86,7 @@ INVALID_WHITE_FRACTION = 0.94
 TARGET_BOOST = 40.0
 
 MODALITIES = ("rgb", "nir")
+SUITE_SEGMENT = 25  # frames per band segment of an ablation-suite scenario
 # Far beyond any frame and far inside the float range: a scenario whose frame,
 # path and observation noise stay below it renders and observes finite boxes.
 MAX_COORD = 1e9
@@ -97,7 +98,7 @@ MAX_STACK_BYTES = 1 << 30
 
 def _check_windows(windows, frames, who):
     prev_end = None
-    for start, end in sorted(windows):
+    for start, end, *_ in sorted(windows):
         if not (0 <= start < end <= frames):
             raise ValueError(f"{who}: window [{start}, {end}) outside [0, {frames})")
         if prev_end is not None and start < prev_end:
@@ -164,19 +165,17 @@ class Scenario:
         ):
             if not ok:
                 raise ValueError(f"Scenario: needs {rule}")
-        for window in [*self.modality_schedule, *self.invalid_windows]:
-            if not all(is_int(v) for v in window[:2]):
-                raise ValueError(f"Scenario: window bounds {window} must be integers")
-        self.modality_schedule = [
-            (int(s), int(e), str(m)) for s, e, m in self.modality_schedule
-        ]
-        self.invalid_windows = [(int(s), int(e)) for s, e in self.invalid_windows]
+        for name, shape in (("modality_schedule", "[start, end, band]"), ("invalid_windows", "[start, end]")):
+            windows = getattr(self, name)
+            for window in windows if isinstance(windows, (list, tuple)) else [windows]:
+                if not (isinstance(window, (list, tuple)) and len(window) == shape.count(",") + 1
+                        and all(is_int(v) for v in window[:2])):
+                    raise ValueError(f"Scenario: {name} window {window!r} is not {shape} with integer bounds")
+            setattr(self, name, [(int(w[0]), int(w[1]), *map(str, w[2:])) for w in windows])
         for _, _, mod in self.modality_schedule:
             if mod not in MODALITIES:
                 raise ValueError(f"Scenario: unknown modality {mod!r}")
-        _check_windows(
-            [(s, e) for s, e, _ in self.modality_schedule], self.frames, "Scenario schedule"
-        )
+        _check_windows(self.modality_schedule, self.frames, "Scenario schedule")
         _check_windows(self.invalid_windows, self.frames, "Scenario invalid windows")
 
     def frame_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,11 +473,11 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _suite_schedule(frames: int, segment: int = 25) -> list:
+def _suite_schedule(frames: int) -> list:
     sched = []
     mod = "rgb"
-    for start in range(0, frames, segment):
-        sched.append((start, min(frames, start + segment), mod))
+    for start in range(0, frames, SUITE_SEGMENT):
+        sched.append((start, min(frames, start + SUITE_SEGMENT), mod))
         mod = "nir" if mod == "rgb" else "rgb"
     return sched
 
@@ -533,9 +532,7 @@ def ablation_suite(base_seed: int) -> list[Scenario]:
 class FilterInputs:
     """One classified sequence reduced to what the motion presets read: no images."""
 
-    b0: BBox
-    frame_size: tuple[float, float]
-    turn_rate: float
+    scenario: Scenario
     valid: np.ndarray  # (T,) bool: the decision is not invalid
     observed: np.ndarray  # (T, 4) observed boxes
     s: np.ndarray  # (T,) confidence
@@ -546,11 +543,8 @@ class FilterInputs:
 def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInputs:
     if len(decisions) != len(seq.s):
         raise ValueError("filter_inputs: decisions misaligned with sequence")
-    sc = seq.scenario
     return FilterInputs(
-        b0=BBox(*seq.gt[0].tolist()),
-        frame_size=(sc.frame_width, sc.frame_height),
-        turn_rate=sc.turn_rate,
+        scenario=seq.scenario,
         valid=np.array([d.state != TriState.INVALID for d in decisions]),
         observed=seq.observed,
         s=seq.s,
@@ -560,12 +554,12 @@ def filter_inputs(seq: Sequence, decisions: list[TriStateDecision]) -> FilterInp
 
 
 def frozen_boxes(inputs: FilterInputs) -> np.ndarray:
-    """The ``off`` track (T, 4): b0 at frame 0, then the observed box (not of
+    """The ``off`` track (T, 4): gt[0] at frame 0, then the observed box (not of
     negative size) on valid frames and the last reported box on invalid ones."""
     reject_negative_size(inputs.observed[1:][inputs.valid[1:]])
     frames = np.arange(len(inputs.valid))
     last_reported = np.maximum.accumulate(np.where(inputs.valid | (frames == 0), frames, 0))
-    return np.vstack((inputs.b0.as_array(), inputs.observed[1:]))[last_reported]
+    return np.vstack((inputs.gt[0], inputs.observed[1:]))[last_reported]
 
 
 FILTER_PRESETS = MOTION_PRESETS[1:]  # every preset but off runs a filter
@@ -580,8 +574,8 @@ def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
     """
     inputs = [inp for inp, _ in rows]
     bank = FilterBank(
-        [inp.b0 for inp in inputs],
-        [inp.frame_size for inp in inputs],
+        [BBox(*inp.gt[0].tolist()) for inp in inputs],
+        [(inp.scenario.frame_width, inp.scenario.frame_height) for inp in inputs],
         [config for _, config in rows],
     )
     frames = len(inputs[0].valid)
@@ -594,7 +588,7 @@ def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
     valid, observed = per_row("valid"), per_row("observed")
     r = reliability(per_row("s"), per_row("m"), bank.epsilon)
     boxes = np.empty((frames, len(rows), 4))
-    boxes[0] = [inp.b0.as_array() for inp in inputs]
+    boxes[0] = [inp.gt[0] for inp in inputs]
     for t in range(1, frames):
         boxes[t] = bank.step(valid[t], observed[t], r[t])
     return boxes.swapaxes(0, 1)
@@ -615,7 +609,7 @@ def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     pooled ground truth in one array expression per rate.
     """
     inputs = [_suite_inputs(sc) for sc in ablation_suite(base_seed)]
-    rows = [(inp, preset_config(preset, inp.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]
+    rows = [(inp, preset_config(preset, inp.scenario.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]
     filtered = run_filters(rows).reshape(len(inputs), len(FILTER_PRESETS), -1, 4)
     off = np.stack([frozen_boxes(inp) for inp in inputs])
     tracks = np.stack([off, *filtered.swapaxes(0, 1)]).reshape(len(MOTION_PRESETS), -1, 4)

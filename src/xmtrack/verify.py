@@ -39,31 +39,15 @@ def _away_from(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
     return x
 
 
-def check_linear(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal(4)
-    inputs = [rng.standard_normal(5), rng.standard_normal((4, 5)), rng.standard_normal(4)]
-    return grad_check(linear_pair, inputs, coef)
+def _gaussian_check(pair_name: str, coef_shape, *input_shapes):
+    """Checks ``pair_name``, looked up when the check runs, on normal draws: coef, then each input."""
 
+    def check(seed: int) -> float:
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal(coef_shape)
+        return grad_check(globals()[pair_name], [rng.standard_normal(shape) for shape in input_shapes], coef)
 
-def check_sigmoid(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal(6)
-    return grad_check(sigmoid_pair, [rng.standard_normal(6)], coef)
-
-
-def check_softmax(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal(7)
-    return grad_check(softmax_pair, [rng.standard_normal(7)], coef)
-
-
-def check_attention(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    t_tok, s_tok, d = 3, 4, 5
-    coef = rng.standard_normal((t_tok, d))
-    inputs = [rng.standard_normal((n, d)) for n in (t_tok, s_tok, s_tok)]
-    return grad_check(attention_pair, inputs, coef)
+    return check
 
 
 def check_adapter(seed: int) -> float:
@@ -138,10 +122,10 @@ def check_cosine_loss(seed: int) -> float:
 
 
 GRADIENT_CHECKS = {
-    "linear": check_linear,
-    "sigmoid": check_sigmoid,
-    "softmax": check_softmax,
-    "attention": check_attention,
+    "linear": _gaussian_check("linear_pair", 4, 5, (4, 5), 4),
+    "sigmoid": _gaussian_check("sigmoid_pair", 6, 6),
+    "softmax": _gaussian_check("softmax_pair", 7, 7),
+    "attention": _gaussian_check("attention_pair", (3, 5), (3, 5), (4, 5), (4, 5)),  # 3 query and 4 key tokens
     "adapter": check_adapter,
     "l1": check_l1,
     "siou": check_siou,

@@ -92,7 +92,7 @@ def test_track_builds_only_the_initial_box_and_eval_no_box(tmp_path, monkeypatch
         built.clear()
         assert main([str(a) for a in argv]) == 0
         counts[argv[0]] = len(built)
-    assert counts == {"track": 1, "eval": 0}  # track's one: filter_inputs' initial box
+    assert counts == {"track": 1, "eval": 0}  # track's one: run_filters' initial box
 
 
 def test_track_rerun_with_same_seed_is_byte_identical(tmp_path, sequence_file):
@@ -613,6 +613,37 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, scenario_file, case, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+# A scenario file's malformed window, and the error that names it on stderr.
+MALFORMED_WINDOW_FILES = {
+    "schedule_entry_a_dict": (
+        {"modality_schedule": [{"a": 1}]},
+        "modality_schedule window {'a': 1} is not [start, end, band] with integer bounds",
+    ),
+    "schedule_entry_null": (
+        {"modality_schedule": [None]},
+        "modality_schedule window None is not [start, end, band] with integer bounds",
+    ),
+    "invalid_window_of_three": (
+        {"invalid_windows": [[0, 5, 7]]},
+        "invalid_windows window [0, 5, 7] is not [start, end] with integer bounds",
+    ),
+    "schedule_not_a_list": (
+        {"modality_schedule": 5},
+        "modality_schedule window 5 is not [start, end, band] with integer bounds",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WINDOW_FILES))
+def test_malformed_scenario_window_exits_2_naming_the_window(tmp_path, scenario_file, case, capsys):
+    edit, error = MALFORMED_WINDOW_FILES[case]
+    scenario = json.loads(scenario_file.read_text())
+    scenario.update(edit)
+    scenario_file.write_text(json.dumps(scenario))
+    assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "seq.jsonl")]) == 2
+    assert capsys.readouterr().err == f"xmtrack simulate: {scenario_file}: invalid scenario: Scenario: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "track"])

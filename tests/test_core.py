@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import inspect
+import json
+import re
+from pathlib import Path
 
 from xmtrack import adapter, core, losses, verify
 from xmtrack.core import (
@@ -13,6 +16,7 @@ from xmtrack.core import (
     adaptive_max_pool,
     attention_pair,
     cosine_pair,
+    dump_json,
     grad_check,
     linear_pair,
     relu,
@@ -23,6 +27,7 @@ from xmtrack.core import (
 )
 from xmtrack.ctp import BBox
 from xmtrack.losses import EpochSchedule, l1_pair, modality_pair, siou_pair, template_sim_pair
+from xmtrack.sim import run_ablation_suite
 
 
 def test_linear_matches_manual_affine():
@@ -254,3 +259,27 @@ def test_scalar_sigmoid_matches_the_array_sigmoid_bit_for_bit():
     logits = [800.0, -800.0, np.inf, -np.inf, np.nan, 0.0, -0.0, *rng.normal(0.0, 20.0, 200).tolist()]
     for x in logits:
         assert scalar_sigmoid(x).hex() == float(sigmoid_pair(np.array([x])).value[0]).hex(), x
+
+
+def test_dump_json_is_the_canonical_json_dumps():
+    table = run_ablation_suite(0)
+    payloads = [
+        {"suites": [{"seed": 0, "results": table}], "ordering_fraction": 1.0, "strict_ctp_over_off_fraction": 0.5},
+        [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 10**400, -(10**400)],
+        {"name": "nacht-überbelichtet-夜-\U0001f319", "frames": 3},
+        {"z": [[1, [2.5, [], [[None, True, False]]]], {}], "a": {"b": [[[]]]}},
+        [float("inf"), float("-inf"), float("nan")],
+        "",
+    ]
+    for payload in payloads:
+        assert dump_json(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":")), payload
+
+
+def test_only_core_writes_json():
+    src = Path(core.__file__).parent
+    writers = sorted(
+        path.name
+        for path in src.glob("*.py")
+        if path.name != "core.py" and re.search(r"\bdumps\b|JSONEncoder", path.read_text(encoding="utf-8"))
+    )
+    assert writers == [], "encode JSON with core.dump_json"

@@ -2,7 +2,8 @@
 
 ``simulate -> track (every motion) -> eval`` on three 600-frame scenarios
 with the benchmark's band-switch/blackout mix, and ``ablate --suites 3``,
-must write the very bytes pinned here.  Eight suites spread over
+must write the very bytes pinned here, and so must ``gradcheck``'s stdout
+for four seeds, with and without ``--inject-bug``.  Eight suites spread over
 ``bench/reference/ablate.json`` must reproduce their stored tables.
 
 The digests hold for one numpy version and BLAS build (float summation
@@ -166,3 +167,25 @@ def test_spread_ablation_suites_match_the_stored_reference():
             "strict": sr["ctp"] > sr["off"],
         }
         assert got == reference[str(seed)], f"suite {seed} differs from the stored reference ({_build()})"
+
+
+# SHA-256 of ``xmtrack gradcheck --seed SEED [--inject-bug]``'s stdout, and its exit code.
+GRADCHECK_PINNED = {
+    (0, False): ("9d8a00e4db54ad2ae2ed26eece5f5165f08411817425d2d71fac14f0f74d0993", 0),
+    (0, True): ("f4f14de7aa653072c601c7776a50f915c44215473e43f81ad194c2a603007191", 3),
+    (1, False): ("0d2ab03610fe62f08a1d62ef5e4c6f9ca46cf902e0c9e3020bbae19bdd2993a6", 0),
+    (1, True): ("33c24edf2de5c549868ea81d073e541a8379fa5938ef2ccb437ad5c4b8764753", 3),
+    (5, False): ("f546c3143f2b775165a68fde74b94c5b74d246aa527f9fe9df044cc5741256f2", 0),
+    (5, True): ("e6f19171d1a8e6740557a7e49a1d3b0031afa3472886797805848f974469ad8d", 3),
+    (12345, False): ("8e86d8195f899e3c36ad91db79392cd8b226d48ba9db828e81fb2f5869b999c6", 0),
+    (12345, True): ("e0ac70dd2d7d68ca0741644aaa789854eb016e382a27898435da243ee94d86d3", 3),
+}
+
+
+def test_gradcheck_stdout_matches_its_pinned_digests(capsys):
+    for (seed, inject_bug), (digest, code) in GRADCHECK_PINNED.items():
+        assert main(["gradcheck", "--seed", str(seed), *["--inject-bug"] * inject_bug]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (
+            f"gradcheck --seed {seed}{' --inject-bug' * inject_bug} printed, on {_build()}:\n{out}"
+        )

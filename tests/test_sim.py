@@ -400,6 +400,50 @@ def test_scenario_rejects_bad_windows():
         generate(_straight(frames=20, invalid_windows=[(2, 8), (5, 12)]))
 
 
+# Each field value is malformed in shape; the ValueError names the field and the window.
+MALFORMED_WINDOWS = {
+    "schedule_entry_a_dict": ("modality_schedule", [{"start": 0, "end": 5}], "{'start': 0, 'end': 5}"),
+    "schedule_entry_null": ("modality_schedule", [None], "None"),
+    "schedule_entry_without_a_band": ("modality_schedule", [[0, 5]], "[0, 5]"),
+    "schedule_not_a_list": ("modality_schedule", 5, "5"),
+    "invalid_window_of_three": ("invalid_windows", [[0, 5, 7]], "[0, 5, 7]"),
+    "invalid_window_a_string": ("invalid_windows", ["ab"], "'ab'"),
+    "invalid_windows_null": ("invalid_windows", None, "None"),
+    "invalid_window_float_bound": ("invalid_windows", [[0, 5], [12.5, 20]], "[12.5, 20]"),
+    "invalid_window_bool_bound": ("invalid_windows", [(True, 5)], "(True, 5)"),
+    "schedule_float_bound": ("modality_schedule", [[0, 5.0, "rgb"]], "[0, 5.0, 'rgb']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WINDOWS))
+def test_scenario_names_a_malformed_window_in_a_value_error(case):
+    name, value, shown = MALFORMED_WINDOWS[case]
+    with pytest.raises(ValueError) as info:
+        Scenario(name="shape", frames=30, **{name: value})
+    shape = "[start, end, band]" if name == "modality_schedule" else "[start, end]"
+    assert str(info.value) == f"Scenario: {name} window {shown} is not {shape} with integer bounds"
+
+
+def test_scenario_windows_keep_their_bound_overlap_and_band_messages():
+    for kwargs, message in (
+        ({"invalid_windows": [[0, 50]]}, "Scenario invalid windows: window [0, 50) outside [0, 30)"),
+        ({"invalid_windows": [[0, 5], [3, 8]]}, "Scenario invalid windows: overlapping windows at 3"),
+        ({"modality_schedule": [[25, 40, "rgb"]]}, "Scenario schedule: window [25, 40) outside [0, 30)"),
+        ({"modality_schedule": [[0, 9, "nir"], [5, 12, "rgb"]]}, "Scenario schedule: overlapping windows at 5"),
+        ({"modality_schedule": [[0, 5, "uv"]]}, "Scenario: unknown modality 'uv'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Scenario(name="windows", frames=30, **kwargs)
+        assert str(info.value) == message
+
+
+def test_scenario_windows_become_tuples_of_ints_and_a_band_string():
+    sc = Scenario(name="windows", frames=30, modality_schedule=[[np.int64(0), 10, "nir"]],
+                  invalid_windows=((np.int32(3), 6),))
+    assert sc.modality_schedule == [(0, 10, "nir")] and sc.invalid_windows == [(3, 6)]
+    assert [type(v) for v in (*sc.modality_schedule[0], *sc.invalid_windows[0])] == [int, int, str, int, int]
+
+
 def test_scenario_rejects_nonpositive_frame_count():
     with pytest.raises(ValueError):
         Scenario(name="bad", frames=0)
