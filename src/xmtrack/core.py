@@ -11,7 +11,7 @@ are pairs too.  The tri-state switch runs without gradients, so ``relu``,
 ``grad_check`` is the one harness that ties any pair's forward and backward
 together via central differences.  ``is_int`` and ``is_number`` are the one
 number rule of every module's input checks, ``io``'s JSON numbers included.
-``dump_json`` is the one writer of every JSON text xmtrack outputs.
+``dump_json`` is the one writer of xmtrack's JSON.
 
 No autodiff framework is used; the operator set is small and fixed, so the
 closures are written out by hand.

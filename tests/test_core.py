@@ -6,6 +6,7 @@ import pytest
 import inspect
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 from xmtrack import adapter, core, losses, verify
@@ -27,7 +28,7 @@ from xmtrack.core import (
 )
 from xmtrack.ctp import BBox
 from xmtrack.losses import EpochSchedule, l1_pair, modality_pair, siou_pair, template_sim_pair
-from xmtrack.sim import run_ablation_suite
+from xmtrack.sim import Scenario, run_ablation_suite
 
 
 def test_linear_matches_manual_affine():
@@ -266,7 +267,7 @@ def test_dump_json_is_the_canonical_json_dumps():
     payloads = [
         {"suites": [{"seed": 0, "results": table}], "ordering_fraction": 1.0, "strict_ctp_over_off_fraction": 0.5},
         [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 10**400, -(10**400)],
-        {"name": "nacht-überbelichtet-夜-\U0001f319", "frames": 3},
+        asdict(Scenario(name="nacht-überbelichtet-夜-\U0001f319", frames=3, invalid_windows=[(1, 2)])),
         {"z": [[1, [2.5, [], [[None, True, False]]]], {}], "a": {"b": [[[]]]}},
         [float("inf"), float("-inf"), float("nan")],
         "",
