@@ -25,6 +25,7 @@ from .sim import (
     run,
     run_ablation_suite,
 )
+from .state_switch import classify_stack, separator_switch_weights
 from .verify import GRAD_TOL, gradient_report
 
 EXIT_OK = 0
@@ -85,19 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     sc = xio.load_scenario(args.scenario)
-    seq = generate(sc)
+    with xio.frame_writer(args.out, sc) as write:  # the pixels go to the .npy as they render
+        seq = generate(sc, write)
     xio.save_sequence(args.out, seq)
     print(f"wrote {sc.frames} frames to {args.out} and {xio.frames_path(args.out)}")
     return EXIT_OK
 
 
 def cmd_track(args) -> int:
-    seq = xio.load_sequence(args.sequence)
+    seq = xio.load_sequence(args.sequence, frames=False)
     # One filter config: the --motion preset, overlaid by the keys the --config file sets.
     session = preset_config(args.motion, seq.scenario.turn_rate)
     if args.config is not None:
         session = xio.load_session_config(args.config, session)
-    tr = run(seq, HarnessConfig(args.motion, session))
+    weights, chunks = separator_switch_weights(), xio.frame_chunks(args.sequence, seq.scenario)
+    decisions = [d for chunk in chunks for d in classify_stack(chunk, weights, session.rho)]  # chunk by chunk
+    tr = run(seq, HarnessConfig(args.motion, session), decisions)
     xio.save_trackrun(args.out, seq.scenario.name, tr)
     print(f"wrote track run ({len(tr)} frames, motion={args.motion}) to {args.out}")
     return EXIT_OK
@@ -120,19 +124,10 @@ def cmd_ablate(args) -> int:
     if args.seed < 0:
         print("xmtrack ablate: error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for base_seed in range(args.seed, args.seed + args.suites):
-        table = run_ablation_suite(base_seed)
-        rows.append({"seed": base_seed, "results": table})
-    ordered = sum(
-        1
-        for r in rows
-        if r["results"]["ctp"]["SR"]
-        >= r["results"]["ekf"]["SR"]
-        >= r["results"]["kf"]["SR"]
-        >= r["results"]["off"]["SR"]
-    )
-    strict = sum(1 for r in rows if r["results"]["ctp"]["SR"] > r["results"]["off"]["SR"])
+    rows = [{"seed": seed, "results": run_ablation_suite(seed)} for seed in range(args.seed, args.seed + args.suites)]
+    sr = [[r["results"][preset]["SR"] for preset in MOTION_PRESETS] for r in rows]
+    ordered = sum(off <= kf <= ekf <= ctp for off, kf, ekf, ctp in sr)
+    strict = sum(ctp > off for off, *_, ctp in sr)
     payload = {
         "suites": rows,
         "ordering_fraction": ordered / len(rows),

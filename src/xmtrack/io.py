@@ -1,9 +1,9 @@
 """File formats: scenarios, sequences, track runs, filter configs.
 
 Everything is line-oriented JSON (diff-friendly, no timestamps, stable key
-order) except a sequence's pixels: its ``(T, H, W, 3)`` uint8 frame stack
-``Sequence.frames`` is written as is to one ``.npy`` array (numpy's own
-format) beside the sequence's JSONL, and loading it back gives that stack.
+order) except a sequence's pixels: its ``(T, H, W, 3)`` uint8 frame stack is one
+C-ordered ``.npy`` (``np.save``'s bytes) beside the JSONL, moved in 1 MiB chunks: ``simulate``
+writes it as it renders, before the observations exist (a valid ``Scenario`` yields finite ones).
 A sequence keeps only what its scenario cannot reproduce: the header's
 scenario scripts the modality schedule, the invalid windows and the
 ground-truth path, and each frame line holds the stub tracker's observed box
@@ -21,7 +21,9 @@ it), so all writers are byte-deterministic given identical inputs.
 from __future__ import annotations
 
 import json
+import os
 import tokenize
+from contextlib import closing, contextmanager
 from dataclasses import asdict, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -136,6 +138,43 @@ def frames_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".npy")
 
 
+@contextmanager
+def frame_writer(path: str | Path, sc: Scenario):
+    """A sink (``generate``'s) that writes ``sc``'s C-contiguous frame chunks, in order, to ``frames_path(path)``."""
+    with open(frames_path(path), "wb") as fh:
+        shape = (sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS)
+        np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False, "shape": shape})
+        yield fh.write
+
+
+def frame_chunks(path: str | Path, sc: Scenario, k: int | None = None):
+    """The ``.npy`` beside a sequence file as ``(k, H, W, 3)`` views of one buffer (k: ``sc.chunk_frames()``).
+
+    Before the first chunk, a DataError naming the ``.npy`` rejects a bad magic (version 1.0), header,
+    dtype, shape or order, or fewer bytes than the data's (more are ignored, as by ``np.load``).
+    """
+    npy, k = frames_path(path), k or sc.chunk_frames()
+    shape = (sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS)
+    try:
+        with open(npy, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            got, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.uint8 or got != shape or fortran:
+                raise DataError(f"{npy}: frames are {'Fortran' if fortran else 'C'}-ordered {dtype} {got}, "
+                                f"the scenario's are C-ordered uint8 {shape}")
+            if os.fstat(fh.fileno()).st_size - fh.tell() < np.prod(shape):
+                raise ValueError(f"fewer than the {np.prod(shape)} bytes of the scenario's frames")
+            buffer = np.empty((min(k, shape[0]), *shape[1:]), dtype=np.uint8)
+            for start in range(0, shape[0], k):
+                chunk = buffer[: shape[0] - start]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise ValueError(f"the data ends before frame {start + len(chunk)}")
+                yield chunk
+    except (OSError, ValueError, SyntaxError, tokenize.TokenError) as exc:  # the last two: a garbled header
+        raise DataError(f"{npy}: unreadable frame stack: {exc}") from exc
+
+
 # A frame line as ``dump_json`` writes it: a finite float's repr is its JSON text.
 _FRAME_LINE = '{"observed":[%r,%r,%r,%r],"s":%r}'
 
@@ -143,38 +182,24 @@ _FRAME_LINE = '{"observed":[%r,%r,%r,%r],"s":%r}'
 def save_sequence(path: str | Path, seq: Sequence):
     """Write a sequence: the scenario and observations as JSONL, pixels as one ``.npy``.
 
-    The frame stack ``seq.frames`` goes to ``frames_path(path)`` as one
-    C-ordered ``(T, H, W, 3)`` uint8 array in numpy's own format; the JSONL
-    holds the header and one ``{"observed": [cx, cy, w, h], "s": s}`` line
-    per frame.  A non-finite ``observed`` or ``s`` is a DataError, raised
-    before either file is written.
+    ``frame_writer`` writes the stack ``seq.frames`` unless it is None (streamed
+    there as it rendered); the JSONL holds the header and one
+    ``{"observed": [cx, cy, w, h], "s": s}`` line per frame.  A non-finite
+    ``observed`` or ``s``, or a stack that is not the scenario's uint8
+    ``(T, H, W, 3)``, is a DataError, raised before either file is written.
     """
     finite = np.isfinite(seq.observed).all(axis=1) & np.isfinite(seq.s)
     if not finite.all():
         raise DataError(f"{path}: frame {int(np.argmin(finite))} has a non-finite observed box or confidence")
-    np.save(frames_path(path), seq.frames)
+    if (frames := seq.frames) is not None:
+        want = (seq.scenario.frames, seq.scenario.image_height, seq.scenario.image_width, FRAME_CHANNELS)
+        if frames.dtype != np.uint8 or frames.shape != want:
+            raise DataError(f"{path}: frames are {frames.dtype} {frames.shape}, not the scenario's uint8 {want}")
+        with frame_writer(path, seq.scenario) as write:
+            write(frames)
     lines = [dump_json({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [_FRAME_LINE % tuple(row) for row in np.column_stack((seq.observed, seq.s)).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_frames(path: Path, scenario: Scenario) -> np.ndarray:
-    """The sequence's ``(T, H, W, 3)`` uint8 frame stack, checked against its scenario."""
-    npy = frames_path(path)
-    try:
-        frames = np.load(npy, allow_pickle=False)
-    # MemoryError: a header claiming vast data; SyntaxError, TokenError: a garbled header.
-    except (OSError, ValueError, EOFError, MemoryError, SyntaxError, tokenize.TokenError) as exc:
-        raise DataError(f"{npy}: unreadable frame stack: {exc}") from exc
-    if not isinstance(frames, np.ndarray):  # an .npz archive
-        frames.close()
-        raise DataError(f"{npy}: an .npz archive, not one .npy array")
-    want = (scenario.frames, scenario.image_height, scenario.image_width, FRAME_CHANNELS)
-    if frames.dtype != np.uint8 or frames.shape != want:
-        raise DataError(
-            f"{npy}: frames are {frames.dtype} {frames.shape}, the scenario's are uint8 {want}"
-        )
-    return frames
 
 
 def _frame_values(d) -> tuple[list[float], float]:
@@ -187,14 +212,13 @@ def _frame_values(d) -> tuple[list[float], float]:
     return _box_values(d["observed"]), s
 
 
-def load_sequence(path: str | Path) -> Sequence:
+def load_sequence(path: str | Path, frames: bool = True) -> Sequence:
     """Read a sequence file and its frame stack; bad input is a DataError.
 
     The JSONL must hold one frame line per scenario frame, and the
-    ``.npy`` beside it (``frames_path``) one uint8 array of shape
-    ``(frames, image_height, image_width, 3)`` from the header's scenario.
-    The lines fill the ``observed`` and ``s`` columns, that array is
-    ``frames``, and ``gt`` is the scenario's ``gt_path()``; no per-frame
+    ``.npy`` beside it (``frames_path``) pass ``frame_chunks``' checks.  The
+    lines fill the ``observed`` and ``s`` columns, the stack is ``frames``
+    (None if ``frames`` is false), ``gt`` is ``scenario.gt_path()``; no per-frame
     object is built (``Sequence.records`` builds its view when read).  A
     malformed frame line names file:line: ``observed`` must be a list of 4
     finite numbers with w and h not negative, and the confidence ``s`` a
@@ -215,13 +239,14 @@ def load_sequence(path: str | Path) -> Sequence:
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != scenario.frames:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
-    frames, gt = _load_frames(path, scenario), scenario.gt_path()
+    with closing(frame_chunks(path, scenario, scenario.frames if frames else 1)) as chunks:  # to frame 0 if not asked
+        stack, gt = next(chunks), scenario.gt_path()  # the .npy is checked here
     try:  # both columns at once; on any failure, the line-by-line walk below names the first bad line
         records = [json.loads(line) for _, line in body]
         observed = _number_column([d["observed"] for d in records], boxes=True)
         s = _number_column([d["s"] for d in records], boxes=False)
         if observed is not None and s is not None and ((s >= 0.0) & (s <= 1.0)).all():
-            return Sequence(scenario, frames, gt, observed, s)
+            return Sequence(scenario, stack if frames else None, gt, observed, s)
     except (ValueError, RecursionError, KeyError, TypeError):  # a line not JSON, or not a frame record
         pass
     observed, s = [], []
@@ -235,7 +260,7 @@ def load_sequence(path: str | Path) -> Sequence:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         observed.append(box)
         s.append(conf)
-    return Sequence(scenario, frames, gt, np.array(observed), np.array(s))
+    return Sequence(scenario, stack if frames else None, gt, np.array(observed), np.array(s))
 
 
 # ---------------------------------------------------------------------------

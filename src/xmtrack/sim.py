@@ -12,13 +12,13 @@ validity and nearness to a band switch at once, as three bool masks that
 reads ``scheduled_modality`` and ``near_switch`` are kept for the benchmark).
 
 A ``Sequence`` keeps its T frames as columns: the ``(T, H, W, 3)`` uint8
-stack ``frames`` that every frame renders into, ``(T, 4)`` ``gt`` and
-``observed`` boxes and the ``(T,)`` confidence ``s``.  ``run`` returns a
-``TrackRun`` of columns too, ``run_filters``' boxes and ``seq.gt``.
-``Sequence.records`` and ``TrackRun.pred``/``gt``, transitional per-frame
-views for callers that read one frame at a time, are built on first
-access; ``generate``, ``io`` and ``run`` never build them.  ``io`` rejects
-a non-finite column when it saves a sequence.
+stack ``frames`` (None if ``generate`` streamed it to a sink in chunks),
+``(T, 4)`` ``gt`` and ``observed`` boxes and the ``(T,)`` confidence ``s``.
+``run`` returns a ``TrackRun`` of columns too, ``run_filters``' boxes and
+``seq.gt``.  ``Sequence.records`` and ``TrackRun.pred``/``gt``, transitional
+per-frame views for callers that read one frame at a time, are built on
+first access; ``generate``, ``io`` and ``run`` never build them.  ``io``
+rejects a non-finite column when it saves a sequence.
 
 ``run`` replays a generated sequence through the pipeline — classify,
 observation, motion filter — under one of four motion presets, each a
@@ -32,12 +32,12 @@ observation, motion filter — under one of four motion presets, each a
   (the ctp module's default epsilon and theta)
 
 ``run`` and the ablation suite replay whole sequences.  ``classify_sequence``
-decides the whole frame stack at once (``state_switch.classify_stack``), with
-the bits a frame-by-frame ``classify`` gives; ``frozen_boxes`` is the ``off``
-track, and ``run_filters`` steps every filtered track as a row of one
-``FilterBank``.  The suite scores its tracks as arrays with
-``metrics.hit_masks``.  ``TrackerSession``, a one-row ``FilterBank`` plus
-the classifier, is the live per-frame API.
+decides a whole frame stack at once and the suite each chunk as it renders
+(``state_switch.classify_stack``), with the bits a frame-by-frame ``classify``
+gives; ``frozen_boxes`` is the ``off`` track, and ``run_filters`` steps
+every filtered track as a row of one ``FilterBank``.  The suite scores its
+tracks as arrays with ``metrics.hit_masks``.  ``TrackerSession``, a one-row
+``FilterBank`` plus the classifier, is the live per-frame API.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ MAX_COORD = 1e9
 MAX_IMAGE_PIXELS = 1 << 24
 # Largest frame stack (frames x height x width x channels uint8), 1 GiB.
 MAX_STACK_BYTES = 1 << 30
+FRAME_CHUNK_BYTES = 1 << 20  # a streamed frame stack moves in chunks of this many bytes, or of one frame
 
 
 def _check_windows(windows, frames, who):
@@ -137,7 +138,7 @@ class Scenario:
             if not (is_int(getattr(self, name)) and getattr(self, name) >= low):
                 raise ValueError(f"Scenario: {name} must be an integer >= {low}")
         for name, n in (("initial_box", 4), ("velocity", 2)):
-            values = tuple(getattr(self, name))
+            values = tuple(getattr(self, name)) if np.iterable(getattr(self, name)) else ()
             if len(values) != n or not all(is_number(v) for v in values):
                 raise ValueError(f"Scenario: {name} needs {n} finite numbers")
             setattr(self, name, values)
@@ -177,6 +178,9 @@ class Scenario:
                 raise ValueError(f"Scenario: unknown modality {mod!r}")
         _check_windows(self.modality_schedule, self.frames, "Scenario schedule")
         _check_windows(self.invalid_windows, self.frames, "Scenario invalid windows")
+
+    def chunk_frames(self) -> int:
+        return max(1, FRAME_CHUNK_BYTES // (self.image_height * self.image_width * FRAME_CHANNELS))
 
     def frame_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(nir, invalid, near_switch)``: three ``(frames,)`` bool masks.
@@ -233,11 +237,11 @@ class Sequence:
 
     ``frames`` is the ``(T, H, W, 3)`` uint8 stack, ``gt`` and ``observed``
     are ``(T, 4)`` float64 boxes ``(cx, cy, w, h)`` and ``s`` is the
-    ``(T,)`` confidence.
+    ``(T,)`` confidence; ``frames`` is None if it was streamed or left on disk.
     """
 
     scenario: Scenario
-    frames: np.ndarray
+    frames: np.ndarray | None
     gt: np.ndarray
     observed: np.ndarray
     s: np.ndarray
@@ -360,22 +364,26 @@ def _invalid_observation(sc: Scenario, rng: np.random.Generator) -> tuple[float,
     return w * u[0], h * u[1], 5 + (max(5, w / 4) - 5) * u[2], 5 + (max(5, h / 4) - 5) * u[3]
 
 
-def generate(sc: Scenario) -> Sequence:
+def generate(sc: Scenario, sink=None) -> Sequence:
     """Render the whole scripted sequence.  Deterministic given the seed.
 
     One RNG stream, frame by frame: each frame renders straight into one
-    preallocated uint8 stack, then a valid frame draws its four stub-tracker
+    preallocated uint8 buffer, then a valid frame draws its four stub-tracker
     normals (none when sigma is 0) and an invalid one its uniform box.  One
     ``stub_tracker`` call then observes every valid frame from its draws.
+    That buffer is ``frames``, or given a ``sink``, ``sc.chunk_frames()`` frames it gets once filled.
     """
     rng = np.random.default_rng(sc.seed)
     gt = sc.gt_path()
     nir, invalid, near_switch = sc.frame_masks()
-    frames = np.empty((sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS), dtype=np.uint8)
+    k = sc.frames if sink is None else min(sc.frames, sc.chunk_frames())
+    frames = np.empty((k, sc.image_height, sc.image_width, FRAME_CHANNELS), dtype=np.uint8)
     z = np.zeros((sc.frames, 4))
     uninformative = []
     for t, (box, n, inv) in enumerate(zip(gt.tolist(), nir.tolist(), invalid.tolist())):
-        render_frame(sc, n, inv, box, rng, frames[t])
+        render_frame(sc, n, inv, box, rng, frames[t % k])
+        if sink is not None and (t % k == k - 1 or t == sc.frames - 1):
+            sink(frames[: t % k + 1])
         if inv:
             uninformative.append(_invalid_observation(sc, rng))
         elif sc.sigma > 0:
@@ -385,7 +393,7 @@ def generate(sc: Scenario) -> Sequence:
     if uninformative:
         observed[invalid] = uninformative
         s[invalid] = 0.0
-    return Sequence(scenario=sc, frames=frames, gt=gt, observed=observed, s=s)
+    return Sequence(scenario=sc, frames=frames if sink is None else None, gt=gt, observed=observed, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +603,20 @@ def run_filters(rows: list[tuple[FilterInputs, SessionConfig]]) -> np.ndarray:
 
 
 def _suite_inputs(sc: Scenario) -> FilterInputs:
-    seq = generate(sc)
-    return filter_inputs(seq, classify_sequence(seq))
+    weights, decisions = separator_switch_weights(), []
+    seq = generate(sc, lambda chunk: decisions.extend(classify_stack(chunk, weights)))
+    return filter_inputs(seq, decisions)
 
 
 def run_ablation_suite(base_seed: int) -> dict[str, dict[str, float]]:
     """Pooled PR/SR per motion preset over one three-scenario suite.
 
     Each scenario is generated, classified and reduced to ``FilterInputs``
-    by ``_suite_inputs``, which frees its frame stack before the next one
-    renders.  The filtered presets of all three scenarios then step as one
-    nine-row bank, and each preset's pooled track is scored against the
-    pooled ground truth in one array expression per rate.
+    by ``_suite_inputs``, which classifies each chunk of frames as it
+    renders: the suite holds one chunk, never a stack.  The filtered presets
+    of all three scenarios then step as one nine-row bank, and each preset's
+    pooled track is scored against the pooled ground truth in one array
+    expression per rate.
     """
     inputs = [_suite_inputs(sc) for sc in ablation_suite(base_seed)]
     rows = [(inp, preset_config(preset, inp.scenario.turn_rate)) for inp in inputs for preset in FILTER_PRESETS]

@@ -447,6 +447,31 @@ def _npz(npy, frames):
         np.savez(fh, frames=frames)
 
 
+def _data_offset(npy) -> int:
+    with open(npy, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        return fh.tell()
+
+
+def _truncated_mid_store(npy, frames):
+    """The data cut inside frame 5, in the first chunk."""
+    npy.write_bytes(npy.read_bytes()[: _data_offset(npy) + 5 * frames[0].nbytes + 100])
+
+
+def _fortran_order(npy, frames):
+    """The right dtype and shape, in Fortran order: np.load reads it, a chunked reader cannot."""
+    with open(npy, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": True, "shape": frames.shape})
+        fh.write(frames.tobytes(order="F"))
+
+
+def _npy_version_2(npy, frames):
+    """The right array in .npy format 2.0, which np.save writes only for headers past 64 KiB."""
+    with open(npy, "wb") as fh:
+        np.lib.format.write_array(fh, frames, version=(2, 0))
+
+
 # Each function breaks the (frames, 64, 64, 3) uint8 stack beside a valid
 # sequence file, given its path and its frames.
 BAD_STORES = {
@@ -468,6 +493,9 @@ BAD_STORES = {
     "one_channel": lambda npy, frames: np.save(npy, frames[..., :1]),
     "one_frame_too_few": lambda npy, frames: np.save(npy, frames[:-1]),
     "header_dict_unclosed": lambda npy, frames: npy.write_bytes(npy.read_bytes().replace(b"}", b" ", 1)),
+    "truncated_mid_store": _truncated_mid_store,
+    "fortran_order": _fortran_order,
+    "npy_version_2": _npy_version_2,
 }
 
 
@@ -481,6 +509,26 @@ def test_bad_frame_store_exits_2_naming_the_npy(tmp_path, sequence_file, case, c
     assert err.startswith(f"xmtrack track: {npy}: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_store_with_trailing_bytes_tracks_like_the_clean_one(tmp_path, sequence_file):
+    # np.load reads a .npy with bytes past its data; the chunked reader ignores them too.
+    runs = tmp_path / "clean.json", tmp_path / "trailing.json"
+    assert main(["track", str(sequence_file), "--out", str(runs[0])]) == 0
+    with open(frames_path(sequence_file), "ab") as fh:
+        fh.write(b"\xff" * 5000)
+    assert main(["track", str(sequence_file), "--out", str(runs[1])]) == 0
+    assert runs[0].read_bytes() == runs[1].read_bytes()
+
+
+def test_a_fortran_ordered_store_is_named_as_such(tmp_path, sequence_file, capsys):
+    npy = frames_path(sequence_file)
+    _fortran_order(npy, np.load(npy))
+    assert main(["track", str(sequence_file), "--out", str(tmp_path / "run.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"xmtrack track: {npy}: frames are Fortran-ordered uint8 (30, 64, 64, 3), "
+        "the scenario's are C-ordered uint8 (30, 64, 64, 3)\n"
+    )
 
 
 # Each function turns a valid track run into a malformed one.
@@ -612,6 +660,20 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, scenario_file, case, capsy
     assert main(["simulate", str(scenario_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, n", [("initial_box", 4), ("velocity", 2)])
+@pytest.mark.parametrize("value", [5, None, 3.5])
+def test_a_box_or_velocity_that_is_not_a_list_exits_2_naming_it(tmp_path, scenario_file, name, n, value, capsys):
+    scenario = json.loads(scenario_file.read_text())
+    scenario[name] = value
+    scenario_file.write_text(json.dumps(scenario))
+    out = tmp_path / "seq.jsonl"
+    assert main(["simulate", str(scenario_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"xmtrack simulate: {scenario_file}: invalid scenario: Scenario: {name} needs {n} finite numbers\n"
+    )
     assert not out.exists()
 
 

@@ -213,6 +213,21 @@ def test_save_sequence_rejects_a_non_finite_column_and_writes_nothing(tmp_path, 
     assert not path.exists() and not frames_path(path).exists()
 
 
+@pytest.mark.parametrize("frames", ["one_frame_more", "int16", "32x32"])
+def test_save_sequence_rejects_a_stack_that_is_not_the_scenarios_and_writes_nothing(tmp_path, frames):
+    # The .npy header comes from the scenario, so a stack of another shape or dtype would not load as saved.
+    seq = generate(Scenario(name="stack", frames=4, seed=2))
+    seq.frames = {
+        "one_frame_more": np.concatenate([seq.frames, seq.frames[:1]]),
+        "int16": seq.frames.astype(np.int16),
+        "32x32": np.ascontiguousarray(seq.frames[:, :32, :32]),
+    }[frames]
+    path = tmp_path / "seq.jsonl"
+    with pytest.raises(DataError, match="not the scenario's uint8 \\(4, 64, 64, 3\\)"):
+        save_sequence(path, seq)
+    assert not path.exists() and not frames_path(path).exists()
+
+
 def test_missing_file_is_data_error():
     with pytest.raises(DataError):
         load_scenario("nope/missing.json")

@@ -19,6 +19,7 @@ from xmtrack.metrics import TrackRun, cle, tag_breakdown
 from xmtrack.sim import (
     FILTER_PRESETS,
     FRAME_CHANNELS,
+    FRAME_CHUNK_BYTES,
     MAX_STACK_BYTES,
     MOTION_PRESETS,
     HarnessConfig,
@@ -444,6 +445,13 @@ def test_scenario_windows_become_tuples_of_ints_and_a_band_string():
     assert [type(v) for v in (*sc.modality_schedule[0], *sc.invalid_windows[0])] == [int, int, str, int, int]
 
 
+@pytest.mark.parametrize("name, n", [("initial_box", 4), ("velocity", 2)])
+@pytest.mark.parametrize("value", [5, None, 3.5])
+def test_a_box_or_velocity_that_is_not_a_list_is_named(name, n, value):
+    with pytest.raises(ValueError, match=rf"^Scenario: {name} needs {n} finite numbers$"):
+        Scenario(name="bad", frames=30, **{name: value})
+
+
 def test_scenario_rejects_nonpositive_frame_count():
     with pytest.raises(ValueError):
         Scenario(name="bad", frames=0)
@@ -646,6 +654,22 @@ def test_ablation_suite_holds_one_frame_stack_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
+
+
+def test_ablation_suite_holds_one_frame_chunk_at_a_time():
+    """Each scenario renders and is classified one chunk of frames at a time,
+    so the suite's traced peak stays under one and a half chunks: less than
+    one scenario's frame stack."""
+    sc = ablation_suite(1)[0]
+    assert 1.5 * FRAME_CHUNK_BYTES < sc.frames * sc.image_height * sc.image_width * FRAME_CHANNELS
+    run_ablation_suite(1)  # warm-up: first-call allocations are not the suite's
+    tracemalloc.start()
+    try:
+        run_ablation_suite(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * FRAME_CHUNK_BYTES, peak
 
 
 def test_single_suite_reproduces_motion_ordering():
