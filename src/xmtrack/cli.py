@@ -87,14 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     sc = xio.load_scenario(args.scenario)
     with xio.frame_writer(args.out, sc) as write:  # the pixels go to the .npy as they render
-        seq = generate(sc, write)
-    xio.save_sequence(args.out, seq)
+        xio.save_sequence(args.out, generate(sc, write))
     print(f"wrote {sc.frames} frames to {args.out} and {xio.frames_path(args.out)}")
     return EXIT_OK
 
 
 def cmd_track(args) -> int:
-    seq = xio.load_sequence(args.sequence, frames=False)
+    seq = xio.load_sequence(args.sequence)
     # One filter config: the --motion preset, overlaid by the keys the --config file sets.
     session = preset_config(args.motion, seq.scenario.turn_rate)
     if args.config is not None:
@@ -124,10 +123,19 @@ def cmd_ablate(args) -> int:
     if args.seed < 0:
         print("xmtrack ablate: error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    rows = [{"seed": seed, "results": run_ablation_suite(seed)} for seed in range(args.seed, args.seed + args.suites)]
-    sr = [[r["results"][preset]["SR"] for preset in MOTION_PRESETS] for r in rows]
-    ordered = sum(off <= kf <= ekf <= ctp for off, kf, ekf, ctp in sr)
-    strict = sum(ctp > off for off, *_, ctp in sr)
+    rows = []
+    for base_seed in range(args.seed, args.seed + args.suites):
+        table = run_ablation_suite(base_seed)
+        rows.append({"seed": base_seed, "results": table})
+    ordered = sum(
+        1
+        for r in rows
+        if r["results"]["ctp"]["SR"]
+        >= r["results"]["ekf"]["SR"]
+        >= r["results"]["kf"]["SR"]
+        >= r["results"]["off"]["SR"]
+    )
+    strict = sum(1 for r in rows if r["results"]["ctp"]["SR"] > r["results"]["off"]["SR"])
     payload = {
         "suites": rows,
         "ordering_fraction": ordered / len(rows),

@@ -140,11 +140,21 @@ def frames_path(path: str | Path) -> Path:
 
 @contextmanager
 def frame_writer(path: str | Path, sc: Scenario):
-    """A sink (``generate``'s) that writes ``sc``'s C-contiguous frame chunks, in order, to ``frames_path(path)``."""
-    with open(frames_path(path), "wb") as fh:
-        shape = (sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS)
-        np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False, "shape": shape})
-        yield fh.write
+    """A sink (``generate``'s) that writes ``sc``'s C-contiguous frame chunks, in order, to ``frames_path(path)``.
+
+    They go to a ``.part`` file beside the ``.npy`` (a symlink's target), which replaces it only if the block
+    ends without an error and is removed if not: a failed or interrupted write leaves the old ``.npy``, or none.
+    """
+    npy = frames_path(path).resolve()
+    part = npy.with_name(npy.name + ".part")
+    try:
+        with open(part, "wb") as fh:
+            shape = (sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS)
+            np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False, "shape": shape})
+            yield fh.write
+        os.replace(part, npy)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def frame_chunks(path: str | Path, sc: Scenario, k: int | None = None):
@@ -180,23 +190,15 @@ _FRAME_LINE = '{"observed":[%r,%r,%r,%r],"s":%r}'
 
 
 def save_sequence(path: str | Path, seq: Sequence):
-    """Write a sequence: the scenario and observations as JSONL, pixels as one ``.npy``.
+    """Write a sequence's scenario and observations as JSONL; its pixels go through ``frame_writer``.
 
-    ``frame_writer`` writes the stack ``seq.frames`` unless it is None (streamed
-    there as it rendered); the JSONL holds the header and one
-    ``{"observed": [cx, cy, w, h], "s": s}`` line per frame.  A non-finite
-    ``observed`` or ``s``, or a stack that is not the scenario's uint8
-    ``(T, H, W, 3)``, is a DataError, raised before either file is written.
+    The JSONL holds the header and one ``{"observed": [cx, cy, w, h], "s": s}``
+    line per frame.  A non-finite ``observed`` or ``s`` is a DataError, raised
+    before the file is written.
     """
     finite = np.isfinite(seq.observed).all(axis=1) & np.isfinite(seq.s)
     if not finite.all():
         raise DataError(f"{path}: frame {int(np.argmin(finite))} has a non-finite observed box or confidence")
-    if (frames := seq.frames) is not None:
-        want = (seq.scenario.frames, seq.scenario.image_height, seq.scenario.image_width, FRAME_CHANNELS)
-        if frames.dtype != np.uint8 or frames.shape != want:
-            raise DataError(f"{path}: frames are {frames.dtype} {frames.shape}, not the scenario's uint8 {want}")
-        with frame_writer(path, seq.scenario) as write:
-            write(frames)
     lines = [dump_json({"type": "header", "scenario": asdict(seq.scenario)})]
     lines += [_FRAME_LINE % tuple(row) for row in np.column_stack((seq.observed, seq.s)).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -212,14 +214,14 @@ def _frame_values(d) -> tuple[list[float], float]:
     return _box_values(d["observed"]), s
 
 
-def load_sequence(path: str | Path, frames: bool = True) -> Sequence:
-    """Read a sequence file and its frame stack; bad input is a DataError.
+def load_sequence(path: str | Path) -> Sequence:
+    """Read a sequence file and check its frame stack; bad input is a DataError.
 
     The JSONL must hold one frame line per scenario frame, and the
-    ``.npy`` beside it (``frames_path``) pass ``frame_chunks``' checks.  The
-    lines fill the ``observed`` and ``s`` columns, the stack is ``frames``
-    (None if ``frames`` is false), ``gt`` is ``scenario.gt_path()``; no per-frame
-    object is built (``Sequence.records`` builds its view when read).  A
+    ``.npy`` beside it (``frames_path``) pass ``frame_chunks``' checks; the
+    stack stays on disk (``frames`` is None) for ``frame_chunks`` to read.
+    The lines fill the ``observed`` and ``s`` columns and ``gt`` is
+    ``scenario.gt_path()``; no per-frame object is built.  A
     malformed frame line names file:line: ``observed`` must be a list of 4
     finite numbers with w and h not negative, and the confidence ``s`` a
     number in [0, 1].  Other keys on a line are ignored.
@@ -239,14 +241,15 @@ def load_sequence(path: str | Path, frames: bool = True) -> Sequence:
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != scenario.frames:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
-    with closing(frame_chunks(path, scenario, scenario.frames if frames else 1)) as chunks:  # to frame 0 if not asked
-        stack, gt = next(chunks), scenario.gt_path()  # the .npy is checked here
+    with closing(frame_chunks(path, scenario, 1)) as chunks:
+        next(chunks)  # the .npy is checked before its first frame is read
+    gt = scenario.gt_path()
     try:  # both columns at once; on any failure, the line-by-line walk below names the first bad line
         records = [json.loads(line) for _, line in body]
         observed = _number_column([d["observed"] for d in records], boxes=True)
         s = _number_column([d["s"] for d in records], boxes=False)
         if observed is not None and s is not None and ((s >= 0.0) & (s <= 1.0)).all():
-            return Sequence(scenario, stack if frames else None, gt, observed, s)
+            return Sequence(scenario, None, gt, observed, s)
     except (ValueError, RecursionError, KeyError, TypeError):  # a line not JSON, or not a frame record
         pass
     observed, s = [], []
@@ -260,7 +263,7 @@ def load_sequence(path: str | Path, frames: bool = True) -> Sequence:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         observed.append(box)
         s.append(conf)
-    return Sequence(scenario, stack if frames else None, gt, np.array(observed), np.array(s))
+    return Sequence(scenario, None, gt, np.array(observed), np.array(s))
 
 
 # ---------------------------------------------------------------------------

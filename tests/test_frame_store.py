@@ -4,12 +4,23 @@ their frames one chunk at a time, with the bits of the whole-stack paths."""
 import io
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xmtrack.cli import main
-from xmtrack.io import DataError, frame_chunks, frames_path, load_sequence, save_scenario, save_sequence, save_trackrun
+import xmtrack.io
+from xmtrack.io import (
+    DataError,
+    frame_chunks,
+    frame_writer,
+    frames_path,
+    load_sequence,
+    save_scenario,
+    save_sequence,
+    save_trackrun,
+)
 from xmtrack.sim import (
     FRAME_CHUNK_BYTES,
     Scenario,
@@ -76,6 +87,8 @@ def test_simulate_writes_the_bytes_of_the_whole_stack(tmp_path, frames):
     saved = io.BytesIO()
     np.save(saved, seq.frames)
     assert frames_path(out).read_bytes() == saved.getvalue()
+    with frame_writer(tmp_path / "library.jsonl", sc) as write:
+        write(seq.frames)
     save_sequence(tmp_path / "library.jsonl", seq)
     assert out.read_bytes() == (tmp_path / "library.jsonl").read_bytes()
     assert frames_path(tmp_path / "library.jsonl").read_bytes() == saved.getvalue()
@@ -109,14 +122,62 @@ def test_frame_chunks_read_back_the_stack(tmp_path, frames):
     assert np.concatenate(chunks).tobytes() == generate(sc).frames.tobytes()
 
 
-def test_load_sequence_without_the_stack_still_checks_it(tmp_path):
+def test_load_sequence_checks_the_stack_and_leaves_it_on_disk(tmp_path):
     sc = _scenario(K + 1)
     out = _simulate(tmp_path, sc)
-    seq = load_sequence(out, frames=False)
-    assert seq.frames is None and seq.observed.tobytes() == load_sequence(out).observed.tobytes()
+    seq = load_sequence(out)
+    assert seq.frames is None and seq.observed.tobytes() == generate(sc).observed.tobytes()
     frames_path(out).write_bytes(frames_path(out).read_bytes()[:-1])
     with pytest.raises(DataError, match="unreadable frame stack"):
-        load_sequence(out, frames=False)
+        load_sequence(out)
+
+
+def _jsonl_fails(monkeypatch):
+    def fail(path, seq):
+        raise DataError(f"{path}: cannot write")
+
+    monkeypatch.setattr(xmtrack.io, "save_sequence", fail)
+    return DataError
+
+
+def _interrupted_after_one_chunk(monkeypatch):
+    def generate_then_stop(sc, sink):
+        def write_then_stop(chunk):
+            sink(chunk)
+            raise KeyboardInterrupt
+
+        return generate(sc, write_then_stop)
+
+    monkeypatch.setattr("xmtrack.cli.generate", generate_then_stop)
+    return KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failure", [_jsonl_fails, _interrupted_after_one_chunk])
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_a_failed_simulate_leaves_the_old_npy_or_none(tmp_path, monkeypatch, failure, earlier_run):
+    """The .npy is written to a .part file that replaces it only once the JSONL is written."""
+    sc = _scenario(2 * K + 3)
+    save_scenario(tmp_path / "scenario.json", sc)
+    out, old = tmp_path / "seq.jsonl", {}
+    if earlier_run:
+        out = _simulate(tmp_path, replace(sc, seed=99))
+        old = {p.name: p.read_bytes() for p in (out, frames_path(out))}
+    error = failure(monkeypatch)
+    try:
+        code = main(["simulate", str(tmp_path / "scenario.json"), "--out", str(out)])
+        assert error is DataError and code == 2
+    except KeyboardInterrupt:
+        assert error is KeyboardInterrupt
+    assert {p.name: p.read_bytes() for p in (out, frames_path(out)) if p.exists()} == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["scenario.json", *old])
+
+
+def test_frame_writer_leaves_no_npy_when_a_chunk_cannot_be_written(tmp_path):
+    sc = _scenario(3)
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        with frame_writer(tmp_path / "seq.jsonl", sc) as write:
+            write(np.asfortranarray(generate(sc).frames))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_store_that_shrinks_while_read_is_a_data_error(tmp_path):
