@@ -37,7 +37,6 @@ from .state_switch import TriState
 
 # Toy sizes: big enough to exercise every shape, small enough that
 # central-difference checks stay fast.
-DEFAULT_LAYERS = 4
 DEFAULT_DIM = 16
 DEFAULT_SEARCH_TOKENS = 16
 DEFAULT_TEMPLATE_TOKENS = 4
@@ -95,9 +94,7 @@ class AdapterStack:
             raise ShapeError(f"AdapterStack: mixed embedding dims {sorted(dims)}")
 
 
-def random_adapter_weights(
-    rng: np.random.Generator, d: int = DEFAULT_DIM
-) -> AdapterLayerWeights:
+def random_adapter_weights(rng: np.random.Generator, d: int) -> AdapterLayerWeights:
     hid = gate_hidden_dim(d)
     s = 1.0 / np.sqrt(d)
     return AdapterLayerWeights(
@@ -111,9 +108,7 @@ def random_adapter_weights(
     )
 
 
-def random_adapter_stack(
-    rng: np.random.Generator, layers: int = DEFAULT_LAYERS, d: int = DEFAULT_DIM
-) -> AdapterStack:
+def random_adapter_stack(rng: np.random.Generator, layers: int, d: int) -> AdapterStack:
     return AdapterStack([random_adapter_weights(rng, d) for _ in range(layers)])
 
 

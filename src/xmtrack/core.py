@@ -6,7 +6,7 @@ relu/sigmoid, numerically stable softmax, single-head scaled dot-product
 attention and cosine similarity, each a ``*_pair`` that returns a
 ``GradPair``, its value with a hand-derived vector-Jacobian product;
 ``adapter.adapter_pair`` composes these into one more pair, and the losses
-are pairs too.  The tri-state switch runs without gradients, so ``relu``,
+are pairs too.  The tri-state switch runs without gradients, so
 ``scalar_sigmoid`` and ``adaptive_max_pool`` are plain forward functions.
 ``grad_check`` is the one harness that ties any pair's forward and backward
 together via central differences.  ``is_int`` and ``is_number`` are the one
@@ -76,10 +76,6 @@ class GradPair:
 # ---------------------------------------------------------------------------
 
 
-def relu(x: Tensor) -> Tensor:
-    return np.maximum(as_tensor(x), 0.0)
-
-
 def scalar_sigmoid(x: float) -> float:
     """``sigmoid_pair``'s value at one float, bit for bit: same split by sign, same ``np.exp``."""
     if x >= 0.0:
@@ -140,7 +136,7 @@ def linear_pair(x: Tensor, w: Tensor, b: Tensor) -> GradPair:
 
 def relu_pair(x: Tensor) -> GradPair:
     x = as_tensor(x)
-    value = relu(x)
+    value = np.maximum(x, 0.0)
     mask = (x > 0).astype(np.float64)  # subgradient 0 at the kink
 
     def grad_fn(up: Tensor) -> tuple[Tensor]:

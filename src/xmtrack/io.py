@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import tokenize
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -157,13 +157,11 @@ def frame_writer(path: str | Path, sc: Scenario):
         part.unlink(missing_ok=True)
 
 
-def frame_chunks(path: str | Path, sc: Scenario, k: int | None = None):
-    """The ``.npy`` beside a sequence file as ``(k, H, W, 3)`` views of one buffer (k: ``sc.chunk_frames()``).
-
-    Before the first chunk, a DataError naming the ``.npy`` rejects a bad magic (version 1.0), header,
-    dtype, shape or order, or fewer bytes than the data's (more are ignored, as by ``np.load``).
-    """
-    npy, k = frames_path(path), k or sc.chunk_frames()
+@contextmanager
+def _frame_file(path: str | Path, sc: Scenario):
+    """``frames_path(path)`` open at its data.  A bad magic (version 1.0), header, dtype, shape or order, fewer
+    bytes than ``sc``'s frames (more are ignored, as by ``np.load``) or a read error is a DataError naming it."""
+    npy = frames_path(path)
     shape = (sc.frames, sc.image_height, sc.image_width, FRAME_CHANNELS)
     try:
         with open(npy, "rb") as fh:
@@ -175,14 +173,22 @@ def frame_chunks(path: str | Path, sc: Scenario, k: int | None = None):
                                 f"the scenario's are C-ordered uint8 {shape}")
             if os.fstat(fh.fileno()).st_size - fh.tell() < np.prod(shape):
                 raise ValueError(f"fewer than the {np.prod(shape)} bytes of the scenario's frames")
-            buffer = np.empty((min(k, shape[0]), *shape[1:]), dtype=np.uint8)
-            for start in range(0, shape[0], k):
-                chunk = buffer[: shape[0] - start]
-                if fh.readinto(chunk) != chunk.nbytes:
-                    raise ValueError(f"the data ends before frame {start + len(chunk)}")
-                yield chunk
+            yield fh
     except (OSError, ValueError, SyntaxError, tokenize.TokenError) as exc:  # the last two: a garbled header
         raise DataError(f"{npy}: unreadable frame stack: {exc}") from exc
+
+
+def frame_chunks(path: str | Path, sc: Scenario):
+    """The ``.npy`` beside a sequence file as ``(sc.chunk_frames(), H, W, 3)`` views of one buffer, checked by
+    ``_frame_file`` before the first chunk."""
+    k = sc.chunk_frames()
+    with _frame_file(path, sc) as fh:
+        buffer = np.empty((min(k, sc.frames), sc.image_height, sc.image_width, FRAME_CHANNELS), dtype=np.uint8)
+        for start in range(0, sc.frames, k):
+            chunk = buffer[: sc.frames - start]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"the data ends before frame {start + len(chunk)}")
+            yield chunk
 
 
 # A frame line as ``dump_json`` writes it: a finite float's repr is its JSON text.
@@ -241,8 +247,8 @@ def load_sequence(path: str | Path) -> Sequence:
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != scenario.frames:
         raise DataError(f"{path}: header says {scenario.frames} frames, found {len(body)}")
-    with closing(frame_chunks(path, scenario, 1)) as chunks:
-        next(chunks)  # the .npy is checked before its first frame is read
+    with _frame_file(path, scenario):  # the .npy is checked, and none of its frames read
+        pass
     gt = scenario.gt_path()
     try:  # both columns at once; on any failure, the line-by-line walk below names the first bad line
         records = [json.loads(line) for _, line in body]
@@ -303,8 +309,8 @@ def load_trackrun(path: str | Path) -> tuple[str, TrackRun]:
 # ---------------------------------------------------------------------------
 
 
-def load_session_config(path: str | Path, base: SessionConfig | None = None) -> SessionConfig:
-    """Overlay the keys a config file sets onto ``base`` (default: ``SessionConfig()``).
+def load_session_config(path: str | Path, base: SessionConfig) -> SessionConfig:
+    """Overlay the keys a config file sets onto ``base``.
 
     Keys are the ``SessionConfig`` fields, with ``motion`` the motion kind
     (``"cv"``/``"ct"``), plus ``turn_rate``; the two overlay the base motion
@@ -317,7 +323,6 @@ def load_session_config(path: str | Path, base: SessionConfig | None = None) -> 
     unknown = sorted(set(d) - {f.name for f in fields(SessionConfig)} - {"turn_rate"})
     if unknown:
         raise DataError(f"{path}: unknown session config key(s) {unknown}")
-    base = base or SessionConfig()
     motion = base.motion
     overlay = {k: v for k, v in d.items() if k not in ("motion", "turn_rate")}
     try:

@@ -12,8 +12,9 @@ validity and nearness to a band switch at once, as three bool masks that
 reads ``scheduled_modality`` and ``near_switch`` are kept for the benchmark).
 
 A ``Sequence`` keeps its T frames as columns: the ``(T, H, W, 3)`` uint8
-stack ``frames`` (None if ``generate`` streamed it to a sink in chunks),
-``(T, 4)`` ``gt`` and ``observed`` boxes and the ``(T,)`` confidence ``s``.
+stack ``frames`` (None if ``generate`` streamed it or ``io`` left it on disk:
+``records``, ``classify_sequence`` and ``run`` without decisions then raise a
+ValueError), ``(T, 4)`` ``gt`` and ``observed`` boxes and the ``(T,)`` confidence ``s``.
 ``run`` returns a ``TrackRun`` of columns too, ``run_filters``' boxes and
 ``seq.gt``.  ``Sequence.records`` and ``TrackRun.pred``/``gt``, transitional
 per-frame views for callers that read one frame at a time, are built on
@@ -65,7 +66,6 @@ from .state_switch import (
     DEFAULT_RHO,
     FRAME_CHANNELS,
     Image,
-    SwitchWeights,
     TriState,
     TriStateDecision,
     classify_stack,
@@ -252,13 +252,20 @@ class Sequence:
 
         Each record's ``image.pixels`` is a view of its frame in ``frames``.
         """
-        _, ih, iw, channels = self.frames.shape
+        frames = _frame_stack(self)
+        _, ih, iw, channels = frames.shape
         return [
             FrameRecord(Image(iw, ih, channels, pixels), BBox(*gt), BBox(*observed), s)
-            for pixels, gt, observed, s in zip(
-                self.frames, self.gt.tolist(), self.observed.tolist(), self.s.tolist()
-            )
+            for pixels, gt, observed, s in zip(frames, self.gt.tolist(), self.observed.tolist(), self.s.tolist())
         ]
+
+
+def _frame_stack(seq: Sequence) -> np.ndarray:
+    """``seq.frames``; a ValueError if the stack was streamed or left on disk."""
+    if seq.frames is None:
+        raise ValueError(f"sequence {seq.scenario.name!r} holds no frames: its stack was streamed "
+                         "or left on disk; read it with io.frame_chunks")
+    return seq.frames
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +440,13 @@ class HarnessConfig:
         _check_preset(self.motion)
 
 
-def classify_sequence(
-    seq: Sequence,
-    weights: SwitchWeights | None = None,
-    rho: float = DEFAULT_RHO,
-) -> list[TriStateDecision]:
-    """Tri-state decision per frame (weights default to the built-in separator).
+def classify_sequence(seq: Sequence, rho: float = DEFAULT_RHO) -> list[TriStateDecision]:
+    """Tri-state decision per frame under the built-in separator weights.
 
     ``classify_stack`` decides the whole ``(T, H, W, 3)`` frame stack at
     once, with the bits ``classify`` gives each frame.
     """
-    return classify_stack(seq.frames, weights or separator_switch_weights(), rho)
+    return classify_stack(_frame_stack(seq), separator_switch_weights(), rho)
 
 
 def run(

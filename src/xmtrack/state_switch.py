@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    ShapeError, Tensor, adaptive_max_pool, as_tensor, is_int, relu, scalar_sigmoid, sigmoid_pair,
+    ShapeError, Tensor, adaptive_max_pool, as_tensor, is_int, scalar_sigmoid, sigmoid_pair,
 )
 
 # The built-in weights classify 3-channel frames, the layout sim renders.
@@ -272,7 +272,7 @@ def spatial_branch(f_in: Tensor, w: SwitchWeights) -> Tensor:
     pooled 4x4 grid instead of the full plane gives the same values.
     """
     pooled = adaptive_max_pool(conv3x3(f_in, w.conv_w, w.conv_b), POOL_HW)
-    return relu(pooled).ravel()
+    return np.maximum(pooled, 0.0).ravel()
 
 
 def spectral_branch(means: Tensor, w: SwitchWeights) -> Tensor:

@@ -20,7 +20,6 @@ from xmtrack.core import (
     dump_json,
     grad_check,
     linear_pair,
-    relu,
     relu_pair,
     scalar_sigmoid,
     sigmoid_pair,
@@ -48,7 +47,7 @@ def test_linear_takes_one_vector(shape):
 
 def test_relu_zeroes_negatives_only():
     x = np.array([-3.0, -0.0, 0.5, 7.0])
-    np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.5, 7.0])
+    np.testing.assert_array_equal(relu_pair(x).value, [0.0, 0.0, 0.5, 7.0])
 
 
 def test_sigmoid_midpoint_symmetry_and_saturation():

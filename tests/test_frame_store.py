@@ -132,6 +132,77 @@ def test_load_sequence_checks_the_stack_and_leaves_it_on_disk(tmp_path):
         load_sequence(out)
 
 
+def _load_sequence(tmp_path, sc):
+    return load_sequence(_simulate(tmp_path, sc))
+
+
+def _streamed(tmp_path, sc):
+    return generate(sc, lambda chunk: None)
+
+
+@pytest.mark.parametrize("source", [_load_sequence, _streamed])
+@pytest.mark.parametrize("read", [lambda seq: seq.records, classify_sequence, run], ids=["records", "classify", "run"])
+def test_a_sequence_without_its_stack_names_frame_chunks(tmp_path, source, read):
+    sc = _scenario(3)
+    seq = source(tmp_path, sc)
+    assert seq.frames is None
+    with pytest.raises(ValueError) as error:
+        read(seq)
+    assert str(error.value) == (
+        "sequence 'chunks-3' holds no frames: its stack was streamed or left on disk; read it with io.frame_chunks"
+    )
+    assert run(seq, decisions=classify_sequence(generate(sc))).pred_boxes.shape == (3, 4)
+
+
+def _npy_with_header(header: bytes, version=b"\x01\x00") -> bytes:
+    """A .npy prefix: magic, version and a header of ``header`` padded to a 64-byte boundary."""
+    header += b" " * (-(10 + len(header) + 1) % 64) + b"\n"
+    return b"\x93NUMPY" + version + len(header).to_bytes(2, "little") + header
+
+
+def _save(frames) -> bytes:
+    saved = io.BytesIO()
+    np.save(saved, frames)
+    return saved.getvalue()
+
+
+# Each case turns a good frame stack into a bad .npy, and gives the text its DataError must hold.
+BAD_NPY = {
+    "bad magic": (lambda frames: b"NOT A NUMPY FILE" + frames.tobytes(), "unreadable frame stack: the magic string"),
+    "version 2.0": (
+        lambda frames: _npy_with_header(repr({"descr": "|u1", "fortran_order": False, "shape": frames.shape}).encode(),
+                                        b"\x02\x00") + frames.tobytes(),
+        "unreadable frame stack: not a version 1.0 .npy file",
+    ),
+    "uint16": (lambda frames: _save(frames.astype(np.uint16)), "frames are C-ordered uint16 (3, 128, 128, 3)"),
+    "one frame short": (lambda frames: _save(frames[:-1]), "frames are C-ordered uint8 (2, 128, 128, 3)"),
+    "Fortran order": (lambda frames: _save(np.asfortranarray(frames)), "frames are Fortran-ordered uint8"),
+    "short data": (lambda frames: _save(frames)[:-1], "unreadable frame stack: fewer than the 147456 bytes"),
+    "header cut short": (
+        lambda frames: _npy_with_header(b"{'descr': '|u1', 'fortran_order': False, 'shape': (3, 128") + frames.tobytes(),
+        "unreadable frame stack: ",
+    ),
+    "header not a literal": (
+        lambda frames: _npy_with_header(b"{'descr': : '|u1'}") + frames.tobytes(),
+        "unreadable frame stack: Cannot parse header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NPY)
+def test_load_sequence_and_frame_chunks_reject_a_bad_npy_with_one_error(tmp_path, case):
+    sc = _scenario(3)
+    out = _simulate(tmp_path, sc)
+    bad, want = BAD_NPY[case]
+    frames_path(out).write_bytes(bad(generate(sc).frames))
+    with pytest.raises(DataError) as loaded:
+        load_sequence(out)
+    with pytest.raises(DataError) as read:
+        list(frame_chunks(out, sc))
+    assert str(loaded.value) == str(read.value)
+    assert str(read.value).startswith(f"{frames_path(out)}: ") and want in str(read.value)
+
+
 def _jsonl_fails(monkeypatch):
     def fail(path, seq):
         raise DataError(f"{path}: cannot write")

@@ -233,13 +233,13 @@ def test_session_config_overlays_theta_and_motion_read_from_a_literal_path(tmp_p
     path.parent.mkdir()
     path.write_text('{"theta": 2.0, "motion": "ct", "turn_rate": 0.05}')
     turn = MotionModel(MotionKind.COORDINATED_TURN, 0.05)
-    assert load_session_config(path) == SessionConfig(theta=2.0, motion=turn)
+    assert load_session_config(path, SessionConfig()) == SessionConfig(theta=2.0, motion=turn)
 
 
 def test_session_config_defaults_fill_missing_keys(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text('{"epsilon": 0.01}')
-    cfg = load_session_config(path)
+    cfg = load_session_config(path, SessionConfig())
     assert cfg.epsilon == 0.01
     assert cfg.theta == 1.5
     assert cfg == SessionConfig(epsilon=0.01)

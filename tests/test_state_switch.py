@@ -8,7 +8,7 @@ import pytest
 
 from pixel_oracle import grayscale
 from test_core import naive_max_pool
-from xmtrack.core import ShapeError, relu, sigmoid_pair
+from xmtrack.core import ShapeError, sigmoid_pair
 from xmtrack.ctp import FrameInput, TrackerSession
 from xmtrack.sim import MAX_IMAGE_PIXELS, Scenario, classify_sequence, generate
 from xmtrack.state_switch import (
@@ -119,7 +119,7 @@ def test_spectral_branch_is_relu_linear_of_channel_means():
     w = random_switch_weights(rng)
     img = Image(8, 8, 3, rng.integers(0, 256, 8 * 8 * 3))
     means = img.features().mean(axis=(1, 2))
-    expected = relu(w.spec_w @ means + w.spec_b)
+    expected = np.maximum(w.spec_w @ means + w.spec_b, 0.0)
     np.testing.assert_allclose(spectral_branch(pixel_statistics(img)[1], w), expected, atol=1e-12)
 
 
@@ -235,14 +235,18 @@ def test_tri_state_edges_through_classify_and_classify_stack():
         assert [d.white_ratio for d in stacked] == [0.0, 0.40, 1.0]
 
 
+def naive_relu(x):
+    return np.maximum(x, 0.0)
+
+
 def naive_classify(img, w, rho=0.40):
     """Tri-state decision from the loop oracles: (state, m)."""
     f_in = img.features()
     white_ratio = np.count_nonzero(grayscale(img) >= 250) / (img.width * img.height)
-    conv = relu(naive_conv3x3(f_in, w.conv_w, w.conv_b))
+    conv = naive_relu(naive_conv3x3(f_in, w.conv_w, w.conv_b))
     f_spa = naive_max_pool(conv, POOL_HW).ravel()
-    f_spe = relu(w.spec_w @ f_in.mean(axis=(1, 2)) + w.spec_b)
-    hidden = relu(w.fuse1_w @ np.concatenate([f_spa, f_spe]) + w.fuse1_b)
+    f_spe = naive_relu(w.spec_w @ f_in.mean(axis=(1, 2)) + w.spec_b)
+    hidden = naive_relu(w.fuse1_w @ np.concatenate([f_spa, f_spe]) + w.fuse1_b)
     m = float(sigmoid_pair(w.fuse2_w @ hidden + w.fuse2_b).value[0])
     if white_ratio > rho:
         return TriState.INVALID, m
@@ -264,7 +268,7 @@ def test_classify_sequence_matches_naive_classifier():
     rng = np.random.default_rng(12)
     for _ in range(3):
         w = random_switch_weights(rng)
-        for rec, dec in zip(seq.records, classify_sequence(seq, w)):
+        for rec, dec in zip(seq.records, classify_stack(seq.frames, w)):
             state, m = naive_classify(rec.image, w)
             assert dec.state == state
             assert abs(dec.m - m) <= 1e-12
@@ -438,7 +442,7 @@ def test_skip_plan_builds_no_feature_plane_and_the_full_plan_one_per_frame(monke
         (separator_switch_weights(), 0),
         (random_switch_weights(np.random.default_rng(3)), frames),
     ):
-        assert _features_calls(monkeypatch, lambda: classify_sequence(seq, w)) == want
+        assert _features_calls(monkeypatch, lambda: classify_stack(seq.frames, w)) == want
         assert _features_calls(monkeypatch, lambda: _live_session(seq, w)) == want
 
 
@@ -551,7 +555,7 @@ def test_classify_sequence_equals_per_frame_classify_exactly():
     assert plans[1].spatial_zeros is None and plans[2].spatial_zeros is not None
     for w in plans:
         for rho in (0.0, 0.40, 0.9, 1.0):
-            stack = classify_sequence(seq, w, rho)
+            stack = classify_stack(seq.frames, w, rho)
             assert stack == [classify(rec.image, w, rho) for rec in seq.records]
     assert {d.state for d in classify_sequence(seq)} == set(TriState)
 
@@ -601,7 +605,7 @@ def test_classify_sequence_raises_classify_s_error_for_weights_of_another_channe
     rng = np.random.default_rng(12)
     for w in (random_switch_weights(rng, c=1), _without_spatial_columns(random_switch_weights(rng, c=1))):
         with pytest.raises(ShapeError) as stacked:
-            classify_sequence(seq, w)
+            classify_stack(seq.frames, w)
         with pytest.raises(ShapeError) as single:
             classify(seq.records[0].image, w)
         assert str(stacked.value) == str(single.value)
