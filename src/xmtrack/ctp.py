@@ -110,6 +110,8 @@ class MotionKind(str, Enum):
 
 @dataclass(frozen=True)
 class MotionModel:
+    """The filter's motion kind and turn rate; a checked ``turn_rate`` is stored as a float."""
+
     kind: MotionKind = MotionKind.CONSTANT_VELOCITY
     turn_rate: float = 0.0  # rad/frame, used by the coordinated-turn variant
 
@@ -118,6 +120,7 @@ class MotionModel:
             raise ValueError(f"MotionModel: kind {self.kind!r} is not a MotionKind")
         if not is_number(self.turn_rate):
             raise ValueError(f"MotionModel: turn_rate {self.turn_rate!r} is not a finite number")
+        object.__setattr__(self, "turn_rate", float(self.turn_rate))  # an int past 2**64 has no sin
 
 
 def box2state(b: BBox) -> Tensor:

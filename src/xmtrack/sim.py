@@ -129,7 +129,8 @@ class Scenario:
 
     def __post_init__(self):
         # Checked on every construction, dataclasses.replace included, so a
-        # bad field fails here and not mid-generate.
+        # bad field fails here and not mid-generate.  A checked number is
+        # stored as a float: an int past 2**64 would reach the ufuncs.
         if not isinstance(self.name, str):
             raise ValueError("Scenario: name must be a string")
         for name in ("frames", "frame_width", "frame_height", "image_width", "image_height",
@@ -141,10 +142,11 @@ class Scenario:
             values = tuple(getattr(self, name)) if np.iterable(getattr(self, name)) else ()
             if len(values) != n or not all(is_number(v) for v in values):
                 raise ValueError(f"Scenario: {name} needs {n} finite numbers")
-            setattr(self, name, values)
+            setattr(self, name, tuple(map(float, values)))
         for name in ("turn_rate", "sigma", "switch_noise_boost"):
             if not is_number(getattr(self, name)):
                 raise ValueError(f"Scenario: {name} must be a finite number")
+            setattr(self, name, float(getattr(self, name)))
         cx, cy, w, h = self.initial_box
         # min(): a frame count past MAX_COORD fails the path rule whenever the
         # target moves, and would overflow the float product.
@@ -484,59 +486,45 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _suite_schedule(frames: int) -> list:
-    sched = []
-    mod = "rgb"
-    for start in range(0, frames, SUITE_SEGMENT):
-        sched.append((start, min(frames, start + SUITE_SEGMENT), mod))
-        mod = "nir" if mod == "rgb" else "rgb"
-    return sched
-
-
 def ablation_suite(base_seed: int) -> list[Scenario]:
-    """Three invalid-heavy scenarios (left turn, right turn, straight).
+    """Three invalid-heavy scenarios: left turn, right turn, straight.
 
-    Noise bursts near modality switches (boosted sigma, damped confidence)
-    plus two long over-exposure windows per scenario give each motion
-    configuration something distinct to fail on.
+    One ``Scenario`` per row of a table: label, initial centre, velocity and
+    turn rate; row ``index`` is seeded ``base_seed * 3 + index``.  Noise
+    bursts near modality switches (boosted sigma, damped confidence) plus two
+    long over-exposure windows per scenario give each motion configuration
+    something distinct to fail on.
     """
     frames = 150
     speed = 4.0
     turn = 0.025
     radius = speed / turn  # 160 px turning circle, centred on the frame
-    common = dict(
-        frames=frames,
-        sigma=2.0,
-        switch_radius=2,
-        switch_noise_boost=8.0,
-        modality_schedule=_suite_schedule(frames),
-        invalid_windows=[(55, 73), (110, 128)],
-    )
-    scenarios = []
-    for label, rate in (("turn-left", turn), ("turn-right", -turn)):
-        start_x = 256.0 - math.copysign(radius, rate)
-        scenarios.append(
-            Scenario(
-                name=f"{label}-{base_seed}",
-                initial_box=(start_x, 256.0, 34.0, 34.0),
-                velocity=(0.0, -speed),
-                turn_rate=rate,
-                seed=base_seed * 3 + (0 if rate > 0 else 1),
-                **common,
-            )
-        )
     diag = speed / math.sqrt(2.0)
-    scenarios.append(
-        Scenario(
-            name=f"straight-{base_seed}",
-            initial_box=(70.0, 70.0, 34.0, 34.0),
-            velocity=(diag, diag),
-            turn_rate=0.0,
-            seed=base_seed * 3 + 2,
-            **common,
-        )
+    schedule = [  # bands alternate every SUITE_SEGMENT frames, rgb first
+        (start, min(frames, start + SUITE_SEGMENT), MODALITIES[start // SUITE_SEGMENT % 2])
+        for start in range(0, frames, SUITE_SEGMENT)
+    ]
+    rows = (
+        ("turn-left", (256.0 - radius, 256.0), (0.0, -speed), turn),
+        ("turn-right", (256.0 + radius, 256.0), (0.0, -speed), -turn),
+        ("straight", (70.0, 70.0), (diag, diag), 0.0),
     )
-    return scenarios
+    return [
+        Scenario(
+            name=f"{label}-{base_seed}",
+            frames=frames,
+            initial_box=(*centre, 34.0, 34.0),
+            velocity=velocity,
+            turn_rate=rate,
+            modality_schedule=schedule,
+            invalid_windows=[(55, 73), (110, 128)],
+            sigma=2.0,
+            switch_radius=2,
+            switch_noise_boost=8.0,
+            seed=base_seed * 3 + index,
+        )
+        for index, (label, centre, velocity, rate) in enumerate(rows)
+    ]
 
 
 @dataclass
